@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from decimal import ROUND_CEILING, Decimal
 from fractions import Fraction
 
 from .dance import analyze_dance, spectral_gap
@@ -39,6 +38,14 @@ class SpecError(ValueError):
 
 def _fmt_float(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _ceil_12g(x: float) -> float:
+    """x rounded upward to 12 significant digits, so its .12g form is never below x."""
+    if x == 0:
+        return x
+    d = Decimal(x)
+    return float(d.quantize(Decimal(1).scaleb(d.adjusted() - 11), rounding=ROUND_CEILING))
 
 
 def _fmt_fraction(w: Fraction) -> str:
@@ -130,16 +137,6 @@ def _count_or_infinite(v):
     return "infinite" if v is None else v
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("DANCEWALK_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise SpecError(f"DANCEWALK_THREADS must be an integer, got {raw!r}") from None
-    return os.cpu_count() or 1
-
-
 def cmd_analyze(args) -> int:
     p = _read_spec(args.spec)
     d = analyze_dance(p)
@@ -200,7 +197,7 @@ def cmd_convolve(args) -> int:
 def _compare_records(p, a, n):
     pn = convolution_power(p, n)
     records = []
-    for x in evaluation_window(p, a, n):
+    for x in evaluation_window(pn, a, n):
         w = pn.weight(x)
         approx = attractor_eval(a, n, x)
         records.append({
@@ -224,9 +221,7 @@ def cmd_compare(args) -> int:
     if not ns or any(n < 1 for n in ns):
         raise SpecError("at least one step n >= 1 is required")
     a = build_attractor(p)
-    with ThreadPoolExecutor(max_workers=min(_thread_cap(), len(ns))) as pool:
-        blocks = list(pool.map(lambda n: _compare_records(p, a, n), sorted(ns)))
-    records = [r for block in blocks for r in block]
+    records = [r for n in sorted(ns) for r in _compare_records(p, a, n)]
     if args.format == "json":
         _emit(records)
     else:
@@ -276,7 +271,7 @@ def cmd_tv(args) -> int:
         "n": r.n,
         "tv_exact": r.tv_exact,
         "tv_exact_float": float(r.tv_exact),
-        "tv_bound": r.tv_bound,
+        "tv_bound": _ceil_12g(r.tv_bound),
     })
     return 0
 

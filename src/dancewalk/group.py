@@ -28,21 +28,6 @@ class UnsupportedOperationError(ValueError):
     """The operation needs a finiteness property the input lacks."""
 
 
-def _invariant_factors(moduli: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical divisor chain m1 | m2 | ... of a product of cyclic groups."""
-    factors = [m for m in moduli if m > 1]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                a, b = factors[i], factors[j]
-                if b % a:
-                    factors[i], factors[j] = gcd(a, b), lcm(a, b)
-                    changed = True
-    return tuple(sorted(factors))
-
-
 @dataclass(frozen=True)
 class GroupSpec:
     """Z_{m1} x ... x Z_{mt} x Z^k with the moduli as supplied."""
@@ -80,7 +65,9 @@ class GroupSpec:
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
-        return _invariant_factors(self.torsion_moduli)
+        """Canonical divisor chain m1 | m2 | ... of the torsion part."""
+        diagonal = snf(IntMatrix.diag(self.torsion_moduli)).diagonal
+        return tuple(m for m in diagonal if m > 1)
 
     @property
     def is_trivial(self) -> bool:
@@ -360,22 +347,6 @@ def whole_group(g: GroupSpec) -> Subgroup:
 
 def trivial_subgroup(g: GroupSpec) -> Subgroup:
     return Subgroup(g, [])
-
-
-def subgroup_contains(h: Subgroup, x: Element) -> bool:
-    return h.contains(x)
-
-
-def subgroup_index(h: Subgroup) -> int | None:
-    return h.index()
-
-
-def subgroup_rank(h: Subgroup) -> int:
-    return h.rank()
-
-
-def quotient_invariants(h: Subgroup) -> tuple[tuple[int, ...], int]:
-    return h.quotient_invariants()
 
 
 def group_from_presentation(relations: IntMatrix, ambient: int | None = None

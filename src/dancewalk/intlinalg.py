@@ -161,24 +161,10 @@ class IntMatrix:
         """Exact inverse; requires the inverse to be integral (det = +-1)."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        a = [[Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
-             for i, row in enumerate(self.data)]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if a[i][col]), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            inv = 1 / a[col][col]
-            a[col] = [e * inv for e in a[col]]
-            for i in range(n):
-                if i != col and a[i][col]:
-                    f = a[i][col]
-                    a[i] = [e - f * g for e, g in zip(a[i], a[col])]
-        out = [[e for e in row[n:]] for row in a]
+        out = rational_inverse(self.data)
         if any(e.denominator != 1 for row in out for e in row):
             raise ValueError("inverse is not integral")
-        return IntMatrix([[int(e) for e in row] for row in out], cols=n)
+        return IntMatrix([[int(e) for e in row] for row in out], cols=self.cols)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self.data == other.data and self.cols == other.cols
@@ -188,6 +174,25 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.data]!r})"
+
+
+def rational_inverse(rows) -> list[list[Fraction]]:
+    """Exact inverse of a square integer or rational matrix (Gauss-Jordan)."""
+    n = len(rows)
+    a = [[Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [e * inv for e in a[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                f = a[i][col]
+                a[i] = [e - f * g for e, g in zip(a[i], a[col])]
+    return [row[n:] for row in a]
 
 
 class UnimodularMatrix:

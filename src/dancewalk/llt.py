@@ -36,46 +36,10 @@ from .intlinalg import (
     InvariantViolationError,
     TwistResult,
     affine_dim,
+    rational_inverse,
     twist_to_coordinates,
 )
 from .measure import Distribution, convolution_power, convolve, pushforward
-
-
-def _fr_det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    a = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for i in range(col + 1, n):
-            if a[i][col]:
-                f = a[i][col] * inv
-                a[i] = [e - f * g for e, g in zip(a[i], a[col])]
-    return det
-
-
-def _fr_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(rows)
-    a = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [e * inv for e in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [e - f * g for e, g in zip(a[i], a[col])]
-    return [row[n:] for row in a]
 
 
 @dataclass(frozen=True)
@@ -86,19 +50,23 @@ class MomentData:
     mean: tuple[Fraction, ...]
     covariance: tuple[tuple[Fraction, ...], ...]
 
+    def _scaled_covariance(self) -> tuple[int, IntMatrix]:
+        """(L, L * covariance) with L the lcm of the covariance denominators."""
+        den = math.lcm(*(e.denominator for row in self.covariance for e in row))
+        return den, IntMatrix([[int(e * den) for e in row] for row in self.covariance])
+
     def covariance_det(self) -> Fraction:
-        return _fr_det([list(r) for r in self.covariance])
+        den, scaled = self._scaled_covariance()
+        return Fraction(scaled.det(), den ** self.dim)
 
     def covariance_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(r) for r in _fr_inverse([list(r) for r in self.covariance]))
+        return tuple(tuple(r) for r in rational_inverse(self.covariance))
 
     def is_positive_definite(self) -> bool:
         """Exact Sylvester test: all leading principal minors positive."""
-        for k in range(1, self.dim + 1):
-            minor = _fr_det([[self.covariance[i][j] for j in range(k)] for i in range(k)])
-            if minor <= 0:
-                return False
-        return True
+        _, scaled = self._scaled_covariance()
+        return all(IntMatrix([r[:k] for r in scaled.data[:k]]).det() > 0
+                   for k in range(1, self.dim + 1))
 
 
 def mean_cov(q: Distribution) -> MomentData:
@@ -206,59 +174,46 @@ def attractor_eval(a: Attractor, n: int, x: Element) -> float:
     return (th / a.torsion_order) * gaussian_kernel(a.moments, n, y)
 
 
-def _attractor_eval_exact_d0(a: Attractor, n: int, x: Element) -> Fraction:
-    return Fraction(a.dance.theta(n, x), a.torsion_order)
+def _window_lifts(a: Attractor, n: int):
+    """Every torsion lift of the integer points within 8 standard deviations of n*mu.
 
-
-def _gaussian_window(a: Attractor, n: int, center: tuple[Fraction, ...],
-                     spread: int = 8) -> list[tuple[int, ...]]:
-    """Integer points u with (u - c) . Gamma^(-1) (u - c) <= spread^2 * n."""
-    inv = a.moments.covariance_inverse()
-    d = a.moments.dim
-    ranges = []
-    for i in range(d):
-        r = spread * math.sqrt(n * float(a.moments.covariance[i][i]))
-        ranges.append(range(math.floor(float(center[i]) - r), math.ceil(float(center[i]) + r) + 1))
-    limit = Fraction(spread * spread * n)
-    out = []
-    for u in itertools.product(*ranges):
-        y = [Fraction(c) - ctr for c, ctr in zip(u, center)]
-        quad = sum(y[i] * inv[i][j] * y[j] for i in range(d) for j in range(d))
-        if quad <= limit:
-            out.append(u)
-    return out
-
-
-def _coset_window(a: Attractor, n: int) -> list[Element]:
-    """Points of the live coset where the attractor is not negligible.
-
-    For d = 0 this is the whole (finite) coset.  For d >= 1 the live
-    coset meets each Gaussian fiber in finitely many points: the free
-    part of any coset point is phi_full^(-1) (u, n*w), so it suffices to
-    scan integer u within 8 standard deviations of n*mu and filter by
-    exact coset membership.
+    For d >= 1 the free part of a live-coset point is
+    phi_full^(-1) (u, n*w) for some u in Z^d, so scanning the u with
+    (u - n*mu) . Gamma^(-1) (u - n*mu) <= 64 n and lifting each through
+    every torsion residue covers the points where the attractor is not
+    negligible.
     """
     g = a.dance.base_point.group
-    if a.case == "d0":
-        return a.dance.coset_at(n)
-    d = a.rank_d
-    center = tuple(n * m for m in a.moments.mean)
+    moments = a.moments
+    inv = moments.covariance_inverse()
+    d = moments.dim
+    center = [n * m for m in moments.mean]
+    ranges = []
+    for i in range(d):
+        r = 8 * math.sqrt(n * float(moments.covariance[i][i]))
+        ranges.append(range(math.floor(float(center[i]) - r), math.ceil(float(center[i]) + r) + 1))
     tail = tuple(n * wi for wi in a.twist.w)
     inv_full = a.twist.phi.inverse
-    out = []
-    for u in _gaussian_window(a, n, center):
-        free = inv_full.mul_vec(tuple(u) + tail)
-        for tors in itertools.product(*(range(m) for m in g.torsion_moduli)):
-            x = Element(g, tors, free)
-            if a.dance.theta(n, x) > 0:
-                out.append(x)
-    return out
+    residues = list(itertools.product(*(range(m) for m in g.torsion_moduli)))
+    for u in itertools.product(*ranges):
+        y = [c - ctr for c, ctr in zip(u, center)]
+        if sum(y[i] * inv[i][j] * y[j] for i in range(d) for j in range(d)) <= 64 * n:
+            free = inv_full.mul_vec(u + tail)
+            for tors in residues:
+                yield Element(g, tors, free)
 
 
-def evaluation_window(p: Distribution, a: Attractor, n: int) -> list[Element]:
-    """Support of p^(n) together with the effective range of the attractor."""
-    pn = convolution_power(p, n)
-    return sorted(set(pn.support()) | set(_coset_window(a, n)))
+def evaluation_window(pn: Distribution, a: Attractor, n: int) -> list[Element]:
+    """Support of the step-n law pn together with the effective range of the attractor.
+
+    The attractor lives on the live coset: all of coset_at(n) when
+    d = 0, otherwise the window lifts with theta > 0.
+    """
+    if a.case == "d0":
+        live = a.dance.coset_at(n)
+    else:
+        live = (x for x in _window_lifts(a, n) if a.dance.theta(n, x) > 0)
+    return sorted(set(pn.support()).union(live))
 
 
 @dataclass(frozen=True)
@@ -286,13 +241,13 @@ def llt_sup_error(p: Distribution, a: Attractor, n: int) -> LltReport:
     if n < 1:
         raise ValueError("n must be at least 1")
     pn = convolution_power(p, n)
-    window = sorted(set(pn.support()) | set(_coset_window(a, n)))
+    window = evaluation_window(pn, a, n)
     scale = n ** (a.rank_d / 2)
     if a.case == "d0":
         best = Fraction(0)
         best_x = None
         for x in window:
-            err = abs(pn.weight(x) - _attractor_eval_exact_d0(a, n, x))
+            err = abs(pn.weight(x) - Fraction(a.dance.theta(n, x), a.torsion_order))
             if err > best:
                 best, best_x = err, x
         return LltReport(n=n, sup_error=float(best), scaled_sup_error=scale * float(best),
@@ -334,15 +289,7 @@ def time_average_error(p: Distribution, a: Attractor, n: int, s: int) -> float:
         raise InvariantViolationError("infinite irreducible walk must have rank >= 1")
     if any(m != 0 for m in a.moments.mean):
         raise ValueError("time-average limit requires a mean-zero pushforward")
-    support_union = set().union(*(pk.support() for pk in powers))
-    window = set(support_union)
-    center = (Fraction(0),) * a.rank_d
-    inv_full = a.twist.phi.inverse
-    tail = tuple(n * wi for wi in a.twist.w)
-    for u in _gaussian_window(a, n, center):
-        free = inv_full.mul_vec(tuple(u) + tail)
-        for tors in itertools.product(*(range(m) for m in g.torsion_moduli)):
-            window.add(Element(g, tors, free))
+    window = set(_window_lifts(a, n)).union(*(pk.support() for pk in powers))
     worst = 0.0
     for x in sorted(window):
         target = gaussian_kernel(a.moments, n, [Fraction(c) for c in a.phi(x).free])

@@ -1,11 +1,20 @@
+import io
 import json
+import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dancewalk.cli
+import dancewalk.llt
 from dancewalk.cli import dump_spec, load_spec, main
 from dancewalk.measure import convolution_power
+
+SRC = str(Path(dancewalk.__file__).resolve().parent.parent)
 
 Z12_SPEC = json.dumps({
     "group": {"torsion": [12], "rank": 0},
@@ -33,9 +42,11 @@ Z4Z6_SPEC = json.dumps({
 
 
 def run_cli(args, stdin=""):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "dancewalk.cli", *args],
-        input=stdin, capture_output=True, text=True, timeout=300,
+        input=stdin, capture_output=True, text=True, timeout=300, env=env,
     )
     return proc
 
@@ -98,6 +109,19 @@ def test_analyze_z4z6_omega():
     assert doc["classification"]["period"] == 2
 
 
+def test_analyze_canonical_torsion_not_a_chain():
+    spec = json.dumps({
+        "group": {"torsion": [2, 3, 6], "rank": 0},
+        "distribution": [
+            {"elem": {"torsion": [0, 0, 0]}, "weight": "1/2"},
+            {"elem": {"torsion": [1, 1, 1]}, "weight": "1/4"},
+            {"elem": {"torsion": [0, 2, 3]}, "weight": "1/4"},
+        ],
+    })
+    proc = run_cli(["analyze", "--spec", "-"], stdin=spec)
+    assert json.loads(proc.stdout)["group"]["canonical_torsion"] == [6, 6]
+
+
 def test_byte_determinism():
     a = run_cli(["analyze", "--spec", "-"], stdin=Z4Z6_SPEC)
     b = run_cli(["analyze", "--spec", "-"], stdin=Z4Z6_SPEC)
@@ -141,15 +165,19 @@ def test_compare_rejects_empty_steps():
     assert proc.returncode == 2
 
 
-def test_compare_thread_cap_env():
-    proc = subprocess.run(
-        [sys.executable, "-m", "dancewalk.cli", "compare", "--spec", "-", "--n", "2,3"],
-        input=Z12_SPEC, capture_output=True, text=True,
-        env={"DANCEWALK_THREADS": "1", "PATH": "/usr/bin:/bin"}, timeout=300,
-    )
-    assert proc.returncode == 0
-    base = run_cli(["compare", "--spec", "-", "--n", "2,3"], stdin=Z12_SPEC)
-    assert proc.stdout == base.stdout
+def test_compare_computes_each_power_once(monkeypatch, capsys):
+    calls = []
+
+    def counting_power(p, n):
+        calls.append(n)
+        return convolution_power(p, n)
+
+    monkeypatch.setattr(dancewalk.cli, "convolution_power", counting_power)
+    monkeypatch.setattr(dancewalk.llt, "convolution_power", counting_power)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(Z12_SPEC))
+    assert main(["compare", "--spec", "-", "--n", "3,1,2"]) == 0
+    assert sorted(calls) == [1, 2, 3]
+    assert capsys.readouterr().out
 
 
 def test_attractor_and_tv_commands():
@@ -164,6 +192,25 @@ def test_attractor_and_tv_commands():
     doc = json.loads(proc.stdout)
     assert doc["mean"] == ["1/2"]
     assert doc["covariance"] == [["1/4"]]
+
+
+def test_tv_bound_printed_not_below_exact(capsys, monkeypatch):
+    # |W| = 2 makes the certified bound tight: rounding it to nearest at
+    # 12 digits would print a decimal below the exact TV at these n.
+    spec = json.dumps({
+        "group": {"torsion": [2, 2, 6], "rank": 0},
+        "distribution": [
+            {"elem": {"torsion": [1, 0, 1]}, "weight": "1/3"},
+            {"elem": {"torsion": [0, 1, 1]}, "weight": "2/3"},
+        ],
+    })
+    for n in (3, 13):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
+        assert main(["tv", "--spec", "-", "--n", str(n)]) == 0
+        out = capsys.readouterr().out
+        exact = Fraction(json.loads(out)["tv_exact"])
+        printed = re.search(r'"tv_bound": (\S+)', out).group(1)
+        assert Fraction(printed) >= exact
 
 
 def test_twist_command():

@@ -53,6 +53,8 @@ def test_group_spec_invariants():
     assert Z4Z6.isomorphic_to(GroupSpec([2, 12]))
     assert not Z4Z6.isomorphic_to(GroupSpec([24]))
     assert GroupSpec([6]).invariant_factors == (6,)
+    assert GroupSpec([2, 3, 6]).invariant_factors == (6, 6)
+    assert GroupSpec([2, 3]).invariant_factors == (6,)
     assert Z2.invariant_factors == ()
     assert Z4Z6.order == 24
     assert Z4Z.order is None
