@@ -50,6 +50,7 @@ from .dance import (
     SpectralGap,
     analyze_dance,
     char_fn,
+    dance_of,
     omega_contains,
     period_if_irreducible,
     spectral_gap,

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from decimal import ROUND_CEILING, Decimal
 from fractions import Fraction
 
-from .dance import analyze_dance, spectral_gap
+from .dance import dance_of, spectral_gap
 from .group import GroupSpec
 from .intlinalg import AffinePointSet, InvariantViolationError, twist_to_coordinates
 from .llt import (
@@ -45,7 +46,10 @@ def _ceil_12g(x: float) -> float:
     if x == 0:
         return x
     d = Decimal(x)
-    return float(d.quantize(Decimal(1).scaleb(d.adjusted() - 11), rounding=ROUND_CEILING))
+    y = float(d.quantize(Decimal(1).scaleb(d.adjusted() - 11), rounding=ROUND_CEILING))
+    while Decimal(_fmt_float(y)) < d:  # a subnormal y holds fewer than 12 digits
+        y = math.nextafter(y, math.inf)
+    return y
 
 
 def _fmt_fraction(w: Fraction) -> str:
@@ -139,7 +143,7 @@ def _count_or_infinite(v):
 
 def cmd_analyze(args) -> int:
     p = _read_spec(args.spec)
-    d = analyze_dance(p)
+    d = dance_of(p)
     gap = spectral_gap(p)
     cls = classify(p)
     omega = GroupSpec(*d.omega_invariants)

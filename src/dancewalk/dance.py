@@ -105,9 +105,16 @@ def analyze_dance(p: Distribution) -> DanceData:
     )
 
 
+def dance_of(p: Distribution) -> DanceData:
+    """analyze_dance(p), computed on first use and kept on the immutable p."""
+    if p._dance is None:
+        object.__setattr__(p, "_dance", analyze_dance(p))
+    return p._dance
+
+
 def theta(p: Distribution, n: int, x: Element) -> int:
     """Dance function of p at step n and point x."""
-    return analyze_dance(p).theta(n, x)
+    return dance_of(p).theta(n, x)
 
 
 def char_fn(p: Distribution, xi: DualPoint) -> complex:
@@ -214,7 +221,7 @@ def spectral_gap(p: Distribution) -> SpectralGap:
     groups p_A is p itself.  Membership in the locus is tested exactly;
     only the final modulus is floating point.
     """
-    if analyze_dance(p).rank_d == 0:
+    if dance_of(p).rank_d == 0:
         _assert_constant_free_part(p)
     pa = torsion_pushforward(p)
     rho = 0.0
@@ -258,7 +265,7 @@ def period_if_irreducible(p: Distribution) -> int:
     classify, must establish that); for them the index [G : W] equals
     gcd of the return times.
     """
-    idx = analyze_dance(p).walk_subgroup.index()
+    idx = dance_of(p).walk_subgroup.index()
     if idx is None:
         raise ValueError("period undefined: [G:G_p] infinite")
     return idx

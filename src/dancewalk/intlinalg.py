@@ -304,6 +304,29 @@ def hnf(m: IntMatrix) -> HnfDecomposition:
     return HnfDecomposition(IntMatrix(h, cols=m.cols), UnimodularMatrix(IntMatrix(u, cols=m.rows)))
 
 
+def lattice_basis(vectors, cols: int) -> tuple[tuple[int, ...], ...]:
+    """Hermite basis rows of the lattice spanned by ``vectors`` in Z^cols.
+
+    The vectors are folded one at a time into at most ``cols`` echelon
+    rows, so the cost is linear in their number (``hnf`` would carry a
+    square transform as wide as the input).
+    """
+    rows: dict[int, list[int]] = {}
+    for v in vectors:
+        v = list(v)
+        for j in range(cols):
+            if not v[j]:
+                continue
+            r = rows.get(j)
+            if r is None:
+                rows[j] = v
+                break
+            x, y, bg, ag = _elim_pair(r[j], v[j])
+            rows[j], v = ([x * a + y * b for a, b in zip(r, v)],
+                          [ag * b - bg * a for a, b in zip(r, v)])
+    return hnf(IntMatrix([rows[j] for j in sorted(rows)], cols=cols)).nonzero_rows
+
+
 def snf(m: IntMatrix) -> SnfDecomposition:
     """Smith normal form with both transforms: u @ m @ v = d."""
     a = [list(r) for r in m.data]

@@ -20,10 +20,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
-from .dance import DanceData, analyze_dance, period_if_irreducible, spectral_gap
+from .dance import DanceData, dance_of, period_if_irreducible, spectral_gap
 from .group import (
     Element,
     GroupSpec,
@@ -55,10 +56,12 @@ class MomentData:
         den = math.lcm(*(e.denominator for row in self.covariance for e in row))
         return den, IntMatrix([[int(e * den) for e in row] for row in self.covariance])
 
+    @cached_property
     def covariance_det(self) -> Fraction:
         den, scaled = self._scaled_covariance()
         return Fraction(scaled.det(), den ** self.dim)
 
+    @cached_property
     def covariance_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(r) for r in rational_inverse(self.covariance))
 
@@ -99,10 +102,10 @@ def gaussian_kernel(moments: MomentData, t, y) -> float:
     """
     if t <= 0:
         raise ValueError("time parameter must be positive")
-    det = moments.covariance_det()
+    det = moments.covariance_det
     if det == 0:
         raise ValueError("covariance is singular")
-    inv = moments.covariance_inverse()
+    inv = moments.covariance_inverse
     y = list(y)
     quad = sum(y[i] * inv[i][j] * y[j] for i in range(moments.dim) for j in range(moments.dim))
     norm = (2 * math.pi * float(t)) ** (moments.dim / 2) * math.sqrt(float(det))
@@ -138,7 +141,7 @@ def build_attractor(p: Distribution) -> Attractor:
     of p along phi is checked to be genuinely d-dimensional with exactly
     positive-definite covariance.
     """
-    dance = analyze_dance(p)
+    dance = dance_of(p)
     g = p.group
     tor = g.torsion_order
     if dance.rank_d == 0:
@@ -185,7 +188,7 @@ def _window_lifts(a: Attractor, n: int):
     """
     g = a.dance.base_point.group
     moments = a.moments
-    inv = moments.covariance_inverse()
+    inv = moments.covariance_inverse
     d = moments.dim
     center = [n * m for m in moments.mean]
     ranges = []
@@ -303,10 +306,12 @@ def tv_to_uniform_coset(p: Distribution, n: int) -> LltReport:
 
     Needs a finite walk subgroup W.  Reports the exact rational
     tv(p^(n), uniform on W + n*x0) and the certified exponential bound
-    (|W| - 1)/2 * rho^n; the float power of rho is nudged upward so the
-    asserted inequality can never fail to rounding.
+    (|W| - 1)/2 * rho^n.  The bound is checked in exact arithmetic, with
+    rho's double taken as an exact rational and a relative 1e-12 of
+    upward slack for its rounding, and reported rounded upward to a
+    double, so it is never 0 while positive.
     """
-    dance = analyze_dance(p)
+    dance = dance_of(p)
     w_order = dance.walk_subgroup.order()
     if w_order is None:
         raise UnsupportedOperationError("walk subgroup is infinite; no uniform law on it")
@@ -317,12 +322,17 @@ def tv_to_uniform_coset(p: Distribution, n: int) -> LltReport:
     for x in coset | set(pn.support()):
         total += abs(pn.weight(x) - (uniform if x in coset else 0))
     tv = total / 2
-    rho = spectral_gap(p).rho
-    bound = (w_order - 1) / 2 * rho ** n
-    bound += bound * 1e-12  # upward rounding slack; exact when rho = 0
-    if tv > Fraction(bound):
+    rho = Fraction(spectral_gap(p).rho)
+    bound = Fraction(w_order - 1, 2) * rho ** n * (1 + Fraction(1, 10 ** 12))
+    if tv > bound:
         raise InvariantViolationError("exact TV distance exceeded its certified bound")
-    return LltReport(n=n, tv_exact=tv, tv_bound=bound)
+    return LltReport(n=n, tv_exact=tv, tv_bound=_float_up(bound))
+
+
+def _float_up(x: Fraction) -> float:
+    """The least double that is >= x."""
+    f = float(x)
+    return math.nextafter(f, math.inf) if f < x else f
 
 
 @dataclass(frozen=True)
@@ -357,7 +367,7 @@ def _classify_finite(p: Distribution) -> Classification:
                     nxt.append(v)
         frontier = nxt
     irreducible = len(dist) == g.order
-    dance = analyze_dance(p)
+    dance = dance_of(p)
     quotient = GroupSpec(*dance.omega_invariants).describe()
     if not irreducible:
         reach = sorted(dist)
@@ -396,7 +406,7 @@ def classify(p: Distribution) -> Classification:
     g = p.group
     if g.is_finite:
         return _classify_finite(p)
-    dance = analyze_dance(p)
+    dance = dance_of(p)
     w = dance.walk_subgroup
     quotient = GroupSpec(*dance.omega_invariants).describe()
     idx = w.index()

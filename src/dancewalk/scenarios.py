@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dance import analyze_dance, spectral_gap, theta_by_integration
+from .dance import dance_of, spectral_gap, theta_by_integration
 from .group import GroupSpec, subgroup_generated
 from .llt import (
     build_attractor,
@@ -104,7 +104,7 @@ def spitzer() -> Distribution:
 def run_z12() -> list[Check]:
     p = z12_walk()
     checks = []
-    ann = analyze_dance(p).walk_subgroup.annihilator()
+    ann = dance_of(p).walk_subgroup.annihilator()
     got = sorted(e.torsion[0] for e in ann.elements())
     checks.append(Check("unit-modulus locus equals {0,4,8} [reference]",
                         got == [0, 4, 8], f"got {got}"))
@@ -166,7 +166,7 @@ def run_z9_a0b3() -> list[Check]:
     c = classify(p)
     checks.append(Check("not irreducible [reference]", c.irreducible == "no",
                         f"irreducible={c.irreducible}"))
-    d = analyze_dance(p)
+    d = dance_of(p)
     static = all(d.theta(n, x) == d.theta(0, x) for n in range(10) for x in Z9.elements())
     checks.append(Check("dance function is time independent [reference]", static))
     return checks
@@ -175,7 +175,7 @@ def run_z9_a0b3() -> list[Check]:
 def run_z4z6() -> list[Check]:
     p = z4z6_walk()
     checks = []
-    d = analyze_dance(p)
+    d = dance_of(p)
     checks.append(Check("locus invariants Z_2 [reference]",
                         d.omega_invariants == ((2,), 0), f"{d.omega_invariants}"))
     rho = spectral_gap(p).rho
@@ -198,7 +198,7 @@ def run_z4z6_table() -> list[Check]:
     for (a, b), gens in sorted(TWO_POINT_Z4Z6_LOCUS.items()):
         p = Distribution(Z4Z6, {Z4Z6.element([a, b]): half, Z4Z6.element([0, 0]): half}
                          if (a, b) != (0, 0) else {Z4Z6.element([0, 0]): 1})
-        got = analyze_dance(p).walk_subgroup.annihilator()
+        got = dance_of(p).walk_subgroup.annihilator()
         want = subgroup_generated(dual, [dual.element(g) for g in gens])
         ok = got == want
         hits += ok
@@ -230,7 +230,7 @@ def run_elevator2() -> list[Check]:
     checks.append(Check("rank 1, mean 0, variance 1/2 [reference]",
                         a.rank_d == 1 and a.moments.mean == (0,)
                         and a.moments.covariance == ((half,),)))
-    d = analyze_dance(p)
+    d = dance_of(p)
     grid = all(d.theta(n, Z4Z.element([at], [b])) == 1 + (-1) ** (n - at - b)
                for at in range(5) for b in range(-2, 3) for n in range(1, 21))
     checks.append(Check("theta(n,(a,b)) = 1 + (-1)^(n-a-b) on the grid [reference]", grid))
@@ -252,7 +252,7 @@ def run_spitzer() -> list[Check]:
     a = build_attractor(p)
     checks.append(Check("mean 1/2 and variance 1/4 [reference]",
                         a.moments.mean == (half,) and a.moments.covariance == ((quarter,),)))
-    d = analyze_dance(p)
+    d = dance_of(p)
     diag = all(d.theta(n, Z2.element((), [x, y])) == (1 if x + y == n else 0)
                for n in range(8) for x in range(-3, 10) for y in range(-3, 10))
     checks.append(Check("theta is the indicator of x+y=n [reference]", diag))

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import dancewalk.cli
+import dancewalk.dance
 import dancewalk.llt
 from dancewalk.cli import dump_spec, load_spec, main
 from dancewalk.measure import convolution_power
@@ -180,6 +181,24 @@ def test_compare_computes_each_power_once(monkeypatch, capsys):
     assert capsys.readouterr().out
 
 
+def test_analyze_runs_analyze_dance_once(monkeypatch, capsys):
+    analyze = dancewalk.dance.analyze_dance
+    for spec in (Z4Z6_SPEC, SPITZER_SPEC):
+        calls = []
+
+        def counting_analyze(p):
+            calls.append(p)
+            return analyze(p)
+
+        for mod in (dancewalk.cli, dancewalk.dance, dancewalk.llt):
+            if getattr(mod, "analyze_dance", None) is analyze:
+                monkeypatch.setattr(mod, "analyze_dance", counting_analyze)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
+        assert main(["analyze", "--spec", "-"]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out
+
+
 def test_attractor_and_tv_commands():
     proc = run_cli(["attractor", "--spec", "-", "--n", "20"], stdin=Z12_SPEC)
     doc = json.loads(proc.stdout)
@@ -196,7 +215,9 @@ def test_attractor_and_tv_commands():
 
 def test_tv_bound_printed_not_below_exact(capsys, monkeypatch):
     # |W| = 2 makes the certified bound tight: rounding it to nearest at
-    # 12 digits would print a decimal below the exact TV at these n.
+    # 12 digits would print a decimal below the exact TV at n = 3, 13.
+    # From n = 656 on, rho^n = 3^-n is subnormal or below every double,
+    # so a float power loses its slack and then reads 0.
     spec = json.dumps({
         "group": {"torsion": [2, 2, 6], "rank": 0},
         "distribution": [
@@ -204,13 +225,13 @@ def test_tv_bound_printed_not_below_exact(capsys, monkeypatch):
             {"elem": {"torsion": [0, 1, 1]}, "weight": "2/3"},
         ],
     })
-    for n in (3, 13):
+    for n in (3, 13, 656, 679, 700):
         monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
         assert main(["tv", "--spec", "-", "--n", str(n)]) == 0
         out = capsys.readouterr().out
         exact = Fraction(json.loads(out)["tv_exact"])
         printed = re.search(r'"tv_bound": (\S+)', out).group(1)
-        assert Fraction(printed) >= exact
+        assert Fraction(printed) >= exact > 0
 
 
 def test_twist_command():

@@ -12,6 +12,7 @@ from dancewalk.intlinalg import (
     bottom_row_unimodular,
     flatten_affine,
     hnf,
+    lattice_basis,
     snf,
     twist_to_coordinates,
 )
@@ -80,6 +81,12 @@ def test_snf_known_cases():
     assert res.v.matrix == IntMatrix.identity(3)
     res = snf(mat([[2, 4], [4, 4]]))
     assert res.diagonal == (2, 4)
+
+
+@settings(max_examples=250, derandomize=True)
+@given(matrices(max_dim=7))
+def test_lattice_basis_is_the_hermite_basis(m):
+    assert lattice_basis(m.data, m.cols) == hnf(m).nonzero_rows
 
 
 @settings(max_examples=250, derandomize=True)

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from math import comb, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dancewalk.measure
 from dancewalk.group import GroupSpec, Homomorphism
 from dancewalk.intlinalg import IntMatrix
 from dancewalk.measure import (
@@ -149,6 +152,136 @@ def test_support_sumset_law():
             sumset = {x + y for x in convolution_power(p, n).support()
                       for y in convolution_power(p, m).support()}
             assert lhs == sumset
+
+
+def sparse_convolve(p, q):
+    """Reference convolution: the double loop over both supports, over a common denominator."""
+    dp = lcm(*(w.denominator for _, w in p.items()))
+    dq = lcm(*(w.denominator for _, w in q.items()))
+    acc = {}
+    for x, w in p.items():
+        for y, v in q.items():
+            z = x + y
+            acc[z] = acc.get(z, 0) + int(w * dp) * int(v * dq)
+    return Distribution(p.group, {z: Fraction(n, dp * dq) for z, n in acc.items()})
+
+
+def sparse_power(p, n):
+    """Reference power: n sparse convolutions with p, from the point mass."""
+    acc = Distribution.point_mass(p.group)
+    for _ in range(n):
+        acc = sparse_convolve(acc, p)
+    return acc
+
+
+@st.composite
+def law_pairs(draw):
+    """Two laws on one of the group shapes the packed kernel must handle."""
+    small = st.integers(-3, 3)
+    shape = draw(st.sampled_from(
+        ["trivial", "cyclic", "two-cyclic", "free", "mixed", "line-z3", "sublattice-z2",
+         "sparse-z"]))
+    if shape == "trivial":
+        g, point = GroupSpec(), st.just(((), ()))
+    elif shape == "cyclic":
+        m = draw(st.integers(2, 13))
+        g, point = GroupSpec([m]), st.tuples(st.tuples(st.integers(0, m - 1)), st.just(()))
+    elif shape == "two-cyclic":
+        g = GroupSpec([draw(st.integers(2, 7)), draw(st.integers(2, 7))])
+        point = st.tuples(st.tuples(st.integers(0, 6), st.integers(0, 6)), st.just(()))
+    elif shape == "free":
+        k = draw(st.integers(1, 3))
+        g, point = GroupSpec((), k), st.tuples(st.just(()), st.tuples(*[small] * k))
+    elif shape == "mixed":
+        g = GroupSpec([draw(st.integers(2, 6)), draw(st.integers(2, 6))], 1)
+        point = st.tuples(st.tuples(st.integers(0, 5), st.integers(0, 5)), st.tuples(small))
+    elif shape == "line-z3":
+        d, o = draw(st.tuples(small, small, small)), draw(st.tuples(small, small, small))
+        g = GroupSpec((), 3)
+        point = small.map(lambda t: ((), tuple(a + t * b for a, b in zip(o, d))))
+    elif shape == "sublattice-z2":
+        u, w = draw(st.tuples(small, small)), draw(st.tuples(small, small))
+        g = GroupSpec((), 2)
+        point = st.tuples(small, small).map(
+            lambda ab: ((), tuple(ab[0] * x + ab[1] * y for x, y in zip(u, w))))
+    else:
+        g, point = GroupSpec((), 1), st.integers(-1, 2).map(lambda t: ((), (1000 * t,)))
+
+    def law():
+        weights = {}
+        for tors, free in draw(st.lists(point, min_size=1, max_size=4)):
+            x = g.element(tors, free)
+            weights[x] = weights.get(x, 0) + draw(st.integers(1, 6))
+        total = sum(weights.values())
+        return Distribution(g, {x: Fraction(w, total) for x, w in weights.items()})
+
+    return law(), law()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(law_pairs(), st.integers(0, 12))
+def test_packed_convolution_matches_sparse_reference(pq, n):
+    p, q = pq
+    assert convolution_power(p, n) == sparse_power(p, n)
+    assert convolve(p, q) == sparse_convolve(p, q)
+    assert convolve(p, p) == sparse_convolve(p, p)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(law_pairs(), st.integers(0, 6))
+def test_kronecker_and_pairwise_kernels_agree(pq, n):
+    p, q = pq
+    pn = sparse_power(p, n)
+    basis = dancewalk.measure._lattice(p.group, (pn, q))
+    moduli = p.group.torsion_moduli + (0,) * len(basis)
+    _, (da, na) = dancewalk.measure._pack_law(pn, basis)
+    _, (db, nb) = dancewalk.measure._pack_law(q, basis)
+    lo_a, lo_b, sides = dancewalk.measure._box(na, nb)
+    packed = dancewalk.measure._kronecker(na, nb, lo_a, lo_b, sides, moduli, da * db)
+    assert packed == dancewalk.measure._pairwise(na, nb, moduli)
+
+
+def recorded_boxes(monkeypatch):
+    """A list that collects the cell count of every box the packed kernel fills."""
+    boxes = []
+    pack = dancewalk.measure._pack
+
+    def recording_pack(nums, lo, strides, width, size):
+        boxes.append(size)
+        return pack(nums, lo, strides, width, size)
+
+    monkeypatch.setattr(dancewalk.measure, "_pack", recording_pack)
+    return boxes
+
+
+def test_many_axis_walk_box_stays_small(monkeypatch):
+    boxes = recorded_boxes(monkeypatch)
+    z2 = GroupSpec([2] * 12)
+    third = Fraction(1, 3)
+    p = Distribution(z2, {z2.element([0] * 12): third, z2.element([1] * 12): third,
+                          z2.element([i % 2 for i in range(12)]): third})
+    assert convolution_power(p, 12) == sparse_power(p, 12)
+    z6 = GroupSpec((), 6)
+    corners = [[0] * 6] + [[int(i == j) for i in range(6)] for j in range(6)]
+    simplex = Distribution(z6, {z6.element((), v): Fraction(1, 7) for v in corners})
+    p6 = convolution_power(simplex, 6)
+    assert len(p6) == comb(12, 6)
+    assert p6 == sparse_power(simplex, 6)
+    # Dense boxes would hold 3^12 = 531441 and 7^6 = 117649 cells; the
+    # largest product of either ladder has 210 * 28 = 5880 pairs.
+    assert max(boxes, default=0) <= 5880
+
+
+def test_sublattice_walk_box_stays_linear(monkeypatch):
+    boxes = recorded_boxes(monkeypatch)
+    z = GroupSpec((), 1)
+    p = Distribution(z, {z.element((), [0]): half, z.element((), [1000]): half})
+    pn = convolution_power(p, 2000)
+    assert len(pn) == 2001
+    assert pn.support() == [z.element((), [1000 * k]) for k in range(2001)]
+    assert pn.weight(z.element((), [1000 * 1000])) == Fraction(comb(2000, 1000), 2 ** 2000)
+    # Boxes in the walk's lattice 1000Z; the ambient box would hold 2000001 cells.
+    assert boxes and max(boxes) <= 2001
 
 
 def test_pushforward_examples():
