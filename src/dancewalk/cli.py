@@ -5,8 +5,9 @@ runs the requested analysis, and emits JSON or CSV with deterministic
 ordering and fixed 12-significant-digit float formatting, so identical
 invocations are byte-identical.
 
-Exit codes: 0 success, 2 usage or parse error, 3 internal invariant
-violation, 4 golden-scenario mismatch.
+Exit codes: 0 success, 2 usage or parse error or an analysis the walk
+does not admit (such as a uniform law on an infinite walk subgroup),
+3 internal invariant violation, 4 golden-scenario mismatch.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from decimal import ROUND_CEILING, Decimal
 from fractions import Fraction
 
 from .dance import dance_of, spectral_gap
-from .group import GroupSpec
+from .group import GroupSpec, UnsupportedOperationError
 from .intlinalg import AffinePointSet, InvariantViolationError, twist_to_coordinates
 from .llt import (
     attractor_eval,
@@ -384,7 +385,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as e:
+    except (SpecError, UnsupportedOperationError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
     except InvariantViolationError as e:

@@ -28,9 +28,8 @@ from __future__ import annotations
 import cmath
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .group import (
     DualPoint,
@@ -168,21 +167,20 @@ def _cyclotomic(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _unit_phase_sum_is_zero(terms: dict[Fraction, Fraction]) -> bool:
-    """Exact vanishing test for sum of w * exp(2 pi i phase).
+def _phase_sum_is_zero(terms: dict[int, int], order: int) -> bool:
+    """Exact vanishing test for sum of num * zeta**phase over terms.items().
 
-    With all phases rational the sum lives in a cyclotomic field: write
-    it as a polynomial in a primitive N-th root of unity; it vanishes
-    exactly when the N-th cyclotomic polynomial divides that polynomial.
+    zeta = exp(2 pi i / order) and the numerators are integers.  With
+    g = gcd(order, phases) the sum is a polynomial in the primitive
+    (order // g)-th root zeta**g; it vanishes exactly when that
+    cyclotomic polynomial divides it.
     """
-    n = 1
-    for phase in terms:
-        n = lcm(n, phase.denominator)
-    coeffs = [Fraction(0)] * n
-    for phase, w in terms.items():
-        coeffs[int(phase * n) % n] += w
+    g = gcd(order, *terms)
+    n = order // g
+    rem = [0] * n
+    for phase, num in terms.items():
+        rem[phase // g] += num
     cyc = _cyclotomic(n)
-    rem = list(coeffs)
     lead = len(cyc) - 1
     for i in range(len(rem) - 1, lead - 1, -1):
         c = rem[i]
@@ -190,18 +188,6 @@ def _unit_phase_sum_is_zero(terms: dict[Fraction, Fraction]) -> bool:
             for j, d in enumerate(cyc):
                 rem[i - lead + j] -= c * d
     return not any(rem)
-
-
-def _char_modulus(p: Distribution, xi: DualPoint) -> float:
-    """|p_hat(xi)| with exact zero detection at rational dual points."""
-    terms: dict[Fraction, Fraction] = {}
-    for x, w in p.items():
-        phase = xi.phase(x)
-        terms[phase] = terms.get(phase, Fraction(0)) + w
-    if _unit_phase_sum_is_zero(terms):
-        return 0.0
-    return abs(sum(complex(w) * cmath.exp(2j * cmath.pi * float(phase))
-                   for phase, w in terms.items()))
 
 
 def _assert_constant_free_part(p: Distribution):
@@ -218,20 +204,50 @@ def spectral_gap(p: Distribution) -> SpectralGap:
     Computed on the torsion projection p_A: rho is the largest
     |p_A_hat(alpha)| over torsion characters alpha outside the
     unit-modulus locus, 0 when no such character exists.  For finite
-    groups p_A is p itself.  Membership in the locus is tested exactly;
-    only the final modulus is floating point.
+    groups p_A is p itself.  Character phases are integers mod
+    L = lcm(m_i), so membership in the locus (one phase at every support
+    point) is tested exactly; a modulus that could be 0 is settled by the
+    exact cyclotomic test, and only the final modulus is floating point.
     """
     if dance_of(p).rank_d == 0:
         _assert_constant_free_part(p)
     pa = torsion_pushforward(p)
+    moduli = pa.group.torsion_moduli
+    order = lcm(*moduli)
+    den = lcm(*(w.denominator for _, w in pa.items()))
+    # phase of character k at x: sum(k_i * x_i * (L // m_i)) mod L
+    points = [(tuple(c * (order // m) for c, m in zip(x.torsion, moduli)),
+               w.numerator * (den // w.denominator)) for x, w in pa.items()]
+
+    @lru_cache(maxsize=None)
+    def root(phase: int) -> complex:
+        # k / L is the exact phase correctly rounded to a double
+        return cmath.exp(2j * cmath.pi * (phase / order))
+
     rho = 0.0
     best = None
-    for xi in _torsion_dual_points(pa.group):
-        if omega_contains(pa, xi):
+    for chars in itertools.product(*(range(m) for m in moduli)):
+        terms: dict[int, int] = {}
+        for scaled, num in points:
+            phase = sum(k * c for k, c in zip(chars, scaled)) % order
+            terms[phase] = terms.get(phase, 0) + num
+        if len(terms) == 1:  # one phase everywhere: |p_A_hat| = 1
             continue
-        modulus = _char_modulus(pa, xi)
+        modulus = abs(sum(complex(num / den) * root(phase) for phase, num in terms.items()))
+        # Rounding error of modulus, with u = 2**-53 and weights summing
+        # to 1: the weight quotient, the angle 2 pi * (k / L) (pi, the
+        # quotient and the product round once each: under 2 pi * 3u < 19u),
+        # sin and cos (within 1 ulp each, 2u) and the product with the
+        # weight make each term off by under 23u times its weight, 23u in
+        # all; adding the |S| terms costs at most sqrt(2) * (|S| - 1) * u
+        # and abs one more u.  (|S| + 16) * 2**-52 bounds the total, so a
+        # modulus above it cannot be 0 and needs no exact test.
+        if modulus <= (len(terms) + 16) * 2.0 ** -52 and _phase_sum_is_zero(terms, order):
+            modulus = 0.0
         if modulus > rho:
-            rho, best = modulus, xi
+            rho, best = modulus, chars
+    if best is not None:
+        best = DualPoint(pa.group, best, ())
     return SpectralGap(rho=rho, achieved_at=best)
 
 

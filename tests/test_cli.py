@@ -16,6 +16,7 @@ from dancewalk.cli import dump_spec, load_spec, main
 from dancewalk.measure import convolution_power
 
 SRC = str(Path(dancewalk.__file__).resolve().parent.parent)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 Z12_SPEC = json.dumps({
     "group": {"torsion": [12], "rank": 0},
@@ -38,6 +39,23 @@ Z4Z6_SPEC = json.dumps({
     "distribution": [
         {"elem": {"torsion": [1, 1]}, "weight": "1/2"},
         {"elem": {"torsion": [0, 3]}, "weight": "1/2"},
+    ],
+})
+
+TORUS12_SPEC = json.dumps({
+    "group": {"torsion": [12, 12], "rank": 0},
+    "distribution": [
+        {"elem": {"torsion": [0, 0]}, "weight": "1/3"},
+        {"elem": {"torsion": [1, 0]}, "weight": "1/3"},
+        {"elem": {"torsion": [0, 1]}, "weight": "1/3"},
+    ],
+})
+
+Z2Z2Z6_SPEC = json.dumps({
+    "group": {"torsion": [2, 2, 6], "rank": 0},
+    "distribution": [
+        {"elem": {"torsion": [1, 0, 1]}, "weight": "1/3"},
+        {"elem": {"torsion": [0, 1, 1]}, "weight": "2/3"},
     ],
 })
 
@@ -213,20 +231,37 @@ def test_attractor_and_tv_commands():
     assert doc["covariance"] == [["1/4"]]
 
 
+@pytest.mark.parametrize("name, spec", [("torus12", TORUS12_SPEC), ("z2z2z6", Z2Z2Z6_SPEC)])
+@pytest.mark.parametrize("command", [["analyze"], ["tv", "--n", "20"]])
+def test_golden_stdout(name, spec, command, capsys, monkeypatch):
+    # the bytes in tests/golden pin the printed rho, achieved_at and tv_bound
+    monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
+    assert main([*command, "--spec", "-"]) == 0
+    golden = GOLDEN / f"{name}_{command[0]}.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+def test_unsupported_operation_exits_2():
+    spec = json.dumps({
+        "group": {"torsion": [], "rank": 1},
+        "distribution": [
+            {"elem": {"free": [0]}, "weight": "1/2"},
+            {"elem": {"free": [1]}, "weight": "1/2"},
+        ],
+    })
+    proc = run_cli(["tv", "--spec", "-", "--n", "3"], stdin=spec)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_tv_bound_printed_not_below_exact(capsys, monkeypatch):
     # |W| = 2 makes the certified bound tight: rounding it to nearest at
     # 12 digits would print a decimal below the exact TV at n = 3, 13.
     # From n = 656 on, rho^n = 3^-n is subnormal or below every double,
     # so a float power loses its slack and then reads 0.
-    spec = json.dumps({
-        "group": {"torsion": [2, 2, 6], "rank": 0},
-        "distribution": [
-            {"elem": {"torsion": [1, 0, 1]}, "weight": "1/3"},
-            {"elem": {"torsion": [0, 1, 1]}, "weight": "2/3"},
-        ],
-    })
     for n in (3, 13, 656, 679, 700):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(Z2Z2Z6_SPEC))
         assert main(["tv", "--spec", "-", "--n", str(n)]) == 0
         out = capsys.readouterr().out
         exact = Fraction(json.loads(out)["tv_exact"])

@@ -1,15 +1,20 @@
+import cmath
 import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dancewalk.dance
 from dancewalk.group import DualPoint, GroupSpec, Homomorphism, subgroup_generated
 from dancewalk.group import UnsupportedOperationError
 from dancewalk.intlinalg import IntMatrix
-from dancewalk.measure import Distribution, convolution_power, pushforward
+from dancewalk.measure import Distribution, convolution_power, pushforward, torsion_pushforward
 from dancewalk.dance import (
+    SpectralGap,
+    _cyclotomic,
     analyze_dance,
     char_fn,
     omega_contains,
@@ -214,6 +219,147 @@ def test_spectral_gap_elevators_and_z4z6():
     # torsion projection of the diffusive elevator: rho = 1/2 at alpha = 1
     gap = spectral_gap(elevator2())
     assert gap.rho == pytest.approx(0.5, abs=1e-12)
+
+
+def _unit_phase_sum_is_zero(terms: dict[Fraction, Fraction]) -> bool:
+    """Exact vanishing test for sum of w * exp(2 pi i phase).
+
+    With all phases rational the sum lives in a cyclotomic field: write
+    it as a polynomial in a primitive N-th root of unity; it vanishes
+    exactly when the N-th cyclotomic polynomial divides that polynomial.
+    """
+    n = 1
+    for phase in terms:
+        n = math.lcm(n, phase.denominator)
+    coeffs = [Fraction(0)] * n
+    for phase, w in terms.items():
+        coeffs[int(phase * n) % n] += w
+    cyc = _cyclotomic(n)
+    rem = list(coeffs)
+    lead = len(cyc) - 1
+    for i in range(len(rem) - 1, lead - 1, -1):
+        c = rem[i]
+        if c:
+            for j, d in enumerate(cyc):
+                rem[i - lead + j] -= c * d
+    return not any(rem)
+
+
+def _char_modulus(p: Distribution, xi: DualPoint) -> float:
+    """|p_hat(xi)| with exact zero detection at rational dual points."""
+    terms: dict[Fraction, Fraction] = {}
+    for x, w in p.items():
+        phase = xi.phase(x)
+        terms[phase] = terms.get(phase, Fraction(0)) + w
+    if _unit_phase_sum_is_zero(terms):
+        return 0.0
+    return abs(sum(complex(w) * cmath.exp(2j * cmath.pi * float(phase))
+                   for phase, w in terms.items()))
+
+
+def reference_spectral_gap(p: Distribution) -> SpectralGap:
+    """The gap scan on exact Fraction phases, one DualPoint per character,
+    with the cyclotomic zero test run at every character off the locus."""
+    pa = torsion_pushforward(p)
+    rho, best = 0.0, None
+    for chars in itertools.product(*(range(m) for m in pa.group.torsion_moduli)):
+        xi = DualPoint(pa.group, chars, ())
+        if omega_contains(pa, xi):
+            continue
+        modulus = _char_modulus(pa, xi)
+        if modulus > rho:
+            rho, best = modulus, xi
+    return SpectralGap(rho=rho, achieved_at=best)
+
+
+def test_cyclotomic_polynomials():
+    for n in range(1, 61):
+        cyc = _cyclotomic(n)
+        assert len(cyc) - 1 == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+        for k in range(1, n + 1):
+            if math.gcd(k, n) == 1:
+                z = cmath.exp(2j * cmath.pi * k / n)
+                assert abs(sum(c * z ** i for i, c in enumerate(cyc))) < 1e-6
+    assert -2 in _cyclotomic(105)  # the first cyclotomic coefficient outside {-1, 0, 1}
+
+
+@st.composite
+def torsion_laws(draw):
+    """A law on a group with torsion, for the spectral-gap scan.
+
+    Shapes: cyclic, non-chain Z_2 x Z_3 x Z_6, three torsion axes, and two
+    torsion axes with a constant (rank_d = 0) or a varying free part.
+    Weights: random, uniform, or uniform on a coset of a cyclic subgroup,
+    where every character off the locus is an exact zero.
+    """
+    shape = draw(st.sampled_from(
+        ["cyclic", "non-chain", "three-axis", "constant-free", "varying-free"]))
+    rank = 0
+    if shape == "cyclic":
+        moduli = [draw(st.integers(2, 40))]
+    elif shape == "non-chain":
+        moduli = [2, 3, 6]
+    elif shape == "three-axis":
+        moduli = [draw(st.integers(2, 5)) for _ in range(3)]
+    else:
+        moduli = [draw(st.integers(2, 8)), draw(st.integers(2, 8))]
+        rank = draw(st.integers(1, 2))
+    g = GroupSpec(moduli, rank)
+    residues = st.tuples(*[st.integers(0, m - 1) for m in moduli])
+    free = st.tuples(*[st.integers(-2, 2)] * rank)
+    fixed_free = draw(free)
+    weights_kind = draw(st.sampled_from(["random", "uniform", "coset"]))
+    if weights_kind == "coset":
+        x0, h = draw(residues), draw(residues)
+        tors = []
+        while not tors or tors[-1] != x0:
+            j = len(tors) + 1
+            tors.append(tuple((a + j * b) % m for a, b, m in zip(x0, h, moduli)))
+    else:
+        tors = draw(st.lists(residues, min_size=2, max_size=5))
+    points = [g.element(t, draw(free) if shape == "varying-free" else fixed_free) for t in tors]
+    if weights_kind == "random":
+        weights = {}
+        for x in points:
+            weights[x] = weights.get(x, 0) + draw(st.integers(1, 6))
+    else:
+        weights = dict.fromkeys(points, 1)
+    total = sum(weights.values())
+    return Distribution(g, {x: Fraction(w, total) for x, w in weights.items()})
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(torsion_laws())
+def test_spectral_gap_matches_fraction_reference(p):
+    gap, ref = spectral_gap(p), reference_spectral_gap(p)
+    assert gap.rho.hex() == ref.rho.hex()
+    assert gap.achieved_at == ref.achieved_at
+
+
+def test_zero_test_runs_only_below_rounding_bound(monkeypatch):
+    calls = []
+    zero_test = dancewalk.dance._phase_sum_is_zero
+
+    def counting(terms, order):
+        calls.append(order)
+        return zero_test(terms, order)
+
+    monkeypatch.setattr(dancewalk.dance, "_phase_sum_is_zero", counting)
+    g = GroupSpec([60, 60])
+    third = Fraction(1, 3)
+    p = Distribution(g, {g.element([0, 0]): third, g.element([1, 0]): third,
+                         g.element([0, 1]): third})
+    gap, ref = spectral_gap(p), reference_spectral_gap(p)
+    # only the characters (20, 40) and (40, 20) give 1 + w + w^2 = 0
+    assert len(calls) == 2
+    assert gap.rho.hex() == ref.rho.hex()
+    assert gap.achieved_at == ref.achieved_at
+    calls.clear()
+    z3 = GroupSpec([3])
+    gap = spectral_gap(Distribution(z3, {z3.element([a]): third for a in range(3)}))
+    assert len(calls) == 2
+    assert gap.rho == 0.0
+    assert gap.achieved_at is None
 
 
 def test_period_if_irreducible():
