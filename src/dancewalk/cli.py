@@ -23,10 +23,9 @@ from .dance import dance_of, spectral_gap
 from .group import GroupSpec, UnsupportedOperationError
 from .intlinalg import AffinePointSet, InvariantViolationError, twist_to_coordinates
 from .llt import (
-    attractor_eval,
+    _evaluated_window,
     build_attractor,
     classify,
-    evaluation_window,
     llt_sup_error,
     tv_to_uniform_coset,
 )
@@ -200,19 +199,17 @@ def cmd_convolve(args) -> int:
 
 
 def _compare_records(p, a, n):
-    pn = convolution_power(p, n)
     records = []
-    for x in evaluation_window(pn, a, n):
-        w = pn.weight(x)
-        approx = attractor_eval(a, n, x)
+    for x, w, theta, approx in _evaluated_window(convolution_power(p, n), a, n):
+        w_float = float(w)
         records.append({
             "n": n,
-            "x": list(x.coords()),
+            "x": list(x),
             "p": w,
-            "p_float": float(w),
-            "theta": a.dance.theta(n, x),
+            "p_float": w_float,
+            "theta": theta,
             "attractor": approx,
-            "abs_error": abs(float(w) - approx),
+            "abs_error": abs(w_float - approx),
         })
     return records
 

@@ -64,14 +64,27 @@ class DanceData:
 
     def theta(self, n: int, x: Element) -> int:
         """Dance function: normalization_c on the live coset, else 0."""
-        if self.walk_subgroup.contains(x - n * self.base_point):
-            return self.normalization_c
-        return 0
+        if x.group != self.base_point.group:
+            raise ValueError("element lives in a different group")
+        return self.theta_coords(n, x.coords())
+
+    def theta_coords(self, n: int, x: tuple[int, ...]) -> int:
+        """theta(n, x) for x given by its coordinates."""
+        diff = [a - n * b for a, b in zip(x, self.base_point.coords())]
+        return self.normalization_c if self.walk_subgroup.contains_coords(diff) else 0
 
     def coset_at(self, n: int) -> list[Element]:
         """The live coset W + n*x0 (finite walk subgroups only)."""
-        shift = n * self.base_point
-        return sorted(shift + w for w in self.walk_subgroup.elements())
+        g = self.base_point.group
+        t = len(g.torsion_moduli)
+        return [Element(g, c[:t], c[t:]) for c in self.coset_coords(n)]
+
+    def coset_coords(self, n: int) -> list[tuple[int, ...]]:
+        """Coordinate tuples of the live coset W + n*x0, sorted."""
+        moduli = self.base_point.group.torsion_moduli
+        shift = (n * self.base_point).coords()
+        return sorted(tuple((a + b) % m for a, b, m in zip(w, shift, moduli)) + shift[len(moduli):]
+                      for w in self.walk_subgroup.element_coords())
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd, lcm, prod
 import cmath
 
 from .intlinalg import IntMatrix, hnf, snf
@@ -194,7 +194,7 @@ class Subgroup:
     subgroup of the parent.
     """
 
-    __slots__ = ("parent", "basis")
+    __slots__ = ("parent", "basis", "_pivots")
 
     def __init__(self, parent: GroupSpec, rows):
         all_rows = [list(r) for r in rows] + _relation_rows(parent)
@@ -206,6 +206,9 @@ class Subgroup:
             reduced = ()
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "basis", IntMatrix(reduced, cols=parent.dim))
+        # (pivot column, row) of each Hermite row, in row order
+        object.__setattr__(self, "_pivots", tuple(
+            (next(j for j, e in enumerate(row) if e), row) for row in reduced))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subgroup is immutable")
@@ -221,38 +224,28 @@ class Subgroup:
     def __repr__(self) -> str:
         return f"Subgroup({self.parent!r}, {[list(r) for r in self.basis.data]})"
 
-    @property
-    def _pivots(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        for i, row in enumerate(self.basis.data):
-            for j, e in enumerate(row):
-                if e:
-                    out.append((i, j))
-                    break
-        return tuple(out)
-
     def contains(self, x: Element) -> bool:
         if x.group != self.parent:
             raise ValueError("element lives in a different group")
-        v = list(x.coords())
-        for (i, j) in self._pivots:
-            row = self.basis.data[i]
-            if v[j] % row[j]:
+        return self.contains_coords(x.coords())
+
+    def contains_coords(self, v) -> bool:
+        """Membership of an integer coordinate vector (torsion residues need
+        not be reduced): clear each pivot column with its Hermite row."""
+        v = list(v)
+        for j, row in self._pivots:
+            q, r = divmod(v[j], row[j])
+            if r:
                 return False
-            q = v[j] // row[j]
             if q:
                 v = [a - q * b for a, b in zip(v, row)]
         return not any(v)
 
     def index(self) -> int | None:
         """[G : H], or None when the quotient is infinite."""
-        pivots = self._pivots
-        if len(pivots) < self.parent.dim:
+        if len(self._pivots) < self.parent.dim:
             return None
-        out = 1
-        for i, j in pivots:
-            out *= self.basis[i, j]
-        return out
+        return prod(row[j] for j, row in self._pivots)
 
     def rank(self) -> int:
         """Free rank of the subgroup itself."""
@@ -262,10 +255,7 @@ class Subgroup:
         """|H|, or None when the subgroup is infinite."""
         if self.rank() > 0:
             return None
-        covol = 1
-        for i, j in self._pivots:
-            covol *= self.basis[i, j]
-        return self.parent.torsion_order // covol
+        return self.parent.torsion_order // prod(row[j] for j, row in self._pivots)
 
     def quotient_invariants(self) -> tuple[tuple[int, ...], int]:
         """Canonical invariants (torsion chain, free rank) of parent / H."""
@@ -288,17 +278,28 @@ class Subgroup:
             r = lcm(r, m // gcd(c, m))
         return r
 
-    def elements(self):
+    def elements(self) -> list[Element]:
         """All elements of a finite subgroup, sorted."""
+        t = len(self.parent.torsion_moduli)
+        return [Element(self.parent, c[:t], c[t:]) for c in self.element_coords()]
+
+    def element_coords(self) -> list[tuple[int, ...]]:
+        """Coordinate tuples of all elements of a finite subgroup, sorted.
+
+        A finite H has one Hermite row per torsion axis j, with pivot r_j
+        dividing m_j, so the sums of a_j * row_j over 0 <= a_j < m_j / r_j,
+        reduced mod the moduli, are each element exactly once.
+        """
         if self.rank() > 0:
             raise UnsupportedOperationError("subgroup is infinite")
+        moduli = self.parent.torsion_moduli
+        points = [(0,) * len(moduli)]
+        for j, row in self._pivots:
+            steps = [tuple(a * e for e in row) for a in range(moduli[j] // row[j])]
+            points = [tuple((c + e) % m for c, e, m in zip(x, step, moduli))
+                      for x in points for step in steps]
         zero_free = (0,) * self.parent.free_rank
-        out = []
-        for tup in itertools.product(*(range(m) for m in self.parent.torsion_moduli)):
-            x = Element(self.parent, tup, zero_free)
-            if self.contains(x):
-                out.append(x)
-        return out
+        return sorted(x + zero_free for x in points)
 
     def annihilator(self) -> "Subgroup":
         """Characters of a finite parent that are identically 1 on H.

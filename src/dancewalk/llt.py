@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd
 
 from .dance import DanceData, dance_of, period_if_irreducible, spectral_gap
 from .group import (
@@ -30,6 +29,7 @@ from .group import (
     GroupSpec,
     Homomorphism,
     UnsupportedOperationError,
+    subgroup_generated,
 )
 from .intlinalg import (
     AffinePointSet,
@@ -177,33 +177,107 @@ def attractor_eval(a: Attractor, n: int, x: Element) -> float:
     return (th / a.torsion_order) * gaussian_kernel(a.moments, n, y)
 
 
-def _window_lifts(a: Attractor, n: int):
-    """Every torsion lift of the integer points within 8 standard deviations of n*mu.
+class _Heat:
+    """The diffusion factor K^n(u - n*mu) at step n on one exact integer quadratic form.
 
-    For d >= 1 the free part of a live-coset point is
-    phi_full^(-1) (u, n*w) for some u in Z^d, so scanning the u with
-    (u - n*mu) . Gamma^(-1) (u - n*mu) <= 64 n and lifting each through
-    every torsion residue covers the points where the attractor is not
-    negligible.
+    With dm the lcm of the mean's denominators, di that of Gamma^(-1)'s
+    and Q = di * Gamma^(-1), a point u of Z^d has the integer vector
+    Y = dm*u - n*dm*mu and
+
+        (u - n*mu) . Gamma^(-1) (u - n*mu) = Y . QY / (di * dm^2).
+
+    So the 8-sigma window test Y . QY <= 64 * n * di * dm^2 is exact, and
+    the exponent takes Y . QY / (di * dm^2) as int / int, which is
+    correctly rounded as float(Fraction) is: every value is bit-identical
+    to gaussian_kernel's.
     """
-    g = a.dance.base_point.group
-    moments = a.moments
-    inv = moments.covariance_inverse
-    d = moments.dim
-    center = [n * m for m in moments.mean]
-    ranges = []
-    for i in range(d):
-        r = 8 * math.sqrt(n * float(moments.covariance[i][i]))
-        ranges.append(range(math.floor(float(center[i]) - r), math.ceil(float(center[i]) + r) + 1))
-    tail = tuple(n * wi for wi in a.twist.w)
-    inv_full = a.twist.phi.inverse
-    residues = list(itertools.product(*(range(m) for m in g.torsion_moduli)))
-    for u in itertools.product(*ranges):
-        y = [c - ctr for c, ctr in zip(u, center)]
-        if sum(y[i] * inv[i][j] * y[j] for i in range(d) for j in range(d)) <= 64 * n:
-            free = inv_full.mul_vec(u + tail)
-            for tors in residues:
-                yield Element(g, tors, free)
+
+    def __init__(self, a: Attractor, n: int):
+        m = a.moments
+        self.attractor, self.n = a, n
+        self.dm = math.lcm(*(c.denominator for c in m.mean))
+        inv = m.covariance_inverse
+        di = math.lcm(*(e.denominator for row in inv for e in row))
+        self.q = [[int(e * di) for e in row] for row in inv]
+        self.shift = [int(n * self.dm * c) for c in m.mean]  # exact: dm * mu is integral
+        self.scale = di * self.dm * self.dm
+        self.norm = (2 * math.pi * float(n)) ** (m.dim / 2) * math.sqrt(float(m.covariance_det))
+
+    def form(self, u) -> int:
+        """Y . QY at the point u of Z^d."""
+        y = [self.dm * c - s for c, s in zip(u, self.shift)]
+        return sum(yi * qij * yj for yi, row in zip(y, self.q) for qij, yj in zip(row, y))
+
+    def kernel(self, q: int) -> float:
+        """K^n(u - n*mu) for the u with form(u) = q."""
+        return math.exp(-(q / self.scale) / (2 * float(self.n))) / self.norm
+
+    def at(self, x: tuple[int, ...]) -> float:
+        """K^n(phi(x) - n*mu) at the point with coordinates x."""
+        return self.kernel(self.form(self.attractor.phi.matrix.mul_vec(x)))
+
+    def window(self):
+        """(kernel, coordinates of every torsion lift) for each u within 8 standard
+        deviations of n*mu.
+
+        For d >= 1 the free part of a live-coset point is
+        phi_full^(-1) (u, n*w) for some u in Z^d, so the lifts of these u
+        through every torsion residue cover the points where the
+        attractor is not negligible; phi of each lift is u.
+        """
+        a, n = self.attractor, self.n
+        moments = a.moments
+        ranges = []
+        for i in range(moments.dim):
+            r = 8 * math.sqrt(n * float(moments.covariance[i][i]))
+            center = float(n * moments.mean[i])
+            ranges.append(range(math.floor(center - r), math.ceil(center + r) + 1))
+        bound = 64 * n * self.scale
+        tail = tuple(n * wi for wi in a.twist.w)
+        inv_full = a.twist.phi.inverse
+        residues = list(itertools.product(*(range(m) for m in a.phi.source.torsion_moduli)))
+        for u in itertools.product(*ranges):
+            q = self.form(u)
+            if q <= bound:
+                free = inv_full.mul_vec(u + tail)
+                yield self.kernel(q), [tors + free for tors in residues]
+
+
+def _coord_weights(pn: Distribution) -> dict[tuple[int, ...], Fraction]:
+    return {x.coords(): w for x, w in pn._weights.items()}
+
+
+def _evaluated_window(pn: Distribution, a: Attractor, n: int) -> list[tuple]:
+    """The attractor evaluated on the window at step n >= 1.
+
+    Sorted (coords, p^(n) weight, theta, attractor value) tuples over
+    supp(pn) and the live-coset points where the attractor is not
+    negligible: all of the live coset when d = 0, otherwise the window
+    lifts with theta > 0.  Coordinate tuples sort as Elements do.
+    """
+    dance, tor = a.dance, a.torsion_order
+    weights = _coord_weights(pn)
+    if a.case == "d0":
+        c = dance.normalization_c
+        live = dict.fromkeys(dance.coset_coords(n), (c, c / tor))
+
+        def outside(x):  # theta vanishes off the live coset
+            return 0, 0.0
+    else:
+        heat = _Heat(a, n)
+        live = {}
+        for k, lifts in heat.window():
+            for x in lifts:
+                th = dance.theta_coords(n, x)
+                if th:
+                    live[x] = th, (th / tor) * k
+
+        def outside(x):
+            th = dance.theta_coords(n, x)
+            return th, ((th / tor) * heat.at(x) if th else 0.0)
+    zero = Fraction(0)
+    return [(x, weights.get(x, zero), *(live[x] if x in live else outside(x)))
+            for x in sorted(live.keys() | weights.keys())]
 
 
 def evaluation_window(pn: Distribution, a: Attractor, n: int) -> list[Element]:
@@ -212,11 +286,7 @@ def evaluation_window(pn: Distribution, a: Attractor, n: int) -> list[Element]:
     The attractor lives on the live coset: all of coset_at(n) when
     d = 0, otherwise the window lifts with theta > 0.
     """
-    if a.case == "d0":
-        live = a.dance.coset_at(n)
-    else:
-        live = (x for x in _window_lifts(a, n) if a.dance.theta(n, x) > 0)
-    return sorted(set(pn.support()).union(live))
+    return [pn.group.element_from_coords(x) for x, *_ in _evaluated_window(pn, a, n)]
 
 
 @dataclass(frozen=True)
@@ -244,25 +314,28 @@ def llt_sup_error(p: Distribution, a: Attractor, n: int) -> LltReport:
     if n < 1:
         raise ValueError("n must be at least 1")
     pn = convolution_power(p, n)
-    window = evaluation_window(pn, a, n)
+    window = _evaluated_window(pn, a, n)
     scale = n ** (a.rank_d / 2)
+    best_x = None
     if a.case == "d0":
         best = Fraction(0)
-        best_x = None
-        for x in window:
-            err = abs(pn.weight(x) - Fraction(a.dance.theta(n, x), a.torsion_order))
+        for x, w, th, _ in window:
+            err = abs(w - Fraction(th, a.torsion_order))
             if err > best:
                 best, best_x = err, x
         return LltReport(n=n, sup_error=float(best), scaled_sup_error=scale * float(best),
-                         sup_error_exact=best, worst_point=best_x)
+                         sup_error_exact=best, worst_point=_element(pn, best_x))
     best_f = 0.0
-    best_x = None
-    for x in window:
-        err = abs(float(pn.weight(x)) - attractor_eval(a, n, x))
+    for x, w, _, v in window:
+        err = abs(float(w) - v)
         if err > best_f:
             best_f, best_x = err, x
     return LltReport(n=n, sup_error=best_f, scaled_sup_error=scale * best_f,
-                     worst_point=best_x)
+                     worst_point=_element(pn, best_x))
+
+
+def _element(pn: Distribution, x) -> Element | None:
+    return None if x is None else pn.group.element_from_coords(x)
 
 
 def time_average_error(p: Distribution, a: Attractor, n: int, s: int) -> float:
@@ -280,24 +353,25 @@ def time_average_error(p: Distribution, a: Attractor, n: int, s: int) -> float:
     powers = [convolution_power(p, n)]
     for _ in range(s - 1):
         powers.append(convolve(powers[-1], p))
+    weights = [_coord_weights(pk) for pk in powers]
 
-    def average(x: Element) -> Fraction:
-        return sum((pk.weight(x) for pk in powers), Fraction(0)) / s
+    def average(x) -> Fraction:
+        return sum((w.get(x, 0) for w in weights), Fraction(0)) / s
 
     if g.is_finite:
         target = Fraction(1, g.order)
-        return float(max(abs(average(x) - target) for x in g.elements()))
+        return float(max(abs(average(x.coords()) - target) for x in g.elements()))
 
     if a.case != "dpos":
         raise InvariantViolationError("infinite irreducible walk must have rank >= 1")
     if any(m != 0 for m in a.moments.mean):
         raise ValueError("time-average limit requires a mean-zero pushforward")
-    window = set(_window_lifts(a, n)).union(*(pk.support() for pk in powers))
+    heat = _Heat(a, n)
+    targets = {x: k for k, lifts in heat.window() for x in lifts}
     worst = 0.0
-    for x in sorted(window):
-        target = gaussian_kernel(a.moments, n, [Fraction(c) for c in a.phi(x).free])
-        err = abs(float(average(x)) - target / a.torsion_order)
-        worst = max(worst, err)
+    for x in targets.keys() | set().union(*weights):
+        target = targets[x] if x in targets else heat.at(x)
+        worst = max(worst, abs(float(average(x)) - target / a.torsion_order))
     return worst
 
 
@@ -315,12 +389,12 @@ def tv_to_uniform_coset(p: Distribution, n: int) -> LltReport:
     w_order = dance.walk_subgroup.order()
     if w_order is None:
         raise UnsupportedOperationError("walk subgroup is infinite; no uniform law on it")
-    pn = convolution_power(p, n)
-    coset = set(dance.coset_at(n))
+    weights = _coord_weights(convolution_power(p, n))
+    coset = set(dance.coset_coords(n))
     uniform = Fraction(1, w_order)
     total = Fraction(0)
-    for x in coset | set(pn.support()):
-        total += abs(pn.weight(x) - (uniform if x in coset else 0))
+    for x in coset | weights.keys():
+        total += abs(weights.get(x, 0) - (uniform if x in coset else 0))
     tv = total / 2
     rho = Fraction(spectral_gap(p).rho)
     bound = Fraction(w_order - 1, 2) * rho ** n * (1 + Fraction(1, 10 ** 12))
@@ -353,38 +427,21 @@ class Classification:
 
 
 def _classify_finite(p: Distribution) -> Classification:
+    """On a finite group the reachable set is the subgroup generated by
+    supp(p), and an irreducible walk has period [G : G_p]."""
     g = p.group
-    steps = p.support()
-    dist = {g.identity(): 0}
-    frontier = [g.identity()]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for s in steps:
-                v = u + s
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    irreducible = len(dist) == g.order
     dance = dance_of(p)
     quotient = GroupSpec(*dance.omega_invariants).describe()
-    if not irreducible:
-        reach = sorted(dist)
+    reach = subgroup_generated(g, p.support())
+    if reach.index() != 1:
         return Classification(
             irreducible="no", aperiodic="no", period=None,
             dance_cosets=(f"supp(p^(n)) stays inside the coset G_p + n*x0, "
-                          f"G/G_p = {quotient}; only {len(reach)} of {g.order} "
+                          f"G/G_p = {quotient}; only {reach.order()} of {g.order} "
                           f"elements are ever reachable"),
             reason="reachable set is a proper subset of the group",
         )
-    period = 0
-    for u, du in dist.items():
-        for s in steps:
-            period = gcd(period, du + 1 - dist[u + s])
-    idx = dance.walk_subgroup.index()
-    if period != idx:
-        raise InvariantViolationError("digraph period disagrees with [G:G_p]")
+    period = dance.walk_subgroup.index()
     return Classification(
         irreducible="yes",
         aperiodic="yes" if period == 1 else "no",
@@ -397,8 +454,8 @@ def _classify_finite(p: Distribution) -> Classification:
 def classify(p: Distribution) -> Classification:
     """Classify a walk as irreducible/aperiodic where exactly decidable.
 
-    Finite groups get exact answers from reachability on the transition
-    digraph (period = gcd of closed-walk lengths through the identity).
+    Finite groups get exact answers: the walk reaches exactly the
+    subgroup generated by its support, and the period is [G : G_p].
     On infinite groups, a sufficient criterion certifies yes/yes
     (G_p = G with mean-zero pushforward); proper walk subgroups yield
     sound negative verdicts; every remaining case is undetermined.

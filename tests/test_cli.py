@@ -13,6 +13,7 @@ import dancewalk.cli
 import dancewalk.dance
 import dancewalk.llt
 from dancewalk.cli import dump_spec, load_spec, main
+from dancewalk.group import Subgroup
 from dancewalk.measure import convolution_power
 
 SRC = str(Path(dancewalk.__file__).resolve().parent.parent)
@@ -56,6 +57,34 @@ Z2Z2Z6_SPEC = json.dumps({
     "distribution": [
         {"elem": {"torsion": [1, 0, 1]}, "weight": "1/3"},
         {"elem": {"torsion": [0, 1, 1]}, "weight": "2/3"},
+    ],
+})
+
+
+KNIGHT_SPEC = json.dumps({
+    "group": {"torsion": [], "rank": 2},
+    "distribution": [{"elem": {"free": [a, b]}, "weight": "1/8"}
+                     for a, b in ((1, 2), (2, 1), (-1, 2), (-2, 1),
+                                  (1, -2), (2, -1), (-1, -2), (-2, -1))],
+})
+
+ELEVATOR2_SPEC = json.dumps({
+    "group": {"torsion": [4], "rank": 1},
+    "distribution": [
+        {"elem": {"torsion": [1], "free": [0]}, "weight": "1/4"},
+        {"elem": {"torsion": [-1], "free": [0]}, "weight": "1/4"},
+        {"elem": {"torsion": [0], "free": [1]}, "weight": "1/4"},
+        {"elem": {"torsion": [0], "free": [-1]}, "weight": "1/4"},
+    ],
+})
+
+# Mean (1/3, 1/3), covariance [[2/9, -1/9], [-1/9, 2/9]].
+DRIFT_Z2_SPEC = json.dumps({
+    "group": {"torsion": [], "rank": 2},
+    "distribution": [
+        {"elem": {"free": [0, 0]}, "weight": "1/3"},
+        {"elem": {"free": [1, 0]}, "weight": "1/3"},
+        {"elem": {"free": [0, 1]}, "weight": "1/3"},
     ],
 })
 
@@ -199,6 +228,29 @@ def test_compare_computes_each_power_once(monkeypatch, capsys):
     assert capsys.readouterr().out
 
 
+LAZY_Z2_SPEC = json.dumps({
+    "group": {"torsion": [], "rank": 2},
+    "distribution": [{"elem": {"free": x}, "weight": "1/5"}
+                     for x in ([0, 0], [1, 0], [-1, 0], [0, 1], [0, -1])],
+})
+
+
+def test_window_makes_no_membership_or_kernel_calls(monkeypatch, capsys):
+    # the window is scanned, tested and evaluated on coordinate tuples
+    calls = []
+    contains = Subgroup.contains
+    kernel = dancewalk.llt.gaussian_kernel
+    monkeypatch.setattr(Subgroup, "contains",
+                        lambda self, x: calls.append("contains") or contains(self, x))
+    monkeypatch.setattr(dancewalk.llt, "gaussian_kernel",
+                        lambda *args: calls.append("kernel") or kernel(*args))
+    for command in (["compare", "--n", "3,7"], ["attractor", "--n", "7"]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(LAZY_Z2_SPEC))
+        assert main([*command, "--spec", "-"]) == 0
+        assert capsys.readouterr().out
+    assert calls == []
+
+
 def test_analyze_runs_analyze_dance_once(monkeypatch, capsys):
     analyze = dancewalk.dance.analyze_dance
     for spec in (Z4Z6_SPEC, SPITZER_SPEC):
@@ -235,9 +287,24 @@ def test_attractor_and_tv_commands():
 @pytest.mark.parametrize("command", [["analyze"], ["tv", "--n", "20"]])
 def test_golden_stdout(name, spec, command, capsys, monkeypatch):
     # the bytes in tests/golden pin the printed rho, achieved_at and tv_bound
+    _assert_golden(name, spec, command, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("name, spec", [("knight", KNIGHT_SPEC), ("elevator2", ELEVATOR2_SPEC),
+                                        ("drift_z2", DRIFT_Z2_SPEC)])
+@pytest.mark.parametrize("command", [["compare", "--n", "1,4,9"],
+                                     ["compare", "--n", "5", "--format", "csv"],
+                                     ["attractor", "--n", "13"]])
+def test_golden_stdout_attractor(name, spec, command, capsys, monkeypatch):
+    # the bytes pin the window, its order and every printed attractor value
+    _assert_golden(name, spec, command, capsys, monkeypatch)
+
+
+def _assert_golden(name, spec, command, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
     assert main([*command, "--spec", "-"]) == 0
-    golden = GOLDEN / f"{name}_{command[0]}.json"
+    suffix = "csv" if "csv" in command else "json"
+    golden = GOLDEN / f"{name}_{command[0]}.{suffix}"
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 

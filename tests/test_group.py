@@ -204,6 +204,25 @@ def test_membership_brute_force_cross_check():
             assert h.contains(x)
 
 
+def test_subgroup_elements_match_brute_force():
+    # random subgroups of the benchmark's sweep shapes, and finite ones
+    # of groups with a free axis
+    rng = random.Random(4242)
+    shapes = [([12], 0), ([30], 0), ([2, 6], 0), ([4, 4], 0), ([3, 9], 0),
+              ([2, 2, 4], 0), ([2, 2, 6], 0), ([3, 3, 3], 0), ([4, 6], 1), ([], 2)]
+    for _ in range(120):
+        g = GroupSpec(*rng.choice(shapes))
+        gens = [g.element([rng.randrange(m) for m in g.torsion_moduli], [0] * g.free_rank)
+                for _ in range(rng.randrange(0, 4))]
+        h = subgroup_generated(g, gens)
+        brute = [x for x in (g.element(t, [0] * g.free_rank) for t in
+                             itertools.product(*(range(m) for m in g.torsion_moduli)))
+                 if h.contains(x)]
+        assert h.elements() == brute
+        assert len(brute) == h.order()
+        assert h.element_coords() == [x.coords() for x in brute]
+
+
 def test_annihilator_duality_brute_force():
     rng = random.Random(13)
     groups = [GroupSpec([n]) for n in (2, 3, 4, 6, 8, 9, 12)] + [

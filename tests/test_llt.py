@@ -1,17 +1,20 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dancewalk.group import DualPoint, GroupSpec
+from dancewalk.group import DualPoint, Element, GroupSpec
 from dancewalk.group import UnsupportedOperationError
 from dancewalk.measure import Distribution, convolution_power, convolve
 from dancewalk.dance import analyze_dance, char_fn, spectral_gap
 from dancewalk.llt import (
     MomentData,
+    _evaluated_window,
     attractor_eval,
     build_attractor,
     classify,
@@ -329,7 +332,10 @@ def _random_finite_walk(rng):
 
 
 def _markov_brute_force(p):
-    """Direct Markov-chain analysis from exact convolution supports."""
+    """Direct Markov-chain analysis from exact convolution supports.
+
+    Returns (irreducible, period or None, set of reachable elements).
+    """
     g = p.group
     horizon = g.order * g.order + 2
     steps = set(p.support())
@@ -345,19 +351,25 @@ def _markov_brute_force(p):
     period = 0
     for n in returns:
         period = gcd(period, n)
-    return irreducible, (period if irreducible else None)
+    return irreducible, (period if irreducible else None), seen
 
 
 def test_classifier_matches_markov_brute_force():
     rng = random.Random(271828)
+    reducible = 0
     for _ in range(50):
         p = _random_finite_walk(rng)
-        want_irr, want_period = _markov_brute_force(p)
+        want_irr, want_period, seen = _markov_brute_force(p)
         c = classify(p)
         assert c.irreducible == ("yes" if want_irr else "no")
         assert c.period == want_period
         if want_irr:
             assert c.aperiodic == ("yes" if want_period == 1 else "no")
+        else:
+            reducible += 1
+            count = re.search(r"only (\d+) of (\d+) elements", c.dance_cosets)
+            assert (int(count[1]), int(count[2])) == (len(seen), p.group.order)
+    assert reducible >= 5
 
 
 def test_periodic_classes_partition_and_coincide():
@@ -452,3 +464,83 @@ def test_rank_two_drifted_walk_with_correlated_covariance():
     assert classify(p).irreducible == "undetermined"
     scaled = [llt_sup_error(p, a, n).scaled_sup_error for n in (10, 20, 40)]
     assert all(x > y for x, y in zip(scaled, scaled[1:]))
+
+
+def _reference_lifts(a, n):
+    """Every torsion lift of the integer points within 8 standard deviations
+    of n*mu, by an exact Fraction quadratic form on each point of the box."""
+    g = a.dance.base_point.group
+    moments = a.moments
+    inv = moments.covariance_inverse
+    d = moments.dim
+    center = [n * m for m in moments.mean]
+    ranges = []
+    for i in range(d):
+        r = 8 * math.sqrt(n * float(moments.covariance[i][i]))
+        ranges.append(range(math.floor(float(center[i]) - r), math.ceil(float(center[i]) + r) + 1))
+    tail = tuple(n * wi for wi in a.twist.w)
+    inv_full = a.twist.phi.inverse
+    residues = list(itertools.product(*(range(m) for m in g.torsion_moduli)))
+    for u in itertools.product(*ranges):
+        y = [c - ctr for c, ctr in zip(u, center)]
+        if sum(y[i] * inv[i][j] * y[j] for i in range(d) for j in range(d)) <= 64 * n:
+            free = inv_full.mul_vec(u + tail)
+            for tors in residues:
+                yield Element(g, tors, free)
+
+
+def reference_window(pn, a, n):
+    """The evaluated window on Elements: supp(pn) with the live coset (d = 0)
+    or the window lifts with theta > 0, each point evaluated by attractor_eval."""
+    if a.case == "d0":
+        live = a.dance.coset_at(n)
+    else:
+        live = (x for x in _reference_lifts(a, n) if a.dance.theta(n, x) > 0)
+    return [(x.coords(), pn.weight(x), a.dance.theta(n, x), attractor_eval(a, n, x))
+            for x in sorted(set(pn.support()).union(live))]
+
+
+KNIGHT = [(0, (a, b)) for a, b in ((1, 2), (2, 1), (-1, 2), (-2, 1),
+                                   (1, -2), (2, -1), (-1, -2), (-2, -1))]
+
+
+@st.composite
+def window_cases(draw):
+    """(walk, n): free rank 1-3, with or without torsion axes, random or
+    fixed sublattice (knight, Spitzer) supports, drifting or not.  n runs
+    to 20 on rank 1 and lower where the reference's box grows faster:
+    to 12 on rank 2, to 8 on the knight walk and to 2 on rank 3."""
+    kind = draw(st.sampled_from(["random"] * 6 + ["knight", "spitzer"]))
+    if kind == "random":
+        rank = draw(st.integers(1, 3))
+        moduli = draw(st.sampled_from([(), (), (2,), (3,), (4,), (2, 3)] if rank < 3 else [()]))
+        g = GroupSpec(moduli, rank)
+        residues = st.tuples(*[st.integers(0, m - 1) for m in moduli])
+        free = st.tuples(*[st.integers(-1, 1)] * rank)
+        points = draw(st.lists(st.tuples(residues, free), min_size=2, max_size=5, unique=True))
+        nums = [draw(st.integers(1, 4)) for _ in points]
+    else:
+        g = Z2
+        points = KNIGHT if kind == "knight" else [((), (1, 0)), ((), (0, 1))]
+        points = [((), x) for _, x in points]
+        nums = [1] * len(points)
+    p = Distribution(g, {g.element(t, f): Fraction(a, sum(nums)) for (t, f), a in zip(points, nums)})
+    n = draw(st.integers(1, 8 if kind == "knight" else (20, 12, 2)[g.free_rank - 1]))
+    return p, n
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(window_cases())
+# on the window's edge: (u - n*mu) . Gamma^(-1) (u - n*mu) is 64n at u = 8 and n = 2
+# (lazy walk) and 64n + 1 at u = 31 and n = 15 (simple walk)
+@example((Distribution(Z1, {Z1.element((), [-1]): quarter, Z1.element((), [0]): half,
+                            Z1.element((), [1]): quarter}), 2))
+@example((Distribution(Z1, {Z1.element((), [-1]): half, Z1.element((), [1]): half}), 15))
+def test_evaluated_window_matches_fraction_reference(case):
+    p, n = case
+    a = build_attractor(p)
+    pn = convolution_power(p, n)
+    got = _evaluated_window(pn, a, n)
+    want = reference_window(pn, a, n)
+    assert [(x, w, th, v.hex()) for x, w, th, v in got] == \
+        [(x, w, th, v.hex()) for x, w, th, v in want]
