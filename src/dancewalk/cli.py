@@ -29,7 +29,7 @@ from .llt import (
     llt_sup_error,
     tv_to_uniform_coset,
 )
-from .measure import Distribution, convolution_power, sample_path
+from .measure import Distribution, _powers, sample_path
 from .scenarios import SCENARIOS
 
 
@@ -52,8 +52,25 @@ def _ceil_12g(x: float) -> float:
     return y
 
 
+def _int_str(v: int) -> str:
+    """str(v) at any length.
+
+    CPython refuses to convert an int with more digits than its limit
+    (4300 by default, never below 640), so a long one is split in two
+    by a power of ten.  Parsing keeps the limit.
+    """
+    if v.bit_length() <= 2000:  # at most 603 digits
+        return str(v)
+    if v < 0:
+        return "-" + _int_str(-v)
+    k = v.bit_length() * 3 // 20  # about half of v's digits
+    hi, lo = divmod(v, 10 ** k)
+    return _int_str(hi) + _int_str(lo).zfill(k)
+
+
 def _fmt_fraction(w: Fraction) -> str:
-    return f"{w.numerator}/{w.denominator}" if w.denominator != 1 else str(w.numerator)
+    num = _int_str(w.numerator)
+    return f"{num}/{_int_str(w.denominator)}" if w.denominator != 1 else num
 
 
 def _render(obj, indent: int = 0) -> str:
@@ -78,7 +95,7 @@ def _render(obj, indent: int = 0) -> str:
     if isinstance(obj, Fraction):
         return json.dumps(_fmt_fraction(obj))
     if isinstance(obj, int):
-        return str(obj)
+        return _int_str(obj)
     return json.dumps(obj)
 
 
@@ -90,7 +107,7 @@ def load_spec(text: str) -> Distribution:
     """Parse a walk description document into a Distribution."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer past the digit limit
         raise SpecError(f"invalid JSON: {e}") from None
     try:
         gdoc = doc["group"]
@@ -185,22 +202,21 @@ def cmd_analyze(args) -> int:
 
 def cmd_convolve(args) -> int:
     p = _read_spec(args.spec)
-    pn = convolution_power(p, args.n)
-    out = {
-        "n": args.n,
-        "support_size": len(pn),
-        "weights": [
-            {"elem": _element_doc(x), "weight": w, "weight_float": float(w)}
-            for x, w in pn.items()
-        ],
-    }
-    _emit(out)
+    (_, den, nums), = _powers(p, (args.n,))
+    t = len(p.group.torsion_moduli)
+    weights = []
+    for x in sorted(nums):
+        w = Fraction(nums[x], den)
+        weights.append({"elem": {"torsion": list(x[:t]), "free": list(x[t:])},
+                        "weight": w, "weight_float": float(w)})
+    _emit({"n": args.n, "support_size": len(nums), "weights": weights})
     return 0
 
 
-def _compare_records(p, a, n):
+def _compare_records(a, n, den, nums):
     records = []
-    for x, w, theta, approx in _evaluated_window(convolution_power(p, n), a, n):
+    for x, v, theta, approx in _evaluated_window(nums, a, n):
+        w = Fraction(v, den)
         w_float = float(w)
         records.append({
             "n": n,
@@ -223,7 +239,7 @@ def cmd_compare(args) -> int:
     if not ns or any(n < 1 for n in ns):
         raise SpecError("at least one step n >= 1 is required")
     a = build_attractor(p)
-    records = [r for n in sorted(ns) for r in _compare_records(p, a, n)]
+    records = [r for n, den, nums in _powers(p, ns) for r in _compare_records(a, n, den, nums)]
     if args.format == "json":
         _emit(records)
     else:
@@ -235,7 +251,7 @@ def cmd_compare(args) -> int:
             w = r["p"]
             lines.append(",".join(
                 [str(r["n"])] + [str(c) for c in r["x"]]
-                + [str(w.numerator), str(w.denominator), _fmt_float(r["p_float"]),
+                + [_int_str(w.numerator), _int_str(w.denominator), _fmt_float(r["p_float"]),
                    str(r["theta"]), _fmt_float(r["attractor"]), _fmt_float(r["abs_error"])]))
         sys.stdout.write("\n".join(lines) + "\n")
     return 0
@@ -328,6 +344,16 @@ def cmd_examples(args) -> int:
     return 4 if failed else 0
 
 
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than least."""
+    def count(text: str) -> int:
+        v = int(text)
+        if v < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {v}")
+        return v
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dancewalk",
@@ -344,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
               ).set_defaults(func=cmd_analyze)
 
     sp = with_spec(sub.add_parser("convolve", help="exact convolution power"))
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_at_least(0), required=True)
     sp.set_defaults(func=cmd_convolve)
 
     sp = with_spec(sub.add_parser("compare", help="exact law vs attractor per point"))
@@ -353,11 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_compare)
 
     sp = with_spec(sub.add_parser("attractor", help="attractor data and sup-error report"))
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_at_least(1), required=True)
     sp.set_defaults(func=cmd_attractor)
 
     sp = with_spec(sub.add_parser("tv", help="exact TV distance to the uniform coset law"))
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_at_least(0), required=True)
     sp.set_defaults(func=cmd_tv)
 
     sp = sub.add_parser("twist", help="align a point set with its affine span")
@@ -366,9 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_twist)
 
     sp = with_spec(sub.add_parser("sample", help="seeded walk paths"))
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_at_least(0), required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--paths", type=int, default=1)
+    sp.add_argument("--paths", type=_at_least(0), default=1)
     sp.set_defaults(func=cmd_sample)
 
     sp = sub.add_parser("examples", help="run a named golden scenario")

@@ -21,7 +21,7 @@ from functools import reduce
 from math import gcd, lcm, prod
 import cmath
 
-from .intlinalg import IntMatrix, hnf, snf
+from .intlinalg import IntMatrix, lattice_basis, snf
 
 
 class UnsupportedOperationError(ValueError):
@@ -200,10 +200,7 @@ class Subgroup:
         all_rows = [list(r) for r in rows] + _relation_rows(parent)
         if any(len(r) != parent.dim for r in all_rows):
             raise ValueError("generator rows have wrong length")
-        if all_rows:
-            reduced = hnf(IntMatrix(all_rows, cols=parent.dim)).nonzero_rows
-        else:
-            reduced = ()
+        reduced = lattice_basis(all_rows, parent.dim) if all_rows else ()
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "basis", IntMatrix(reduced, cols=parent.dim))
         # (pivot column, row) of each Hermite row, in row order

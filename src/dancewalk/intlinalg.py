@@ -499,7 +499,7 @@ def affine_dim(s: AffinePointSet) -> int:
     diffs = [tuple(a - b for a, b in zip(p, x0)) for p in s.points[1:]]
     if not diffs:
         return 0
-    return len(hnf(IntMatrix(diffs, cols=s.ambient_dim)).nonzero_rows)
+    return len(lattice_basis(diffs, s.ambient_dim))
 
 
 def _primitive_orthogonal(diffs: list[tuple[int, ...]], k: int) -> tuple[int, ...]:

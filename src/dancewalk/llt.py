@@ -40,7 +40,7 @@ from .intlinalg import (
     rational_inverse,
     twist_to_coordinates,
 )
-from .measure import Distribution, convolution_power, convolve, pushforward
+from .measure import Distribution, _powers, pushforward
 
 
 @dataclass(frozen=True)
@@ -243,20 +243,15 @@ class _Heat:
                 yield self.kernel(q), [tors + free for tors in residues]
 
 
-def _coord_weights(pn: Distribution) -> dict[tuple[int, ...], Fraction]:
-    return {x.coords(): w for x, w in pn._weights.items()}
-
-
-def _evaluated_window(pn: Distribution, a: Attractor, n: int) -> list[tuple]:
+def _evaluated_window(nums, a: Attractor, n: int) -> list[tuple]:
     """The attractor evaluated on the window at step n >= 1.
 
-    Sorted (coords, p^(n) weight, theta, attractor value) tuples over
-    supp(pn) and the live-coset points where the attractor is not
-    negligible: all of the live coset when d = 0, otherwise the window
-    lifts with theta > 0.  Coordinate tuples sort as Elements do.
+    (coords, numerator, theta, attractor value) tuples, sorted as Elements
+    sort, over the keys of nums (p^(n)'s numerators by group coordinates)
+    and the live-coset points where the attractor is not negligible: all
+    of the live coset when d = 0, otherwise the window lifts with theta > 0.
     """
     dance, tor = a.dance, a.torsion_order
-    weights = _coord_weights(pn)
     if a.case == "d0":
         c = dance.normalization_c
         live = dict.fromkeys(dance.coset_coords(n), (c, c / tor))
@@ -275,9 +270,8 @@ def _evaluated_window(pn: Distribution, a: Attractor, n: int) -> list[tuple]:
         def outside(x):
             th = dance.theta_coords(n, x)
             return th, ((th / tor) * heat.at(x) if th else 0.0)
-    zero = Fraction(0)
-    return [(x, weights.get(x, zero), *(live[x] if x in live else outside(x)))
-            for x in sorted(live.keys() | weights.keys())]
+    return [(x, nums.get(x, 0), *(live[x] if x in live else outside(x)))
+            for x in sorted(live.keys() | nums.keys())]
 
 
 def evaluation_window(pn: Distribution, a: Attractor, n: int) -> list[Element]:
@@ -286,7 +280,8 @@ def evaluation_window(pn: Distribution, a: Attractor, n: int) -> list[Element]:
     The attractor lives on the live coset: all of coset_at(n) when
     d = 0, otherwise the window lifts with theta > 0.
     """
-    return [pn.group.element_from_coords(x) for x, *_ in _evaluated_window(pn, a, n)]
+    nums = {x.coords(): w for x, w in pn.items()}
+    return [pn.group.element_from_coords(x) for x, *_ in _evaluated_window(nums, a, n)]
 
 
 @dataclass(frozen=True)
@@ -313,29 +308,26 @@ def llt_sup_error(p: Distribution, a: Attractor, n: int) -> LltReport:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    pn = convolution_power(p, n)
-    window = _evaluated_window(pn, a, n)
-    scale = n ** (a.rank_d / 2)
-    best_x = None
+    (_, den, nums), = _powers(p, (n,))
+    window = _evaluated_window(nums, a, n)
+    best_x, exact, best_f = None, None, 0.0
     if a.case == "d0":
-        best = Fraction(0)
-        for x, w, th, _ in window:
-            err = abs(w - Fraction(th, a.torsion_order))
+        # |v/den - theta/tor| over the one denominator den * tor
+        best, tor = 0, a.torsion_order
+        for x, v, th, _ in window:
+            err = abs(v * tor - th * den)
             if err > best:
                 best, best_x = err, x
-        return LltReport(n=n, sup_error=float(best), scaled_sup_error=scale * float(best),
-                         sup_error_exact=best, worst_point=_element(pn, best_x))
-    best_f = 0.0
-    for x, w, _, v in window:
-        err = abs(float(w) - v)
-        if err > best_f:
-            best_f, best_x = err, x
-    return LltReport(n=n, sup_error=best_f, scaled_sup_error=scale * best_f,
-                     worst_point=_element(pn, best_x))
-
-
-def _element(pn: Distribution, x) -> Element | None:
-    return None if x is None else pn.group.element_from_coords(x)
+        exact = Fraction(best, den * tor)
+        best_f = float(exact)
+    else:
+        for x, v, _, f in window:
+            err = abs(v / den - f)
+            if err > best_f:
+                best_f, best_x = err, x
+    scale = n ** (a.rank_d / 2)
+    return LltReport(n=n, sup_error=best_f, scaled_sup_error=scale * best_f, sup_error_exact=exact,
+                     worst_point=None if best_x is None else p.group.element_from_coords(best_x))
 
 
 def time_average_error(p: Distribution, a: Attractor, n: int, s: int) -> float:
@@ -350,17 +342,18 @@ def time_average_error(p: Distribution, a: Attractor, n: int, s: int) -> float:
     if s != period_if_irreducible(p):
         raise ValueError("s must be the walk's period [G:G_p]")
     g = p.group
-    powers = [convolution_power(p, n)]
-    for _ in range(s - 1):
-        powers.append(convolve(powers[-1], p))
-    weights = [_coord_weights(pk) for pk in powers]
-
-    def average(x) -> Fraction:
-        return sum((w.get(x, 0) for w in weights), Fraction(0)) / s
+    laws = [(den, nums) for _, den, nums in _powers(p, range(n, n + s))]
+    top = math.lcm(*(den for den, _ in laws))
+    total = {}  # s times the average law, as numerators over top
+    for den, nums in laws:
+        for x, v in nums.items():
+            total[x] = total.get(x, 0) + v * (top // den)
+    scale = s * top
 
     if g.is_finite:
-        target = Fraction(1, g.order)
-        return float(max(abs(average(x.coords()) - target) for x in g.elements()))
+        worst = max(abs(total.get(x, 0) * g.order - scale)
+                    for x in itertools.product(*(range(m) for m in g.torsion_moduli)))
+        return float(Fraction(worst, scale * g.order))
 
     if a.case != "dpos":
         raise InvariantViolationError("infinite irreducible walk must have rank >= 1")
@@ -369,9 +362,9 @@ def time_average_error(p: Distribution, a: Attractor, n: int, s: int) -> float:
     heat = _Heat(a, n)
     targets = {x: k for k, lifts in heat.window() for x in lifts}
     worst = 0.0
-    for x in targets.keys() | set().union(*weights):
+    for x in targets.keys() | total.keys():
         target = targets[x] if x in targets else heat.at(x)
-        worst = max(worst, abs(float(average(x)) - target / a.torsion_order))
+        worst = max(worst, abs(total.get(x, 0) / scale - target / a.torsion_order))
     return worst
 
 
@@ -389,24 +382,18 @@ def tv_to_uniform_coset(p: Distribution, n: int) -> LltReport:
     w_order = dance.walk_subgroup.order()
     if w_order is None:
         raise UnsupportedOperationError("walk subgroup is infinite; no uniform law on it")
-    weights = _coord_weights(convolution_power(p, n))
+    (_, den, nums), = _powers(p, (n,))
     coset = set(dance.coset_coords(n))
-    uniform = Fraction(1, w_order)
-    total = Fraction(0)
-    for x in coset | weights.keys():
-        total += abs(weights.get(x, 0) - (uniform if x in coset else 0))
-    tv = total / 2
+    # sum of |p^(n)(x) - [x in coset]/|W||, over the one denominator den * |W|
+    total = sum(abs(nums.get(x, 0) * w_order - (den if x in coset else 0))
+                for x in coset | nums.keys())
+    tv = Fraction(total, 2 * den * w_order)
     rho = Fraction(spectral_gap(p).rho)
     bound = Fraction(w_order - 1, 2) * rho ** n * (1 + Fraction(1, 10 ** 12))
     if tv > bound:
         raise InvariantViolationError("exact TV distance exceeded its certified bound")
-    return LltReport(n=n, tv_exact=tv, tv_bound=_float_up(bound))
-
-
-def _float_up(x: Fraction) -> float:
-    """The least double that is >= x."""
-    f = float(x)
-    return math.nextafter(f, math.inf) if f < x else f
+    f = float(bound)  # reported as the least double >= bound
+    return LltReport(n=n, tv_exact=tv, tv_bound=math.nextafter(f, math.inf) if f < bound else f)
 
 
 @dataclass(frozen=True)

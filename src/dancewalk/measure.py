@@ -13,9 +13,10 @@ single big-integer multiplication and reads the slots back with
 its sides, so where it holds more cells than there are pairs of support
 points (a thin support over many axes, or two far-apart residues of a
 large Z_m) the product is the double loop over the pairs instead.
-``convolution_power`` keeps the packed form through the whole squaring
-ladder and builds ``Element`` and ``Fraction`` objects once, at the
-end.  Total mass is exactly 1 after every operation.
+One power ladder (``_powers``) serves every set of steps; the window,
+the TV sum and the CLI read its laws, keyed by group coordinates, and a
+``Distribution`` is built only where the public API returns one.  Total
+mass is exactly 1 after every operation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .group import Element, GroupSpec, Homomorphism
-from .intlinalg import lattice_basis
+from .intlinalg import InvariantViolationError, lattice_basis
 
 
 class Distribution:
@@ -62,15 +63,6 @@ class Distribution:
     @classmethod
     def point_mass(cls, group: GroupSpec, x: Element | None = None) -> "Distribution":
         return cls(group, {x if x is not None else group.identity(): Fraction(1)})
-
-    @classmethod
-    def uniform(cls, group: GroupSpec, points) -> "Distribution":
-        pts = list(points)
-        w = Fraction(1, len(pts))
-        out: dict[Element, Fraction] = {}
-        for p in pts:
-            out[p] = out.get(p, Fraction(0)) + w
-        return cls(group, out)
 
     def support(self) -> list[Element]:
         return sorted(self._weights)
@@ -131,18 +123,22 @@ def _pack_law(p: Distribution, basis) -> tuple[tuple[int, ...], _Packed]:
     return base, (den, nums)
 
 
-def _unpack_law(group: GroupSpec, basis, base, law: _Packed) -> Distribution:
-    """The Distribution of a packed law whose lattice coordinates start at base."""
-    den, nums = law
-    t = len(group.torsion_moduli)
-    weights = {}
+def _unpack_law(t: int, basis, base, nums) -> dict[tuple[int, ...], int]:
+    """The numerators of a packed law with t torsion axes, keyed by group coordinates."""
+    out = {}
     for coords, v in nums.items():
         free = base
         for c, row in zip(coords[t:], basis):
             if c:
                 free = [f + c * b for f, b in zip(free, row)]
-        weights[Element(group, coords[:t], free)] = Fraction(v, den)
-    return Distribution(group, weights)
+        out[coords[:t] + tuple(free)] = v
+    return out
+
+
+def _distribution(group: GroupSpec, den: int, nums) -> Distribution:
+    """The Distribution of numerators over den keyed by group coordinates."""
+    return Distribution(group, {group.element_from_coords(c): Fraction(v, den)
+                                for c, v in nums.items()})
 
 
 def _box(na, nb) -> tuple[list[int], list[int], list[int]]:
@@ -224,33 +220,47 @@ def convolve(p: Distribution, q: Distribution) -> Distribution:
     base_p, a = _pack_law(p, basis)
     base_q, b = (base_p, a) if q is p else _pack_law(q, basis)
     moduli = p.group.torsion_moduli + (0,) * len(basis)
-    return _unpack_law(p.group, basis, [x + y for x, y in zip(base_p, base_q)],
-                       _product(a, b, moduli))
+    den, nums = _product(a, b, moduli)
+    base = [x + y for x, y in zip(base_p, base_q)]
+    return _distribution(p.group, den, _unpack_law(len(p.group.torsion_moduli), basis, base, nums))
+
+
+def _powers(p: Distribution, steps):
+    """(n, den, {group coords: numerator}) of p^(n) for each n in steps, in sorted order.
+
+    Every power made is kept.  p^n is p^k * p^(n-k) for the largest k
+    with both factors made (p^(n+1) from p^n and p, p^20 from p^10),
+    else p^(n//2) * p^(n - n//2).  p^0 is the point mass at the identity.
+    """
+    g = p.group
+    basis = _lattice(g, (p,))
+    base, law = _pack_law(p, basis)
+    moduli = g.torsion_moduli + (0,) * len(basis)
+    made = {0: (1, {(0,) * len(moduli): 1}), 1: law}
+
+    def power(n: int) -> _Packed:
+        if n not in made:
+            k = max((k for k in made if 0 < k < n and n - k in made), default=n // 2)
+            made[n] = _product(power(k), power(n - k), moduli)
+        return made[n]
+
+    for n in sorted(steps):
+        if n < 0:
+            raise ValueError("negative convolution power")
+        den, nums = power(n)
+        if sum(nums.values()) != den:
+            raise InvariantViolationError("convolution power lost mass")
+        yield n, den, _unpack_law(len(g.torsion_moduli), basis, [n * c for c in base], nums)
 
 
 def convolution_power(p: Distribution, n: int) -> Distribution:
     """The n-fold convolution of p with itself, by repeated squaring.
 
     n = 0 returns the point mass at the identity (the convolution unit);
-    walks themselves start at n = 1.  The whole ladder runs on the
-    packed law.
+    walks themselves start at n = 1.
     """
-    if n < 0:
-        raise ValueError("negative convolution power")
-    if n == 0:
-        return Distribution.point_mass(p.group)
-    basis = _lattice(p.group, (p,))
-    base, square = _pack_law(p, basis)
-    moduli = p.group.torsion_moduli + (0,) * len(basis)
-    result = None
-    k = n
-    while k:
-        if k & 1:
-            result = square if result is None else _product(result, square, moduli)
-        k >>= 1
-        if k:
-            square = _product(square, square, moduli)
-    return _unpack_law(p.group, basis, [n * c for c in base], result)
+    (_, den, nums), = _powers(p, (n,))
+    return _distribution(p.group, den, nums)
 
 
 def pushforward(p: Distribution, f: Homomorphism) -> Distribution:
@@ -294,6 +304,8 @@ def sample_path(p: Distribution, n: int, seed: int) -> WalkPath:
     generator's output against exact cumulative weights, so two runs with
     the same seed always produce identical paths.
     """
+    if n < 0:
+        raise ValueError("negative path length")
     rng = random.Random(seed)
     support = p.support()
     cumulative = []

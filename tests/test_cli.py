@@ -11,7 +11,9 @@ import pytest
 
 import dancewalk.cli
 import dancewalk.dance
+import dancewalk.intlinalg
 import dancewalk.llt
+import dancewalk.measure
 from dancewalk.cli import dump_spec, load_spec, main
 from dancewalk.group import Subgroup
 from dancewalk.measure import convolution_power
@@ -89,14 +91,17 @@ DRIFT_Z2_SPEC = json.dumps({
 })
 
 
-def run_cli(args, stdin=""):
+def cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return env
+
+
+def run_cli(args, stdin="", timeout=300):
+    return subprocess.run(
         [sys.executable, "-m", "dancewalk.cli", *args],
-        input=stdin, capture_output=True, text=True, timeout=300, env=env,
+        input=stdin, capture_output=True, text=True, timeout=timeout, env=cli_env(),
     )
-    return proc
 
 
 def test_load_spec_roundtrip():
@@ -215,17 +220,25 @@ def test_compare_rejects_empty_steps():
 
 def test_compare_computes_each_power_once(monkeypatch, capsys):
     calls = []
-
-    def counting_power(p, n):
-        calls.append(n)
-        return convolution_power(p, n)
-
-    monkeypatch.setattr(dancewalk.cli, "convolution_power", counting_power)
-    monkeypatch.setattr(dancewalk.llt, "convolution_power", counting_power)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(Z12_SPEC))
-    assert main(["compare", "--spec", "-", "--n", "3,1,2"]) == 0
-    assert sorted(calls) == [1, 2, 3]
+    product = dancewalk.measure._product
+    monkeypatch.setattr(dancewalk.measure, "_product",
+                        lambda *args: calls.append(args) or product(*args))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(LAZY_Z2_SPEC))
+    assert main(["compare", "--spec", "-", "--n", "10,20,30"]) == 0
     assert capsys.readouterr().out
+    # one ladder: p^2, p^3, p^5, p^10 by halving, then p^20 = p^10 * p^10, p^30 = p^20 * p^10
+    assert len(calls) <= 9
+    # p^(n+1) = p^n * p for each of the s consecutive steps after the first
+    p = load_spec(Z12_SPEC)
+    a = dancewalk.llt.build_attractor(p)
+    s = dancewalk.dance.period_if_irreducible(p)
+    assert s > 1
+    calls.clear()
+    list(dancewalk.measure._powers(p, [7]))
+    first = len(calls)
+    calls.clear()
+    dancewalk.llt.time_average_error(p, a, 7, s)
+    assert len(calls) == first + s - 1
 
 
 LAZY_Z2_SPEC = json.dumps({
@@ -376,6 +389,13 @@ def test_usage_errors_exit_2():
     assert proc.returncode == 2
     proc = run_cli(["analyze", "--spec", "/nonexistent/path.json"])
     assert proc.returncode == 2
+    for args in (["convolve", "--n", "-1"], ["tv", "--n", "-1"], ["attractor", "--n", "0"],
+                 ["attractor", "--n", "-3"], ["sample", "--n", "-1"],
+                 ["sample", "--n", "3", "--paths", "-1"]):
+        proc = run_cli([*args, "--spec", "-"], stdin=Z12_SPEC)
+        assert proc.returncode == 2, args
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr, args
+        assert not proc.stdout, args
 
 
 def test_main_callable_directly(capsys):
@@ -383,3 +403,100 @@ def test_main_callable_directly(capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["dimension"] == 1
+
+
+# 1/3 on 0 and 2/3 on 1 in Z_2: p^(n)(0) = (3^n + 1) / (2 * 3^n) for even n.
+Z2_THIRDS_SPEC = json.dumps({
+    "group": {"torsion": [2], "rank": 0},
+    "distribution": [{"elem": {"torsion": [0]}, "weight": "1/3"},
+                     {"elem": {"torsion": [1]}, "weight": "2/3"}],
+})
+
+
+def _long_str(v: int) -> str:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(v)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_exact_rationals_print_at_any_length():
+    # 3^10000 has 4772 digits, past CPython's default int-to-str limit of 4300
+    den = 3 ** 10000
+    weight = f"{_long_str((den + 1) // 2)}/{_long_str(den)}"
+    tv = f'"1/{_long_str(2 * den)}"'  # |p^(n)(0) - 1/2|, also the d = 0 sup error
+    for args, want in ((["convolve"], f'"{weight}"'), (["compare"], f'"{weight}"'),
+                       (["compare", "--format", "csv"], weight.replace("/", ",")),
+                       (["tv"], tv), (["attractor"], tv)):
+        proc = run_cli([*args, "--n", "10000", "--spec", "-"], stdin=Z2_THIRDS_SPEC, timeout=60)
+        assert proc.returncode == 0, (args, proc.stderr)
+        assert want in proc.stdout, args
+
+
+def test_parsing_keeps_the_int_digit_limit():
+    big = "1" + "0" * 4999
+    entries = '[{"elem": {"torsion": [0]}, "weight": %s}, {"elem": {"torsion": [1]}, "weight": %s}]'
+    for weights in (('"1/%s"' % big, '"%s/%s"' % ("9" * 4999, big)), (big, "0")):
+        spec = '{"group": {"torsion": [2]}, "distribution": %s}' % (entries % weights)
+        proc = run_cli(["analyze", "--spec", "-"], stdin=spec, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+W200_SPEC = json.dumps({
+    "group": {"torsion": [], "rank": 2},
+    "distribution": [{"elem": {"free": [i % 20 - 10, i // 20 - 5]}, "weight": "1/200"}
+                     for i in range(200)],
+})
+
+
+def test_hermite_rows_fold_generators_before_hnf(monkeypatch, capsys):
+    # Subgroup and affine_dim fold their generators into at most one row per
+    # column first, so hnf never carries a transform as wide as the support
+    shapes = []
+    hnf = dancewalk.intlinalg.hnf
+
+    def recording_hnf(m):
+        shapes.append((m.rows, m.cols))
+        return hnf(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dancewalk") and getattr(module, "hnf", None) is hnf:
+            monkeypatch.setattr(module, "hnf", recording_hnf)
+    for command in (["analyze"], ["attractor", "--n", "1"]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(W200_SPEC))
+        assert main([*command, "--spec", "-"]) == 0
+        assert capsys.readouterr().out
+    assert shapes
+    assert all(rows <= cols for rows, cols in shapes), shapes
+
+
+STDLIB_CHECK = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from dancewalk.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps(sorted(m for m in loaded
+                        if m != "dancewalk" and m not in sys.stdlib_module_names)))
+"""
+
+
+def test_runtime_imports_only_the_standard_library(tmp_path):
+    z12, lazy = tmp_path / "z12.json", tmp_path / "lazy.json"
+    z12.write_text(Z12_SPEC)
+    lazy.write_text(LAZY_Z2_SPEC)
+    calls = [["analyze", "--spec", str(z12)], ["convolve", "--spec", str(z12), "--n", "3"],
+             ["compare", "--spec", str(lazy), "--n", "2,3"],
+             ["compare", "--spec", str(lazy), "--n", "2", "--format", "csv"],
+             ["attractor", "--spec", str(lazy), "--n", "3"], ["tv", "--spec", str(z12), "--n", "3"],
+             ["twist", "--points", "[[1,0],[0,1]]"], ["sample", "--spec", str(z12), "--n", "3"],
+             ["examples", "z12"]]
+    proc = subprocess.run([sys.executable, "-c", STDLIB_CHECK, json.dumps(calls)],
+                          capture_output=True, text=True, timeout=120, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dancewalk.group import DualPoint, Element, GroupSpec
 from dancewalk.group import UnsupportedOperationError
-from dancewalk.measure import Distribution, convolution_power, convolve
+from dancewalk.measure import Distribution, _powers, convolution_power, convolve
 from dancewalk.dance import analyze_dance, char_fn, spectral_gap
 from dancewalk.llt import (
     MomentData,
@@ -540,7 +540,8 @@ def test_evaluated_window_matches_fraction_reference(case):
     p, n = case
     a = build_attractor(p)
     pn = convolution_power(p, n)
-    got = _evaluated_window(pn, a, n)
+    (_, den, nums), = _powers(p, (n,))
+    got = [(x, Fraction(v, den), th, f) for x, v, th, f in _evaluated_window(nums, a, n)]
     want = reference_window(pn, a, n)
     assert [(x, w, th, v.hex()) for x, w, th, v in got] == \
         [(x, w, th, v.hex()) for x, w, th, v in want]

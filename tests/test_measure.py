@@ -228,6 +228,18 @@ def test_packed_convolution_matches_sparse_reference(pq, n):
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
+@given(law_pairs(), st.lists(st.integers(0, 12), min_size=1, max_size=6))
+def test_power_ladder_matches_sparse_reference(pq, steps):
+    # unsorted, repeated and zero steps, each against n sparse convolutions
+    p, _ = pq
+    got = list(dancewalk.measure._powers(p, steps))
+    assert [n for n, _, _ in got] == sorted(steps)
+    for n, den, nums in got:
+        want = {x.coords(): w for x, w in sparse_power(p, n).items()}
+        assert {c: Fraction(v, den) for c, v in nums.items()} == want
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
 @given(law_pairs(), st.integers(0, 6))
 def test_kronecker_and_pairwise_kernels_agree(pq, n):
     p, q = pq
@@ -349,3 +361,8 @@ def test_sampler_matches_convolution_power():
         expect = float(pn.weight(x))
         sigma = (expect * (1 - expect) / trials) ** 0.5
         assert abs(counts[x] / trials - expect) <= 3 * sigma + 1e-12
+
+
+def test_sample_path_rejects_negative_length():
+    with pytest.raises(ValueError):
+        sample_path(z12_example(), -1, 0)
