@@ -13,6 +13,7 @@ does not admit (such as a uniform law on an infinite walk subgroup),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -103,6 +104,13 @@ def _emit(obj):
     sys.stdout.write(_render(obj) + "\n")
 
 
+def _integers(what: str, values) -> list[int]:
+    """values, which must be a JSON list of integers (no floats, no booleans)."""
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise TypeError(f"{what} must be JSON integers")
+    return values
+
+
 def load_spec(text: str) -> Distribution:
     """Parse a walk description document into a Distribution."""
     try:
@@ -111,17 +119,21 @@ def load_spec(text: str) -> Distribution:
         raise SpecError(f"invalid JSON: {e}") from None
     try:
         gdoc = doc["group"]
-        group = GroupSpec(gdoc.get("torsion", []), gdoc.get("rank", 0))
-        weights = {}
+        group = GroupSpec(_integers("torsion moduli", gdoc.get("torsion", [])),
+                          *_integers("rank", [gdoc.get("rank", 0)]))
+        weights = []
         for entry in doc["distribution"]:
             elem = entry["elem"]
-            x = group.element(elem.get("torsion", []), elem.get("free", []))
-            w = Fraction(str(entry["weight"]))
-            weights[x] = weights.get(x, Fraction(0)) + w
+            x = group.element(_integers("torsion coordinates", elem.get("torsion", [])),
+                              _integers("free coordinates", elem.get("free", [])))
+            w = str(entry["weight"])
+            exponent = w.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+            # Fraction("1e-10000000") takes seconds; 4300 is the int digit limit parsing keeps
+            if exponent.isdecimal() and int(exponent) > 4300:
+                raise ValueError("weight exponent exceeds 4300 in magnitude")
+            weights.append((x, Fraction(w)))
         return Distribution(group, weights)
-    except SpecError:
-        raise
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise SpecError(f"invalid walk description: {e}") from None
 
 
@@ -202,21 +214,21 @@ def cmd_analyze(args) -> int:
 
 def cmd_convolve(args) -> int:
     p = _read_spec(args.spec)
-    (_, den, nums), = _powers(p, (args.n,))
+    (_, pn), = _powers(p, (args.n,))
     t = len(p.group.torsion_moduli)
     weights = []
-    for x in sorted(nums):
-        w = Fraction(nums[x], den)
+    for x, v in sorted(pn._nums.items()):
+        w = Fraction(v, pn._den)
         weights.append({"elem": {"torsion": list(x[:t]), "free": list(x[t:])},
                         "weight": w, "weight_float": float(w)})
-    _emit({"n": args.n, "support_size": len(nums), "weights": weights})
+    _emit({"n": args.n, "support_size": len(pn), "weights": weights})
     return 0
 
 
-def _compare_records(a, n, den, nums):
+def _compare_records(a, n, pn):
     records = []
-    for x, v, theta, approx in _evaluated_window(nums, a, n):
-        w = Fraction(v, den)
+    for x, v, theta, approx in _evaluated_window(pn._nums, a, n):
+        w = Fraction(v, pn._den)
         w_float = float(w)
         records.append({
             "n": n,
@@ -239,7 +251,7 @@ def cmd_compare(args) -> int:
     if not ns or any(n < 1 for n in ns):
         raise SpecError("at least one step n >= 1 is required")
     a = build_attractor(p)
-    records = [r for n, den, nums in _powers(p, ns) for r in _compare_records(a, n, den, nums)]
+    records = [r for n, pn in _powers(p, ns) for r in _compare_records(a, n, pn)]
     if args.format == "json":
         _emit(records)
     else:
@@ -354,7 +366,9 @@ def _at_least(least: int):
     return count
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every main() call."""
     parser = argparse.ArgumentParser(
         prog="dancewalk",
         description="Exact analysis of random walks on finitely generated abelian groups.",

@@ -37,7 +37,6 @@ from .group import (
     GroupSpec,
     Subgroup,
     UnsupportedOperationError,
-    subgroup_generated,
 )
 from .intlinalg import InvariantViolationError
 from .measure import Distribution, torsion_pushforward
@@ -76,8 +75,7 @@ class DanceData:
     def coset_at(self, n: int) -> list[Element]:
         """The live coset W + n*x0 (finite walk subgroups only)."""
         g = self.base_point.group
-        t = len(g.torsion_moduli)
-        return [Element(g, c[:t], c[t:]) for c in self.coset_coords(n)]
+        return [g.element_from_coords(c) for c in self.coset_coords(n)]
 
     def coset_coords(self, n: int) -> list[tuple[int, ...]]:
         """Coordinate tuples of the live coset W + n*x0, sorted."""
@@ -101,16 +99,15 @@ def analyze_dance(p: Distribution) -> DanceData:
     The base point is fixed as the least support element so results are
     reproducible; any other support point yields the same data.
     """
-    support = p.support()
-    x0 = support[0]
-    walk = subgroup_generated(p.group, [x - x0 for x in support])
+    x0 = min(p._nums)
+    walk = Subgroup(p.group, [[a - b for a, b in zip(x, x0)] for x in p._nums])
     moduli, free = walk.quotient_invariants()
     c = 1
     for m in moduli:
         c *= m
     return DanceData(
         walk_subgroup=walk,
-        base_point=x0,
+        base_point=p.group.element_from_coords(x0),
         rank_d=walk.rank(),
         normalization_c=c,
         omega_invariants=(moduli, free),
@@ -204,8 +201,8 @@ def _phase_sum_is_zero(terms: dict[int, int], order: int) -> bool:
 
 
 def _assert_constant_free_part(p: Distribution):
-    support = p.support()
-    if any(x.free != support[0].free for x in support[1:]):
+    t = len(p.group.torsion_moduli)
+    if len({x[t:] for x in p._nums}) > 1:
         raise InvariantViolationError(
             "rank-0 walk with non-constant free part; the torsion projection "
             "would not match the sliced distribution")
@@ -227,10 +224,10 @@ def spectral_gap(p: Distribution) -> SpectralGap:
     pa = torsion_pushforward(p)
     moduli = pa.group.torsion_moduli
     order = lcm(*moduli)
-    den = lcm(*(w.denominator for _, w in pa.items()))
+    den = pa._den
     # phase of character k at x: sum(k_i * x_i * (L // m_i)) mod L
-    points = [(tuple(c * (order // m) for c, m in zip(x.torsion, moduli)),
-               w.numerator * (den // w.denominator)) for x, w in pa.items()]
+    points = [(tuple(c * (order // m) for c, m in zip(x, moduli)), v)
+              for x, v in sorted(pa._nums.items())]
 
     @lru_cache(maxsize=None)
     def root(phase: int) -> complex:

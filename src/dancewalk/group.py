@@ -177,7 +177,6 @@ class Element:
 
 
 def _relation_rows(g: GroupSpec) -> list[list[int]]:
-    t = len(g.torsion_moduli)
     rows = []
     for i, m in enumerate(g.torsion_moduli):
         row = [0] * g.dim
@@ -277,8 +276,7 @@ class Subgroup:
 
     def elements(self) -> list[Element]:
         """All elements of a finite subgroup, sorted."""
-        t = len(self.parent.torsion_moduli)
-        return [Element(self.parent, c[:t], c[t:]) for c in self.element_coords()]
+        return [self.parent.element_from_coords(c) for c in self.element_coords()]
 
     def element_coords(self) -> list[tuple[int, ...]]:
         """Coordinate tuples of all elements of a finite subgroup, sorted.

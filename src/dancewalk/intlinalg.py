@@ -505,40 +505,26 @@ def affine_dim(s: AffinePointSet) -> int:
 def _primitive_orthogonal(diffs: list[tuple[int, ...]], k: int) -> tuple[int, ...]:
     """A primitive integer vector orthogonal to every row of diffs.
 
-    Exists whenever the rows do not span Q^k.  Found by exact rational
-    elimination, then clearing denominators and dividing by the content.
+    Exists whenever the rows do not span Q^k.  It is the rational null
+    vector with 1 at the last non-pivot column of the Hermite rows and 0
+    at the other non-pivot columns, made primitive with a positive first
+    entry; every echelon basis of the row space has the same pivots, so
+    the vector depends only on that space.  Back substitution scales it
+    by the least factor that keeps each entry integral, so it stays primitive.
     """
-    rows = [[Fraction(e) for e in r] for r in diffs]
-    pivots: dict[int, list[Fraction]] = {}
-    for r in rows:
-        for col, pr in sorted(pivots.items()):
-            if r[col]:
-                f = r[col] / pr[col]
-                r = [e - f * g for e, g in zip(r, pr)]
-        lead = next((j for j in range(k) if r[j]), None)
-        if lead is not None:
-            pivots[lead] = r
-    free_cols = [j for j in range(k) if j not in pivots]
-    if not free_cols:
+    rows = lattice_basis(diffs, k)
+    pivots = [next(j for j, e in enumerate(row) if e) for row in rows]
+    free = max(set(range(k)) - set(pivots), default=None)
+    if free is None:
         raise ValueError("rows span the whole space; no orthogonal vector")
-    free = free_cols[-1]
-    a = [Fraction(0)] * k
-    a[free] = Fraction(1)
-    for col in sorted(pivots, reverse=True):
-        pr = pivots[col]
-        a[col] = -sum(pr[j] * a[j] for j in range(col + 1, k)) / pr[col]
-    lcm = 1
-    for e in a:
-        lcm = lcm * e.denominator // gcd(lcm, e.denominator)
-    ints = [int(e * lcm) for e in a]
-    content = 0
-    for e in ints:
-        content = gcd(content, e)
-    ints = [e // content for e in ints]
-    first = next(e for e in ints if e)
-    if first < 0:
-        ints = [-e for e in ints]
-    return tuple(ints)
+    a = [int(j == free) for j in range(k)]
+    for row, col in reversed(list(zip(rows, pivots))):
+        s = sum(row[j] * a[j] for j in range(col + 1, k))
+        g = gcd(s, row[col])
+        a = [e * (row[col] // g) for e in a]  # Hermite pivots are positive
+        a[col] = -s // g
+    sign = 1 if next(e for e in a if e) > 0 else -1
+    return tuple(sign * e for e in a)
 
 
 def flatten_affine(s: AffinePointSet) -> tuple[UnimodularMatrix, int]:

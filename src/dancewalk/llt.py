@@ -28,8 +28,8 @@ from .group import (
     Element,
     GroupSpec,
     Homomorphism,
+    Subgroup,
     UnsupportedOperationError,
-    subgroup_generated,
 )
 from .intlinalg import (
     AffinePointSet,
@@ -77,20 +77,14 @@ def mean_cov(q: Distribution) -> MomentData:
     g = q.group
     if g.torsion_moduli or g.free_rank < 1:
         raise ValueError("moments are computed on free groups Z^d with d >= 1")
-    d = g.free_rank
-    mean = [Fraction(0)] * d
-    for x, w in q.items():
-        for i in range(d):
-            mean[i] += w * x.free[i]
-    cov = [[Fraction(0)] * d for _ in range(d)]
-    for x, w in q.items():
-        for i in range(d):
-            for j in range(d):
-                cov[i][j] += w * x.free[i] * x.free[j]
-    for i in range(d):
-        for j in range(d):
-            cov[i][j] -= mean[i] * mean[j]
-    return MomentData(d, tuple(mean), tuple(tuple(r) for r in cov))
+    d, den, nums = g.free_rank, q._den, q._nums
+    # first and second moments times den, then Gamma = E[xx^T] - mu mu^T over den^2
+    s1 = [sum(v * x[i] for x, v in nums.items()) for i in range(d)]
+    s2 = [[sum(v * x[i] * x[j] for x, v in nums.items()) for j in range(d)] for i in range(d)]
+    mean = tuple(Fraction(s, den) for s in s1)
+    cov = tuple(tuple(Fraction(s2[i][j] * den - s1[i] * s1[j], den * den) for j in range(d))
+                for i in range(d))
+    return MomentData(d, mean, cov)
 
 
 def gaussian_kernel(moments: MomentData, t, y) -> float:
@@ -146,17 +140,16 @@ def build_attractor(p: Distribution) -> Attractor:
     tor = g.torsion_order
     if dance.rank_d == 0:
         return Attractor(dance=dance, case="d0", torsion_order=tor)
-    k = g.free_rank
-    tw = twist_to_coordinates(AffinePointSet(k, {x.free for x in p.support()}))
+    k, t = g.free_rank, len(g.torsion_moduli)
+    tw = twist_to_coordinates(AffinePointSet(k, {x[t:] for x in p._nums}))
     if tw.d != dance.rank_d:
         raise InvariantViolationError("support dimension disagrees with subgroup rank")
     d = tw.d
-    t = len(g.torsion_moduli)
     rows = [[0] * t + list(tw.phi.matrix.data[i]) for i in range(d)]
     phi = Homomorphism(g, GroupSpec((), d), IntMatrix(rows, cols=g.dim))
     q = pushforward(p, phi)
     moments = mean_cov(q)
-    if affine_dim(AffinePointSet(d, {x.free for x in q.support()})) != d:
+    if affine_dim(AffinePointSet(d, q._nums)) != d:
         raise InvariantViolationError("pushforward is not genuinely d-dimensional")
     if not moments.is_positive_definite():
         raise InvariantViolationError("covariance failed the positive-definiteness check")
@@ -280,8 +273,7 @@ def evaluation_window(pn: Distribution, a: Attractor, n: int) -> list[Element]:
     The attractor lives on the live coset: all of coset_at(n) when
     d = 0, otherwise the window lifts with theta > 0.
     """
-    nums = {x.coords(): w for x, w in pn.items()}
-    return [pn.group.element_from_coords(x) for x, *_ in _evaluated_window(nums, a, n)]
+    return [pn.group.element_from_coords(x) for x, *_ in _evaluated_window(pn._nums, a, n)]
 
 
 @dataclass(frozen=True)
@@ -308,8 +300,8 @@ def llt_sup_error(p: Distribution, a: Attractor, n: int) -> LltReport:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    (_, den, nums), = _powers(p, (n,))
-    window = _evaluated_window(nums, a, n)
+    (_, pn), = _powers(p, (n,))
+    den, window = pn._den, _evaluated_window(pn._nums, a, n)
     best_x, exact, best_f = None, None, 0.0
     if a.case == "d0":
         # |v/den - theta/tor| over the one denominator den * tor
@@ -342,7 +334,7 @@ def time_average_error(p: Distribution, a: Attractor, n: int, s: int) -> float:
     if s != period_if_irreducible(p):
         raise ValueError("s must be the walk's period [G:G_p]")
     g = p.group
-    laws = [(den, nums) for _, den, nums in _powers(p, range(n, n + s))]
+    laws = [(pn._den, pn._nums) for _, pn in _powers(p, range(n, n + s))]
     top = math.lcm(*(den for den, _ in laws))
     total = {}  # s times the average law, as numerators over top
     for den, nums in laws:
@@ -382,7 +374,8 @@ def tv_to_uniform_coset(p: Distribution, n: int) -> LltReport:
     w_order = dance.walk_subgroup.order()
     if w_order is None:
         raise UnsupportedOperationError("walk subgroup is infinite; no uniform law on it")
-    (_, den, nums), = _powers(p, (n,))
+    (_, pn), = _powers(p, (n,))
+    den, nums = pn._den, pn._nums
     coset = set(dance.coset_coords(n))
     # sum of |p^(n)(x) - [x in coset]/|W||, over the one denominator den * |W|
     total = sum(abs(nums.get(x, 0) * w_order - (den if x in coset else 0))
@@ -419,7 +412,7 @@ def _classify_finite(p: Distribution) -> Classification:
     g = p.group
     dance = dance_of(p)
     quotient = GroupSpec(*dance.omega_invariants).describe()
-    reach = subgroup_generated(g, p.support())
+    reach = Subgroup(g, p._nums)
     if reach.index() != 1:
         return Classification(
             irreducible="no", aperiodic="no", period=None,

@@ -1,22 +1,22 @@
 """Finitely supported probability distributions with exact rational weights.
 
-Convolution runs on a packed form of the law: integer numerators over
-one common denominator, keyed by integer coordinates in the walk's own
-lattice.  A torsion axis holds the residue in [0, m), folded mod m after
-each product.  The free part of x - n*x0 is written in a Hermite basis
-of the lattice L spanned by the free parts of supp(p) - x0, so a walk on
-a line or a sublattice gets a box that grows with its own support and
-not with the ambient Z^k.  A product packs both operands into
-fixed-width slots of one integer (Kronecker substitution), makes a
-single big-integer multiplication and reads the slots back with
-``int.to_bytes``.  The box is dense, and its cells are the product of
-its sides, so where it holds more cells than there are pairs of support
-points (a thin support over many axes, or two far-apart residues of a
-large Z_m) the product is the double loop over the pairs instead.
-One power ladder (``_powers``) serves every set of steps; the window,
-the TV sum and the CLI read its laws, keyed by group coordinates, and a
-``Distribution`` is built only where the public API returns one.  Total
-mass is exactly 1 after every operation.
+A ``Distribution`` holds its law: integer numerators over one common
+denominator in lowest terms, keyed by group coordinates (torsion
+residues in [0, m), then the free part).  ``Element`` and ``Fraction``
+objects are built only where ``support``, ``items`` and ``weight`` are
+called.  Convolution packs the law in the walk's own lattice: the free
+part of x - n*x0 is written in a Hermite basis of the lattice L spanned
+by the free parts of supp(p) - x0, so a walk on a line or a sublattice
+gets a box that grows with its own support and not with the ambient
+Z^k.  A product packs both operands into fixed-width slots of one
+integer (Kronecker substitution), makes a single big-integer
+multiplication and reads the slots back with ``int.to_bytes``; torsion
+axes are folded mod m.  The box is dense, and its cells are the product
+of its sides, so where it holds more cells than there are pairs of
+support points (a thin support over many axes, or two far-apart residues
+of a large Z_m) the product is the double loop over the pairs instead.
+One power ladder (``_powers``) serves every set of steps and yields
+``Distribution``s.  Total mass is exactly 1 after every operation.
 """
 
 from __future__ import annotations
@@ -25,35 +25,51 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .group import Element, GroupSpec, Homomorphism
-from .intlinalg import InvariantViolationError, lattice_basis
+from .intlinalg import IntMatrix, InvariantViolationError, lattice_basis
 
 
 class Distribution:
-    """A probability distribution with finite support and rational weights."""
+    """A probability distribution with finite support and rational weights.
 
-    __slots__ = ("group", "_weights", "_dance")
+    weights is a mapping or (element, weight) pairs; equal elements add up.
+    """
+
+    __slots__ = ("group", "_den", "_nums", "_dance")
 
     def __init__(self, group: GroupSpec, weights):
-        cleaned: dict[Element, Fraction] = {}
-        for x, w in dict(weights).items():
+        fracs: dict[tuple[int, ...], Fraction] = {}
+        for x, w in (weights.items() if hasattr(weights, "items") else weights):
             if x.group != group:
                 raise ValueError("support point lives in a different group")
             w = Fraction(w)
             if w < 0:
                 raise ValueError("negative weight")
-            if w == 0:
-                continue
-            cleaned[x] = w
-        if not cleaned:
+            fracs[x.coords()] = fracs.get(x.coords(), 0) + w
+        den = lcm(*(w.denominator for w in fracs.values()))
+        nums = {c: w.numerator * (den // w.denominator) for c, w in fracs.items() if w}
+        if not nums:
             raise ValueError("support must be nonempty")
-        den = lcm(*(w.denominator for w in cleaned.values()))
-        if sum(w.numerator * (den // w.denominator) for w in cleaned.values()) != den:
+        if sum(nums.values()) != den:
             raise ValueError("weights must sum to exactly 1")
+        self._set(group, den, nums)
+
+    @classmethod
+    def _law(cls, group: GroupSpec, den: int, nums: dict) -> "Distribution":
+        """The law of positive numerators over den keyed by group coordinates, unchecked."""
+        g = gcd(den, *nums.values())
+        if g > 1:
+            den, nums = den // g, {c: v // g for c, v in nums.items()}
+        p = object.__new__(cls)
+        p._set(group, den, nums)
+        return p
+
+    def _set(self, group: GroupSpec, den: int, nums: dict):
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "_weights", cleaned)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_nums", nums)
         # DanceData of this law, filled in by dance.dance_of on first use.
         object.__setattr__(self, "_dance", None)
 
@@ -65,24 +81,25 @@ class Distribution:
         return cls(group, {x if x is not None else group.identity(): Fraction(1)})
 
     def support(self) -> list[Element]:
-        return sorted(self._weights)
+        return [self.group.element_from_coords(c) for c in sorted(self._nums)]
 
     def weight(self, x: Element) -> Fraction:
-        return self._weights.get(x, Fraction(0))
+        v = self._nums.get(x.coords(), 0) if x.group == self.group else 0
+        return Fraction(v, self._den)
 
-    def items(self):
-        return sorted(self._weights.items())
+    def items(self) -> list[tuple[Element, Fraction]]:
+        return [(self.group.element_from_coords(c), Fraction(v, self._den))
+                for c, v in sorted(self._nums.items())]
 
     def __len__(self) -> int:
-        return len(self._weights)
+        return len(self._nums)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Distribution)
-                and self.group == other.group
-                and self._weights == other._weights)
+        return (isinstance(other, Distribution) and self.group == other.group
+                and self._den == other._den and self._nums == other._nums)
 
     def __hash__(self) -> int:
-        return hash((self.group, frozenset(self._weights.items())))
+        return hash((self.group, self._den, frozenset(self._nums.items())))
 
     def __repr__(self) -> str:
         entries = ", ".join(f"{x.coords()}: {w}" for x, w in self.items())
@@ -96,35 +113,38 @@ _Packed = tuple[int, dict[tuple[int, ...], int]]
 
 def _base(p: Distribution) -> tuple[int, ...]:
     """Free part of the support point that p's lattice coordinates start from."""
-    return next(iter(p._weights)).free
+    return next(iter(p._nums))[len(p.group.torsion_moduli):]
 
 
 def _lattice(group: GroupSpec, laws) -> tuple[tuple[int, ...], ...]:
     """Hermite basis of the lattice spanned by free(supp(q)) - _base(q) over the laws."""
-    diffs = {tuple(a - b for a, b in zip(x.free, _base(q))) for q in laws for x in q._weights}
+    t = len(group.torsion_moduli)
+    diffs = {tuple(a - b for a, b in zip(x[t:], _base(q))) for q in laws for x in q._nums}
     return lattice_basis(diffs, group.free_rank)
 
 
 def _pack_law(p: Distribution, basis) -> tuple[tuple[int, ...], _Packed]:
     """p as (free base point, packed law) in the lattice coordinates of basis."""
     pivots = [next(j for j, e in enumerate(row) if e) for row in basis]
+    t = len(p.group.torsion_moduli)
     base = _base(p)
-    den = lcm(*(w.denominator for w in p._weights.values()))
     nums = {}
-    for x, w in p._weights.items():
-        coords = list(x.torsion)
-        v = [a - b for a, b in zip(x.free, base)]
+    for x, num in p._nums.items():
+        coords = list(x[:t])
+        v = [a - b for a, b in zip(x[t:], base)]
         for row, j in zip(basis, pivots):
             c = v[j] // row[j]  # exact: v lies in the lattice
             coords.append(c)
             if c:
                 v = [a - c * b for a, b in zip(v, row)]
-        nums[tuple(coords)] = w.numerator * (den // w.denominator)
-    return base, (den, nums)
+        nums[tuple(coords)] = num
+    return base, (p._den, nums)
 
 
-def _unpack_law(t: int, basis, base, nums) -> dict[tuple[int, ...], int]:
-    """The numerators of a packed law with t torsion axes, keyed by group coordinates."""
+def _unpack_law(group: GroupSpec, basis, base, law: _Packed) -> Distribution:
+    """The Distribution of a packed law on group, keyed back by group coordinates."""
+    t = len(group.torsion_moduli)
+    den, nums = law
     out = {}
     for coords, v in nums.items():
         free = base
@@ -132,13 +152,7 @@ def _unpack_law(t: int, basis, base, nums) -> dict[tuple[int, ...], int]:
             if c:
                 free = [f + c * b for f, b in zip(free, row)]
         out[coords[:t] + tuple(free)] = v
-    return out
-
-
-def _distribution(group: GroupSpec, den: int, nums) -> Distribution:
-    """The Distribution of numerators over den keyed by group coordinates."""
-    return Distribution(group, {group.element_from_coords(c): Fraction(v, den)
-                                for c, v in nums.items()})
+    return Distribution._law(group, den, out)
 
 
 def _box(na, nb) -> tuple[list[int], list[int], list[int]]:
@@ -220,13 +234,12 @@ def convolve(p: Distribution, q: Distribution) -> Distribution:
     base_p, a = _pack_law(p, basis)
     base_q, b = (base_p, a) if q is p else _pack_law(q, basis)
     moduli = p.group.torsion_moduli + (0,) * len(basis)
-    den, nums = _product(a, b, moduli)
     base = [x + y for x, y in zip(base_p, base_q)]
-    return _distribution(p.group, den, _unpack_law(len(p.group.torsion_moduli), basis, base, nums))
+    return _unpack_law(p.group, basis, base, _product(a, b, moduli))
 
 
 def _powers(p: Distribution, steps):
-    """(n, den, {group coords: numerator}) of p^(n) for each n in steps, in sorted order.
+    """(n, p^(n)) for each n in steps, in sorted order.
 
     Every power made is kept.  p^n is p^k * p^(n-k) for the largest k
     with both factors made (p^(n+1) from p^n and p, p^20 from p^10),
@@ -250,7 +263,7 @@ def _powers(p: Distribution, steps):
         den, nums = power(n)
         if sum(nums.values()) != den:
             raise InvariantViolationError("convolution power lost mass")
-        yield n, den, _unpack_law(len(g.torsion_moduli), basis, [n * c for c in base], nums)
+        yield n, _unpack_law(g, basis, [n * c for c in base], (den, nums))
 
 
 def convolution_power(p: Distribution, n: int) -> Distribution:
@@ -259,19 +272,21 @@ def convolution_power(p: Distribution, n: int) -> Distribution:
     n = 0 returns the point mass at the identity (the convolution unit);
     walks themselves start at n = 1.
     """
-    (_, den, nums), = _powers(p, (n,))
-    return _distribution(p.group, den, nums)
+    (_, pn), = _powers(p, (n,))
+    return pn
 
 
 def pushforward(p: Distribution, f: Homomorphism) -> Distribution:
     """Image distribution q(y) = sum of p(x) over f(x) = y."""
     if f.source != p.group:
         raise ValueError("map does not start at the distribution's group")
-    out: dict[Element, Fraction] = {}
-    for x, w in p._weights.items():
-        y = f(x)
-        out[y] = out.get(y, Fraction(0)) + w
-    return Distribution(f.target, out)
+    moduli = f.target.torsion_moduli
+    out: dict[tuple[int, ...], int] = {}
+    for x, v in p._nums.items():
+        y = f.matrix.mul_vec(x)
+        y = tuple(c % m for c, m in zip(y, moduli)) + y[len(moduli):]
+        out[y] = out.get(y, 0) + v
+    return Distribution._law(f.target, p._den, out)
 
 
 def torsion_pushforward(p: Distribution) -> Distribution:
@@ -279,12 +294,9 @@ def torsion_pushforward(p: Distribution) -> Distribution:
     g = p.group
     if g.free_rank == 0:
         return p
-    target = g.torsion_component()
-    out: dict[Element, Fraction] = {}
-    for x, w in p._weights.items():
-        y = target.element(x.torsion, ())
-        out[y] = out.get(y, Fraction(0)) + w
-    return Distribution(target, out)
+    t = len(g.torsion_moduli)
+    rows = [[int(i == j) for j in range(g.dim)] for i in range(t)]
+    return pushforward(p, Homomorphism(g, g.torsion_component(), IntMatrix(rows, cols=g.dim)))
 
 
 @dataclass(frozen=True)
@@ -307,11 +319,9 @@ def sample_path(p: Distribution, n: int, seed: int) -> WalkPath:
     if n < 0:
         raise ValueError("negative path length")
     rng = random.Random(seed)
-    support = p.support()
-    cumulative = []
-    acc = Fraction(0)
-    for x in support:
-        acc += p.weight(x)
+    cumulative, acc = [], Fraction(0)
+    for x, w in p.items():
+        acc += w
         cumulative.append((acc, x))
     pos = p.group.identity()
     positions = [pos]

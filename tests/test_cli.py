@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -313,6 +314,38 @@ def test_golden_stdout_attractor(name, spec, command, capsys, monkeypatch):
     _assert_golden(name, spec, command, capsys, monkeypatch)
 
 
+# A rank-1 walk in Z^3: every step lies on the line through (1, 2, 3) with direction (2, 3, 4).
+LINE_Z3_SPEC = json.dumps({
+    "group": {"torsion": [], "rank": 3},
+    "distribution": [
+        {"elem": {"free": [1, 2, 3]}, "weight": "1/2"},
+        {"elem": {"free": [3, 5, 7]}, "weight": "1/4"},
+        {"elem": {"free": [-1, -1, -1]}, "weight": "1/4"},
+    ],
+})
+
+
+@pytest.mark.parametrize("name, spec", [("spitzer", SPITZER_SPEC), ("line_z3", LINE_Z3_SPEC)])
+def test_golden_stdout_twisted_attractor(name, spec, capsys, monkeypatch):
+    # walks of rank d < k: the bytes pin the twist phi, the moments and the window
+    _assert_golden(name, spec, ["attractor", "--n", "13"], capsys, monkeypatch)
+
+
+TWIST_POINTS = {
+    "line_z3": [[1, 2, 3], [3, 5, 7], [5, 8, 11]],
+    "plane_z3": [[0, 0, 0], [2, 1, 3], [1, 3, -2], [3, 4, 1]],
+    "line_z4": [[0, 1, 0, 2], [3, -1, 2, 7], [-3, 3, -2, -3]],
+    "plane_z4": [[1, 1, 1, 1], [3, 2, -1, 4], [0, 4, 2, 1], [6, 0, -4, 7]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWIST_POINTS))
+def test_golden_stdout_twist(name, capsys):
+    # point sets of affine dimension 1 and 2 in Z^3 and Z^4
+    assert main(["twist", "--points", json.dumps(TWIST_POINTS[name])]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}_twist.json").read_bytes()
+
+
 def _assert_golden(name, spec, command, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
     assert main([*command, "--spec", "-"]) == 0
@@ -382,6 +415,27 @@ def test_examples_exit_codes():
     assert proc.returncode == 2
 
 
+def _one_point_spec(group, elem):
+    return json.dumps({"group": group, "distribution": [{"elem": elem, "weight": "1"}]})
+
+
+# moduli, rank and coordinates must be JSON integers; malformed shapes exit 2 too
+NON_INTEGER_SPECS = [
+    _one_point_spec({"torsion": [4.9], "rank": 1}, {"torsion": [1], "free": [0]}),
+    _one_point_spec({"torsion": [4.0]}, {"torsion": [1]}),
+    _one_point_spec({"torsion": "4"}, {"torsion": [1]}),
+    _one_point_spec({"torsion": [True, 4]}, {"torsion": [0, 1]}),
+    _one_point_spec({"torsion": [4], "rank": 1.5}, {"torsion": [1], "free": [0]}),
+    _one_point_spec({"torsion": [4], "rank": True}, {"torsion": [1], "free": [0]}),
+    _one_point_spec({"torsion": [4], "rank": 1}, {"torsion": [1.7], "free": [0]}),
+    _one_point_spec({"torsion": [4], "rank": 1}, {"torsion": [1], "free": [0.9]}),
+    _one_point_spec({"torsion": [4], "rank": 1}, {"torsion": [True], "free": [0]}),
+    _one_point_spec({"torsion": [4], "rank": 1}, {"torsion": [1], "free": [False]}),
+    _one_point_spec([4], {"torsion": [1]}),
+    _one_point_spec({"torsion": [4]}, [1]),
+]
+
+
 def test_usage_errors_exit_2():
     proc = run_cli(["analyze", "--spec", "-"], stdin="{]")
     assert proc.returncode == 2
@@ -396,6 +450,40 @@ def test_usage_errors_exit_2():
         assert proc.returncode == 2, args
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr, args
         assert not proc.stdout, args
+    for spec in NON_INTEGER_SPECS:
+        proc = run_cli(["analyze", "--spec", "-"], stdin=spec)
+        assert proc.returncode == 2, spec
+        assert proc.stderr.startswith("error: invalid walk description: "), (spec, proc.stderr)
+        assert not proc.stdout, spec
+
+
+def test_huge_weight_exponents_exit_2_fast():
+    # Fraction("1e-10000000") alone takes seconds; the exponent is checked first
+    for weight in ("1e-10000000", "1E+4301", "0.5e-4301", "1e" + "9" * 5000):
+        spec = json.dumps({"group": {"torsion": [2]}, "distribution": [
+            {"elem": {"torsion": [0]}, "weight": weight},
+            {"elem": {"torsion": [1]}, "weight": "1"}]})
+        proc = run_cli(["analyze", "--spec", "-"], stdin=spec, timeout=5)
+        assert proc.returncode == 2, (weight[:20], proc.stderr)
+        assert proc.stderr.startswith("error: invalid walk description: ")
+    # the bound itself is accepted: 10^-4300 + (1 - 10^-4300) = 1
+    p = load_spec(json.dumps({"group": {"torsion": [2]}, "distribution": [
+        {"elem": {"torsion": [0]}, "weight": "1e-4300"},
+        {"elem": {"torsion": [1]}, "weight": "0." + "9" * 4300}]}))
+    assert p.weight(p.group.element([0])) == Fraction(1, 10 ** 4300)
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kw: built.append(self) or init(self, *args, **kw))
+    dancewalk.cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["twist", "--points", "[[1,0],[0,1]]"]) == 0
+    assert capsys.readouterr().out
+    # the top-level parser and its 8 subcommand parsers, for both calls
+    assert len(built) == 9
 
 
 def test_main_callable_directly(capsys):

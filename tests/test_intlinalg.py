@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -16,6 +17,7 @@ from dancewalk.intlinalg import (
     snf,
     twist_to_coordinates,
 )
+from dancewalk.intlinalg import _primitive_orthogonal
 
 
 def mat(rows):
@@ -287,3 +289,57 @@ def _random_unimodular(rng, k):
         shear[i][j] = rng.randrange(-2, 3)
         m = m @ IntMatrix(shear)
     return m
+
+
+def fraction_primitive_orthogonal(diffs, k):
+    """Reference: the null vector by rational Gaussian elimination of the rows."""
+    pivots = {}
+    for r in diffs:
+        r = [Fraction(e) for e in r]
+        for col, pr in sorted(pivots.items()):
+            if r[col]:
+                f = r[col] / pr[col]
+                r = [e - f * g for e, g in zip(r, pr)]
+        lead = next((j for j in range(k) if r[j]), None)
+        if lead is not None:
+            pivots[lead] = r
+    free_cols = [j for j in range(k) if j not in pivots]
+    if not free_cols:
+        raise ValueError("rows span the whole space; no orthogonal vector")
+    a = [Fraction(int(j == free_cols[-1])) for j in range(k)]
+    for col in sorted(pivots, reverse=True):
+        pr = pivots[col]
+        a[col] = -sum(pr[j] * a[j] for j in range(col + 1, k)) / pr[col]
+    den = 1
+    for e in a:
+        den = den * e.denominator // gcd(den, e.denominator)
+    ints = [int(e * den) for e in a]
+    content = gcd(*ints)
+    sign = 1 if next(e for e in ints if e) > 0 else -1
+    return tuple(sign * e // content for e in ints)
+
+
+@st.composite
+def low_rank_rows(draw):
+    """Integer combinations of at most k vectors in Z^k, k <= 5."""
+    k = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.lists(st.integers(-4, 4), min_size=k, max_size=k), max_size=k))
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens))
+    rows = [tuple(sum(c * g[j] for c, g in zip(cs, gens)) for j in range(k))
+            for cs in draw(st.lists(coeffs, max_size=6))]
+    return rows, k
+
+
+@settings(max_examples=400, derandomize=True)
+@given(low_rank_rows())
+def test_primitive_orthogonal_matches_fraction_reference(case):
+    rows, k = case
+    try:
+        want = fraction_primitive_orthogonal(rows, k)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _primitive_orthogonal(rows, k)
+        return
+    got = _primitive_orthogonal(rows, k)
+    assert got == want
+    assert all(sum(a * b for a, b in zip(got, r)) == 0 for r in rows)

@@ -77,6 +77,34 @@ def test_mean_cov_examples():
         mean_cov(z12_walk())
 
 
+def reference_mean_cov(q):
+    """Moments summed as Fractions over Elements."""
+    d = q.group.free_rank
+    mean = [Fraction(0)] * d
+    for x, w in q.items():
+        for i in range(d):
+            mean[i] += w * x.free[i]
+    cov = [[Fraction(0)] * d for _ in range(d)]
+    for x, w in q.items():
+        for i in range(d):
+            for j in range(d):
+                cov[i][j] += w * x.free[i] * x.free[j] - w * mean[i] * mean[j]
+    return MomentData(d, tuple(mean), tuple(tuple(r) for r in cov))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.dictionaries(
+    st.tuples(*[st.integers(-4, 4)] * d), st.integers(0, 6), min_size=1, max_size=6)))
+def test_mean_cov_matches_fraction_reference(weights):
+    d = len(next(iter(weights)))
+    total = sum(weights.values())
+    if total == 0:
+        weights, total = {next(iter(weights)): 1}, 1
+    g = GroupSpec((), d)
+    q = Distribution(g, {g.element((), x): Fraction(a, total) for x, a in weights.items()})
+    assert mean_cov(q) == reference_mean_cov(q)
+
+
 def test_positive_definiteness_check():
     good = MomentData(2, (Fraction(0), Fraction(0)),
                       ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(2))))
@@ -540,7 +568,8 @@ def test_evaluated_window_matches_fraction_reference(case):
     p, n = case
     a = build_attractor(p)
     pn = convolution_power(p, n)
-    (_, den, nums), = _powers(p, (n,))
+    (_, law), = _powers(p, (n,))
+    den, nums = law._den, law._nums
     got = [(x, Fraction(v, den), th, f) for x, v, th, f in _evaluated_window(nums, a, n)]
     want = reference_window(pn, a, n)
     assert [(x, w, th, v.hex()) for x, w, th, v in got] == \

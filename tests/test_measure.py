@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -233,8 +233,9 @@ def test_power_ladder_matches_sparse_reference(pq, steps):
     # unsorted, repeated and zero steps, each against n sparse convolutions
     p, _ = pq
     got = list(dancewalk.measure._powers(p, steps))
-    assert [n for n, _, _ in got] == sorted(steps)
-    for n, den, nums in got:
+    assert [n for n, _ in got] == sorted(steps)
+    for n, law in got:
+        den, nums = law._den, law._nums
         want = {x.coords(): w for x, w in sparse_power(p, n).items()}
         assert {c: Fraction(v, den) for c, v in nums.items()} == want
 
@@ -333,6 +334,109 @@ def test_torsion_pushforward():
     flat = torsion_pushforward(spitzer())
     assert flat.group.is_trivial
     assert flat.weight(flat.group.identity()) == 1
+
+
+def reference_items(pairs):
+    """Sorted (Element, Fraction) pairs of a law written as pairs, adding equal elements."""
+    acc = {}
+    for x, w in pairs:
+        acc[x] = acc.get(x, 0) + Fraction(w)
+    return sorted((x, w) for x, w in acc.items() if w)
+
+
+@st.composite
+def law_writings(draw):
+    """A law on one of law_pairs' groups and several ways of writing it.
+
+    The ways differ in entry order, split entries, unreduced torsion
+    residues, weights written as unreduced "a/b" strings, and zero weights.
+    """
+    p, _ = draw(law_pairs())
+    g = p.group
+    entries = p.items()
+    pairs = []
+    for x, w in entries:
+        cut = w * Fraction(draw(st.integers(0, 4)), 4)
+        for part in (cut, w - cut):
+            k = draw(st.integers(1, 3))
+            torsion = [c + m * draw(st.integers(-2, 2))
+                       for c, m in zip(x.torsion, g.torsion_moduli)]
+            weight = f"{part.numerator * k}/{part.denominator * k}"
+            pairs.append((g.element(torsion, x.free), weight))
+    extra = g.element([0] * len(g.torsion_moduli), [5] * g.free_rank)
+    pairs.append((extra, 0))
+    return g, extra, [dict(entries), draw(st.permutations(entries)), draw(st.permutations(pairs))]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(law_writings())
+def test_one_law_written_many_ways(case):
+    g, extra, writings = case
+    laws = [Distribution(g, w) for w in writings]
+    assert all(q == laws[0] and hash(q) == hash(laws[0]) for q in laws)
+    want = reference_items(writings[-1])
+    den = lcm(*(w.denominator for _, w in want))
+    for q in laws:
+        assert q._den == den and gcd(den, *q._nums.values()) == 1
+        assert q.items() == want
+        assert q.support() == [x for x, _ in want]
+        assert len(q) == len(want)
+        assert all(q.weight(x) == w for x, w in want)
+        assert q.weight(extra) == dict(want).get(extra, 0)
+        assert q.weight(GroupSpec([7]).element([0])) == 0
+
+
+def reference_pushforward(p, f):
+    """Image law summed as Fractions over Elements."""
+    out = {}
+    for x, w in p.items():
+        y = f(x)
+        out[y] = out.get(y, Fraction(0)) + w
+    return Distribution(f.target, out)
+
+
+def reference_torsion_pushforward(p):
+    g = p.group
+    if g.free_rank == 0:
+        return p
+    target = g.torsion_component()
+    out = {}
+    for x, w in p.items():
+        y = target.element(x.torsion, ())
+        out[y] = out.get(y, Fraction(0)) + w
+    return Distribution(target, out)
+
+
+@st.composite
+def laws_and_maps(draw):
+    """A law on Z_a x Z_b x Z^k and a homomorphism from its group to Z_c x Z^j."""
+    source = GroupSpec(draw(st.lists(st.integers(2, 6), max_size=2)), draw(st.integers(0, 2)))
+    target = GroupSpec(draw(st.lists(st.integers(2, 12), max_size=1)), draw(st.integers(0, 2)))
+    t, small = len(source.torsion_moduli), st.integers(-3, 3)
+    rows = []
+    for r in range(target.dim):
+        c = target.torsion_moduli[r] if r < len(target.torsion_moduli) else 0
+        # a torsion column must be killed by its modulus: m * e = 0 mod c (and e = 0 if c = 0)
+        rows.append([draw(small) * (c // gcd(c, m)) if c else 0 for m in source.torsion_moduli]
+                    + [draw(small) for _ in range(source.free_rank)])
+    f = Homomorphism(source, target, IntMatrix(rows, cols=source.dim))
+    points = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 5)] * t),
+                                     st.tuples(*[small] * source.free_rank)),
+                           min_size=1, max_size=5, unique=True))
+    nums = [draw(st.integers(1, 5)) for _ in points]
+    weights = {}
+    for (tors, free), a in zip(points, nums):
+        x = source.element(tors, free)
+        weights[x] = weights.get(x, 0) + Fraction(a, sum(nums))
+    return Distribution(source, weights), f
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(laws_and_maps())
+def test_pushforwards_match_fraction_references(case):
+    p, f = case
+    assert pushforward(p, f) == reference_pushforward(p, f)
+    assert torsion_pushforward(p) == reference_torsion_pushforward(p)
 
 
 def test_sample_path_contracts():
