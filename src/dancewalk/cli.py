@@ -308,9 +308,8 @@ def cmd_tv(args) -> int:
 
 def cmd_twist(args) -> int:
     try:
-        pts = json.loads(args.points)
-        pts = [tuple(int(c) for c in p) for p in pts]
-    except (json.JSONDecodeError, TypeError, ValueError) as e:
+        pts = [tuple(_integers("point coordinates", p)) for p in json.loads(args.points)]
+    except (TypeError, ValueError) as e:  # a JSONDecodeError is a ValueError
         raise SpecError(f"bad point list: {e}") from None
     if not pts:
         raise SpecError("point list must be nonempty")

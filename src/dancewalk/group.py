@@ -349,8 +349,8 @@ def group_from_presentation(relations: IntMatrix, ambient: int | None = None
                             ) -> tuple[GroupSpec, "Homomorphism"]:
     """Z^m modulo the row span of ``relations``, in canonical form.
 
-    Returns the canonical GroupSpec together with the projection
-    homomorphism from the free group Z^m onto it.  The invariant factors
+    Returns the canonical GroupSpec together with a projection (valid
+    but not canonical) from the free group Z^m onto it.  The invariant factors
     are the nontrivial Smith diagonal entries; the free rank is m minus
     the rank of the relation matrix.
     """

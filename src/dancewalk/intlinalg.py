@@ -1,9 +1,12 @@
 """Exact integer linear algebra.
 
 Everything here runs in arbitrary-precision integer (or rational)
-arithmetic; there is no floating point and no overflow.  The module
-provides the two canonical lattice normal forms (Hermite and Smith, both
-with their unimodular transforms) plus the "twisting" constructions used
+arithmetic; there is no floating point and no overflow.  One row-Hermite
+elimination kernel, ``_hnf``, gives the two canonical lattice normal
+forms (Hermite, and Smith by alternating Hermite passes on the rows and
+the columns) with their unimodular transforms, and integer inverses.
+The Smith diagonal is unique; its transforms ``u`` and ``v`` are valid
+but not canonical.  On top of these sit the "twisting" constructions used
 to move a finite point set of affine dimension d into the first d
 coordinates of the ambient lattice:
 
@@ -54,12 +57,53 @@ def _elim_pair(a: int, b: int) -> tuple[int, int, int, int]:
     When a divides b the transform is a plain shear that leaves the pivot
     untouched; otherwise the general Bezout transform strictly shrinks the
     pivot to the gcd.  The shear case is what guarantees termination of the
-    alternating row/column sweeps in the Smith reduction.
+    alternating row/column Hermite passes in the Smith reduction.
     """
     if b % a == 0:
         return 1, 0, b // a, 1
     g, x, y = _egcd(a, b)
     return x, y, b // g, a // g
+
+
+def _eye(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _hnf(h: list[list[int]], cols: int, u: list[list[int]]) -> None:
+    """Bring the rows h to canonical row Hermite form in place.
+
+    Every unimodular row operation is applied to the rows of u as well,
+    so a transform t with t @ h0 = u0 becomes one with t @ h0 = u.
+    """
+    n = len(h)
+    pivot_row = 0
+    for col in range(cols):
+        if pivot_row >= n:
+            break
+        piv = next((i for i in range(pivot_row, n) if h[i][col]), None)
+        if piv is None:
+            continue
+        h[pivot_row], h[piv] = h[piv], h[pivot_row]
+        u[pivot_row], u[piv] = u[piv], u[pivot_row]
+        for i in range(pivot_row + 1, n):
+            if not h[i][col]:
+                continue
+            x, y, bg, ag = _elim_pair(h[pivot_row][col], h[i][col])
+            # rows <- [[x, y], [-bg, ag]] @ rows, a unimodular 2x2 block.
+            for mat in (h, u):
+                rp, ri = mat[pivot_row], mat[i]
+                mat[pivot_row] = [x * p + y * q for p, q in zip(rp, ri)]
+                mat[i] = [-bg * p + ag * q for p, q in zip(rp, ri)]
+        if h[pivot_row][col] < 0:
+            h[pivot_row] = [-e for e in h[pivot_row]]
+            u[pivot_row] = [-e for e in u[pivot_row]]
+        p = h[pivot_row][col]
+        for i in range(pivot_row):
+            q = h[i][col] // p
+            if q:
+                h[i] = [e - q * f for e, f in zip(h[i], h[pivot_row])]
+                u[i] = [e - q * f for e, f in zip(u[i], u[pivot_row])]
+        pivot_row += 1
 
 
 class IntMatrix:
@@ -88,7 +132,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        return cls(_eye(n), cols=n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -158,13 +202,18 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
     def inverse(self) -> "IntMatrix":
-        """Exact inverse; requires the inverse to be integral (det = +-1)."""
+        """Exact inverse; requires the inverse to be integral (det = +-1).
+
+        It is the Hermite transform u with u @ self = I, since the
+        Hermite form of a unimodular matrix is the identity.
+        """
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        out = rational_inverse(self.data)
-        if any(e.denominator != 1 for row in out for e in row):
-            raise ValueError("inverse is not integral")
-        return IntMatrix([[int(e) for e in row] for row in out], cols=self.cols)
+        h, u = [list(r) for r in self.data], _eye(self.rows)
+        _hnf(h, self.cols, u)
+        if h != _eye(self.rows):
+            raise ValueError("matrix has no integral inverse")
+        return IntMatrix(u, cols=self.cols)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self.data == other.data and self.cols == other.cols
@@ -271,36 +320,8 @@ def hnf(m: IntMatrix) -> HnfDecomposition:
     [0, pivot), zero rows sink to the bottom.  Two matrices have equal
     row span over Z exactly when their canonical forms agree.
     """
-    h = [list(r) for r in m.data]
-    u = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
-    pivot_row = 0
-    for col in range(m.cols):
-        if pivot_row >= m.rows:
-            break
-        piv = next((i for i in range(pivot_row, m.rows) if h[i][col]), None)
-        if piv is None:
-            continue
-        h[pivot_row], h[piv] = h[piv], h[pivot_row]
-        u[pivot_row], u[piv] = u[piv], u[pivot_row]
-        for i in range(pivot_row + 1, m.rows):
-            if not h[i][col]:
-                continue
-            x, y, bg, ag = _elim_pair(h[pivot_row][col], h[i][col])
-            # rows <- [[x, y], [-bg, ag]] @ rows, a unimodular 2x2 block.
-            for mat in (h, u):
-                rp, ri = mat[pivot_row], mat[i]
-                mat[pivot_row] = [x * p + y * q for p, q in zip(rp, ri)]
-                mat[i] = [-bg * p + ag * q for p, q in zip(rp, ri)]
-        if h[pivot_row][col] < 0:
-            h[pivot_row] = [-e for e in h[pivot_row]]
-            u[pivot_row] = [-e for e in u[pivot_row]]
-        p = h[pivot_row][col]
-        for i in range(pivot_row):
-            q = h[i][col] // p
-            if q:
-                h[i] = [e - q * f for e, f in zip(h[i], h[pivot_row])]
-                u[i] = [e - q * f for e, f in zip(u[i], u[pivot_row])]
-        pivot_row += 1
+    h, u = [list(r) for r in m.data], _eye(m.rows)
+    _hnf(h, m.cols, u)
     return HnfDecomposition(IntMatrix(h, cols=m.cols), UnimodularMatrix(IntMatrix(u, cols=m.rows)))
 
 
@@ -328,80 +349,36 @@ def lattice_basis(vectors, cols: int) -> tuple[tuple[int, ...], ...]:
 
 
 def snf(m: IntMatrix) -> SnfDecomposition:
-    """Smith normal form with both transforms: u @ m @ v = d."""
-    a = [list(r) for r in m.data]
+    """Smith normal form with both transforms: u @ m @ v = d.
+
+    Hermite passes alternate on the rows and on the columns (a row pass
+    on the transpose) until the matrix is diagonal; where d_i does not
+    divide d_j, column j is added into column i and the passes resume
+    (Kannan and Bachem, 1979).  The diagonal is unique; u and v are
+    valid transforms but not canonical.
+    """
     nr, nc = m.rows, m.cols
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def row_combine(i, j, x, y, bg, ag):
-        # rows i, j <- [[x, y], [-bg, ag]] @ rows i, j
-        for mat in (a, u):
-            ri, rj = mat[i], mat[j]
-            mat[i] = [x * p + y * q for p, q in zip(ri, rj)]
-            mat[j] = [-bg * p + ag * q for p, q in zip(ri, rj)]
-
-    def col_combine(i, j, x, y, bg, ag):
-        for mat in (a, v):
-            for row in mat:
-                p, q = row[i], row[j]
-                row[i] = x * p + y * q
-                row[j] = -bg * p + ag * q
-
-    t = 0
-    while t < min(nr, nc):
-        # Bring a nonzero entry of smallest magnitude to (t, t).
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    a, u, vt = [list(r) for r in m.data], _eye(nr), _eye(nc)  # vt is v transposed
+    while True:
+        _hnf(a, nc, u)
+        if any(e for i, row in enumerate(a) for j, e in enumerate(row) if i != j):
+            at = [list(c) for c in zip(*a)]
+            _hnf(at, nr, vt)
+            a = [list(r) for r in zip(*at)]
+            continue
+        # diagonal, positive entries first: pull in any d_j that d_i does not divide
+        n = min(nr, nc)
+        pair = next(((i, j) for i in range(n) for j in range(i + 1, n)
+                     if a[i][i] and a[j][j] % a[i][i]), None)
+        if pair is None:
             break
-        if best[0] != t:
-            swap_rows(t, best[0])
-        if best[1] != t:
-            swap_cols(t, best[1])
-        while True:
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    row_combine(t, i, *_elim_pair(a[t][t], a[i][t]))
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    col_combine(t, j, *_elim_pair(a[t][t], a[t][j]))
-            if any(a[i][t] for i in range(t + 1, nr)):
-                continue
-            # Pull in any entry the pivot does not divide yet.
-            culprit = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % a[t][t]:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
-            if culprit is None:
-                break
-            a[t] = [p + q for p, q in zip(a[t], a[culprit])]
-            u[t] = [p + q for p, q in zip(u[t], u[culprit])]
-        if a[t][t] < 0:
-            a[t] = [-e for e in a[t]]
-            u[t] = [-e for e in u[t]]
-        t += 1
+        i, j = pair
+        a[j][i] = a[j][j]  # column i += column j
+        vt[i] = [p + q for p, q in zip(vt[i], vt[j])]
     return SnfDecomposition(
         UnimodularMatrix(IntMatrix(u, cols=nr)),
         IntMatrix(a, cols=nc),
-        UnimodularMatrix(IntMatrix(v, cols=nc)),
+        UnimodularMatrix(IntMatrix(list(zip(*vt)), cols=nc)),
     )
 
 
@@ -410,9 +387,11 @@ def bottom_row_unimodular(a) -> IntMatrix:
 
     The result M is k x k with bottom row exactly ``a`` and
     det(M) = gcd(a); in particular M is unimodular when the entries of
-    ``a`` are coprime.  Column operations are accumulated in a matrix Q
-    while the Euclidean algorithm shrinks the vector to (0, ..., 0, g);
-    M is then assembled as M' @ Q^(-1).  When k = 1 the bottom row
+    ``a`` are coprime.  The Euclidean algorithm shrinks the vector to
+    (0, ..., 0, g) by column operations Q, whose inverses are applied to
+    Q^(-1) as row operations; M is then assembled as M' @ Q^(-1), where
+    M' is the identity with det(Q) in its corner and bottom row
+    (0, ..., 0, g).  When k = 1 the bottom row
     forces det(M) = a[0], so for a negative singleton the determinant is
     -gcd(a); every caller in this package passes primitive vectors,
     where the distinction is moot.
@@ -425,48 +404,28 @@ def bottom_row_unimodular(a) -> IntMatrix:
     if k == 1:
         return IntMatrix([[b[0]]])
 
-    q_mat = [[int(i == j) for j in range(k)] for i in range(k)]
-    q_sign = 1
-
-    def col_swap(i, j):
-        nonlocal q_sign
-        b[i], b[j] = b[j], b[i]
-        for row in q_mat:
-            row[i], row[j] = row[j], row[i]
-        q_sign = -q_sign
-
-    def col_addmul(i, j, s):
-        # column i <- column i - s * column j
-        b[i] -= s * b[j]
-        for row in q_mat:
-            row[i] -= s * row[j]
-
+    q_inv, q_sign = _eye(k), 1  # Q^(-1) and det Q for the column operations Q so far
     for j in range(1, k):
         # Reduce the pair (b[j-1], b[j]) until b[j-1] = 0, b[j] = gcd so far.
-        while True:
-            if b[j - 1] == 0:
-                break
-            if b[j] == 0:
-                col_swap(j - 1, j)
-                break
-            s = b[j - 1] // b[j]
-            col_addmul(j - 1, j, s)
-            if b[j - 1] == 0:
-                break
-            col_swap(j - 1, j)
+        while b[j - 1]:
+            if b[j]:
+                # column j-1 -= s * column j, so Q^(-1) gains s * row j-1 in row j
+                s = b[j - 1] // b[j]
+                b[j - 1] -= s * b[j]
+                q_inv[j] = [e + s * f for e, f in zip(q_inv[j], q_inv[j - 1])]
+            if b[j - 1]:
+                b[j - 1], b[j] = b[j], b[j - 1]
+                q_inv[j - 1], q_inv[j] = q_inv[j], q_inv[j - 1]
+                q_sign = -q_sign
     if b[k - 1] < 0:
         # Sign-fixing column scale, tracked so det Q stays known.
         b[k - 1] = -b[k - 1]
-        for row in q_mat:
-            row[k - 1] = -row[k - 1]
+        q_inv[k - 1] = [-e for e in q_inv[k - 1]]
         q_sign = -q_sign
 
     g = b[k - 1]
-    m_prime = [[int(i == j) for j in range(k)] for i in range(k)]
-    m_prime[0][0] = q_sign
-    m_prime[k - 1] = list(b)
-    q_inv = IntMatrix(q_mat, cols=k).inverse()
-    m = IntMatrix(m_prime, cols=k) @ q_inv
+    m = IntMatrix([[q_sign * e for e in q_inv[0]], *q_inv[1:k - 1],
+                   [g * e for e in q_inv[k - 1]]], cols=k)
     if list(m.data[k - 1]) != a or m.det() != g:
         raise InvariantViolationError("bottom-row completion failed its contract")
     return m
@@ -537,8 +496,6 @@ def flatten_affine(s: AffinePointSet) -> tuple[UnimodularMatrix, int]:
     k = s.ambient_dim
     if not s.points:
         raise ValueError("empty point set")
-    if affine_dim(s) >= k:
-        raise ValueError("set is genuinely full-dimensional; nothing to flatten")
     x0 = s.points[0]
     diffs = [tuple(a - b for a, b in zip(p, x0)) for p in s.points[1:]]
     a = _primitive_orthogonal(diffs, k)

@@ -449,8 +449,9 @@ def classify(p: Distribution) -> Classification:
     idx = w.index()
     base = f"supp(p^(n)) is confined to the moving coset G_p + n*x0; G/G_p = {quotient}"
     if idx == 1:
-        att = build_attractor(p)
-        if all(m == 0 for m in att.moments.mean):
+        # W = G: the twist is the identity, so the attractor's mean is that of the free parts
+        t = len(g.torsion_moduli)
+        if not any(sum(v * x[i] for x, v in p._nums.items()) for i in range(t, g.dim)):
             return Classification(
                 irreducible="yes", aperiodic="yes", period=1,
                 dance_cosets="G_p is the whole group: there is no dance",

@@ -346,6 +346,42 @@ def test_golden_stdout_twist(name, capsys):
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}_twist.json").read_bytes()
 
 
+def _walk_spec(torsion, rank, steps):
+    """A uniform walk on Z_torsion x Z^rank; each step is (torsion coords, free coords)."""
+    return json.dumps({
+        "group": {"torsion": torsion, "rank": rank},
+        "distribution": [{"elem": {"torsion": t, "free": f}, "weight": f"1/{len(steps)}"}
+                         for t, f in steps],
+    })
+
+
+# one walk on an infinite group per branch of classify
+ANALYZE_INFINITE = {
+    "lazy_z2": (LAZY_Z2_SPEC, '"irreducible": "yes"'),
+    "drift_z": (json.dumps({"group": {"torsion": [], "rank": 1}, "distribution": [
+        {"elem": {"free": [1]}, "weight": "2/3"}, {"elem": {"free": [0]}, "weight": "1/3"}]}),
+        "the mean of the pushforward is nonzero"),
+    "drift_up_z2": (_walk_spec([], 2, [([], [0, 0]), ([], [1, 0]), ([], [-1, 0]), ([], [0, 1])]),
+                    "the mean of the pushforward is nonzero"),
+    "spitzer": (SPITZER_SPEC, "the base point has infinite order"),
+    "even_z": (_walk_spec([], 1, [([], [0]), ([], [2])]), "confined to the proper subgroup"),
+    "slab_z2z2": (_walk_spec([2], 2, [([1], [0, 0]), ([1], [1, 0])]),
+                  "[G:G_p] is infinite"),
+    "z4z_half": (_walk_spec([4], 1, [([1], [0]), ([1], [2])]),
+                 "generates only 4 of the 8 cosets"),
+    "simple_z": (_walk_spec([], 1, [([], [1]), ([], [-1])]),
+                 "the walk dances through 2 > 1 cosets"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_INFINITE))
+def test_golden_stdout_analyze_infinite(name, capsys, monkeypatch):
+    # omega, canonical_torsion and the coset order come from the Smith form
+    spec, branch = ANALYZE_INFINITE[name]
+    _assert_golden(name, spec, ["analyze"], capsys, monkeypatch)
+    assert branch in (GOLDEN / f"{name}_analyze.json").read_text()
+
+
 def _assert_golden(name, spec, command, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
     assert main([*command, "--spec", "-"]) == 0
@@ -435,6 +471,10 @@ NON_INTEGER_SPECS = [
     _one_point_spec({"torsion": [4]}, [1]),
 ]
 
+# twist points must be lists of JSON integers; 1e400 parses as a float infinity
+NON_INTEGER_POINTS = ["[[1.7, true], [0.2, 3]]", '[["1", 2], [0, 3]]', "[[1e400, 2], [0, 3]]",
+                      "[3, [0, 3]]"]
+
 
 def test_usage_errors_exit_2():
     proc = run_cli(["analyze", "--spec", "-"], stdin="{]")
@@ -455,6 +495,11 @@ def test_usage_errors_exit_2():
         assert proc.returncode == 2, spec
         assert proc.stderr.startswith("error: invalid walk description: "), (spec, proc.stderr)
         assert not proc.stdout, spec
+    for points in NON_INTEGER_POINTS:
+        proc = run_cli(["twist", "--points", points])
+        assert proc.returncode == 2, points
+        assert proc.stderr.startswith("error: bad point list: "), (points, proc.stderr)
+        assert not proc.stdout, points
 
 
 def test_huge_weight_exponents_exit_2_fast():

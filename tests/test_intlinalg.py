@@ -1,23 +1,35 @@
 import random
 from fractions import Fraction
-from math import gcd
+from functools import reduce
+from math import gcd, lcm
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import dancewalk.group
+from dancewalk.group import (
+    GroupSpec,
+    Subgroup,
+    group_from_presentation,
+    subgroup_generated,
+    whole_group,
+)
 from dancewalk.intlinalg import (
     AffinePointSet,
     IntMatrix,
+    SnfDecomposition,
     UnimodularMatrix,
     affine_dim,
     bottom_row_unimodular,
     flatten_affine,
     hnf,
     lattice_basis,
+    rational_inverse,
     snf,
     twist_to_coordinates,
 )
-from dancewalk.intlinalg import _primitive_orthogonal
+from dancewalk.intlinalg import _elim_pair, _primitive_orthogonal
 
 
 def mat(rows):
@@ -343,3 +355,229 @@ def test_primitive_orthogonal_matches_fraction_reference(case):
     got = _primitive_orthogonal(rows, k)
     assert got == want
     assert all(sum(a * b for a, b in zip(got, r)) == 0 for r in rows)
+
+
+# References for the shared Hermite kernel: the Smith sweep, the Fraction
+# inverse and the build-Q-then-invert bottom-row completion it replaced.
+
+def sweep_snf(m):
+    """Reference Smith form: a smallest-pivot sweep with row and column combines."""
+    a = [list(r) for r in m.data]
+    nr, nc = m.rows, m.cols
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def row_combine(i, j, x, y, bg, ag):
+        for mat in (a, u):
+            ri, rj = mat[i], mat[j]
+            mat[i] = [x * p + y * q for p, q in zip(ri, rj)]
+            mat[j] = [-bg * p + ag * q for p, q in zip(ri, rj)]
+
+    def col_combine(i, j, x, y, bg, ag):
+        for mat in (a, v):
+            for row in mat:
+                p, q = row[i], row[j]
+                row[i] = x * p + y * q
+                row[j] = -bg * p + ag * q
+
+    for t in range(min(nr, nc)):
+        cells = [(abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]]
+        if not cells:
+            break
+        _, bi, bj = min(cells)
+        a[t], a[bi], u[t], u[bi] = a[bi], a[t], u[bi], u[t]
+        for mat in (a, v):
+            for row in mat:
+                row[t], row[bj] = row[bj], row[t]
+        while True:
+            for i in range(t + 1, nr):
+                if a[i][t]:
+                    row_combine(t, i, *_elim_pair(a[t][t], a[i][t]))
+            for j in range(t + 1, nc):
+                if a[t][j]:
+                    col_combine(t, j, *_elim_pair(a[t][t], a[t][j]))
+            if any(a[i][t] for i in range(t + 1, nr)):
+                continue
+            culprit = next((i for i in range(t + 1, nr) for j in range(t + 1, nc)
+                            if a[i][j] % a[t][t]), None)
+            if culprit is None:
+                break
+            a[t] = [p + q for p, q in zip(a[t], a[culprit])]
+            u[t] = [p + q for p, q in zip(u[t], u[culprit])]
+        if a[t][t] < 0:
+            a[t] = [-e for e in a[t]]
+            u[t] = [-e for e in u[t]]
+    return SnfDecomposition(UnimodularMatrix(IntMatrix(u, cols=nr)), IntMatrix(a, cols=nc),
+                            UnimodularMatrix(IntMatrix(v, cols=nc)))
+
+
+def fraction_inverse(m):
+    """Reference integer inverse by rational Gauss-Jordan elimination."""
+    out = rational_inverse(m.data)
+    if any(e.denominator != 1 for row in out for e in row):
+        raise ValueError("inverse is not integral")
+    return IntMatrix([[int(e) for e in row] for row in out], cols=m.cols)
+
+
+def q_inverse_bottom_row(a):
+    """Reference bottom-row completion: accumulate the column operations in Q, invert Q."""
+    b, k = list(a), len(a)
+    if k == 1:
+        return IntMatrix([[b[0]]])
+    q = [[int(i == j) for j in range(k)] for i in range(k)]
+    q_sign = 1
+
+    def col_swap(i, j):
+        nonlocal q_sign
+        b[i], b[j] = b[j], b[i]
+        for row in q:
+            row[i], row[j] = row[j], row[i]
+        q_sign = -q_sign
+
+    for j in range(1, k):
+        while True:
+            if b[j - 1] == 0:
+                break
+            if b[j] == 0:
+                col_swap(j - 1, j)
+                break
+            s = b[j - 1] // b[j]
+            b[j - 1] -= s * b[j]
+            for row in q:
+                row[j - 1] -= s * row[j]
+            if b[j - 1] == 0:
+                break
+            col_swap(j - 1, j)
+    if b[k - 1] < 0:
+        b[k - 1] = -b[k - 1]
+        for row in q:
+            row[k - 1] = -row[k - 1]
+        q_sign = -q_sign
+    m_prime = [[int(i == j) for j in range(k)] for i in range(k)]
+    m_prime[0][0] = q_sign
+    m_prime[k - 1] = list(b)
+    return IntMatrix(m_prime, cols=k) @ fraction_inverse(IntMatrix(q, cols=k))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=7).filter(any))
+def test_bottom_row_matches_q_inverse_reference(a):
+    assert bottom_row_unimodular(a) == q_inverse_bottom_row(a)
+
+
+@st.composite
+def unimodular_products(draw):
+    """A product of elementary operations: swaps, sign flips and shears."""
+    k = draw(st.integers(1, 6))
+    rows = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(draw(st.integers(0, 12))):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        kind = draw(st.sampled_from(("swap", "flip", "shear")))
+        if kind == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "flip":
+            rows[i] = [-e for e in rows[i]]
+        elif i != j:
+            c = draw(st.integers(-5, 5))
+            rows[i] = [e + c * f for e, f in zip(rows[i], rows[j])]
+    return IntMatrix(rows, cols=k)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(unimodular_products())
+def test_inverse_matches_fraction_reference(m):
+    inv = m.inverse()
+    assert inv == fraction_inverse(m)
+    assert m @ inv == IntMatrix.identity(m.rows)
+
+
+@st.composite
+def non_unimodular_squares(draw):
+    """Square matrices with det not +-1; about half are singular by construction."""
+    k = draw(st.integers(1, 5))
+    rows = [draw(st.lists(small_entries, min_size=k, max_size=k)) for _ in range(k)]
+    if draw(st.booleans()):  # the last row a combination of the others
+        cs = draw(st.lists(st.integers(-3, 3), min_size=k - 1, max_size=k - 1))
+        rows[-1] = [sum(c * r[j] for c, r in zip(cs, rows)) for j in range(k)]
+    m = IntMatrix(rows, cols=k)
+    assume(m.det() not in (1, -1))
+    return m
+
+
+@settings(max_examples=300, derandomize=True)
+@given(non_unimodular_squares())
+def test_inverse_rejects_singular_and_non_unimodular(m):
+    with pytest.raises(ValueError):
+        fraction_inverse(m)
+    with pytest.raises(ValueError):
+        m.inverse()
+
+
+def _assert_snf_matches_sweep(m):
+    got, want = snf(m), sweep_snf(m)
+    assert got.d == want.d
+    assert got.u.matrix @ m @ got.v.matrix == got.d
+
+
+@settings(max_examples=300, derandomize=True)
+@given(matrices(max_dim=6))
+def test_snf_matches_sweep_reference(m):
+    _assert_snf_matches_sweep(m)
+
+
+# The walk sweep's group shapes, and one with a free axis.
+SHAPES = ((12,), (30,), (2, 6), (4, 4), (3, 9), (2, 2, 4), (2, 2, 6), (3, 3, 3), (4, 6, 0))
+
+
+@st.composite
+def subgroups(draw):
+    """A subgroup of one of SHAPES (a trailing 0 is a free axis) from up to 3 generators."""
+    shape = draw(st.sampled_from(SHAPES))
+    g = GroupSpec([m for m in shape if m], shape.count(0))
+    coord = [st.integers(0, m - 1) if m else st.integers(-6, 6) for m in shape]
+    gens = draw(st.lists(st.tuples(*coord), max_size=3))
+    return Subgroup(g, gens)
+
+
+def _scaled_annihilator_rows(h):
+    g = h.parent
+    big = reduce(lcm, g.torsion_moduli, 1)
+    return [[row[i] * (big // m) for i, m in enumerate(g.torsion_moduli)] for row in h.basis.data]
+
+
+@settings(max_examples=300, derandomize=True)
+@given(subgroups())
+def test_snf_matches_sweep_on_program_shapes(h):
+    g = h.parent
+    relations = [[m * int(i == j) for j in range(g.dim)] for i, m in enumerate(g.torsion_moduli)]
+    _assert_snf_matches_sweep(h.basis)
+    _assert_snf_matches_sweep(IntMatrix([*h.basis.data, *relations], cols=g.dim))
+    _assert_snf_matches_sweep(IntMatrix.diag(g.torsion_moduli))
+    if g.is_finite:
+        _assert_snf_matches_sweep(IntMatrix(_scaled_annihilator_rows(h), cols=g.dim))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(subgroups(), st.lists(st.integers(-20, 20), min_size=4, max_size=4))
+def test_subgroup_algebra_matches_sweep_reference(h, seed_coords):
+    g = h.parent
+    xs = [g.element_from_coords([(c + 7 * i) for c in seed_coords[:g.dim]]) for i in range(3)]
+    got_spec, got_proj = group_from_presentation(h.basis)
+    got = (h.quotient_invariants(), [h.coset_order(x) for x in xs],
+           h.annihilator() if g.is_finite else None)
+    with mock.patch.object(dancewalk.group, "snf", sweep_snf):
+        want_spec, want_proj = group_from_presentation(h.basis)
+        want = (h.quotient_invariants(), [h.coset_order(x) for x in xs],
+                h.annihilator() if g.is_finite else None)
+    assert got == want
+    assert got_spec == want_spec
+    # the projections need not agree, but each is onto with kernel the row span
+    free = GroupSpec((), g.dim)
+    relations = Subgroup(free, h.basis.data)
+    for proj in (got_proj, want_proj):
+        units = [proj(free.element_from_coords(r)) for r in IntMatrix.identity(g.dim).data]
+        assert subgroup_generated(got_spec, units) == whole_group(got_spec)
+        assert all(proj(free.element_from_coords(r)).is_identity() for r in h.basis.data)
+        for x in xs:
+            y = free.element_from_coords(x.coords())
+            assert proj(y).is_identity() == relations.contains(y)
