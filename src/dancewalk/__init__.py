@@ -18,7 +18,6 @@ from .intlinalg import (
     UnimodularMatrix,
     affine_dim,
     bottom_row_unimodular,
-    flatten_affine,
     hnf,
     snf,
     twist_to_coordinates,

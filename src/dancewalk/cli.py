@@ -115,7 +115,8 @@ def load_spec(text: str) -> Distribution:
     """Parse a walk description document into a Distribution."""
     try:
         doc = json.loads(text)
-    except ValueError as e:  # a JSONDecodeError, or an integer past the digit limit
+    # a JSONDecodeError, an integer past the digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as e:
         raise SpecError(f"invalid JSON: {e}") from None
     try:
         gdoc = doc["group"]
@@ -158,7 +159,7 @@ def _read_spec(path: str) -> Distribution:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return load_spec(fh.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise SpecError(f"cannot read {path}: {e}") from None
 
 
@@ -309,7 +310,7 @@ def cmd_tv(args) -> int:
 def cmd_twist(args) -> int:
     try:
         pts = [tuple(_integers("point coordinates", p)) for p in json.loads(args.points)]
-    except (TypeError, ValueError) as e:  # a JSONDecodeError is a ValueError
+    except (TypeError, ValueError, RecursionError) as e:  # a JSONDecodeError is a ValueError
         raise SpecError(f"bad point list: {e}") from None
     if not pts:
         raise SpecError("point list must be nonempty")

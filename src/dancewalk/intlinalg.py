@@ -11,12 +11,12 @@ to move a finite point set of affine dimension d into the first d
 coordinates of the ambient lattice:
 
 * ``bottom_row_unimodular`` completes an integer vector a to a square
-  matrix with bottom row a and determinant gcd(a).
-* ``flatten_affine`` finds an automorphism of Z^k sending a point set
-  that misses full dimension into Z^(k-1) x {w}.
-* ``twist_to_coordinates`` iterates the flattening until the set sits in
-  Z^d x {w} with a genuinely d-dimensional shadow on the first d
-  coordinates.
+  matrix with bottom row a and determinant gcd(a); its Euclidean row
+  operations (``_complete``) can be applied to any rows.
+* ``twist_to_coordinates`` finds an automorphism of Z^k sending a point
+  set into Z^d x {w} with a genuinely d-dimensional shadow on the first
+  d coordinates, pressing one trailing coordinate at a time by applying
+  a completion to the rows of the automorphism and of the points at once.
 
 Conventions: lattices are spanned by the *rows* of their basis
 matrices; automorphisms act on *column* vectors.  The canonical Hermite
@@ -147,9 +147,6 @@ class IntMatrix:
     def __getitem__(self, ij) -> int:
         i, j = ij
         return self.data[i][j]
-
-    def row(self, i) -> tuple[int, ...]:
-        return self.data[i]
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -382,29 +379,16 @@ def snf(m: IntMatrix) -> SnfDecomposition:
     )
 
 
-def bottom_row_unimodular(a) -> IntMatrix:
-    """Complete a nonzero integer vector to a square matrix.
+def _complete(a, rows: list[list[int]]) -> int:
+    """Apply to rows 0..k-1 of ``rows`` the row operations that complete
+    ``a`` (k = len(a) >= 1) and return gcd(a).
 
-    The result M is k x k with bottom row exactly ``a`` and
-    det(M) = gcd(a); in particular M is unimodular when the entries of
-    ``a`` are coprime.  The Euclidean algorithm shrinks the vector to
-    (0, ..., 0, g) by column operations Q, whose inverses are applied to
-    Q^(-1) as row operations; M is then assembled as M' @ Q^(-1), where
-    M' is the identity with det(Q) in its corner and bottom row
-    (0, ..., 0, g).  When k = 1 the bottom row
-    forces det(M) = a[0], so for a negative singleton the determinant is
-    -gcd(a); every caller in this package passes primitive vectors,
-    where the distinction is moot.
+    The Euclidean algorithm shrinks a copy of ``a`` to (0, ..., 0, g) by
+    column operations Q, whose inverses are applied to the rows as row
+    operations; row 0 is then scaled by det(Q) and row k-1 by g.  On the
+    identity this builds the completion of ``bottom_row_unimodular``.
     """
-    a = [int(e) for e in a]
-    b = list(a)
-    k = len(b)
-    if k == 0 or all(e == 0 for e in b):
-        raise ValueError("vector must be nonzero")
-    if k == 1:
-        return IntMatrix([[b[0]]])
-
-    q_inv, q_sign = _eye(k), 1  # Q^(-1) and det Q for the column operations Q so far
+    b, k, q_sign = list(a), len(a), 1  # q_sign is det Q for the column operations Q so far
     for j in range(1, k):
         # Reduce the pair (b[j-1], b[j]) until b[j-1] = 0, b[j] = gcd so far.
         while b[j - 1]:
@@ -412,20 +396,43 @@ def bottom_row_unimodular(a) -> IntMatrix:
                 # column j-1 -= s * column j, so Q^(-1) gains s * row j-1 in row j
                 s = b[j - 1] // b[j]
                 b[j - 1] -= s * b[j]
-                q_inv[j] = [e + s * f for e, f in zip(q_inv[j], q_inv[j - 1])]
+                rows[j] = [e + s * f for e, f in zip(rows[j], rows[j - 1])]
             if b[j - 1]:
                 b[j - 1], b[j] = b[j], b[j - 1]
-                q_inv[j - 1], q_inv[j] = q_inv[j], q_inv[j - 1]
+                rows[j - 1], rows[j] = rows[j], rows[j - 1]
                 q_sign = -q_sign
     if b[k - 1] < 0:
         # Sign-fixing column scale, tracked so det Q stays known.
         b[k - 1] = -b[k - 1]
-        q_inv[k - 1] = [-e for e in q_inv[k - 1]]
+        rows[k - 1] = [-e for e in rows[k - 1]]
         q_sign = -q_sign
-
     g = b[k - 1]
-    m = IntMatrix([[q_sign * e for e in q_inv[0]], *q_inv[1:k - 1],
-                   [g * e for e in q_inv[k - 1]]], cols=k)
+    rows[0] = [q_sign * e for e in rows[0]]
+    rows[k - 1] = [g * e for e in rows[k - 1]]
+    return g
+
+
+def bottom_row_unimodular(a) -> IntMatrix:
+    """Complete a nonzero integer vector to a square matrix.
+
+    The result M is k x k with bottom row exactly ``a`` and
+    det(M) = gcd(a); in particular M is unimodular when the entries of
+    ``a`` are coprime.  M is ``_complete`` applied to the identity:
+    M = M' @ Q^(-1), where Q are the Euclidean column operations that
+    shrink a to (0, ..., 0, g) and M' is the identity with det(Q) in its
+    corner and bottom row (0, ..., 0, g).  When k = 1 the bottom row
+    forces det(M) = a[0], so for a negative singleton the determinant is
+    -gcd(a).
+    """
+    a = [int(e) for e in a]
+    k = len(a)
+    if k == 0 or all(e == 0 for e in a):
+        raise ValueError("vector must be nonzero")
+    if k == 1:
+        return IntMatrix([a])
+    rows = _eye(k)
+    g = _complete(a, rows)
+    m = IntMatrix(rows, cols=k)
     if list(m.data[k - 1]) != a or m.det() != g:
         raise InvariantViolationError("bottom-row completion failed its contract")
     return m
@@ -461,17 +468,16 @@ def affine_dim(s: AffinePointSet) -> int:
     return len(lattice_basis(diffs, s.ambient_dim))
 
 
-def _primitive_orthogonal(diffs: list[tuple[int, ...]], k: int) -> tuple[int, ...]:
-    """A primitive integer vector orthogonal to every row of diffs.
+def _primitive_orthogonal(rows, k: int) -> tuple[int, ...]:
+    """A primitive integer vector orthogonal to the Hermite rows ``rows``.
 
     Exists whenever the rows do not span Q^k.  It is the rational null
-    vector with 1 at the last non-pivot column of the Hermite rows and 0
-    at the other non-pivot columns, made primitive with a positive first
-    entry; every echelon basis of the row space has the same pivots, so
-    the vector depends only on that space.  Back substitution scales it
-    by the least factor that keeps each entry integral, so it stays primitive.
+    vector with 1 at the last non-pivot column of the rows and 0 at the
+    other non-pivot columns, made primitive with a positive first entry;
+    every echelon basis of the row space has the same pivots, so the
+    vector depends only on that space.  Back substitution scales it by
+    the least factor that keeps each entry integral, so it stays primitive.
     """
-    rows = lattice_basis(diffs, k)
     pivots = [next(j for j, e in enumerate(row) if e) for row in rows]
     free = max(set(range(k)) - set(pivots), default=None)
     if free is None:
@@ -486,27 +492,6 @@ def _primitive_orthogonal(diffs: list[tuple[int, ...]], k: int) -> tuple[int, ..
     return tuple(sign * e for e in a)
 
 
-def flatten_affine(s: AffinePointSet) -> tuple[UnimodularMatrix, int]:
-    """Press a dimension-deficient set onto a coordinate slab.
-
-    Returns (phi, w) with phi an automorphism of Z^k such that the last
-    coordinate of phi(x) equals w for every x in s.  Requires the affine
-    dimension of s to be at most k - 1.
-    """
-    k = s.ambient_dim
-    if not s.points:
-        raise ValueError("empty point set")
-    x0 = s.points[0]
-    diffs = [tuple(a - b for a, b in zip(p, x0)) for p in s.points[1:]]
-    a = _primitive_orthogonal(diffs, k)
-    phi = UnimodularMatrix(bottom_row_unimodular(a))
-    w = sum(c * x for c, x in zip(a, x0))
-    for p in s.points:
-        if sum(c * x for c, x in zip(a, p)) != w:
-            raise InvariantViolationError("flattening row is not constant on the set")
-    return phi, w
-
-
 @dataclass(frozen=True)
 class TwistResult:
     phi: UnimodularMatrix
@@ -519,32 +504,33 @@ def twist_to_coordinates(s: AffinePointSet) -> TwistResult:
 
     Produces phi in Aut(Z^k) and w in Z^(k-d) with phi(s) contained in
     Z^d x {w}, where d = affine_dim(s), and with the projection of
-    phi(s) onto the first d coordinates genuinely d-dimensional.  Built
-    by flattening one trailing coordinate at a time on shrinking leading
-    blocks; when d = k the identity is returned with empty w.
+    phi(s) onto the first d coordinates genuinely d-dimensional.  Row i
+    of ``rows`` is row i of phi followed by coordinate i of every point.
+    For m = k, ..., d+1 the completion of the primitive vector a
+    orthogonal to the differences of the leading m coordinates runs on
+    rows 0..m-1, pressing coordinate m-1 onto a . x; when d = k the
+    identity is returned with empty w.
     """
     if not s.points:
         raise ValueError("empty point set")
-    k = s.ambient_dim
-    d = affine_dim(s)
-    phi = IntMatrix.identity(k)
-    pts = [tuple(p) for p in s.points]
-    w_rev: list[int] = []
+    k, n = s.ambient_dim, len(s.points)
+    rows = [[int(i == j) for j in range(k)] + [p[i] for p in s.points] for i in range(k)]
+
+    def shadow(m: int) -> tuple[tuple[int, ...], ...]:
+        """Hermite basis of the differences of the points' leading m coordinates."""
+        return lattice_basis([[r[k + t] - r[k] for r in rows[:m]] for t in range(1, n)], m)
+
+    basis = shadow(k)
+    d = len(basis)
     for m in range(k, d, -1):
-        leading = AffinePointSet(m, {p[:m] for p in pts})
-        sub_phi, w_m = flatten_affine(leading)
-        full = [
-            [sub_phi.matrix[i, j] if i < m and j < m else int(i == j) for j in range(k)]
-            for i in range(k)
-        ]
-        step = IntMatrix(full, cols=k)
-        phi = step @ phi
-        pts = [step.mul_vec(p) for p in pts]
-        w_rev.append(w_m)
-    w = tuple(reversed(w_rev))
-    for p in pts:
-        if p[d:] != w:
-            raise InvariantViolationError("twist left trailing coordinates non-constant")
-    if d and affine_dim(AffinePointSet(d, {p[:d] for p in pts})) != d:
+        a = _primitive_orthogonal(basis, m)
+        want = [sum(c * e for c, e in zip(a, col)) for col in zip(*rows[:m])]
+        if _complete(a, rows) != 1 or rows[m - 1] != want:
+            raise InvariantViolationError("flattening step is not unimodular with bottom row a")
+        basis = shadow(m - 1)
+    if any(len(set(r[k:])) != 1 for r in rows[d:]):
+        raise InvariantViolationError("twist left trailing coordinates non-constant")
+    if len(basis) != d:
         raise InvariantViolationError("twisted shadow lost dimension")
-    return TwistResult(UnimodularMatrix(phi), w, d)
+    phi = IntMatrix([r[:k] for r in rows], cols=k)
+    return TwistResult(UnimodularMatrix(phi), tuple(r[k] for r in rows[d:]), d)

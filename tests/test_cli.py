@@ -471,14 +471,24 @@ NON_INTEGER_SPECS = [
     _one_point_spec({"torsion": [4]}, [1]),
 ]
 
-# twist points must be lists of JSON integers; 1e400 parses as a float infinity
+# twist points must be lists of JSON integers; 1e400 parses as a float infinity, and
+# nesting past the recursion limit makes the JSON parser raise RecursionError
 NON_INTEGER_POINTS = ["[[1.7, true], [0.2, 3]]", '[["1", 2], [0, 3]]', "[[1e400, 2], [0, 3]]",
-                      "[3, [0, 3]]"]
+                      "[3, [0, 3]]", "[" * 3000]
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(tmp_path):
     proc = run_cli(["analyze", "--spec", "-"], stdin="{]")
     assert proc.returncode == 2
+    proc = run_cli(["analyze", "--spec", "-"], stdin="[" * 3000)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: invalid JSON: "), proc.stderr
+    not_utf8 = tmp_path / "spec.json"
+    not_utf8.write_bytes(b'\xff\xfe{"group"')
+    proc = run_cli(["analyze", "--spec", str(not_utf8)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: cannot read {not_utf8}: "), proc.stderr
+    assert not proc.stdout
     proc = run_cli(["frobnicate"])
     assert proc.returncode == 2
     proc = run_cli(["analyze", "--spec", "/nonexistent/path.json"])

@@ -22,13 +22,13 @@ from dancewalk.intlinalg import (
     UnimodularMatrix,
     affine_dim,
     bottom_row_unimodular,
-    flatten_affine,
     hnf,
     lattice_basis,
     rational_inverse,
     snf,
     twist_to_coordinates,
 )
+import dancewalk.intlinalg
 from dancewalk.intlinalg import _elim_pair, _primitive_orthogonal
 
 
@@ -191,28 +191,6 @@ def test_affine_dim_examples():
         affine_dim(AffinePointSet(2, []))
 
 
-def test_flatten_affine_diagonal_pair():
-    phi, w = flatten_affine(AffinePointSet(2, [(1, 0), (0, 1)]))
-    assert phi.matrix == mat([[1, 0], [1, 1]])
-    assert w == 1
-
-
-def test_flatten_affine_more_cases():
-    phi, w = flatten_affine(AffinePointSet(2, [(0, 0)]))
-    assert w == 0
-    for p in [(0, 0)]:
-        assert phi.matrix.mul_vec(p)[-1] == w
-    phi, w = flatten_affine(AffinePointSet(2, [(0, 3), (0, 0)]))
-    assert w == 0
-    images = {phi.matrix.mul_vec(p) for p in [(0, 3), (0, 0)]}
-    assert {img[-1] for img in images} == {0}
-    # the flattening is unique only up to an automorphism of Z^1
-    assert {abs(img[0]) for img in images} == {3, 0}
-    phi.inverse
-    with pytest.raises(ValueError):
-        flatten_affine(AffinePointSet(2, [(0, 0), (1, 0), (0, 1)]))
-
-
 def test_twist_matches_known_automorphism():
     res = twist_to_coordinates(AffinePointSet(2, [(1, 0), (0, 1)]))
     assert res.d == 1
@@ -226,6 +204,15 @@ def test_twist_singleton_and_full_dim():
     res = twist_to_coordinates(AffinePointSet(2, [(5, 7)]))
     assert res.d == 0
     assert res.phi.matrix.mul_vec((5, 7)) == res.w
+    res = twist_to_coordinates(AffinePointSet(2, [(0, 0)]))
+    assert (res.d, res.w) == (0, (0, 0))
+    res = twist_to_coordinates(AffinePointSet(2, [(0, 3), (0, 0)]))
+    assert (res.d, res.w) == (1, (0,))
+    images = {res.phi.matrix.mul_vec(p) for p in [(0, 3), (0, 0)]}
+    assert {img[-1] for img in images} == {0}
+    # the twist is unique only up to an automorphism of Z^1
+    assert {abs(img[0]) for img in images} == {3, 0}
+    res.phi.inverse
     res = twist_to_coordinates(AffinePointSet(2, [(0, 0), (1, 0), (0, 1)]))
     assert res.d == 2
     assert res.w == ()
@@ -350,9 +337,9 @@ def test_primitive_orthogonal_matches_fraction_reference(case):
         want = fraction_primitive_orthogonal(rows, k)
     except ValueError:
         with pytest.raises(ValueError):
-            _primitive_orthogonal(rows, k)
+            _primitive_orthogonal(lattice_basis(rows, k), k)
         return
-    got = _primitive_orthogonal(rows, k)
+    got = _primitive_orthogonal(lattice_basis(rows, k), k)
     assert got == want
     assert all(sum(a * b for a, b in zip(got, r)) == 0 for r in rows)
 
@@ -463,6 +450,68 @@ def q_inverse_bottom_row(a):
 @given(st.lists(st.integers(-40, 40), min_size=1, max_size=7).filter(any))
 def test_bottom_row_matches_q_inverse_reference(a):
     assert bottom_row_unimodular(a) == q_inverse_bottom_row(a)
+
+
+# Reference for the one-pass twist: flatten one trailing coordinate at a
+# time, embed each step's completion in a k x k matrix and multiply.
+
+def reference_twist(s):
+    """Reference (phi, w, d): per-step flattening with dense k x k products."""
+    k = s.ambient_dim
+    d = affine_dim(s)
+    phi = IntMatrix.identity(k)
+    pts = list(s.points)
+    w_rev = []
+    for m in range(k, d, -1):
+        leading = AffinePointSet(m, {p[:m] for p in pts})
+        x0 = leading.points[0]
+        a = fraction_primitive_orthogonal(
+            [tuple(e - f for e, f in zip(p, x0)) for p in leading.points[1:]], m)
+        sub = q_inverse_bottom_row(a)
+        step = IntMatrix([[sub[i, j] if i < m and j < m else int(i == j) for j in range(k)]
+                          for i in range(k)], cols=k)
+        phi = step @ phi
+        pts = [step.mul_vec(p) for p in pts]
+        w_rev.append(sum(c * x for c, x in zip(a, x0)))
+    return phi, tuple(reversed(w_rev)), d
+
+
+@st.composite
+def point_sets(draw):
+    """Points of rank at most d in Z^k, k <= 7, with repeats and singletons."""
+    k = draw(st.integers(0, 7))
+    d = draw(st.integers(0, k))
+    vec = st.lists(st.integers(-5, 5), min_size=k, max_size=k)
+    base, dirs = draw(vec), draw(st.lists(vec, min_size=d, max_size=d))
+    coeffs = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    pts = [tuple(b + sum(c * v[i] for c, v in zip(cs, dirs)) for i, b in enumerate(base))
+           for cs in draw(st.lists(coeffs, min_size=1, max_size=d + 4))]
+    return AffinePointSet(k, pts + pts[:draw(st.integers(0, 2))])
+
+
+@settings(max_examples=400, derandomize=True)
+@given(point_sets())
+def test_twist_matches_reference(s):
+    res = twist_to_coordinates(s)
+    assert (res.phi.matrix, res.w, res.d) == reference_twist(s)
+
+
+def test_twist_runs_no_matrix_products(monkeypatch):
+    calls = {"matmul": 0, "lattice_basis": 0}
+    matmul, basis = IntMatrix.__matmul__, dancewalk.intlinalg.lattice_basis
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted("matmul", matmul))
+    monkeypatch.setattr(dancewalk.intlinalg, "lattice_basis", counted("lattice_basis", basis))
+    s = AffinePointSet(6, [(1, 2, 3, 4, 5, 6), (3, 1, 4, 1, 5, 9), (5, 0, 5, -2, 5, 12)])
+    res = twist_to_coordinates(s)
+    assert res.d == 1
+    assert calls == {"matmul": 0, "lattice_basis": 6 - 1 + 1}
 
 
 @st.composite
