@@ -29,7 +29,6 @@ from .group import (
     Homomorphism,
     Subgroup,
     UnsupportedOperationError,
-    character_eval,
     group_from_presentation,
     subgroup_generated,
     trivial_subgroup,
@@ -48,12 +47,9 @@ from .dance import (
     DanceData,
     SpectralGap,
     analyze_dance,
-    char_fn,
     dance_of,
-    omega_contains,
     period_if_irreducible,
     spectral_gap,
-    theta,
     theta_by_integration,
 )
 from .llt import (
@@ -61,11 +57,8 @@ from .llt import (
     Classification,
     LltReport,
     MomentData,
-    attractor_eval,
     build_attractor,
     classify,
-    evaluation_window,
-    gaussian_kernel,
     llt_sup_error,
     mean_cov,
     time_average_error,

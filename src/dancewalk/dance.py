@@ -34,7 +34,6 @@ from math import gcd, lcm
 from .group import (
     DualPoint,
     Element,
-    GroupSpec,
     Subgroup,
     UnsupportedOperationError,
 )
@@ -119,39 +118,6 @@ def dance_of(p: Distribution) -> DanceData:
     if p._dance is None:
         object.__setattr__(p, "_dance", analyze_dance(p))
     return p._dance
-
-
-def theta(p: Distribution, n: int, x: Element) -> int:
-    """Dance function of p at step n and point x."""
-    return dance_of(p).theta(n, x)
-
-
-def char_fn(p: Distribution, xi: DualPoint) -> complex:
-    """Characteristic function p_hat(xi), |value| <= 1.
-
-    The value is assembled in double precision from exact rational
-    phases; use omega_contains for the exact unit-modulus test.
-    """
-    if xi.group != p.group:
-        raise ValueError("character pairs with a different group")
-    return sum(complex(w) * cmath.exp(2j * cmath.pi * float(xi.phase(x)))
-               for x, w in p.items())
-
-
-def omega_contains(p: Distribution, xi: DualPoint) -> bool:
-    """Exact test for |p_hat(xi)| = 1.
-
-    The modulus is 1 precisely when every support point sees the same
-    character phase, an equality of exact rationals.
-    """
-    support = p.support()
-    base = xi.phase(support[0])
-    return all(xi.phase(x) == base for x in support[1:])
-
-
-def _torsion_dual_points(g: GroupSpec):
-    for chars in itertools.product(*(range(m) for m in g.torsion_moduli)):
-        yield DualPoint(g, chars, ())
 
 
 def _exact_poly_div(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -274,7 +240,8 @@ def theta_by_integration(p: Distribution, n: int, x: Element) -> float:
         raise UnsupportedOperationError("integration oracle needs a finite dual")
     support = p.support()
     total = 0 + 0j
-    for xi in _torsion_dual_points(g):
+    for chars in itertools.product(*(range(m) for m in g.torsion_moduli)):
+        xi = DualPoint(g, chars, ())
         base = xi.phase(support[0])
         if any(xi.phase(y) != base for y in support[1:]):
             continue

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm, prod
-import cmath
 
 from .intlinalg import IntMatrix, lattice_basis, snf
 
@@ -315,15 +314,10 @@ class Subgroup:
         c_rows = [[row[i] * (big // g.torsion_moduli[i]) for i in range(t)]
                   for row in self.basis.data]
         dec = snf(IntMatrix(c_rows, cols=t))
-        diag = dec.diagonal
-        z_rows = []
-        for j in range(t):
-            d = diag[j] if j < len(diag) else 0
-            row = [0] * t
-            row[j] = big // gcd(d, big)
-            z_rows.append(row)
-        vt = dec.v.matrix.transpose()
-        xi_rows = (IntMatrix(z_rows, cols=t) @ vt).data
+        diag = list(dec.diagonal) + [0] * t
+        # row j of V^T scaled by big / gcd(d_j, big); d_j = 0 past the Smith rank
+        xi_rows = [[big // gcd(d, big) * e for e in row]
+                   for d, row in zip(diag, dec.v.matrix.transpose().data)]
         return Subgroup(g.dual(), xi_rows)
 
 
@@ -406,12 +400,6 @@ class Homomorphism:
 
     __call__ = apply
 
-    def compose(self, inner: "Homomorphism") -> "Homomorphism":
-        """self after inner."""
-        if inner.target != self.source:
-            raise ValueError("maps do not compose")
-        return Homomorphism(inner.source, self.target, self.matrix @ inner.matrix)
-
 
 @dataclass(frozen=True)
 class DualPoint:
@@ -449,11 +437,3 @@ class DualPoint:
         for th, y in zip(self.torus_angles, x.free):
             p += th * y
         return p % 1
-
-    def value(self, x: Element) -> complex:
-        return cmath.exp(2j * cmath.pi * float(self.phase(x)))
-
-
-def character_eval(xi: DualPoint, x: Element) -> complex:
-    """Value of the character xi at x (unit modulus, double precision)."""
-    return xi.value(x)

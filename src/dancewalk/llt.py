@@ -87,25 +87,6 @@ def mean_cov(q: Distribution) -> MomentData:
     return MomentData(d, mean, cov)
 
 
-def gaussian_kernel(moments: MomentData, t, y) -> float:
-    """Heat kernel K^t(y) with covariance t * Gamma.
-
-    K^t(y) = exp(-y . Gamma^(-1) y / 2t) / ((2 pi t)^(d/2) sqrt(det Gamma));
-    the inverse and determinant are exact rationals, only the final
-    exponential and roots are floating point.
-    """
-    if t <= 0:
-        raise ValueError("time parameter must be positive")
-    det = moments.covariance_det
-    if det == 0:
-        raise ValueError("covariance is singular")
-    inv = moments.covariance_inverse
-    y = list(y)
-    quad = sum(y[i] * inv[i][j] * y[j] for i in range(moments.dim) for j in range(moments.dim))
-    norm = (2 * math.pi * float(t)) ** (moments.dim / 2) * math.sqrt(float(det))
-    return math.exp(-float(quad) / (2 * float(t))) / norm
-
-
 @dataclass(frozen=True)
 class Attractor:
     """Evaluable local-limit attractor of a walk.
@@ -157,19 +138,6 @@ def build_attractor(p: Distribution) -> Attractor:
                      phi=phi, moments=moments, twist=tw)
 
 
-def attractor_eval(a: Attractor, n: int, x: Element) -> float:
-    """Attractor value at step n >= 1 and point x (double precision)."""
-    if n < 1:
-        raise ValueError("attractor is evaluated at steps n >= 1")
-    th = a.dance.theta(n, x)
-    if th == 0:
-        return 0.0
-    if a.case == "d0":
-        return th / a.torsion_order
-    y = [Fraction(c) - n * m for c, m in zip(a.phi(x).free, a.moments.mean)]
-    return (th / a.torsion_order) * gaussian_kernel(a.moments, n, y)
-
-
 class _Heat:
     """The diffusion factor K^n(u - n*mu) at step n on one exact integer quadratic form.
 
@@ -182,7 +150,8 @@ class _Heat:
     So the 8-sigma window test Y . QY <= 64 * n * di * dm^2 is exact, and
     the exponent takes Y . QY / (di * dm^2) as int / int, which is
     correctly rounded as float(Fraction) is: every value is bit-identical
-    to gaussian_kernel's.
+    to that of gaussian_kernel in tests/reference.py, the Fraction
+    reference the tests compare against.
     """
 
     def __init__(self, a: Attractor, n: int):
@@ -265,15 +234,6 @@ def _evaluated_window(nums, a: Attractor, n: int) -> list[tuple]:
             return th, ((th / tor) * heat.at(x) if th else 0.0)
     return [(x, nums.get(x, 0), *(live[x] if x in live else outside(x)))
             for x in sorted(live.keys() | nums.keys())]
-
-
-def evaluation_window(pn: Distribution, a: Attractor, n: int) -> list[Element]:
-    """Support of the step-n law pn together with the effective range of the attractor.
-
-    The attractor lives on the live coset: all of coset_at(n) when
-    d = 0, otherwise the window lifts with theta > 0.
-    """
-    return [pn.group.element_from_coords(x) for x, *_ in _evaluated_window(pn._nums, a, n)]
 
 
 @dataclass(frozen=True)

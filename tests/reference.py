@@ -1,0 +1,81 @@
+"""Reference routines the tests compare the library against.
+
+The library answers each question once, on exact integers: the gap scan
+uses integer phases mod lcm(m_i), and the window pass evaluates the heat
+kernel on one integer quadratic form.  Here are the float and Fraction
+routes to the same values (gaussian_kernel, attractor_eval, char_fn,
+omega_contains) and the window as a list of Elements
+(evaluation_window).  No library path calls them.
+"""
+
+import cmath
+import math
+from fractions import Fraction
+
+from dancewalk.group import DualPoint, Element
+from dancewalk.llt import Attractor, MomentData, _evaluated_window
+from dancewalk.measure import Distribution
+
+
+def gaussian_kernel(moments: MomentData, t, y) -> float:
+    """Heat kernel K^t(y) with covariance t * Gamma.
+
+    K^t(y) = exp(-y . Gamma^(-1) y / 2t) / ((2 pi t)^(d/2) sqrt(det Gamma));
+    the inverse and determinant are exact rationals, only the final
+    exponential and roots are floating point.
+    """
+    if t <= 0:
+        raise ValueError("time parameter must be positive")
+    det = moments.covariance_det
+    if det == 0:
+        raise ValueError("covariance is singular")
+    inv = moments.covariance_inverse
+    y = list(y)
+    quad = sum(y[i] * inv[i][j] * y[j] for i in range(moments.dim) for j in range(moments.dim))
+    norm = (2 * math.pi * float(t)) ** (moments.dim / 2) * math.sqrt(float(det))
+    return math.exp(-float(quad) / (2 * float(t))) / norm
+
+
+def attractor_eval(a: Attractor, n: int, x: Element) -> float:
+    """Attractor value at step n >= 1 and point x (double precision)."""
+    if n < 1:
+        raise ValueError("attractor is evaluated at steps n >= 1")
+    th = a.dance.theta(n, x)
+    if th == 0:
+        return 0.0
+    if a.case == "d0":
+        return th / a.torsion_order
+    y = [Fraction(c) - n * m for c, m in zip(a.phi(x).free, a.moments.mean)]
+    return (th / a.torsion_order) * gaussian_kernel(a.moments, n, y)
+
+
+def evaluation_window(pn: Distribution, a: Attractor, n: int) -> list[Element]:
+    """Support of the step-n law pn together with the effective range of the attractor.
+
+    The attractor lives on the live coset: all of coset_at(n) when
+    d = 0, otherwise the window lifts with theta > 0.
+    """
+    return [pn.group.element_from_coords(x) for x, *_ in _evaluated_window(pn._nums, a, n)]
+
+
+def char_fn(p: Distribution, xi: DualPoint) -> complex:
+    """Characteristic function p_hat(xi), |value| <= 1.
+
+    The value is assembled in double precision from exact rational
+    phases; use omega_contains for the exact unit-modulus test.
+    """
+    if xi.group != p.group:
+        raise ValueError("character pairs with a different group")
+    return sum(complex(w) * cmath.exp(2j * cmath.pi * float(xi.phase(x)))
+               for x, w in p.items())
+
+
+def omega_contains(p: Distribution, xi: DualPoint) -> bool:
+    """Exact test for |p_hat(xi)| = 1.
+
+    The modulus is 1 precisely when every support point sees the same
+    character phase, an equality of exact rationals.
+    """
+    support = p.support()
+    base = xi.phase(support[0])
+    return all(xi.phase(x) == base for x in support[1:])

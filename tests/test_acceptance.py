@@ -14,7 +14,7 @@ from math import gcd
 
 import pytest
 
-from dancewalk.dance import analyze_dance, char_fn, omega_contains, spectral_gap
+from dancewalk.dance import analyze_dance, spectral_gap
 from dancewalk.group import DualPoint, GroupSpec, Homomorphism, subgroup_generated
 from dancewalk.intlinalg import (
     AffinePointSet,
@@ -34,6 +34,7 @@ from dancewalk.llt import (
 )
 from dancewalk.measure import Distribution, convolution_power, convolve, pushforward
 from dancewalk.scenarios import TWO_POINT_Z4Z6_LOCUS
+from reference import char_fn, omega_contains
 
 half = Fraction(1, 2)
 quarter = Fraction(1, 4)

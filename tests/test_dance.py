@@ -16,13 +16,12 @@ from dancewalk.dance import (
     SpectralGap,
     _cyclotomic,
     analyze_dance,
-    char_fn,
-    omega_contains,
+    dance_of,
     period_if_irreducible,
     spectral_gap,
-    theta,
     theta_by_integration,
 )
+from reference import char_fn, omega_contains
 
 Z12 = GroupSpec([12])
 Z9 = GroupSpec([9])
@@ -103,7 +102,7 @@ def test_theta_z12():
             expected = 3 if (x.torsion[0] + n) % 3 == 0 else 0
             assert d.theta(n, x) == expected
     assert d.theta(0, Z12.identity()) == 3
-    assert theta(p, 5, Z12.element([1])) == 3
+    assert dance_of(p).theta(5, Z12.element([1])) == 3
 
 
 def test_theta_spitzer_is_diagonal_delta():

@@ -11,7 +11,6 @@ from dancewalk.group import (
     Homomorphism,
     Subgroup,
     UnsupportedOperationError,
-    character_eval,
     group_from_presentation,
     subgroup_generated,
     trivial_subgroup,
@@ -254,41 +253,22 @@ def test_annihilator_of_3z12_is_4z12():
 def test_homomorphism_laws():
     m = IntMatrix([[1, 0]])
     proj = Homomorphism(Z2, GroupSpec((), 1), m)
-    assert proj(Z2.element((), [3, 5])).free == (3,)
-    ident = Homomorphism.identity(Z2)
-    assert proj.compose(ident).matrix == proj.matrix
+    x = Z2.element((), [3, 5])
+    assert proj(x).free == (3,)
+    assert Homomorphism.identity(Z2)(x) == x
     with pytest.raises(ValueError):
         Homomorphism(Z12, GroupSpec((), 1), IntMatrix([[1]]))  # torsion into free part
     doubling = Homomorphism(Z12, GroupSpec([6]), IntMatrix([[1]]))
     assert doubling(Z12.element([7])).torsion == (1,)
 
 
-def test_homomorphism_category_laws():
-    rng = random.Random(8)
-    z1 = GroupSpec((), 1)
-    for _ in range(50):
-        f = Homomorphism(Z2, z1, IntMatrix([[rng.randrange(-3, 4), rng.randrange(-3, 4)]]))
-        g = Homomorphism(Z2, Z2, IntMatrix([[1, rng.randrange(-3, 4)], [0, 1]]))
-        h = Homomorphism(Z2, Z2, IntMatrix([[1, 0], [rng.randrange(-3, 4), 1]]))
-        lhs = f.compose(g).compose(h)
-        rhs = f.compose(g.compose(h))
-        assert lhs.matrix == rhs.matrix
-        ident = Homomorphism.identity(Z2)
-        assert g.compose(ident).matrix == g.matrix
-        assert ident.compose(g).matrix == g.matrix
-        x = Z2.element((), [rng.randrange(-5, 6), rng.randrange(-5, 6)])
-        assert lhs(x) == f(g(h(x)))
-
-
-def test_character_eval_examples():
+def test_character_phase_examples():
     xi = DualPoint(Z12, [4], ())
     assert xi.phase(Z12.element([3])) == 0
-    assert character_eval(xi, Z12.element([3])) == pytest.approx(1.0)
     assert xi.phase(Z12.element([1])) == Fraction(1, 3)
     z = GroupSpec((), 1)
     half = DualPoint(z, (), [Fraction(1, 2)])
     assert half.phase(z.element((), [3])) == Fraction(1, 2)
-    assert character_eval(half, z.element((), [3])).real == pytest.approx(-1.0)
 
 
 def test_character_phase_is_additive():

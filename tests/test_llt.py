@@ -11,20 +11,18 @@ from hypothesis import example, given, settings, strategies as st
 from dancewalk.group import DualPoint, Element, GroupSpec
 from dancewalk.group import UnsupportedOperationError
 from dancewalk.measure import Distribution, _powers, convolution_power, convolve
-from dancewalk.dance import analyze_dance, char_fn, spectral_gap
+from dancewalk.dance import analyze_dance, spectral_gap
 from dancewalk.llt import (
     MomentData,
     _evaluated_window,
-    attractor_eval,
     build_attractor,
     classify,
-    evaluation_window,
-    gaussian_kernel,
     llt_sup_error,
     mean_cov,
     time_average_error,
     tv_to_uniform_coset,
 )
+from reference import attractor_eval, char_fn, evaluation_window, gaussian_kernel
 
 Z12 = GroupSpec([12])
 Z9 = GroupSpec([9])
