@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm, prod
 
 from .intlinalg import IntMatrix, lattice_basis, snf
@@ -259,7 +258,7 @@ class Subgroup:
 
     def quotient_map(self) -> tuple[GroupSpec, "Homomorphism"]:
         """The quotient group in canonical form and the projection onto it."""
-        spec, proj = group_from_presentation(self.basis, ambient=self.parent.dim)
+        spec, proj = group_from_presentation(self.basis)
         return spec, Homomorphism(self.parent, spec, proj.matrix)
 
     def coset_order(self, x: Element) -> int | None:
@@ -299,26 +298,20 @@ class Subgroup:
         """Characters of a finite parent that are identically 1 on H.
 
         Returned as a subgroup of parent.dual() under the pairing
-        chi_xi(x) = exp(2 pi i * sum(xi_i x_i / m_i)).  A character kills
-        H exactly when it solves C xi = 0 (mod M) for the scaled basis
-        matrix C below; the solution lattice is read off from a Smith
-        decomposition of C.
+        chi_xi(x) = exp(2 pi i * sum(xi_j x_j / m_j)).  These are the
+        characters of parent / H pulled back through the projection pi of
+        quotient_map: the i-th character of Z_{d_1} x ... x Z_{d_s} pulls
+        back to xi_j = m_j * pi_ij / d_i, an exact division because pi is
+        well defined on torsion.
         """
         g = self.parent
         if not g.is_finite:
             raise UnsupportedOperationError(
                 "annihilators of subgroups of infinite groups are not finitely "
                 "enumerable; use the quotient invariants instead")
-        t = len(g.torsion_moduli)
-        big = reduce(lcm, g.torsion_moduli, 1)
-        c_rows = [[row[i] * (big // g.torsion_moduli[i]) for i in range(t)]
-                  for row in self.basis.data]
-        dec = snf(IntMatrix(c_rows, cols=t))
-        diag = list(dec.diagonal) + [0] * t
-        # row j of V^T scaled by big / gcd(d_j, big); d_j = 0 past the Smith rank
-        xi_rows = [[big // gcd(d, big) * e for e in row]
-                   for d, row in zip(diag, dec.v.matrix.transpose().data)]
-        return Subgroup(g.dual(), xi_rows)
+        spec, pi = self.quotient_map()
+        return Subgroup(g.dual(), [[m * e // d for m, e in zip(g.torsion_moduli, row)]
+                                   for d, row in zip(spec.torsion_moduli, pi.matrix.data)])
 
 
 def subgroup_generated(g: GroupSpec, gens) -> Subgroup:
@@ -339,8 +332,7 @@ def trivial_subgroup(g: GroupSpec) -> Subgroup:
     return Subgroup(g, [])
 
 
-def group_from_presentation(relations: IntMatrix, ambient: int | None = None
-                            ) -> tuple[GroupSpec, "Homomorphism"]:
+def group_from_presentation(relations: IntMatrix) -> tuple[GroupSpec, "Homomorphism"]:
     """Z^m modulo the row span of ``relations``, in canonical form.
 
     Returns the canonical GroupSpec together with a projection (valid
@@ -349,22 +341,11 @@ def group_from_presentation(relations: IntMatrix, ambient: int | None = None
     the rank of the relation matrix.
     """
     m = relations.cols
-    if ambient is not None and ambient != m:
-        raise ValueError("ambient dimension does not match relation width")
-    source = GroupSpec((), m)
-    if relations.rows == 0:
-        target = GroupSpec((), m)
-        return target, Homomorphism(source, target, IntMatrix.identity(m))
     dec = snf(relations)
-    diag = (list(dec.diagonal) + [0] * m)[:m]
-    vt = dec.v.matrix.transpose()
-    torsion_rows = [i for i, d in enumerate(diag) if d > 1]
-    free_rows = [i for i, d in enumerate(diag) if d == 0]
-    moduli = tuple(diag[i] for i in torsion_rows)
-    target = GroupSpec(moduli, len(free_rows))
-    rows = [vt.data[i] for i in torsion_rows] + [vt.data[i] for i in free_rows]
-    matrix = IntMatrix(rows, cols=m) if rows else IntMatrix([], cols=m)
-    return target, Homomorphism(source, target, matrix)
+    diag = (list(dec.diagonal) + [0] * m)[:m]  # d_1 | d_2 | ..., so the zeros come last
+    target = GroupSpec([d for d in diag if d > 1], diag.count(0))
+    rows = [r for d, r in zip(diag, dec.v.matrix.transpose().data) if d != 1]
+    return target, Homomorphism(GroupSpec((), m), target, IntMatrix(rows, cols=m))
 
 
 @dataclass(frozen=True)

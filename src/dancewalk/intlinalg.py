@@ -1,14 +1,16 @@
 """Exact integer linear algebra.
 
-Everything here runs in arbitrary-precision integer (or rational)
-arithmetic; there is no floating point and no overflow.  One row-Hermite
-elimination kernel, ``_hnf``, gives the two canonical lattice normal
+Everything here runs in arbitrary-precision integer arithmetic; there is
+no floating point and no overflow.  Two elimination kernels serve it.
+The row-Hermite kernel ``_hnf`` gives the two canonical lattice normal
 forms (Hermite, and Smith by alternating Hermite passes on the rows and
 the columns) with their unimodular transforms, and integer inverses.
 The Smith diagonal is unique; its transforms ``u`` and ``v`` are valid
-but not canonical.  On top of these sit the "twisting" constructions used
-to move a finite point set of affine dimension d into the first d
-coordinates of the ambient lattice:
+but not canonical.  The fraction-free Gauss-Jordan kernel ``_bareiss``
+gives, in one pass over a square matrix, its determinant, its leading
+principal minors and its adjugate.  On top of these sit the "twisting"
+constructions used to move a finite point set of affine dimension d
+into the first d coordinates of the ambient lattice:
 
 * ``bottom_row_unimodular`` completes an integer vector a to a square
   matrix with bottom row a and determinant gcd(a); its Euclidean row
@@ -27,7 +29,6 @@ each pivot reduced into [0, pivot).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -106,6 +107,36 @@ def _hnf(h: list[list[int]], cols: int, u: list[list[int]]) -> None:
         pivot_row += 1
 
 
+def _bareiss(rows: list[list[int]], n: int) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination in place on the first n
+    columns of the n rows ``rows`` (Bareiss, 1968).
+
+    Returns (lead, det): lead[k] is the pivot at step k, read before a
+    row is swapped in for a zero pivot, so lead starts with the leading
+    principal minors of A up to the first zero one.  With no pivot left
+    det = 0; otherwise the rows end as det * I and adj(A) times the rest.
+    """
+    lead, prev, sign = [], 1, 1
+    for k in range(n):
+        lead.append(rows[k][k])
+        if not rows[k][k]:
+            piv = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if piv is None:
+                return lead, 0
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        rk = rows[k]
+        p = rk[k]
+        for i in range(n):
+            if i != k:
+                c = rows[i][k]
+                rows[i] = [(p * e - c * f) // prev for e, f in zip(rows[i], rk)]
+        prev = p
+    if sign < 0:  # the pass ran on the row-swapped matrix, whose determinant is -det
+        rows[:] = [[-e for e in r] for r in rows]
+    return lead, sign * prev
+
+
 class IntMatrix:
     """Immutable integer matrix with exact arithmetic."""
 
@@ -176,27 +207,7 @@ class IntMatrix:
         """Exact determinant via fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k]:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        return _bareiss([list(r) for r in self.data], self.rows)[1]
 
     def inverse(self) -> "IntMatrix":
         """Exact inverse; requires the inverse to be integral (det = +-1).
@@ -220,25 +231,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.data]!r})"
-
-
-def rational_inverse(rows) -> list[list[Fraction]]:
-    """Exact inverse of a square integer or rational matrix (Gauss-Jordan)."""
-    n = len(rows)
-    a = [[Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [e * inv for e in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [e - f * g for e, g in zip(a[i], a[col])]
-    return [row[n:] for row in a]
 
 
 class UnimodularMatrix:

@@ -36,8 +36,8 @@ from .intlinalg import (
     IntMatrix,
     InvariantViolationError,
     TwistResult,
+    _bareiss,
     affine_dim,
-    rational_inverse,
     twist_to_coordinates,
 )
 from .measure import Distribution, _powers, pushforward
@@ -51,25 +51,34 @@ class MomentData:
     mean: tuple[Fraction, ...]
     covariance: tuple[tuple[Fraction, ...], ...]
 
-    def _scaled_covariance(self) -> tuple[int, IntMatrix]:
-        """(L, L * covariance) with L the lcm of the covariance denominators."""
+    @cached_property
+    def _elimination(self) -> tuple[int, list[int], int, list[list[int]]]:
+        """(L, lead, det, adj): one fraction-free pass over [L*Gamma | I],
+        L the lcm of Gamma's denominators, with the pivots lead, det(L*Gamma)
+        and adj(L*Gamma) it leaves (adj is meaningful when det != 0)."""
+        d = self.dim
         den = math.lcm(*(e.denominator for row in self.covariance for e in row))
-        return den, IntMatrix([[int(e * den) for e in row] for row in self.covariance])
+        rows = [[int(e * den) for e in row] + [int(i == j) for j in range(d)]
+                for i, row in enumerate(self.covariance)]
+        lead, det = _bareiss(rows, d)
+        return den, lead, det, [r[d:] for r in rows]
 
     @cached_property
     def covariance_det(self) -> Fraction:
-        den, scaled = self._scaled_covariance()
-        return Fraction(scaled.det(), den ** self.dim)
+        den, _, det, _ = self._elimination
+        return Fraction(det, den ** self.dim)
 
     @cached_property
     def covariance_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(r) for r in rational_inverse(self.covariance))
+        """Gamma^(-1) = L * adj(L*Gamma) / det(L*Gamma)."""
+        den, _, det, adj = self._elimination
+        if not det:
+            raise ValueError("covariance is singular")
+        return tuple(tuple(Fraction(den * e, det) for e in row) for row in adj)
 
     def is_positive_definite(self) -> bool:
         """Exact Sylvester test: all leading principal minors positive."""
-        _, scaled = self._scaled_covariance()
-        return all(IntMatrix([r[:k] for r in scaled.data[:k]]).det() > 0
-                   for k in range(1, self.dim + 1))
+        return all(m > 0 for m in self._elimination[1])
 
 
 def mean_cov(q: Distribution) -> MomentData:
@@ -141,14 +150,14 @@ def build_attractor(p: Distribution) -> Attractor:
 class _Heat:
     """The diffusion factor K^n(u - n*mu) at step n on one exact integer quadratic form.
 
-    With dm the lcm of the mean's denominators, di that of Gamma^(-1)'s
-    and Q = di * Gamma^(-1), a point u of Z^d has the integer vector
-    Y = dm*u - n*dm*mu and
+    With dm the lcm of the mean's denominators, L that of Gamma's and
+    Q = L * adj(L*Gamma), so that Gamma^(-1) = Q / det(L*Gamma), a point
+    u of Z^d has the integer vector Y = dm*u - n*dm*mu and
 
-        (u - n*mu) . Gamma^(-1) (u - n*mu) = Y . QY / (di * dm^2).
+        (u - n*mu) . Gamma^(-1) (u - n*mu) = Y . QY / (det(L*Gamma) * dm^2).
 
-    So the 8-sigma window test Y . QY <= 64 * n * di * dm^2 is exact, and
-    the exponent takes Y . QY / (di * dm^2) as int / int, which is
+    So the 8-sigma window test Y . QY <= 64 * n * det(L*Gamma) * dm^2 is
+    exact, and the exponent takes that quotient as int / int, which is
     correctly rounded as float(Fraction) is: every value is bit-identical
     to that of gaussian_kernel in tests/reference.py, the Fraction
     reference the tests compare against.
@@ -158,11 +167,10 @@ class _Heat:
         m = a.moments
         self.attractor, self.n = a, n
         self.dm = math.lcm(*(c.denominator for c in m.mean))
-        inv = m.covariance_inverse
-        di = math.lcm(*(e.denominator for row in inv for e in row))
-        self.q = [[int(e * di) for e in row] for row in inv]
+        den, _, det, adj = m._elimination
+        self.q = [[den * e for e in row] for row in adj]
         self.shift = [int(n * self.dm * c) for c in m.mean]  # exact: dm * mu is integral
-        self.scale = di * self.dm * self.dm
+        self.scale = det * self.dm * self.dm
         self.norm = (2 * math.pi * float(n)) ** (m.dim / 2) * math.sqrt(float(m.covariance_det))
 
     def form(self, u) -> int:
@@ -212,28 +220,23 @@ def _evaluated_window(nums, a: Attractor, n: int) -> list[tuple]:
     sort, over the keys of nums (p^(n)'s numerators by group coordinates)
     and the live-coset points where the attractor is not negligible: all
     of the live coset when d = 0, otherwise the window lifts with theta > 0.
+    theta is the normalization c at every such point, since supp p^(n)
+    lies in the live coset W + n*x0; a support point with theta = 0 is
+    an invariant violation.
     """
     dance, tor = a.dance, a.torsion_order
+    c = dance.normalization_c
     if a.case == "d0":
-        c = dance.normalization_c
-        live = dict.fromkeys(dance.coset_coords(n), (c, c / tor))
-
-        def outside(x):  # theta vanishes off the live coset
-            return 0, 0.0
+        live = dict.fromkeys(dance.coset_coords(n), c / tor)
     else:
         heat = _Heat(a, n)
-        live = {}
-        for k, lifts in heat.window():
-            for x in lifts:
-                th = dance.theta_coords(n, x)
-                if th:
-                    live[x] = th, (th / tor) * k
-
-        def outside(x):
-            th = dance.theta_coords(n, x)
-            return th, ((th / tor) * heat.at(x) if th else 0.0)
-    return [(x, nums.get(x, 0), *(live[x] if x in live else outside(x)))
-            for x in sorted(live.keys() | nums.keys())]
+        live = {x: (c / tor) * k for k, lifts in heat.window() for x in lifts
+                if dance.theta_coords(n, x)}
+        live.update((x, (c / tor) * heat.at(x)) for x in nums.keys() - live.keys()
+                    if dance.theta_coords(n, x))
+    if not live.keys() >= nums.keys():
+        raise InvariantViolationError("a support point of p^(n) lies off the live coset")
+    return [(x, nums.get(x, 0), c, live[x]) for x in sorted(live)]
 
 
 @dataclass(frozen=True)

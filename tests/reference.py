@@ -2,9 +2,10 @@
 
 The library answers each question once, on exact integers: the gap scan
 uses integer phases mod lcm(m_i), and the window pass evaluates the heat
-kernel on one integer quadratic form.  Here are the float and Fraction
-routes to the same values (gaussian_kernel, attractor_eval, char_fn,
-omega_contains) and the window as a list of Elements
+kernel on one integer quadratic form read from one fraction-free
+elimination.  Here are the float and Fraction routes to the same values
+(gaussian_kernel, attractor_eval, char_fn, omega_contains,
+rational_inverse) and the window as a list of Elements
 (evaluation_window).  No library path calls them.
 """
 
@@ -79,3 +80,22 @@ def omega_contains(p: Distribution, xi: DualPoint) -> bool:
     support = p.support()
     base = xi.phase(support[0])
     return all(xi.phase(x) == base for x in support[1:])
+
+
+def rational_inverse(rows) -> list[list[Fraction]]:
+    """Exact inverse of a square integer or rational matrix (Gauss-Jordan)."""
+    n = len(rows)
+    a = [[Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [e * inv for e in a[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                f = a[i][col]
+                a[i] = [e - f * g for e, g in zip(a[i], a[col])]
+    return [row[n:] for row in a]

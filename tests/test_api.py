@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 import types
 
@@ -34,6 +35,7 @@ REMOVED = [
     ("dancewalk.dance", "omega_contains"),
     ("dancewalk.dance", "theta"),
     ("dancewalk.group", "character_eval"),
+    ("dancewalk.intlinalg", "rational_inverse"),
 ]
 
 
@@ -56,3 +58,7 @@ def test_removed_names_are_gone():
     for info in pkgutil.iter_modules(dancewalk.__path__):
         module = importlib.import_module(f"dancewalk.{info.name}")
         assert not removed & set(vars(module)), info.name
+
+
+def test_group_from_presentation_takes_only_the_relations():
+    assert len(inspect.signature(dancewalk.group_from_presentation).parameters) == 1

@@ -18,6 +18,7 @@ import dancewalk.measure
 from dancewalk.cli import dump_spec, load_spec, main
 from dancewalk.group import Subgroup
 from dancewalk.measure import convolution_power
+from dancewalk.scenarios import SCENARIOS
 
 SRC = str(Path(dancewalk.__file__).resolve().parent.parent)
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -446,6 +447,20 @@ def test_examples_exit_codes():
     assert "checks passed" in proc.stdout
     proc = run_cli(["examples", "does-not-exist"])
     assert proc.returncode == 2
+
+
+# The number of checks each golden scenario makes; z4z6-table is the one
+# that checks the annihilator on all 24 two-point walks on Z_4 x Z_6.
+SCENARIO_CHECK_COUNTS = {"z12": 4, "z9-a1b3": 2, "z9-a1b4": 2, "z9-a0b3": 2, "z4z6": 4,
+                         "z4z6-table": 1, "elevator1": 3, "elevator2": 3, "spitzer": 4}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_golden_scenario_passes_every_check(name):
+    assert SCENARIOS.keys() == SCENARIO_CHECK_COUNTS.keys()
+    checks = SCENARIOS[name]()
+    assert [c.label for c in checks if not c.passed] == []
+    assert len(checks) == SCENARIO_CHECK_COUNTS[name]
 
 
 def _one_point_spec(group, elem):

@@ -1,7 +1,8 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from unittest import mock
 
 import pytest
@@ -24,12 +25,13 @@ from dancewalk.intlinalg import (
     bottom_row_unimodular,
     hnf,
     lattice_basis,
-    rational_inverse,
     snf,
     twist_to_coordinates,
 )
 import dancewalk.intlinalg
-from dancewalk.intlinalg import _elim_pair, _primitive_orthogonal
+from dancewalk.intlinalg import _bareiss, _elim_pair, _primitive_orthogonal
+from dancewalk.llt import MomentData
+from reference import rational_inverse
 
 
 def mat(rows):
@@ -560,6 +562,63 @@ def test_inverse_rejects_singular_and_non_unimodular(m):
         fraction_inverse(m)
     with pytest.raises(ValueError):
         m.inverse()
+
+
+def _leibniz_det(a):
+    """Reference determinant: the sum over permutations, signed by inversions."""
+    k, total = len(a), 0
+    for perm in itertools.permutations(range(k)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        total += sign * prod(a[i][perm[i]] for i in range(k))
+    return total
+
+
+@st.composite
+def bareiss_squares(draw):
+    """Square matrices up to 5x5: plain, singular, with a zero leading minor,
+    symmetric (mostly indefinite) or a positive definite Gram matrix."""
+    k = draw(st.integers(1, 5))
+    rows = [draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k)) for _ in range(k)]
+    kind = draw(st.sampled_from(["plain", "singular", "zero-minor", "symmetric", "gram"]))
+    if kind == "singular":  # the last row a combination of the others
+        cs = draw(st.lists(st.integers(-2, 2), min_size=k - 1, max_size=k - 1))
+        rows[-1] = [sum(c * r[j] for c, r in zip(cs, rows)) for j in range(k)]
+    elif kind == "zero-minor":  # the leading j x j block gets a dependent last row
+        j = draw(st.integers(1, k))
+        cs = draw(st.lists(st.integers(-2, 2), min_size=j - 1, max_size=j - 1))
+        rows[j - 1][:j] = [sum(c * r[t] for c, r in zip(cs, rows)) for t in range(j)]
+    elif kind == "symmetric":
+        rows = [[rows[min(i, t)][max(i, t)] for t in range(k)] for i in range(k)]
+    elif kind == "gram":  # B B^T + I
+        rows = [[sum(x * y for x, y in zip(rows[i], rows[t])) + (i == t) for t in range(k)]
+                for i in range(k)]
+    return rows
+
+
+@settings(max_examples=400, derandomize=True)
+@given(bareiss_squares())
+def test_bareiss_matches_leibniz_and_fraction_inverse(a):
+    k = len(a)
+    rows = [r + [int(i == j) for j in range(k)] for i, r in enumerate(a)]
+    lead, det = _bareiss(rows, k)
+    assert det == _leibniz_det(a) == IntMatrix(a).det()
+    # the pivots are the leading minors up to and including the first zero one
+    minors = [_leibniz_det([r[:j] for r in a[:j]]) for j in range(1, k + 1)]
+    prefix = minors[:next((j + 1 for j, m in enumerate(minors) if not m), k)]
+    assert lead[:len(prefix)] == prefix
+    assert all(m > 0 for m in lead) == all(m > 0 for m in minors)
+    if det:
+        assert [r[:k] for r in rows] == [[det * (i == j) for j in range(k)] for i in range(k)]
+        assert [[Fraction(e, det) for e in r[k:]] for r in rows] == rational_inverse(a)
+
+
+def test_moment_data_with_a_zero_leading_pivot():
+    # [[0, 1], [1, 0]] needs a row swap: its first leading minor is 0 and det is -1
+    m = MomentData(2, (Fraction(0), Fraction(0)),
+                   ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))))
+    assert not m.is_positive_definite()
+    assert m.covariance_det == -1
+    assert m.covariance_inverse == ((0, 1), (1, 0))
 
 
 def _assert_snf_matches_sweep(m):
