@@ -191,7 +191,7 @@ class Subgroup:
     subgroup of the parent.
     """
 
-    __slots__ = ("parent", "basis", "_pivots")
+    __slots__ = ("parent", "basis", "_pivots", "_quotient")
 
     def __init__(self, parent: GroupSpec, rows):
         all_rows = [list(r) for r in rows] + _relation_rows(parent)
@@ -203,6 +203,7 @@ class Subgroup:
         # (pivot column, row) of each Hermite row, in row order
         object.__setattr__(self, "_pivots", tuple(
             (next(j for j, e in enumerate(row) if e), row) for row in reduced))
+        object.__setattr__(self, "_quotient", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subgroup is immutable")
@@ -257,9 +258,13 @@ class Subgroup:
         return q.torsion_moduli, q.free_rank
 
     def quotient_map(self) -> tuple[GroupSpec, "Homomorphism"]:
-        """The quotient group in canonical form and the projection onto it."""
-        spec, proj = group_from_presentation(self.basis)
-        return spec, Homomorphism(self.parent, spec, proj.matrix)
+        """The quotient group in canonical form and the projection onto it,
+        read from one Smith form computed on first use and kept."""
+        if self._quotient is None:
+            spec, proj = group_from_presentation(self.basis)
+            proj = Homomorphism(self.parent, spec, proj.matrix)
+            object.__setattr__(self, "_quotient", (spec, proj))
+        return self._quotient
 
     def coset_order(self, x: Element) -> int | None:
         """Order of x + H in parent/H, or None if infinite."""

@@ -24,13 +24,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .dance import DanceData, dance_of, period_if_irreducible, spectral_gap
-from .group import (
-    Element,
-    GroupSpec,
-    Homomorphism,
-    Subgroup,
-    UnsupportedOperationError,
-)
+from .group import Element, GroupSpec, Homomorphism, UnsupportedOperationError
 from .intlinalg import (
     AffinePointSet,
     IntMatrix,
@@ -160,7 +154,8 @@ class _Heat:
     exact, and the exponent takes that quotient as int / int, which is
     correctly rounded as float(Fraction) is: every value is bit-identical
     to that of gaussian_kernel in tests/reference.py, the Fraction
-    reference the tests compare against.
+    reference the tests compare against.  Every caller takes its values
+    from one pass, values(extra), over the window and the extra points.
     """
 
     def __init__(self, a: Attractor, n: int):
@@ -182,13 +177,10 @@ class _Heat:
         """K^n(u - n*mu) for the u with form(u) = q."""
         return math.exp(-(q / self.scale) / (2 * float(self.n))) / self.norm
 
-    def at(self, x: tuple[int, ...]) -> float:
-        """K^n(phi(x) - n*mu) at the point with coordinates x."""
-        return self.kernel(self.form(self.attractor.phi.matrix.mul_vec(x)))
-
-    def window(self):
-        """(kernel, coordinates of every torsion lift) for each u within 8 standard
-        deviations of n*mu.
+    def values(self, extra) -> dict[tuple[int, ...], float]:
+        """K^n(phi(x) - n*mu) by coordinates x: at every torsion lift of each u
+        within 8 standard deviations of n*mu, and at each point of extra
+        outside that window.
 
         For d >= 1 the free part of a live-coset point is
         phi_full^(-1) (u, n*w) for some u in Z^d, so the lifts of these u
@@ -206,11 +198,15 @@ class _Heat:
         tail = tuple(n * wi for wi in a.twist.w)
         inv_full = a.twist.phi.inverse
         residues = list(itertools.product(*(range(m) for m in a.phi.source.torsion_moduli)))
+        out = {}
         for u in itertools.product(*ranges):
             q = self.form(u)
             if q <= bound:
-                free = inv_full.mul_vec(u + tail)
-                yield self.kernel(q), [tors + free for tors in residues]
+                free, k = inv_full.mul_vec(u + tail), self.kernel(q)
+                out.update((tors + free, k) for tors in residues)
+        for x in extra - out.keys():
+            out[x] = self.kernel(self.form(a.phi.matrix.mul_vec(x)))
+        return out
 
 
 def _evaluated_window(nums, a: Attractor, n: int) -> list[tuple]:
@@ -229,11 +225,8 @@ def _evaluated_window(nums, a: Attractor, n: int) -> list[tuple]:
     if a.case == "d0":
         live = dict.fromkeys(dance.coset_coords(n), c / tor)
     else:
-        heat = _Heat(a, n)
-        live = {x: (c / tor) * k for k, lifts in heat.window() for x in lifts
+        live = {x: (c / tor) * k for x, k in _Heat(a, n).values(nums.keys()).items()
                 if dance.theta_coords(n, x)}
-        live.update((x, (c / tor) * heat.at(x)) for x in nums.keys() - live.keys()
-                    if dance.theta_coords(n, x))
     if not live.keys() >= nums.keys():
         raise InvariantViolationError("a support point of p^(n) lies off the live coset")
     return [(x, nums.get(x, 0), c, live[x]) for x in sorted(live)]
@@ -314,13 +307,8 @@ def time_average_error(p: Distribution, a: Attractor, n: int, s: int) -> float:
         raise InvariantViolationError("infinite irreducible walk must have rank >= 1")
     if any(m != 0 for m in a.moments.mean):
         raise ValueError("time-average limit requires a mean-zero pushforward")
-    heat = _Heat(a, n)
-    targets = {x: k for k, lifts in heat.window() for x in lifts}
-    worst = 0.0
-    for x in targets.keys() | total.keys():
-        target = targets[x] if x in targets else heat.at(x)
-        worst = max(worst, abs(total.get(x, 0) / scale - target / a.torsion_order))
-    return worst
+    return max(abs(total.get(x, 0) / scale - k / a.torsion_order)
+               for x, k in _Heat(a, n).values(total.keys()).items())
 
 
 def tv_to_uniform_coset(p: Distribution, n: int) -> LltReport:
@@ -369,47 +357,37 @@ class Classification:
     reason: str = ""
 
 
-def _classify_finite(p: Distribution) -> Classification:
-    """On a finite group the reachable set is the subgroup generated by
-    supp(p), and an irreducible walk has period [G : G_p]."""
-    g = p.group
-    dance = dance_of(p)
-    quotient = GroupSpec(*dance.omega_invariants).describe()
-    reach = Subgroup(g, p._nums)
-    if reach.index() != 1:
-        return Classification(
-            irreducible="no", aperiodic="no", period=None,
-            dance_cosets=(f"supp(p^(n)) stays inside the coset G_p + n*x0, "
-                          f"G/G_p = {quotient}; only {reach.order()} of {g.order} "
-                          f"elements are ever reachable"),
-            reason="reachable set is a proper subset of the group",
-        )
-    period = dance.walk_subgroup.index()
-    return Classification(
-        irreducible="yes",
-        aperiodic="yes" if period == 1 else "no",
-        period=period,
-        dance_cosets=(f"the {period} cosets G_p + k*x0 partition the group and the "
-                      f"walk cycles through them; G/G_p = {quotient}"),
-    )
-
-
 def classify(p: Distribution) -> Classification:
     """Classify a walk as irreducible/aperiodic where exactly decidable.
 
-    Finite groups get exact answers: the walk reaches exactly the
-    subgroup generated by its support, and the period is [G : G_p].
+    The walk reaches W + <x0>, of index [G : W] / r with r the order of
+    x0 + W in G/W.  Finite groups get exact answers: the walk is
+    irreducible exactly when r = [G : W], which is then its period.
     On infinite groups, a sufficient criterion certifies yes/yes
     (G_p = G with mean-zero pushforward); proper walk subgroups yield
     sound negative verdicts; every remaining case is undetermined.
     """
     g = p.group
-    if g.is_finite:
-        return _classify_finite(p)
     dance = dance_of(p)
     w = dance.walk_subgroup
     quotient = GroupSpec(*dance.omega_invariants).describe()
-    idx = w.index()
+    idx, r = w.index(), w.coset_order(dance.base_point)
+    if g.is_finite:
+        if r < idx:
+            return Classification(
+                irreducible="no", aperiodic="no", period=None,
+                dance_cosets=(f"supp(p^(n)) stays inside the coset G_p + n*x0, "
+                              f"G/G_p = {quotient}; only {g.order // idx * r} of {g.order} "
+                              f"elements are ever reachable"),
+                reason="reachable set is a proper subset of the group",
+            )
+        return Classification(
+            irreducible="yes",
+            aperiodic="yes" if idx == 1 else "no",
+            period=idx,
+            dance_cosets=(f"the {idx} cosets G_p + k*x0 partition the group and the "
+                          f"walk cycles through them; G/G_p = {quotient}"),
+        )
     base = f"supp(p^(n)) is confined to the moving coset G_p + n*x0; G/G_p = {quotient}"
     if idx == 1:
         # W = G: the twist is the identity, so the attractor's mean is that of the free parts
@@ -426,7 +404,6 @@ def classify(p: Distribution) -> Classification:
                     "criterion does not apply; a drifting walk with full walk "
                     "subgroup may still fail to be irreducible"),
         )
-    r = w.coset_order(dance.base_point)
     if r is None:
         return Classification(
             irreducible="no", aperiodic="no", period=None, dance_cosets=base,

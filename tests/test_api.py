@@ -36,6 +36,7 @@ REMOVED = [
     ("dancewalk.dance", "theta"),
     ("dancewalk.group", "character_eval"),
     ("dancewalk.intlinalg", "rational_inverse"),
+    ("dancewalk.llt", "_classify_finite"),
 ]
 
 

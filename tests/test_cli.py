@@ -12,11 +12,12 @@ import pytest
 
 import dancewalk.cli
 import dancewalk.dance
+import dancewalk.group
 import dancewalk.intlinalg
 import dancewalk.llt
 import dancewalk.measure
 from dancewalk.cli import dump_spec, load_spec, main
-from dancewalk.group import Subgroup
+from dancewalk.group import GroupSpec, Subgroup
 from dancewalk.measure import convolution_power
 from dancewalk.scenarios import SCENARIOS
 
@@ -279,6 +280,35 @@ def test_analyze_runs_analyze_dance_once(monkeypatch, capsys):
         assert main(["analyze", "--spec", "-"]) == 0
         assert len(calls) == 1
         assert capsys.readouterr().out
+
+
+def test_one_smith_form_per_subgroup(monkeypatch, capsys):
+    calls = []
+    smith = dancewalk.group.snf
+    monkeypatch.setattr(dancewalk.group, "snf", lambda m: calls.append(m) or smith(m))
+    g = GroupSpec([4, 6])
+    h = Subgroup(g, [[1, 1]])
+    h.quotient_invariants()
+    h.coset_order(g.element([1, 0]))
+    h.coset_order(g.element([0, 1]))
+    h.annihilator()
+    h.quotient_map()
+    assert len(calls) == 1
+    # analyze: one Smith form for canonical_torsion, one for the walk subgroup
+    calls.clear()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(Z4Z6Z_SPEC))
+    assert main(["analyze", "--spec", "-"]) == 0
+    assert capsys.readouterr().out
+    assert len(calls) == 2
+
+
+Z4Z6Z_SPEC = json.dumps({
+    "group": {"torsion": [4, 6], "rank": 1},
+    "distribution": [
+        {"elem": {"torsion": [1, 1], "free": [1]}, "weight": "1/2"},
+        {"elem": {"torsion": [0, 3], "free": [1]}, "weight": "1/2"},
+    ],
+})
 
 
 def test_attractor_and_tv_commands():

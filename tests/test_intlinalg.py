@@ -675,8 +675,9 @@ def test_subgroup_algebra_matches_sweep_reference(h, seed_coords):
            h.annihilator() if g.is_finite else None)
     with mock.patch.object(dancewalk.group, "snf", sweep_snf):
         want_spec, want_proj = group_from_presentation(h.basis)
-        want = (h.quotient_invariants(), [h.coset_order(x) for x in xs],
-                h.annihilator() if g.is_finite else None)
+        fresh = Subgroup(g, h.basis.data)  # h keeps the quotient map it already computed
+        want = (fresh.quotient_invariants(), [fresh.coset_order(x) for x in xs],
+                fresh.annihilator() if g.is_finite else None)
     assert got == want
     assert got_spec == want_spec
     # the projections need not agree, but each is onto with kernel the row span

@@ -8,9 +8,10 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dancewalk.group import DualPoint, Element, GroupSpec
+from dancewalk.group import DualPoint, Element, GroupSpec, Homomorphism
 from dancewalk.group import UnsupportedOperationError
-from dancewalk.measure import Distribution, _powers, convolution_power, convolve
+from dancewalk.intlinalg import IntMatrix
+from dancewalk.measure import Distribution, _powers, convolution_power, convolve, pushforward
 from dancewalk.dance import analyze_dance, spectral_gap
 from dancewalk.llt import (
     MomentData,
@@ -263,6 +264,20 @@ def test_time_average_s1_reduces_to_sup_error():
             float(llt_sup_error(p, a, n).sup_error_exact), abs=1e-15)
 
 
+def test_time_average_counts_support_beyond_the_window():
+    # A near-Gaussian bulk (sd 30, cut at 2.7 sd) and mass 1/2000 at each of
+    # -255 and 255, beyond 8 sd of the whole law: the error there is that
+    # mass, and it exceeds the error at every point of the window.
+    bulk = {x: round(10 ** 6 * math.exp(-x * x / 1800)) for x in range(-81, 82)}
+    den = 2000 * sum(bulk.values())
+    nums = {x: 1998 * v for x, v in bulk.items()}
+    nums[-255] = nums[255] = sum(bulk.values())
+    p = Distribution(Z1, {Z1.element((), [x]): Fraction(v, den) for x, v in nums.items()})
+    a = build_attractor(p)
+    assert 255 > 8 * math.sqrt(a.moments.covariance[0][0])
+    assert time_average_error(p, a, 1, 1) == pytest.approx(1 / 2000, rel=1e-9)
+
+
 def test_time_average_preconditions():
     p = spitzer()  # mean 1/2, period would need mean zero
     a = build_attractor(p)
@@ -347,6 +362,54 @@ def test_classify_infinite_cases():
     conf = Distribution(Z1, {Z1.element((), [0]): half, Z1.element((), [2]): half})
     c = classify(conf)
     assert c.irreducible == "no"
+
+
+AUTOMORPHISM_GROUPS = (
+    GroupSpec([12]), GroupSpec([9]), GroupSpec([3]), GroupSpec([4, 6]), GroupSpec([2, 2, 6]),
+    GroupSpec([4], 1), GroupSpec([2, 3], 1), GroupSpec([6], 2), GroupSpec((), 1), GroupSpec((), 2),
+)
+
+
+@st.composite
+def walks_with_automorphisms(draw):
+    """A walk of 1 to 3 points with integer weights, and an automorphism of its group:
+    a unit on each cyclic factor, (t, f) -> (t + M f mod m, f), the shear
+    f0 += s * f1 and a sign flip of f0."""
+    g = draw(st.sampled_from(AUTOMORPHISM_GROUPS))
+    t, k = len(g.torsion_moduli), g.free_rank
+    coord = st.tuples(*(st.integers(0, m - 1) for m in g.torsion_moduli),
+                      *(st.integers(-3, 3) for _ in range(k)))
+    points = draw(st.lists(coord, min_size=1, max_size=min(3, g.order or 3), unique=True))
+    weights = [draw(st.integers(1, 4)) for _ in points]
+    p = Distribution(g, {g.element_from_coords(x): Fraction(w, sum(weights))
+                         for x, w in zip(points, weights)})
+    units = [draw(st.sampled_from([u for u in range(1, m) if gcd(u, m) == 1]))
+             for m in g.torsion_moduli]
+    rows = [[units[i] * (i == j) for j in range(t)] + [draw(st.integers(-3, 3)) for _ in range(k)]
+            for i in range(t)]
+    free = [[int(i == j) for j in range(k)] for i in range(k)]
+    if k >= 2:
+        free[0][1] = draw(st.integers(-3, 3))
+    if k and draw(st.booleans()):
+        free[0] = [-e for e in free[0]]
+    rows += [[0] * t + row for row in free]
+    return p, Homomorphism(g, g, IntMatrix(rows, cols=g.dim))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(walks_with_automorphisms())
+def test_dance_facts_and_verdicts_are_automorphism_invariant(case):
+    p, t = case
+    q = pushforward(p, t)
+    dp, dq = analyze_dance(p), analyze_dance(q)
+    assert ((dq.omega_invariants, dq.normalization_c, dq.rank_d)
+            == (dp.omega_invariants, dp.normalization_c, dp.rank_d))
+    assert dq.walk_subgroup.index() == dp.walk_subgroup.index()
+    assert dq.walk_subgroup.order() == dp.walk_subgroup.order()
+    assert classify(q) == classify(p)
+    if dp.rank_d == 0:
+        for n in (1, 3):
+            assert tv_to_uniform_coset(q, n).tv_exact == tv_to_uniform_coset(p, n).tv_exact
 
 
 def _random_finite_walk(rng):
