@@ -31,7 +31,6 @@ from .llt import (
     tv_to_uniform_coset,
 )
 from .measure import Distribution, _powers, sample_path
-from .scenarios import SCENARIOS
 
 
 class SpecError(ValueError):
@@ -338,6 +337,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_examples(args) -> int:
+    from .scenarios import SCENARIOS  # loaded only here: no other command needs it
+
     runner = SCENARIOS.get(args.name)
     if runner is None:
         sys.stderr.write("unknown scenario %r; available: %s\n"

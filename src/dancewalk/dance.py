@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import cmath
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 
+from ._value import Value
 from .group import (
     DualPoint,
     Element,
@@ -41,8 +41,7 @@ from .intlinalg import InvariantViolationError
 from .measure import Distribution, torsion_pushforward
 
 
-@dataclass(frozen=True)
-class DanceData:
+class DanceData(Value):
     """Structural description of a walk's coset dance.
 
     walk_subgroup   the subgroup W generated by supp(p) - x0
@@ -54,11 +53,11 @@ class DanceData:
                     locus is isomorphic to the dual of G/W
     """
 
-    walk_subgroup: Subgroup
-    base_point: Element
-    rank_d: int
-    normalization_c: int
-    omega_invariants: tuple[tuple[int, ...], int]
+    __slots__ = ("walk_subgroup", "base_point", "rank_d", "normalization_c", "omega_invariants")
+
+    def __init__(self, walk_subgroup: Subgroup, base_point: Element, rank_d: int,
+                 normalization_c: int, omega_invariants: tuple[tuple[int, ...], int]):
+        self._set(walk_subgroup, base_point, rank_d, normalization_c, omega_invariants)
 
     def theta(self, n: int, x: Element) -> int:
         """Dance function: normalization_c on the live coset, else 0."""
@@ -84,12 +83,13 @@ class DanceData:
                       for w in self.walk_subgroup.element_coords())
 
 
-@dataclass(frozen=True)
-class SpectralGap:
+class SpectralGap(Value):
     """Largest sub-unit characteristic-function modulus on the torsion dual."""
 
-    rho: float
-    achieved_at: DualPoint | None
+    __slots__ = ("rho", "achieved_at")
+
+    def __init__(self, rho: float, achieved_at: DualPoint | None):
+        self._set(rho, achieved_at)
 
 
 def analyze_dance(p: Distribution) -> DanceData:
@@ -232,22 +232,29 @@ def theta_by_integration(p: Distribution, n: int, x: Element) -> float:
 
     Sums p_hat(xi)^n * conj(chi_xi(x)) over the whole unit-modulus locus,
     located by the exact phase test; serves as an independent oracle for
-    theta.  The exact result is a nonnegative integer, so the float sum
-    is returned bare (its imaginary part vanishes up to rounding).
+    theta.  As in spectral_gap, the phases are integers mod L = lcm(m_i),
+    and k / L is the exact phase correctly rounded to a double.  The exact
+    result is a nonnegative integer, so the float sum is returned bare
+    (its imaginary part vanishes up to rounding).
     """
     g = p.group
     if not g.is_finite:
         raise UnsupportedOperationError("integration oracle needs a finite dual")
-    support = p.support()
+    if x.group != g:
+        raise ValueError("element is not in the paired group")
+    moduli = g.torsion_moduli
+    order = lcm(*moduli)
+    scale = [order // m for m in moduli]
+    first, *rest = [[c * s for c, s in zip(y, scale)] for y in sorted(p._nums)]
+    target = [c * s for c, s in zip(x.torsion, scale)]
     total = 0 + 0j
-    for chars in itertools.product(*(range(m) for m in g.torsion_moduli)):
-        xi = DualPoint(g, chars, ())
-        base = xi.phase(support[0])
-        if any(xi.phase(y) != base for y in support[1:]):
+    for chars in itertools.product(*(range(m) for m in moduli)):
+        base = sum(k * c for k, c in zip(chars, first)) % order
+        if any(sum(k * c for k, c in zip(chars, y)) % order != base for y in rest):
             continue
-        # p_hat(xi) = exp(2 pi i * base) exactly on the locus
-        phase = (n * base - xi.phase(x)) % 1
-        total += cmath.exp(2j * cmath.pi * float(phase))
+        # p_hat(xi) = exp(2 pi i * base / L) exactly on the locus
+        phase = (n * base - sum(k * c for k, c in zip(chars, target))) % order
+        total += cmath.exp(2j * cmath.pi * (phase / order))
     return total.real
 
 

@@ -15,10 +15,11 @@ form, two equal subgroups have identical representations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import index
 
+from ._value import Value
 from .intlinalg import IntMatrix, lattice_basis, snf
 
 
@@ -26,21 +27,19 @@ class UnsupportedOperationError(ValueError):
     """The operation needs a finiteness property the input lacks."""
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Value):
     """Z_{m1} x ... x Z_{mt} x Z^k with the moduli as supplied."""
 
-    torsion_moduli: tuple[int, ...]
-    free_rank: int
+    __slots__ = ("torsion_moduli", "free_rank")
 
     def __init__(self, torsion_moduli=(), free_rank: int = 0):
-        moduli = tuple(int(m) for m in torsion_moduli)
+        moduli = tuple(index(m) for m in torsion_moduli)
         if any(m < 2 for m in moduli):
             raise ValueError("torsion moduli must be at least 2")
+        free_rank = index(free_rank)
         if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        object.__setattr__(self, "torsion_moduli", moduli)
-        object.__setattr__(self, "free_rank", int(free_rank))
+        self._set(moduli, free_rank)
 
     @property
     def dim(self) -> int:
@@ -117,22 +116,17 @@ class GroupSpec:
         return f"GroupSpec({list(self.torsion_moduli)}, {self.free_rank})"
 
 
-@dataclass(frozen=True, order=False)
-class Element:
+class Element(Value):
     """A group element; torsion residues are always stored reduced."""
 
-    group: GroupSpec
-    torsion: tuple[int, ...]
-    free: tuple[int, ...]
+    __slots__ = ("group", "torsion", "free")
 
     def __init__(self, group: GroupSpec, torsion=(), free=()):
-        torsion = tuple(int(c) % m for c, m in zip(torsion, group.torsion_moduli, strict=True))
-        free = tuple(int(c) for c in free)
+        torsion = tuple(index(c) % m for c, m in zip(torsion, group.torsion_moduli, strict=True))
+        free = tuple(index(c) for c in free)
         if len(free) != group.free_rank:
             raise ValueError("free part has wrong length")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "torsion", torsion)
-        object.__setattr__(self, "free", free)
+        self._set(group, torsion, free)
 
     def coords(self) -> tuple[int, ...]:
         return self.torsion + self.free
@@ -183,7 +177,7 @@ def _relation_rows(g: GroupSpec) -> list[list[int]]:
     return rows
 
 
-class Subgroup:
+class Subgroup(Value):
     """A subgroup of a GroupSpec, encoded as a canonical integer lattice.
 
     The lattice lives in Z^(t+k) and always contains m_i * e_i for every
@@ -198,23 +192,11 @@ class Subgroup:
         if any(len(r) != parent.dim for r in all_rows):
             raise ValueError("generator rows have wrong length")
         reduced = lattice_basis(all_rows, parent.dim) if all_rows else ()
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "basis", IntMatrix(reduced, cols=parent.dim))
+        self._set(parent, IntMatrix(reduced, cols=parent.dim))
         # (pivot column, row) of each Hermite row, in row order
         object.__setattr__(self, "_pivots", tuple(
             (next(j for j, e in enumerate(row) if e), row) for row in reduced))
         object.__setattr__(self, "_quotient", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subgroup is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Subgroup)
-                and self.parent == other.parent
-                and self.basis == other.basis)
-
-    def __hash__(self) -> int:
-        return hash((self.parent, self.basis))
 
     def __repr__(self) -> str:
         return f"Subgroup({self.parent!r}, {[list(r) for r in self.basis.data]})"
@@ -353,27 +335,25 @@ def group_from_presentation(relations: IntMatrix) -> tuple[GroupSpec, "Homomorph
     return target, Homomorphism(GroupSpec((), m), target, IntMatrix(rows, cols=m))
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(Value):
     """A homomorphism between coordinate groups, as an integer matrix
     acting on column coordinate vectors."""
 
-    source: GroupSpec
-    target: GroupSpec
-    matrix: IntMatrix
+    __slots__ = ("source", "target", "matrix")
 
-    def __post_init__(self):
-        if self.matrix.rows != self.target.dim or self.matrix.cols != self.source.dim:
+    def __init__(self, source: GroupSpec, target: GroupSpec, matrix: IntMatrix):
+        if matrix.rows != target.dim or matrix.cols != source.dim:
             raise ValueError("matrix shape does not match source/target")
-        tt = len(self.target.torsion_moduli)
-        for i, m in enumerate(self.source.torsion_moduli):
-            col = [self.matrix[r, i] for r in range(self.matrix.rows)]
+        tt = len(target.torsion_moduli)
+        for i, m in enumerate(source.torsion_moduli):
+            col = [matrix[r, i] for r in range(matrix.rows)]
             for r, e in enumerate(col):
                 if r < tt:
-                    if (m * e) % self.target.torsion_moduli[r]:
+                    if (m * e) % target.torsion_moduli[r]:
                         raise ValueError("map is not well defined on torsion")
                 elif m * e:
                     raise ValueError("map sends torsion into the free part")
+        self._set(source, target, matrix)
 
     @classmethod
     def identity(cls, g: GroupSpec) -> "Homomorphism":
@@ -387,8 +367,7 @@ class Homomorphism:
     __call__ = apply
 
 
-@dataclass(frozen=True)
-class DualPoint:
+class DualPoint(Value):
     """A character of a group, with exact rational data.
 
     The character is x -> exp(2 pi i * phase(x)) where
@@ -396,18 +375,14 @@ class DualPoint:
     theta_j are exact fractions of a full turn.
     """
 
-    group: GroupSpec
-    torsion_chars: tuple[int, ...]
-    torus_angles: tuple[Fraction, ...]
+    __slots__ = ("group", "torsion_chars", "torus_angles")
 
     def __init__(self, group: GroupSpec, torsion_chars=(), torus_angles=()):
-        chars = tuple(int(c) % m for c, m in zip(torsion_chars, group.torsion_moduli, strict=True))
+        chars = tuple(index(c) % m for c, m in zip(torsion_chars, group.torsion_moduli, strict=True))
         angles = tuple(Fraction(a) % 1 for a in torus_angles)
         if len(angles) != group.free_rank:
             raise ValueError("torus angle count must match the free rank")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "torsion_chars", chars)
-        object.__setattr__(self, "torus_angles", angles)
+        self._set(group, chars, angles)
 
     @classmethod
     def zero(cls, group: GroupSpec) -> "DualPoint":

@@ -28,8 +28,10 @@ each pivot reduced into [0, pivot).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from operator import index
+
+from ._value import Value
 
 
 class InvariantViolationError(RuntimeError):
@@ -137,13 +139,13 @@ def _bareiss(rows: list[list[int]], n: int) -> tuple[list[int], int]:
     return lead, sign * prev
 
 
-class IntMatrix:
+class IntMatrix(Value):
     """Immutable integer matrix with exact arithmetic."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data, cols: int | None = None):
-        rows = tuple(tuple(int(e) for e in row) for row in data)
+        rows = tuple(tuple(index(e) for e in row) for row in data)
         if rows:
             widths = {len(r) for r in rows}
             if len(widths) != 1:
@@ -154,12 +156,7 @@ class IntMatrix:
             cols = width
         elif cols is None:
             raise ValueError("empty matrix needs an explicit column count")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
+        self._set(len(rows), cols, rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -223,17 +220,11 @@ class IntMatrix:
             raise ValueError("matrix has no integral inverse")
         return IntMatrix(u, cols=self.cols)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntMatrix) and self.data == other.data and self.cols == other.cols
-
-    def __hash__(self) -> int:
-        return hash((self.cols, self.data))
-
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.data]!r})"
 
 
-class UnimodularMatrix:
+class UnimodularMatrix(Value):
     """A square integer matrix with determinant +1 or -1."""
 
     __slots__ = ("matrix", "_inv")
@@ -243,11 +234,8 @@ class UnimodularMatrix:
             raise ValueError("unimodular matrix must be square")
         if matrix.det() not in (1, -1):
             raise ValueError("determinant is not a unit")
-        object.__setattr__(self, "matrix", matrix)
+        self._set(matrix)
         object.__setattr__(self, "_inv", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UnimodularMatrix is immutable")
 
     @property
     def inverse(self) -> IntMatrix:
@@ -255,22 +243,17 @@ class UnimodularMatrix:
             object.__setattr__(self, "_inv", self.matrix.inverse())
         return self._inv
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, UnimodularMatrix) and self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return hash(("unimodular", self.matrix))
-
     def __repr__(self) -> str:
         return f"UnimodularMatrix({self.matrix!r})"
 
 
-@dataclass(frozen=True)
-class HnfDecomposition:
+class HnfDecomposition(Value):
     """u @ (input) = h with h in canonical row Hermite form."""
 
-    h: IntMatrix
-    u: UnimodularMatrix
+    __slots__ = ("h", "u")
+
+    def __init__(self, h: IntMatrix, u: UnimodularMatrix):
+        self._set(h, u)
 
     @property
     def pivots(self) -> tuple[tuple[int, int], ...]:
@@ -288,13 +271,13 @@ class HnfDecomposition:
         return tuple(r for r in self.h.data if any(r))
 
 
-@dataclass(frozen=True)
-class SnfDecomposition:
+class SnfDecomposition(Value):
     """u @ (input) @ v = d, d diagonal nonnegative with d1 | d2 | ..."""
 
-    u: UnimodularMatrix
-    d: IntMatrix
-    v: UnimodularMatrix
+    __slots__ = ("u", "d", "v")
+
+    def __init__(self, u: UnimodularMatrix, d: IntMatrix, v: UnimodularMatrix):
+        self._set(u, d, v)
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -416,7 +399,7 @@ def bottom_row_unimodular(a) -> IntMatrix:
     forces det(M) = a[0], so for a negative singleton the determinant is
     -gcd(a).
     """
-    a = [int(e) for e in a]
+    a = [index(e) for e in a]
     k = len(a)
     if k == 0 or all(e == 0 for e in a):
         raise ValueError("vector must be nonzero")
@@ -430,19 +413,17 @@ def bottom_row_unimodular(a) -> IntMatrix:
     return m
 
 
-@dataclass(frozen=True)
-class AffinePointSet:
+class AffinePointSet(Value):
     """A finite set of integer points in Z^(ambient_dim)."""
 
-    ambient_dim: int
-    points: tuple[tuple[int, ...], ...]
+    __slots__ = ("ambient_dim", "points")
 
     def __init__(self, ambient_dim: int, points):
-        pts = tuple(sorted({tuple(int(c) for c in p) for p in points}))
+        ambient_dim = index(ambient_dim)
+        pts = tuple(sorted({tuple(index(c) for c in p) for p in points}))
         if any(len(p) != ambient_dim for p in pts):
             raise ValueError("point dimension mismatch")
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "points", pts)
+        self._set(ambient_dim, pts)
 
 
 def affine_dim(s: AffinePointSet) -> int:
@@ -484,11 +465,13 @@ def _primitive_orthogonal(rows, k: int) -> tuple[int, ...]:
     return tuple(sign * e for e in a)
 
 
-@dataclass(frozen=True)
-class TwistResult:
-    phi: UnimodularMatrix
-    w: tuple[int, ...]
-    d: int
+class TwistResult(Value):
+    """phi in Aut(Z^k) sends the point set into Z^d x {w}."""
+
+    __slots__ = ("phi", "w", "d")
+
+    def __init__(self, phi: UnimodularMatrix, w: tuple[int, ...], d: int):
+        self._set(phi, w, d)
 
 
 def twist_to_coordinates(s: AffinePointSet) -> TwistResult:

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
+from ._value import Value
 from .dance import DanceData, dance_of, period_if_irreducible, spectral_gap
 from .group import Element, GroupSpec, Homomorphism, UnsupportedOperationError
 from .intlinalg import (
@@ -37,38 +36,52 @@ from .intlinalg import (
 from .measure import Distribution, _powers, pushforward
 
 
-@dataclass(frozen=True)
-class MomentData:
-    """Exact mean vector and covariance matrix of a distribution on Z^d."""
+class MomentData(Value):
+    """Exact mean vector and covariance matrix of a distribution on Z^d.
 
-    dim: int
-    mean: tuple[Fraction, ...]
-    covariance: tuple[tuple[Fraction, ...], ...]
+    The elimination, the determinant and the inverse are computed on
+    first use and kept in the slots _elim, _det and _inv.
+    """
 
-    @cached_property
+    __slots__ = ("dim", "mean", "covariance", "_elim", "_det", "_inv")
+
+    def __init__(self, dim: int, mean: tuple[Fraction, ...],
+                 covariance: tuple[tuple[Fraction, ...], ...]):
+        self._set(dim, mean, covariance)
+        for name in ("_elim", "_det", "_inv"):
+            object.__setattr__(self, name, None)
+
+    @property
     def _elimination(self) -> tuple[int, list[int], int, list[list[int]]]:
         """(L, lead, det, adj): one fraction-free pass over [L*Gamma | I],
         L the lcm of Gamma's denominators, with the pivots lead, det(L*Gamma)
         and adj(L*Gamma) it leaves (adj is meaningful when det != 0)."""
-        d = self.dim
-        den = math.lcm(*(e.denominator for row in self.covariance for e in row))
-        rows = [[int(e * den) for e in row] + [int(i == j) for j in range(d)]
-                for i, row in enumerate(self.covariance)]
-        lead, det = _bareiss(rows, d)
-        return den, lead, det, [r[d:] for r in rows]
+        if self._elim is None:
+            d = self.dim
+            den = math.lcm(*(e.denominator for row in self.covariance for e in row))
+            rows = [[int(e * den) for e in row] + [int(i == j) for j in range(d)]
+                    for i, row in enumerate(self.covariance)]
+            lead, det = _bareiss(rows, d)
+            object.__setattr__(self, "_elim", (den, lead, det, [r[d:] for r in rows]))
+        return self._elim
 
-    @cached_property
+    @property
     def covariance_det(self) -> Fraction:
-        den, _, det, _ = self._elimination
-        return Fraction(det, den ** self.dim)
+        if self._det is None:
+            den, _, det, _ = self._elimination
+            object.__setattr__(self, "_det", Fraction(det, den ** self.dim))
+        return self._det
 
-    @cached_property
+    @property
     def covariance_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
         """Gamma^(-1) = L * adj(L*Gamma) / det(L*Gamma)."""
-        den, _, det, adj = self._elimination
-        if not det:
-            raise ValueError("covariance is singular")
-        return tuple(tuple(Fraction(den * e, det) for e in row) for row in adj)
+        if self._inv is None:
+            den, _, det, adj = self._elimination
+            if not det:
+                raise ValueError("covariance is singular")
+            object.__setattr__(self, "_inv", tuple(tuple(Fraction(den * e, det) for e in row)
+                                                   for row in adj))
+        return self._inv
 
     def is_positive_definite(self) -> bool:
         """Exact Sylvester test: all leading principal minors positive."""
@@ -90,20 +103,19 @@ def mean_cov(q: Distribution) -> MomentData:
     return MomentData(d, mean, cov)
 
 
-@dataclass(frozen=True)
-class Attractor:
+class Attractor(Value):
     """Evaluable local-limit attractor of a walk.
 
     case "d0":   theta(n, x) / |Tor(G)|            (+ exponentially small error)
     case "dpos": theta(n, x) / |Tor(G)| * K^n(phi(x) - n*mu)   (+ o(n^(-d/2)))
     """
 
-    dance: DanceData
-    case: str
-    torsion_order: int
-    phi: Homomorphism | None = None
-    moments: MomentData | None = None
-    twist: TwistResult | None = None
+    __slots__ = ("dance", "case", "torsion_order", "phi", "moments", "twist")
+
+    def __init__(self, dance: DanceData, case: str, torsion_order: int,
+                 phi: Homomorphism | None = None, moments: MomentData | None = None,
+                 twist: TwistResult | None = None):
+        self._set(dance, case, torsion_order, phi, moments, twist)
 
     @property
     def rank_d(self) -> int:
@@ -232,17 +244,18 @@ def _evaluated_window(nums, a: Attractor, n: int) -> list[tuple]:
     return [(x, nums.get(x, 0), c, live[x]) for x in sorted(live)]
 
 
-@dataclass(frozen=True)
-class LltReport:
+class LltReport(Value):
     """Measured distance between p^(n) and its attractor at one step."""
 
-    n: int
-    sup_error: float | None = None
-    scaled_sup_error: float | None = None
-    sup_error_exact: Fraction | None = None
-    tv_exact: Fraction | None = None
-    tv_bound: float | None = None
-    worst_point: Element | None = None
+    __slots__ = ("n", "sup_error", "scaled_sup_error", "sup_error_exact", "tv_exact",
+                 "tv_bound", "worst_point")
+
+    def __init__(self, n: int, sup_error: float | None = None,
+                 scaled_sup_error: float | None = None, sup_error_exact: Fraction | None = None,
+                 tv_exact: Fraction | None = None, tv_bound: float | None = None,
+                 worst_point: Element | None = None):
+        self._set(n, sup_error, scaled_sup_error, sup_error_exact, tv_exact, tv_bound,
+                  worst_point)
 
 
 def llt_sup_error(p: Distribution, a: Attractor, n: int) -> LltReport:
@@ -340,8 +353,7 @@ def tv_to_uniform_coset(p: Distribution, n: int) -> LltReport:
     return LltReport(n=n, tv_exact=tv, tv_bound=math.nextafter(f, math.inf) if f < bound else f)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Value):
     """Irreducibility and period classification of a walk.
 
     period is None when undefined (the walk is not known irreducible).
@@ -350,11 +362,11 @@ class Classification:
     hypothesis in `reason`.
     """
 
-    irreducible: str
-    aperiodic: str
-    period: int | None
-    dance_cosets: str
-    reason: str = ""
+    __slots__ = ("irreducible", "aperiodic", "period", "dance_cosets", "reason")
+
+    def __init__(self, irreducible: str, aperiodic: str, period: int | None,
+                 dance_cosets: str, reason: str = ""):
+        self._set(irreducible, aperiodic, period, dance_cosets, reason)
 
 
 def classify(p: Distribution) -> Classification:

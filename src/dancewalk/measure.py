@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
+from ._value import Value
 from .group import Element, GroupSpec, Homomorphism
 from .intlinalg import IntMatrix, InvariantViolationError, lattice_basis
 
@@ -299,11 +299,13 @@ def torsion_pushforward(p: Distribution) -> Distribution:
     return pushforward(p, Homomorphism(g, g.torsion_component(), IntMatrix(rows, cols=g.dim)))
 
 
-@dataclass(frozen=True)
-class WalkPath:
+class WalkPath(Value):
     """Positions of one walk realization, starting at the identity."""
 
-    positions: tuple[Element, ...]
+    __slots__ = ("positions",)
+
+    def __init__(self, positions: tuple[Element, ...]):
+        self._set(positions)
 
     def __len__(self) -> int:
         return len(self.positions) - 1

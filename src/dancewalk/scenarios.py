@@ -10,9 +10,9 @@ brute-force convolution) during development.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value
 from .dance import dance_of, spectral_gap, theta_by_integration
 from .group import GroupSpec, subgroup_generated
 from .llt import (
@@ -65,11 +65,11 @@ TWO_POINT_Z4Z6_LOCUS = {
 }
 
 
-@dataclass(frozen=True)
-class Check:
-    label: str
-    passed: bool
-    detail: str = ""
+class Check(Value):
+    __slots__ = ("label", "passed", "detail")
+
+    def __init__(self, label: str, passed: bool, detail: str = ""):
+        self._set(label, passed, detail)
 
 
 def _walk(group, weighted_points) -> Distribution:

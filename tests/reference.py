@@ -1,15 +1,17 @@
 """Reference routines the tests compare the library against.
 
 The library answers each question once, on exact integers: the gap scan
-uses integer phases mod lcm(m_i), and the window pass evaluates the heat
-kernel on one integer quadratic form read from one fraction-free
-elimination.  Here are the float and Fraction routes to the same values
-(gaussian_kernel, attractor_eval, char_fn, omega_contains,
-rational_inverse) and the window as a list of Elements
-(evaluation_window).  No library path calls them.
+and the integration oracle use integer phases mod lcm(m_i), and the
+window pass evaluates the heat kernel on one integer quadratic form read
+from one fraction-free elimination.  Here are the float and Fraction
+routes to the same values (gaussian_kernel, attractor_eval, char_fn,
+omega_contains, theta_by_fraction_integration, rational_inverse) and the
+window as a list of Elements (evaluation_window).  No library path calls
+them.
 """
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -80,6 +82,25 @@ def omega_contains(p: Distribution, xi: DualPoint) -> bool:
     support = p.support()
     base = xi.phase(support[0])
     return all(xi.phase(x) == base for x in support[1:])
+
+
+def theta_by_fraction_integration(p: Distribution, n: int, x: Element) -> float:
+    """theta_by_integration with a DualPoint per character and Fraction phases.
+
+    Sums exp(2 pi i * (n * base - phase(x))) over the characters that see
+    one phase, base, at every support point.
+    """
+    g = p.group
+    support = p.support()
+    total = 0 + 0j
+    for chars in itertools.product(*(range(m) for m in g.torsion_moduli)):
+        xi = DualPoint(g, chars, ())
+        base = xi.phase(support[0])
+        if any(xi.phase(y) != base for y in support[1:]):
+            continue
+        phase = (n * base - xi.phase(x)) % 1
+        total += cmath.exp(2j * cmath.pi * float(phase))
+    return total.real
 
 
 def rational_inverse(rows) -> list[list[Fraction]]:

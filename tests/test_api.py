@@ -1,9 +1,15 @@
+import copy
 import importlib
 import inspect
+import pickle
 import pkgutil
 import types
+from fractions import Fraction
+
+import pytest
 
 import dancewalk
+from dancewalk.scenarios import Check
 
 PUBLIC = {
     # intlinalg
@@ -63,3 +69,122 @@ def test_removed_names_are_gone():
 
 def test_group_from_presentation_takes_only_the_relations():
     assert len(inspect.signature(dancewalk.group_from_presentation).parameters) == 1
+
+
+def _dance():
+    z4z6 = dancewalk.GroupSpec([4, 6])
+    walk = dancewalk.subgroup_generated(z4z6, [z4z6.element([2, 0])])
+    return dancewalk.DanceData(walk_subgroup=walk, base_point=z4z6.identity(), rank_d=0,
+                               normalization_c=12, omega_invariants=((2, 6), 0))
+
+
+def _value_cases():
+    """(class, keyword fields, another value of the last field) for each former
+    dataclass, the fields in their order and in normal form, so each instance
+    holds exactly these values."""
+    z4z = dancewalk.GroupSpec([4], 1)
+    z4z6 = dancewalk.GroupSpec([4, 6])
+    x = z4z.element([1], [2])
+    eye = dancewalk.IntMatrix.identity(2)
+    unit = dancewalk.UnimodularMatrix(dancewalk.IntMatrix([[1, 1], [0, 1]]))
+    moments = dancewalk.MomentData(1, (Fraction(1, 2),), ((Fraction(1, 4),),))
+    hom = dancewalk.Homomorphism(z4z, dancewalk.GroupSpec((), 1), dancewalk.IntMatrix([[0, 1]]))
+    dance = _dance()
+    twist = dancewalk.TwistResult(phi=unit, w=(1,), d=1)
+    unit2 = dancewalk.UnimodularMatrix(eye)
+    return [
+        (dancewalk.HnfDecomposition, dict(h=eye, u=unit), unit2),
+        (dancewalk.SnfDecomposition, dict(u=unit, d=eye, v=unit), unit2),
+        (dancewalk.AffinePointSet, dict(ambient_dim=2, points=((0, 1), (1, 0))), ((0, 0),)),
+        (dancewalk.TwistResult, dict(phi=unit, w=(1,), d=1), 0),
+        (dancewalk.GroupSpec, dict(torsion_moduli=(4, 6), free_rank=1), 2),
+        (dancewalk.Element, dict(group=z4z, torsion=(3,), free=(-2,)), (5,)),
+        (dancewalk.Homomorphism, dict(source=hom.source, target=hom.target, matrix=hom.matrix),
+         dancewalk.IntMatrix([[0, -1]])),
+        (dancewalk.DualPoint, dict(group=z4z, torsion_chars=(1,), torus_angles=(Fraction(1, 3),)),
+         (Fraction(2, 3),)),
+        (dancewalk.DanceData, dict(walk_subgroup=dance.walk_subgroup, base_point=dance.base_point,
+                                   rank_d=0, normalization_c=12, omega_invariants=((2, 6), 0)),
+         ((12,), 0)),
+        (dancewalk.SpectralGap, dict(rho=0.5, achieved_at=dancewalk.DualPoint(z4z6, (2, 0))), None),
+        (dancewalk.MomentData, dict(dim=1, mean=(Fraction(1, 2),), covariance=((Fraction(1, 4),),)),
+         ((Fraction(1, 2),),)),
+        (dancewalk.Attractor, dict(dance=dance, case="dpos", torsion_order=24, phi=hom,
+                                   moments=moments, twist=twist), None),
+        (dancewalk.LltReport, dict(n=3, sup_error=0.25, scaled_sup_error=0.5,
+                                   sup_error_exact=Fraction(1, 4), tv_exact=Fraction(1, 8),
+                                   tv_bound=0.2, worst_point=x), None),
+        (dancewalk.Classification, dict(irreducible="yes", aperiodic="no", period=3,
+                                        dance_cosets="three cosets", reason="why"), ""),
+        (dancewalk.WalkPath, dict(positions=(z4z.identity(), x)), (x,)),
+        (Check, dict(label="a check", passed=True, detail="all good"), ""),
+    ]
+
+
+def test_value_types_keep_the_dataclass_contract():
+    cases = _value_cases()
+    assert len(cases) == 16
+    for cls, fields, other in cases:
+        v = cls(**fields)
+        assert all(getattr(v, name) == value for name, value in fields.items()), cls
+        twin = cls(*fields.values())
+        assert v == twin and hash(v) == hash(twin) and v is not twin, cls
+        assert v != cls(**{**fields, list(fields)[-1]: other}), cls
+        assert copy.copy(v) == v and pickle.loads(pickle.dumps(v)) == v, cls
+        assert v != tuple(fields.values()), cls
+        with pytest.raises(TypeError):
+            iter(v)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(v, name, None)
+            with pytest.raises(AttributeError):
+                delattr(v, name)
+        with pytest.raises(AttributeError):
+            v.extra = 1  # slotted: no new attributes either
+        if cls not in (dancewalk.GroupSpec, dancewalk.Element):
+            shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+            assert repr(v) == f"{cls.__name__}({shown})"
+
+
+def test_value_types_keep_their_defaults():
+    a = dancewalk.Attractor(dance=_dance(), case="d0", torsion_order=24)
+    assert (a.phi, a.moments, a.twist) == (None, None, None)
+    report = dancewalk.LltReport(n=3)
+    assert report.n == 3
+    assert all(getattr(report, name) is None for name in (
+        "sup_error", "scaled_sup_error", "sup_error_exact", "tv_exact", "tv_bound",
+        "worst_point"))
+    c = dancewalk.Classification(irreducible="no", aperiodic="no", period=None, dance_cosets="d")
+    assert c.reason == "" and c == dancewalk.Classification("no", "no", None, "d", reason="")
+    assert Check("label", False).detail == ""
+    trivial = dancewalk.GroupSpec()
+    assert trivial == dancewalk.GroupSpec((), 0)
+    assert dancewalk.Element(trivial) == dancewalk.Element(trivial, (), ())
+    assert dancewalk.DualPoint(trivial) == dancewalk.DualPoint(trivial, (), ())
+
+
+def test_group_values_are_keys_with_their_reprs():
+    g, h = dancewalk.GroupSpec([4, 6], 1), dancewalk.GroupSpec((4, 6), 1)
+    assert {g: "a"}[h] == "a" and len({g, h, dancewalk.GroupSpec([4, 6])}) == 2
+    x, y = g.element([5, -1], [2]), g.element([1, 5], [2])
+    assert {x: 1}[y] == 1 and len({x, y, g.identity()}) == 2
+    assert repr(g) == "GroupSpec([4, 6], 1)"
+    assert repr(x) == "Element((1, 5, 2))"
+    assert repr(dancewalk.GroupSpec()) == "GroupSpec([], 0)"
+    assert x != (g, (1, 5), (2,)) and g != ((4, 6), 1)
+
+
+def test_moment_data_determinant_and_inverse():
+    m = dancewalk.MomentData(2, (Fraction(0), Fraction(1, 3)),
+                             ((Fraction(1, 2), Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 2))))
+    assert m.covariance_det == Fraction(3, 16)
+    inv = m.covariance_inverse
+    assert inv == ((Fraction(8, 3), Fraction(-4, 3)), (Fraction(-4, 3), Fraction(8, 3)))
+    assert m.covariance_inverse is inv  # filled on first use, then kept
+    assert m.is_positive_definite()
+    # the kept values take no part in equality
+    assert m == dancewalk.MomentData(m.dim, m.mean, m.covariance)
+    singular = dancewalk.MomentData(1, (Fraction(0),), ((Fraction(0),),))
+    assert singular.covariance_det == 0
+    with pytest.raises(ValueError):
+        singular.covariance_inverse

@@ -685,3 +685,27 @@ def test_runtime_imports_only_the_standard_library(tmp_path):
                           capture_output=True, text=True, timeout=120, env=cli_env())
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+STARTUP_CHECK = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import dancewalk.cli
+loaded = sorted(set(sys.modules) - before)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = dancewalk.cli.main(["examples", "z12"])
+print(json.dumps({"loaded": loaded, "code": code, "out": out.getvalue(),
+                  "scenarios": "dancewalk.scenarios" in sys.modules}))
+"""
+
+
+def test_cli_start_up_loads_no_dataclasses_inspect_or_scenarios():
+    proc = subprocess.run([sys.executable, "-c", STARTUP_CHECK],
+                          capture_output=True, text=True, timeout=120, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert "dancewalk.cli" in got["loaded"]
+    assert not {"dataclasses", "inspect", "dancewalk.scenarios"} & set(got["loaded"])
+    # examples still loads its scenarios on demand and runs them
+    assert got["code"] == 0 and got["scenarios"]
+    assert got["out"].endswith("checks passed\n") and "FAIL" not in got["out"]

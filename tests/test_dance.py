@@ -21,7 +21,7 @@ from dancewalk.dance import (
     spectral_gap,
     theta_by_integration,
 )
-from reference import char_fn, omega_contains
+from reference import char_fn, omega_contains, theta_by_fraction_integration
 
 Z12 = GroupSpec([12])
 Z9 = GroupSpec([9])
@@ -491,25 +491,43 @@ def test_factorization_at_locus_points():
             assert abs(lhs - rhs) < 1e-12
 
 
+def random_finite_walk(rng, pool, max_points=3):
+    """A walk on a group from pool with 1 to max_points points and weights in eighths."""
+    g = rng.choice(pool)
+    pts = sorted({g.element([rng.randrange(m) for m in g.torsion_moduli])
+                  for _ in range(rng.randrange(1, max_points + 1))})
+    cuts = sorted(rng.randrange(1, 8) for _ in range(len(pts) - 1)) + [8]
+    prev, weights = 0, {}
+    for x, cut in zip(pts, cuts):
+        if cut > prev:
+            weights[x] = Fraction(cut - prev, 8)
+        prev = cut
+    return Distribution(g, weights)
+
+
 def test_theta_by_integration_random_mixed_groups():
     rng = random.Random(99991)
     pool = [GroupSpec([n]) for n in (4, 6, 9, 12, 15)] + [
         GroupSpec([2, 4]), GroupSpec([4, 6]), GroupSpec([3, 6]), GroupSpec([2, 2, 3])]
     for _ in range(60):
-        g = rng.choice(pool)
-        pts = sorted({g.element([rng.randrange(m) for m in g.torsion_moduli])
-                      for _ in range(rng.randrange(1, 4))})
-        cuts = sorted(rng.randrange(1, 8) for _ in range(len(pts) - 1)) + [8]
-        prev, weights = 0, {}
-        for x, cut in zip(pts, cuts):
-            if cut > prev:
-                weights[x] = Fraction(cut - prev, 8)
-            prev = cut
-        p = Distribution(g, weights)
+        p = random_finite_walk(rng, pool)
         d = analyze_dance(p)
         for n in range(0, 6):
-            for x in g.elements():
+            for x in p.group.elements():
                 assert abs(theta_by_integration(p, n, x) - d.theta(n, x)) < 1e-9
+
+
+def test_theta_by_integration_is_bit_identical_to_fraction_reference():
+    # Integer phases j mod L give float(Fraction(j, L)) == j / L, so the
+    # integration oracle must equal the Fraction route exactly, not nearly.
+    rng = random.Random(20261018)
+    pool = [GroupSpec([n]) for n in (2, 7, 10)] + [
+        GroupSpec([3, 5]), GroupSpec([4, 6]), GroupSpec([2, 3, 4]), GroupSpec([2, 2, 2, 2])]
+    for _ in range(60):
+        p = random_finite_walk(rng, pool, max_points=5)
+        for n in (0, 1, 5):
+            for x in p.group.elements():
+                assert theta_by_integration(p, n, x) == theta_by_fraction_integration(p, n, x)
 
 
 def test_gaussian_envelope_near_zero():

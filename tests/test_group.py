@@ -61,6 +61,33 @@ def test_group_spec_invariants():
         GroupSpec([1, 4])
 
 
+def test_group_spec_rejects_non_integers():
+    with pytest.raises(TypeError):
+        GroupSpec([4.7], 1)
+    with pytest.raises(TypeError):
+        GroupSpec([4], 1.9)
+    with pytest.raises(TypeError):
+        GroupSpec([Fraction(8, 2)])
+    assert GroupSpec([True + 3], True) == GroupSpec([4], 1)  # integer types are accepted
+
+
+def test_element_rejects_non_integers():
+    with pytest.raises(TypeError):
+        Z4Z.element([5.5], [2])
+    with pytest.raises(TypeError):
+        Z4Z.element([5], [2.9])
+    with pytest.raises(TypeError):
+        Z4Z.element_from_coords((1, 2.0))
+    assert Z4Z.element([5], [2]).coords() == (1, 2)
+
+
+def test_dual_point_rejects_non_integer_characters():
+    with pytest.raises(TypeError):
+        DualPoint(Z12, [1.5])
+    assert DualPoint(Z12, [13]).torsion_chars == (1,)
+    assert DualPoint(Z4Z, [1], [Fraction(5, 4)]).torus_angles == (Fraction(1, 4),)
+
+
 def test_group_from_presentation():
     spec, proj = group_from_presentation(IntMatrix.diag([2, 3]))
     assert spec.torsion_moduli == (6,) and spec.free_rank == 0

@@ -59,6 +59,16 @@ def test_matmul_and_det_basics():
     assert mat([[2, 4], [1, 2]]).det() == 0
 
 
+def test_int_matrix_rejects_non_integers():
+    with pytest.raises(TypeError):
+        IntMatrix([[1, 2.5]])
+    with pytest.raises(TypeError):
+        IntMatrix([[Fraction(2)]])
+    assert IntMatrix([[True, 2]]).data == ((1, 2),)
+    with pytest.raises(TypeError):
+        bottom_row_unimodular([2.9, 3.5])
+
+
 def test_inverse_exact():
     u = mat([[1, 0], [1, 1]])
     assert u.inverse() == mat([[1, 0], [-1, 1]])
@@ -191,6 +201,14 @@ def test_affine_dim_examples():
     assert affine_dim(AffinePointSet(2, [(0, 0), (1, 0), (0, 1)])) == 2
     with pytest.raises(ValueError):
         affine_dim(AffinePointSet(2, []))
+
+
+def test_affine_point_set_rejects_non_integers():
+    with pytest.raises(TypeError):
+        AffinePointSet(2, [(0.5, 1.2)])
+    with pytest.raises(TypeError):
+        AffinePointSet(2.0, [(0, 1)])
+    assert AffinePointSet(2, [(1, 0), (0, 1), (1, 0)]).points == ((0, 1), (1, 0))
 
 
 def test_twist_matches_known_automorphism():
