@@ -41,6 +41,8 @@ class Value:
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if type(other) is not type(self):
             return NotImplemented
         return self._key(self) == other._key(other)

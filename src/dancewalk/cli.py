@@ -20,6 +20,7 @@ import sys
 from decimal import ROUND_CEILING, Decimal
 from fractions import Fraction
 
+from ._writer import _SLOT, _Rows, _fmt_float, _fmt_ratio, _int_str, _render
 from .dance import dance_of, spectral_gap
 from .group import GroupSpec, UnsupportedOperationError
 from .intlinalg import AffinePointSet, InvariantViolationError, twist_to_coordinates
@@ -37,10 +38,6 @@ class SpecError(ValueError):
     """The input walk description is malformed."""
 
 
-def _fmt_float(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _ceil_12g(x: float) -> float:
     """x rounded upward to 12 significant digits, so its .12g form is never below x."""
     if x == 0:
@@ -50,53 +47,6 @@ def _ceil_12g(x: float) -> float:
     while Decimal(_fmt_float(y)) < d:  # a subnormal y holds fewer than 12 digits
         y = math.nextafter(y, math.inf)
     return y
-
-
-def _int_str(v: int) -> str:
-    """str(v) at any length.
-
-    CPython refuses to convert an int with more digits than its limit
-    (4300 by default, never below 640), so a long one is split in two
-    by a power of ten.  Parsing keeps the limit.
-    """
-    if v.bit_length() <= 2000:  # at most 603 digits
-        return str(v)
-    if v < 0:
-        return "-" + _int_str(-v)
-    k = v.bit_length() * 3 // 20  # about half of v's digits
-    hi, lo = divmod(v, 10 ** k)
-    return _int_str(hi) + _int_str(lo).zfill(k)
-
-
-def _fmt_fraction(w: Fraction) -> str:
-    num = _int_str(w.numerator)
-    return f"{num}/{_int_str(w.denominator)}" if w.denominator != 1 else num
-
-
-def _render(obj, indent: int = 0) -> str:
-    """JSON with insertion-ordered keys and .12g floats."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(f'{pad}  {json.dumps(str(k))}: {_render(v, indent + 1)}'
-                           for k, v in obj.items())
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        items = [_render(v, indent + 1) for v in obj]
-        if sum(len(i) for i in items) < 60 and all("\n" not in i for i in items):
-            return "[" + ", ".join(items) + "]"
-        inner = ",\n".join(f"{pad}  {i}" for i in items)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, Fraction):
-        return json.dumps(_fmt_fraction(obj))
-    if isinstance(obj, int):
-        return _int_str(obj)
-    return json.dumps(obj)
 
 
 def _emit(obj):
@@ -212,34 +162,37 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+_WEIGHT = {"elem": {"torsion": _SLOT, "free": _SLOT}, "weight": _SLOT, "weight_float": _SLOT}
+
+
 def cmd_convolve(args) -> int:
     p = _read_spec(args.spec)
     (_, pn), = _powers(p, (args.n,))
-    t = len(p.group.torsion_moduli)
-    weights = []
+    t, den = len(p.group.torsion_moduli), pn._den
+    rows = []
     for x, v in sorted(pn._nums.items()):
-        w = Fraction(v, pn._den)
-        weights.append({"elem": {"torsion": list(x[:t]), "free": list(x[t:])},
-                        "weight": w, "weight_float": float(w)})
-    _emit({"n": args.n, "support_size": len(pn), "weights": weights})
+        g = math.gcd(v, den)
+        rows.append((x[:t], x[t:], _fmt_ratio(v // g, den // g), v / den))
+    _emit({"n": args.n, "support_size": len(pn), "weights": _Rows(_WEIGHT, rows)})
     return 0
 
 
-def _compare_records(a, n, pn):
-    records = []
-    for x, v, theta, approx in _evaluated_window(pn._nums, a, n):
-        w = Fraction(v, pn._den)
-        w_float = float(w)
-        records.append({
-            "n": n,
-            "x": list(x),
-            "p": w,
-            "p_float": w_float,
-            "theta": theta,
-            "attractor": approx,
-            "abs_error": abs(w_float - approx),
-        })
-    return records
+def _compare_rows(p: Distribution, ns: list[int]) -> list[tuple]:
+    """(n, x, numerator, denominator, p_float, theta, attractor, abs_error) at
+    each window point of each step n, with p^(n)(x) = numerator / denominator
+    in lowest terms and p_float that quotient correctly rounded, as
+    float(Fraction) gives it."""
+    a = build_attractor(p)
+    rows = []
+    for n, pn in _powers(p, ns):
+        den = pn._den
+        for x, v, theta, approx in _evaluated_window(pn._nums, a, n):
+            g, p_float = math.gcd(v, den), v / den
+            rows.append((n, x, v // g, den // g, p_float, theta, approx, abs(p_float - approx)))
+    return rows
+
+
+_COMPARE = dict.fromkeys(("n", "x", "p", "p_float", "theta", "attractor", "abs_error"), _SLOT)
 
 
 def cmd_compare(args) -> int:
@@ -250,21 +203,20 @@ def cmd_compare(args) -> int:
         raise SpecError(f"bad step list {args.n!r}") from None
     if not ns or any(n < 1 for n in ns):
         raise SpecError("at least one step n >= 1 is required")
-    a = build_attractor(p)
-    records = [r for n, pn in _powers(p, ns) for r in _compare_records(a, n, pn)]
+    rows = _compare_rows(p, ns)
     if args.format == "json":
-        _emit(records)
+        _emit(_Rows(_COMPARE, [(n, x, _fmt_ratio(num, den), *rest)
+                               for n, x, num, den, *rest in rows]))
     else:
         dim = p.group.dim
         header = (["n"] + [f"x{i}" for i in range(dim)]
                   + ["p_num", "p_den", "p_float", "theta", "attractor", "abs_error"])
         lines = [",".join(header)]
-        for r in records:
-            w = r["p"]
+        for n, x, num, den, p_float, theta, approx, error in rows:
             lines.append(",".join(
-                [str(r["n"])] + [str(c) for c in r["x"]]
-                + [_int_str(w.numerator), _int_str(w.denominator), _fmt_float(r["p_float"]),
-                   str(r["theta"]), _fmt_float(r["attractor"]), _fmt_float(r["abs_error"])]))
+                [str(n)] + [str(c) for c in x]
+                + [_int_str(num), _int_str(den), _fmt_float(p_float), str(theta),
+                   _fmt_float(approx), _fmt_float(error)]))
         sys.stdout.write("\n".join(lines) + "\n")
     return 0
 

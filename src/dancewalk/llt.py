@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import add, mod, sub
 
 from ._value import Value
 from .dance import DanceData, dance_of, period_if_irreducible, spectral_gap
@@ -167,7 +168,7 @@ class _Heat:
     correctly rounded as float(Fraction) is: every value is bit-identical
     to that of gaussian_kernel in tests/reference.py, the Fraction
     reference the tests compare against.  Every caller takes its values
-    from one pass, values(extra), over the window and the extra points.
+    from one pass, values(extra, live), over the window and the extra points.
     """
 
     def __init__(self, a: Attractor, n: int):
@@ -189,35 +190,85 @@ class _Heat:
         """K^n(u - n*mu) for the u with form(u) = q."""
         return math.exp(-(q / self.scale) / (2 * float(self.n))) / self.norm
 
-    def values(self, extra) -> dict[tuple[int, ...], float]:
-        """K^n(phi(x) - n*mu) by coordinates x: at every torsion lift of each u
+    def values(self, extra, live: bool) -> dict[tuple[int, ...], float]:
+        """K^n(phi(x) - n*mu) by coordinates x: at the torsion lifts of each u
         within 8 standard deviations of n*mu, and at each point of extra
-        outside that window.
+        outside that window; with live, only at the points of the live
+        coset W + n*x0, where theta is c.
 
         For d >= 1 the free part of a live-coset point is
         phi_full^(-1) (u, n*w) for some u in Z^d, so the lifts of these u
         through every torsion residue cover the points where the
-        attractor is not negligible; phi of each lift is u.
+        attractor is not negligible; phi of each lift is u.  The window is
+        enumerated as by Fincke and Pohst (1985): the first d - 1
+        coordinates of u run over a box, the last over the exact interval
+        where the form, a quadratic in it, is within bound, and along that
+        the form and the lift step by integer differences.  With pi the
+        projection onto G/W, the lift (r, f) is live when
+        pi(r, 0) = n*pi(x0) - pi(0, f), so the residues r are grouped by
+        pi(r, 0) once.  Only torsion parts are compared: (r, f) - n*x0 has
+        finite order in G/W, so its free part there is 0.
         """
-        a, n = self.attractor, self.n
+        a, n, dm, q = self.attractor, self.n, self.dm, self.q
         moments = a.moments
-        ranges = []
-        for i in range(moments.dim):
+        d, inv = moments.dim, a.twist.phi.inverse
+        k, tail = inv.rows, tuple(n * wi for wi in a.twist.w)
+        box = []
+        for i in range(d - 1):
             r = 8 * math.sqrt(n * float(moments.covariance[i][i]))
             center = float(n * moments.mean[i])
-            ranges.append(range(math.floor(center - r), math.ceil(center + r) + 1))
+            box.append(range(math.floor(center - r), math.ceil(center + r) + 1))
         bound = 64 * n * self.scale
-        tail = tuple(n * wi for wi in a.twist.w)
-        inv_full = a.twist.phi.inverse
-        residues = list(itertools.product(*(range(m) for m in a.phi.source.torsion_moduli)))
+
+        if live:
+            spec, proj = a.dance.walk_subgroup.quotient_map()
+            pi, moduli = proj.matrix.data, spec.torsion_moduli
+        else:  # nothing to tell apart: every lift and every extra point is kept
+            pi, moduli = (), ()
+        ts = len(moduli)
+
+        def image(x):  # pi(x), its torsion part reduced
+            v = [sum(e * c for e, c in zip(row, x)) for row in pi]
+            return tuple(c % m for c, m in zip(v, moduli)) + tuple(v[ts:])
+
+        live_at = image([n * c for c in a.dance.base_point.coords()])
+        torsion = a.phi.source.torsion_moduli
+        origin = (0,) * len(torsion)
+        groups = {}  # the torsion residues r by pi(r, 0)
+        for r in itertools.product(*(range(m) for m in torsion)):
+            groups.setdefault(image(r + (0,) * k)[:ts], []).append(r)
+        free_step = tuple(row[d - 1] for row in inv.data)
+        key_step = image(origin + free_step)
+
         out = {}
-        for u in itertools.product(*ranges):
-            q = self.form(u)
-            if q <= bound:
-                free, k = inv_full.mul_vec(u + tail), self.kernel(q)
-                out.update((tors + free, k) for tors in residues)
+        kernel = self.kernel
+        qll, sl = q[d - 1][d - 1], self.shift[d - 1]
+        qa = qll * dm * dm
+        for head in itertools.product(*box):
+            # form(head, v) = qa*v^2 + qb*v + qc, v the last coordinate of u
+            y = [dm * c - s for c, s in zip(head, self.shift)]
+            cross = sum((q[d - 1][j] + q[j][d - 1]) * yj for j, yj in enumerate(y))
+            qb = dm * (cross - 2 * qll * sl)
+            qc = (sum(yi * qij * yj for yi, row in zip(y, q) for qij, yj in zip(row, y))
+                  - cross * sl + qll * sl * sl)
+            disc = qb * qb - 4 * qa * (qc - bound)
+            if disc < 0:
+                continue
+            root = math.isqrt(disc)  # qa*v^2 + qb*v + qc <= bound iff |2*qa*v + qb| <= root
+            lo, hi = -((root + qb) // (2 * qa)), (root - qb) // (2 * qa)
+            form, diff = qa * lo * lo + qb * lo + qc, qa * (2 * lo + 1) + qb
+            free = inv.mul_vec(head + (lo,) + tail)
+            key = tuple(map(mod, map(sub, live_at, image(origin + free)), moduli))
+            for _ in range(lo, hi + 1):
+                value = kernel(form)
+                for r in groups.get(key, ()):
+                    out[r + free] = value
+                form, diff = form + diff, diff + 2 * qa
+                free = tuple(map(add, free, free_step))
+                key = tuple(map(mod, map(sub, key, key_step), moduli))
         for x in extra - out.keys():
-            out[x] = self.kernel(self.form(a.phi.matrix.mul_vec(x)))
+            if image(x) == live_at:
+                out[x] = kernel(self.form(a.phi.matrix.mul_vec(x)))
         return out
 
 
@@ -237,8 +288,7 @@ def _evaluated_window(nums, a: Attractor, n: int) -> list[tuple]:
     if a.case == "d0":
         live = dict.fromkeys(dance.coset_coords(n), c / tor)
     else:
-        live = {x: (c / tor) * k for x, k in _Heat(a, n).values(nums.keys()).items()
-                if dance.theta_coords(n, x)}
+        live = {x: (c / tor) * k for x, k in _Heat(a, n).values(nums.keys(), True).items()}
     if not live.keys() >= nums.keys():
         raise InvariantViolationError("a support point of p^(n) lies off the live coset")
     return [(x, nums.get(x, 0), c, live[x]) for x in sorted(live)]
@@ -321,7 +371,7 @@ def time_average_error(p: Distribution, a: Attractor, n: int, s: int) -> float:
     if any(m != 0 for m in a.moments.mean):
         raise ValueError("time-average limit requires a mean-zero pushforward")
     return max(abs(total.get(x, 0) / scale - k / a.torsion_order)
-               for x, k in _Heat(a, n).values(total.keys()).items())
+               for x, k in _Heat(a, n).values(total.keys(), False).items())
 
 
 def tv_to_uniform_coset(p: Distribution, n: int) -> LltReport:

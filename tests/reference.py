@@ -6,15 +6,18 @@ window pass evaluates the heat kernel on one integer quadratic form read
 from one fraction-free elimination.  Here are the float and Fraction
 routes to the same values (gaussian_kernel, attractor_eval, char_fn,
 omega_contains, theta_by_fraction_integration, rational_inverse) and the
-window as a list of Elements (evaluation_window).  No library path calls
-them.
+window as a list of Elements (evaluation_window).  _render is the
+recursive JSON writer that the one-list writer in dancewalk._writer
+replaced.  No library path calls them.
 """
 
 import cmath
 import itertools
+import json
 import math
 from fractions import Fraction
 
+from dancewalk._writer import _fmt_float, _int_str
 from dancewalk.group import DualPoint, Element
 from dancewalk.llt import Attractor, MomentData, _evaluated_window
 from dancewalk.measure import Distribution
@@ -120,3 +123,34 @@ def rational_inverse(rows) -> list[list[Fraction]]:
                 f = a[i][col]
                 a[i] = [e - f * g for e, g in zip(a[i], a[col])]
     return [row[n:] for row in a]
+
+
+def _fmt_fraction(w: Fraction) -> str:
+    num = _int_str(w.numerator)
+    return f"{num}/{_int_str(w.denominator)}" if w.denominator != 1 else num
+
+
+def _render(obj, indent: int = 0) -> str:
+    """JSON with insertion-ordered keys and .12g floats."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = ",\n".join(f'{pad}  {json.dumps(str(k))}: {_render(v, indent + 1)}'
+                           for k, v in obj.items())
+        return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        items = [_render(v, indent + 1) for v in obj]
+        if sum(len(i) for i in items) < 60 and all("\n" not in i for i in items):
+            return "[" + ", ".join(items) + "]"
+        inner = ",\n".join(f"{pad}  {i}" for i in items)
+        return "[\n" + inner + "\n" + pad + "]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, float):
+        return _fmt_float(obj)
+    if isinstance(obj, Fraction):
+        return json.dumps(_fmt_fraction(obj))
+    if isinstance(obj, int):
+        return _int_str(obj)
+    return json.dumps(obj)

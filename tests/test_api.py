@@ -174,6 +174,21 @@ def test_group_values_are_keys_with_their_reprs():
     assert x != (g, (1, 5), (2,)) and g != ((4, 6), 1)
 
 
+def test_value_equality_short_cuts_only_on_identity():
+    # __eq__ answers True at once for the same object; copies still compare
+    # field by field, and a value of another type never equals one
+    for cls, fields, other in _value_cases():
+        v, twin = cls(**fields), cls(**fields)
+        assert v == v and not v != v, cls
+        assert v == twin and hash(v) == hash(twin) and v is not twin, cls
+        assert copy.deepcopy(v) == v and hash(copy.deepcopy(v)) == hash(v), cls
+    z4z = dancewalk.GroupSpec([4], 1)
+    x, xi = z4z.element([1], [0]), dancewalk.DualPoint(z4z, (1,), (0,))
+    assert (x.group, x.torsion, x.free) == (xi.group, xi.torsion_chars, xi.torus_angles)
+    assert x != xi and xi != x and not x == xi
+    assert z4z.__eq__(x) is NotImplemented
+
+
 def test_moment_data_determinant_and_inverse():
     m = dancewalk.MomentData(2, (Fraction(0), Fraction(1, 3)),
                              ((Fraction(1, 2), Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 2))))

@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import dancewalk.cli
 import dancewalk.dance
@@ -16,10 +17,12 @@ import dancewalk.group
 import dancewalk.intlinalg
 import dancewalk.llt
 import dancewalk.measure
+from dancewalk._writer import _SLOT, _render, _Rows
 from dancewalk.cli import dump_spec, load_spec, main
 from dancewalk.group import GroupSpec, Subgroup
 from dancewalk.measure import convolution_power
 from dancewalk.scenarios import SCENARIOS
+from reference import _render as reference_render
 
 SRC = str(Path(dancewalk.__file__).resolve().parent.parent)
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -219,6 +222,40 @@ def test_compare_json_ordering():
 def test_compare_rejects_empty_steps():
     proc = run_cli(["compare", "--spec", "-", "--n", ""], stdin=Z12_SPEC)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("error, code", [(dancewalk.intlinalg.InvariantViolationError, 3),
+                                         (dancewalk.group.UnsupportedOperationError, 2)])
+@pytest.mark.parametrize("command", [["compare", "--n", "1,2"],
+                                     ["compare", "--n", "1,2", "--format", "csv"]])
+def test_a_failed_command_prints_nothing(error, code, command, monkeypatch, capsys):
+    # the first step's rows are ready when the second step fails
+    window = dancewalk.cli._evaluated_window
+
+    def failing(nums, a, n):
+        if n == 2:
+            raise error("second step")
+        return window(nums, a, n)
+
+    monkeypatch.setattr(dancewalk.cli, "_evaluated_window", failing)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(LAZY_Z2_SPEC))
+    assert main([*command, "--spec", "-"]) == code
+    out = capsys.readouterr()
+    assert out.out == "" and "second step" in out.err
+
+
+def test_each_command_renders_once_through_the_cli_binding(monkeypatch, capsys):
+    # bench/spans.py times rendering by wrapping dancewalk.cli._render
+    calls = []
+    render = dancewalk.cli._render
+    monkeypatch.setattr(dancewalk.cli, "_render", lambda obj: calls.append(obj) or render(obj))
+    for command, spec in [(["convolve", "--n", "3"], KNIGHT_SPEC),
+                          (["compare", "--n", "1,2"], LAZY_Z2_SPEC),
+                          (["attractor", "--n", "3"], LAZY_Z2_SPEC), (["analyze"], Z12_SPEC)]:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
+        assert main([*command, "--spec", "-"]) == 0
+        assert capsys.readouterr().out == render(calls[-1]) + "\n"
+    assert len(calls) == 4
 
 
 def test_compare_computes_each_power_once(monkeypatch, capsys):
@@ -666,8 +703,9 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
 loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
-print(json.dumps(sorted(m for m in loaded
-                        if m != "dancewalk" and m not in sys.stdlib_module_names)))
+print(json.dumps({"foreign": sorted(m for m in loaded
+                                    if m != "dancewalk" and m not in sys.stdlib_module_names),
+                  "csv": "csv" in sys.modules}))
 """
 
 
@@ -684,7 +722,8 @@ def test_runtime_imports_only_the_standard_library(tmp_path):
     proc = subprocess.run([sys.executable, "-c", STDLIB_CHECK, json.dumps(calls)],
                           capture_output=True, text=True, timeout=120, env=cli_env())
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    # no third-party module, and the CSV output is written without the csv module
+    assert json.loads(proc.stdout) == {"foreign": [], "csv": False}
 
 
 STARTUP_CHECK = """
@@ -709,3 +748,97 @@ def test_cli_start_up_loads_no_dataclasses_inspect_or_scenarios():
     # examples still loads its scenarios on demand and runs them
     assert got["code"] == 0 and got["scenarios"]
     assert got["out"].endswith("checks passed\n") and "FAIL" not in got["out"]
+
+
+@pytest.mark.parametrize("name, spec, command", [
+    ("knight", KNIGHT_SPEC, ["convolve", "--n", "3"]),
+    ("z2z2z6", Z2Z2Z6_SPEC, ["convolve", "--n", "4"]),
+    ("elevator2", ELEVATOR2_SPEC, ["sample", "--n", "12", "--seed", "5", "--paths", "3"]),
+])
+def test_golden_stdout_convolve_and_sample(name, spec, command, capsys, monkeypatch):
+    # the bytes pin the weights, their order and layout, and the seeded paths
+    _assert_golden(name, spec, command, capsys, monkeypatch)
+
+
+class _Big:
+    """Stands in for an int of about 10**k, or a Fraction with that numerator, in the
+    documents drawn below, which hypothesis must be able to repr; _expand makes it."""
+
+    def __init__(self, k: int, fraction: bool):
+        self.k, self.fraction = k, fraction
+
+    def __repr__(self):
+        return f"_Big({self.k}, {self.fraction})"
+
+
+def _expand(doc):
+    if isinstance(doc, _Big):
+        return Fraction(-(10 ** doc.k) - 1, 3) if doc.fraction else 10 ** doc.k + 7
+    if isinstance(doc, dict):
+        return {k: _expand(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(_expand(v) for v in doc)
+    return doc
+
+
+# Strings with quotes, backslashes, control characters and non-ASCII text, and ints
+# and Fraction numerators past the 4300-digit conversion limit.
+_TEXT = st.text(st.sampled_from('ab "\\/\n\t\x00\x1f\x7f\u00e9\u20ac\U0001f600') | st.characters(),
+                max_size=8)
+_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), _TEXT,
+    st.fractions(), st.integers().map(Fraction),
+    st.builds(_Big, st.integers(4301, 4400), st.booleans()))
+_DOCUMENT = st.recursive(
+    _SCALAR,
+    lambda kids: (st.lists(kids, max_size=6) | st.lists(kids, max_size=6).map(tuple)
+                  | st.dictionaries(_TEXT | st.integers() | st.booleans(), kids, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_DOCUMENT)
+# a list is inlined when its items total under 60 characters and none spans lines
+@example(["a" * 57])  # 59 characters: one line
+@example(["a" * 58])  # 60: one item per line
+@example([1] * 59)
+@example([1] * 60)
+@example(["x" * 27, "y" * 28])
+@example(("x" * 27, "y" * 29))
+@example([[], {}, (), [[]], [{}], {"": []}])
+@example([[1, 2], [3, [4, 5]], [["a" * 50]]])
+@example([{"a": 1}, {"b": [True, 1, None, False, 0]}])
+@example([{1: 0}, {True: 0}, {"1": 0, 0: 1}, {False: 1}])  # keys equal as dict keys, not as text
+@example({"k": [Fraction(5), _Big(4400, True), _Big(4500, False), [_Big(4301, False)]]})
+def test_writer_matches_the_recursive_reference(doc):
+    doc = _expand(doc)
+    assert _render(doc) == reference_render(doc)
+
+
+def _fill(layout, values):
+    return {k: next(values) if v is _SLOT else _fill(v, values) for k, v in layout.items()}
+
+
+def _leaves(layout):
+    return sum(1 if v is _SLOT else _leaves(v) for v in layout.values())
+
+
+@st.composite
+def _tables(draw):
+    """(layout, rows): a layout of up to two levels and rows of documents to fill it."""
+    level = st.dictionaries(_TEXT, st.just(_SLOT), max_size=3)
+    layout = draw(st.dictionaries(_TEXT, st.just(_SLOT) | level, max_size=4))
+    rows = draw(st.lists(st.tuples(*[_DOCUMENT] * _leaves(layout)), max_size=4))
+    return layout, rows
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_tables(), _SCALAR)
+def test_rows_are_written_as_the_dicts_they_stand_for(table, head):
+    layout, rows = table
+    rows, head = _expand(rows), _expand(head)
+    records = [_fill(layout, iter(row)) for row in rows]
+    assert _render(_Rows(layout, rows)) == reference_render(records)
+    # nested a level down, as the weights of convolve are
+    assert _render({"head": head, "rows": _Rows(layout, rows), "tail": [_Rows(layout, [])]}) == \
+        reference_render({"head": head, "rows": records, "tail": [[]]})

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dancewalk.group import DualPoint, Element, GroupSpec, Homomorphism
 from dancewalk.group import UnsupportedOperationError
-from dancewalk.intlinalg import IntMatrix
+from dancewalk.intlinalg import IntMatrix, InvariantViolationError
 from dancewalk.measure import Distribution, _powers, convolution_power, convolve, pushforward
 from dancewalk.dance import analyze_dance, spectral_gap
 from dancewalk.llt import (
@@ -59,6 +59,16 @@ def elevator2():
 
 def spitzer():
     return Distribution(Z2, {Z2.element((), [1, 0]): half, Z2.element((), [0, 1]): half})
+
+
+def _uniform(g, steps):
+    return Distribution(g, {g.element(t, f): Fraction(1, len(steps)) for t, f in steps})
+
+
+DRIFT_Z2 = _uniform(Z2, [((), (0, 0)), ((), (1, 0)), ((), (0, 1))])
+SHEARED_LAZY_Z2 = _uniform(Z2, [((), (0, 0)), ((), (1, 1)), ((), (-1, -1)), ((), (1, 0)),
+                                ((), (-1, 0))])
+TWISTED_Z4_Z2 = _uniform(GroupSpec([4], 2), [((1,), (1, 0)), ((3,), (0, 1)), ((1,), (2, -1))])
 
 
 def test_mean_cov_examples():
@@ -276,6 +286,37 @@ def test_time_average_counts_support_beyond_the_window():
     a = build_attractor(p)
     assert 255 > 8 * math.sqrt(a.moments.covariance[0][0])
     assert time_average_error(p, a, 1, 1) == pytest.approx(1 / 2000, rel=1e-9)
+
+
+def test_evaluated_window_rejects_support_off_the_live_coset():
+    # elevator2 lives on torsion + free = n (mod 2): flipping a residue leaves the coset
+    p, n = elevator2(), 3
+    a = build_attractor(p)
+    (_, law), = _powers(p, (n,))
+    window = {x: f for x, _, _, f in _evaluated_window(law._nums, a, n)}
+    far = (0, 1001)  # on the live coset, beyond 8 standard deviations
+    assert far not in window
+    got = {x: f for x, _, _, f in _evaluated_window({**law._nums, far: 0}, a, n)}
+    assert got.keys() == window.keys() | {far} and got[far] == 0.0
+    for x in ((0, 0), (1, 1001)):  # off the coset: inside the window's box, and far beyond it
+        with pytest.raises(InvariantViolationError):
+            _evaluated_window({**law._nums, x: 1}, a, n)
+
+
+@pytest.mark.parametrize("p, n, s", [(elevator2(), 9, 2), (SHEARED_LAZY_Z2, 5, 1)])
+def test_time_average_matches_fraction_reference(p, n, s):
+    # mean zero: the limit at x is K^n(phi(x)) / |Tor(G)| on every torsion lift of the
+    # window and on the support, with no dance to pick residues
+    a = build_attractor(p)
+    average = {}
+    for law in (convolution_power(p, m) for m in range(n, n + s)):
+        for x in law.support():
+            average[x] = average.get(x, 0) + law.weight(x) / s
+    points = set(average).union(_reference_lifts(a, n))
+    want = max(abs(float(average.get(x, 0))
+                   - gaussian_kernel(a.moments, n, [Fraction(c) for c in a.phi(x).free])
+                   / a.torsion_order) for x in points)
+    assert time_average_error(p, a, n, s) == want
 
 
 def test_time_average_preconditions():
@@ -625,6 +666,12 @@ def window_cases(draw):
 @example((Distribution(Z1, {Z1.element((), [-1]): quarter, Z1.element((), [0]): half,
                             Z1.element((), [1]): quarter}), 2))
 @example((Distribution(Z1, {Z1.element((), [-1]): half, Z1.element((), [1]): half}), 15))
+# off-diagonal covariance with window points exactly on the ellipse: (-2, -2), (-2, 6) and
+# (6, -2) at n = 2 on the drift walk, (0, 8) and (16, 8) at n = 5 on the sheared lazy walk
+@example((DRIFT_Z2, 2))
+@example((SHEARED_LAZY_Z2, 5))
+# rank 1 in Z_4 x Z^2 (twisted), and c = 2: each window u keeps 2 of its 4 residues
+@example((TWISTED_Z4_Z2, 5))
 def test_evaluated_window_matches_fraction_reference(case):
     p, n = case
     a = build_attractor(p)
