@@ -7,6 +7,7 @@ limit), floats with 12 significant digits and Fractions as quoted
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -46,13 +47,26 @@ class _Rows:
     layout is a dict whose leaves, nested dicts aside, are all _SLOT;
     each row is the tuple of its leaf values in the layout's order.
     _render writes _Rows(layout, rows) exactly as it writes the list of
-    those dicts with the leaves filled in.
+    those dicts with the leaves filled in.  rows may be any iterable,
+    such as a generator; it is drawn once, as the list is written.
     """
 
-    __slots__ = ("layout", "rows")
+    __slots__ = ("layout", "_rows", "_ahead")
 
-    def __init__(self, layout: dict, rows: list[tuple]):
-        self.layout, self.rows = layout, rows
+    def __init__(self, layout: dict, rows):
+        self.layout, self._rows, self._ahead = layout, iter(rows), None
+
+    def ahead(self) -> list[tuple]:
+        """The rows drawn before the list is written: the first, which tells
+        [] from a list of records, or, when the layout is empty, all of them
+        (each is ()), since a list of {} may fit on one line."""
+        if self._ahead is None:
+            self._ahead = list(itertools.islice(self._rows, 1 if self.layout else None))
+        return self._ahead
+
+    def __iter__(self):
+        yield from self.ahead()
+        yield from self._rows
 
 
 # The text of a scalar, by its exact type
@@ -85,11 +99,11 @@ def _one_line(v) -> str | None:
             texts.append(text)
         return "[" + ", ".join(texts) + "]"
     if isinstance(v, _Rows):
-        return None if v.layout and v.rows else _one_line([{}] * len(v.rows))
+        return None if v.layout and v.ahead() else _one_line([{}] * len(v.ahead()))
     return json.dumps(v)
 
 
-def _render(obj) -> str:
+def _render(obj, end: str = "") -> str:
     """JSON with insertion-ordered keys and .12g floats.
 
     Scalars print as _SCALARS gives them (a Fraction as a quoted
@@ -98,7 +112,10 @@ def _render(obj) -> str:
     and {} when empty.  A list or tuple is written on one line, as
     [a, b, c], when its items' texts total under 60 characters and none
     of them spans lines; otherwise it writes one item per line.  The
-    text is appended piece by piece to one list and joined once.
+    text, followed by end, is appended piece by piece to one list and
+    joined once; the pieces of each record of a _Rows are joined as soon
+    as the record is written, so a long list of records holds one string
+    per record and no row of it once written.
     """
     out = []
     append = out.append
@@ -136,10 +153,10 @@ def _render(obj) -> str:
                 sep = "," + inner
             append(nl + "]")
         elif isinstance(v, _Rows):
-            if v.layout and v.rows:
+            if v.layout and v.ahead():
                 write_rows(v, nl)
             else:  # a list of {} or an empty list, which may fit on one line
-                write([{}] * len(v.rows), nl)
+                write([{}] * len(v.ahead()), nl)
         elif v is _SLOT:  # a raw NUL marks it: JSON text has every control character escaped
             append("\0")
             slots.append(nl)
@@ -156,14 +173,19 @@ def _render(obj) -> str:
         del out[start:]
         fills = list(zip(slots, texts[1:]))
         head, sep = "[" + inner + texts[0], "," + inner + texts[0]
-        for row in table.rows:
+        for row in table:
             append(head)
             for x, (indent, text) in zip(row, fills, strict=True):
                 write(x, indent)
                 append(text)
+            out[start:] = ("".join(out[start:]),)  # the record as one string
+            start += 1
             head = sep
         append(nl + "]")
 
     slots = []  # the indents of the slots met while writing a layout
     write(obj, "\n")
-    return "".join(out)
+    append(end)
+    text = "".join(out)
+    out.clear()  # write refers to itself, so out would live on until a cycle collection
+    return text

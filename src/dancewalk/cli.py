@@ -49,8 +49,16 @@ def _ceil_12g(x: float) -> float:
     return y
 
 
+# A text stream encodes each str written to it whole, so a long text is
+# written in slices of this many characters, never copied at its full size.
+_SLICE = 1 << 16
+
+
 def _emit(obj):
-    sys.stdout.write(_render(obj) + "\n")
+    text = _render(obj)
+    for i in range(0, len(text), _SLICE):
+        sys.stdout.write(text[i:i + _SLICE])
+    sys.stdout.write("\n")
 
 
 def _integers(what: str, values) -> list[int]:
@@ -99,7 +107,7 @@ def dump_spec(p: Distribution) -> str:
             {"elem": _element_doc(x), "weight": w} for x, w in p.items()
         ],
     }
-    return _render(doc) + "\n"
+    return _render(doc, "\n")
 
 
 def _read_spec(path: str) -> Distribution:
@@ -169,27 +177,33 @@ def cmd_convolve(args) -> int:
     p = _read_spec(args.spec)
     (_, pn), = _powers(p, (args.n,))
     t, den = len(p.group.torsion_moduli), pn._den
-    rows = []
-    for x, v in sorted(pn._nums.items()):
-        g = math.gcd(v, den)
-        rows.append((x[:t], x[t:], _fmt_ratio(v // g, den // g), v / den))
-    _emit({"n": args.n, "support_size": len(pn), "weights": _Rows(_WEIGHT, rows)})
+
+    def rows():
+        for x, v in sorted(pn._nums.items()):
+            g = math.gcd(v, den)
+            yield x[:t], x[t:], _fmt_ratio(v // g, den // g), v / den
+
+    _emit({"n": args.n, "support_size": len(pn), "weights": _Rows(_WEIGHT, rows())})
     return 0
 
 
-def _compare_rows(p: Distribution, ns: list[int]) -> list[tuple]:
-    """(n, x, numerator, denominator, p_float, theta, attractor, abs_error) at
-    each window point of each step n, with p^(n)(x) = numerator / denominator
+def _compare_rows(pn: Distribution, a, n: int):
+    """(x, numerator, denominator, p_float, theta, attractor, abs_error) at
+    each window point of step n, with p^(n)(x) = numerator / denominator
     in lowest terms and p_float that quotient correctly rounded, as
     float(Fraction) gives it."""
+    den = pn._den
+    for x, v, theta, approx in _evaluated_window(pn._nums, a, n):
+        g, p_float = math.gcd(v, den), v / den
+        yield x, v // g, den // g, p_float, theta, approx, abs(p_float - approx)
+
+
+def _compare_steps(p: Distribution, ns: list[int]):
+    """(n, rows of step n) for each step n in sorted order; each step's law
+    is made when it is reached, and its rows as they are drawn."""
     a = build_attractor(p)
-    rows = []
     for n, pn in _powers(p, ns):
-        den = pn._den
-        for x, v, theta, approx in _evaluated_window(pn._nums, a, n):
-            g, p_float = math.gcd(v, den), v / den
-            rows.append((n, x, v // g, den // g, p_float, theta, approx, abs(p_float - approx)))
-    return rows
+        yield n, _compare_rows(pn, a, n)
 
 
 _COMPARE = dict.fromkeys(("n", "x", "p", "p_float", "theta", "attractor", "abs_error"), _SLOT)
@@ -203,21 +217,21 @@ def cmd_compare(args) -> int:
         raise SpecError(f"bad step list {args.n!r}") from None
     if not ns or any(n < 1 for n in ns):
         raise SpecError("at least one step n >= 1 is required")
-    rows = _compare_rows(p, ns)
+    steps = _compare_steps(p, ns)
     if args.format == "json":
-        _emit(_Rows(_COMPARE, [(n, x, _fmt_ratio(num, den), *rest)
-                               for n, x, num, den, *rest in rows]))
+        _emit(_Rows(_COMPARE, ((n, x, _fmt_ratio(num, den), *rest)
+                               for n, rows in steps for x, num, den, *rest in rows)))
     else:
-        dim = p.group.dim
-        header = (["n"] + [f"x{i}" for i in range(dim)]
+        header = (["n"] + [f"x{i}" for i in range(p.group.dim)]
                   + ["p_num", "p_den", "p_float", "theta", "attractor", "abs_error"])
-        lines = [",".join(header)]
-        for n, x, num, den, p_float, theta, approx, error in rows:
-            lines.append(",".join(
-                [str(n)] + [str(c) for c in x]
-                + [_int_str(num), _int_str(den), _fmt_float(p_float), str(theta),
-                   _fmt_float(approx), _fmt_float(error)]))
-        sys.stdout.write("\n".join(lines) + "\n")
+        chunks = [",".join(header) + "\n"]  # the text of each step
+        for n, rows in steps:
+            chunks.append("".join(
+                ",".join([str(n), *map(str, x), _int_str(num), _int_str(den),
+                          _fmt_float(p_float), str(theta), _fmt_float(approx),
+                          _fmt_float(error)]) + "\n"
+                for x, num, den, p_float, theta, approx, error in rows))
+        sys.stdout.writelines(chunks)
     return 0
 
 

@@ -317,28 +317,36 @@ def llt_sup_error(p: Distribution, a: Attractor, n: int) -> LltReport:
     d = 0 case the scan is exact rational arithmetic and the exact sup
     is reported alongside the float.
     """
-    if n < 1:
+    report, = _sup_errors(p, a, (n,))
+    return report
+
+
+def _sup_errors(p: Distribution, a: Attractor, steps):
+    """llt_sup_error(p, a, n) for each n in steps, in sorted order, with
+    every power read from one ladder."""
+    if any(n < 1 for n in steps):
         raise ValueError("n must be at least 1")
-    (_, pn), = _powers(p, (n,))
-    den, window = pn._den, _evaluated_window(pn._nums, a, n)
-    best_x, exact, best_f = None, None, 0.0
-    if a.case == "d0":
-        # |v/den - theta/tor| over the one denominator den * tor
-        best, tor = 0, a.torsion_order
-        for x, v, th, _ in window:
-            err = abs(v * tor - th * den)
-            if err > best:
-                best, best_x = err, x
-        exact = Fraction(best, den * tor)
-        best_f = float(exact)
-    else:
-        for x, v, _, f in window:
-            err = abs(v / den - f)
-            if err > best_f:
-                best_f, best_x = err, x
-    scale = n ** (a.rank_d / 2)
-    return LltReport(n=n, sup_error=best_f, scaled_sup_error=scale * best_f, sup_error_exact=exact,
-                     worst_point=None if best_x is None else p.group.element_from_coords(best_x))
+    for n, pn in _powers(p, steps):
+        den, window = pn._den, _evaluated_window(pn._nums, a, n)
+        best_x, exact, best_f = None, None, 0.0
+        if a.case == "d0":
+            # |v/den - theta/tor| over the one denominator den * tor
+            best, tor = 0, a.torsion_order
+            for x, v, th, _ in window:
+                err = abs(v * tor - th * den)
+                if err > best:
+                    best, best_x = err, x
+            exact = Fraction(best, den * tor)
+            best_f = float(exact)
+        else:
+            for x, v, _, f in window:
+                err = abs(v / den - f)
+                if err > best_f:
+                    best_f, best_x = err, x
+        scale = n ** (a.rank_d / 2)
+        yield LltReport(n=n, sup_error=best_f, scaled_sup_error=scale * best_f,
+                        sup_error_exact=exact,
+                        worst_point=None if best_x is None else p.group.element_from_coords(best_x))
 
 
 def time_average_error(p: Distribution, a: Attractor, n: int, s: int) -> float:

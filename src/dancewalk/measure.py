@@ -238,6 +238,19 @@ def convolve(p: Distribution, q: Distribution) -> Distribution:
     return _unpack_law(p.group, basis, base, _product(a, b, moduli))
 
 
+def _power(made: dict[int, _Packed], n: int, moduli) -> _Packed:
+    """p^n, from and into made, the powers made so far.
+
+    A module function rather than a closure over made: a closure that
+    calls itself is a reference cycle, which would keep every power
+    alive after the ladder is done, until a cycle collection.
+    """
+    if n not in made:
+        k = max((k for k in made if 0 < k < n and n - k in made), default=n // 2)
+        made[n] = _product(_power(made, k, moduli), _power(made, n - k, moduli), moduli)
+    return made[n]
+
+
 def _powers(p: Distribution, steps):
     """(n, p^(n)) for each n in steps, in sorted order.
 
@@ -250,17 +263,10 @@ def _powers(p: Distribution, steps):
     base, law = _pack_law(p, basis)
     moduli = g.torsion_moduli + (0,) * len(basis)
     made = {0: (1, {(0,) * len(moduli): 1}), 1: law}
-
-    def power(n: int) -> _Packed:
-        if n not in made:
-            k = max((k for k in made if 0 < k < n and n - k in made), default=n // 2)
-            made[n] = _product(power(k), power(n - k), moduli)
-        return made[n]
-
     for n in sorted(steps):
         if n < 0:
             raise ValueError("negative convolution power")
-        den, nums = power(n)
+        den, nums = _power(made, n, moduli)
         if sum(nums.values()) != den:
             raise InvariantViolationError("convolution power lost mass")
         yield n, _unpack_law(g, basis, [n * c for c in base], (den, nums))

@@ -15,12 +15,7 @@ from fractions import Fraction
 from ._value import Value
 from .dance import dance_of, spectral_gap, theta_by_integration
 from .group import GroupSpec, subgroup_generated
-from .llt import (
-    build_attractor,
-    classify,
-    llt_sup_error,
-    tv_to_uniform_coset,
-)
+from .llt import _sup_errors, build_attractor, classify, tv_to_uniform_coset
 from .measure import Distribution
 
 half = Fraction(1, 2)
@@ -118,8 +113,8 @@ def run_z12() -> list[Check]:
     a = build_attractor(p)
     ok = True
     worst = ""
-    for n in range(10, 31):
-        err = llt_sup_error(p, a, n).sup_error_exact
+    for r in _sup_errors(p, a, range(10, 31)):
+        n, err = r.n, r.sup_error_exact
         bound = (9 / 12) * (1 / math.sqrt(2)) ** n * (1 + 1e-9)
         if float(err) > bound:
             ok = False
@@ -216,7 +211,7 @@ def run_elevator1() -> list[Check]:
     a = build_attractor(p)
     checks.append(Check("rank-0 attractor over torsion order 4 [reference]",
                         a.case == "d0" and a.torsion_order == 4))
-    exact = all(llt_sup_error(p, a, n).sup_error_exact == 0 for n in range(1, 21))
+    exact = all(r.sup_error_exact == 0 for r in _sup_errors(p, a, range(1, 21)))
     checks.append(Check("sup error is exactly zero for n<=20 [reference]", exact))
     rho = spectral_gap(p).rho
     checks.append(Check("spectral gap exactly zero [reference]", rho == 0.0, f"rho={rho!r}"))
@@ -234,7 +229,7 @@ def run_elevator2() -> list[Check]:
     grid = all(d.theta(n, Z4Z.element([at], [b])) == 1 + (-1) ** (n - at - b)
                for at in range(5) for b in range(-2, 3) for n in range(1, 21))
     checks.append(Check("theta(n,(a,b)) = 1 + (-1)^(n-a-b) on the grid [reference]", grid))
-    scaled = [llt_sup_error(p, a, n).scaled_sup_error for n in (25, 50, 100, 200)]
+    scaled = [r.scaled_sup_error for r in _sup_errors(p, a, (25, 50, 100, 200))]
     checks.append(Check("sqrt(n)-scaled sup error strictly decreasing [derived]",
                         all(x > y for x, y in zip(scaled, scaled[1:])),
                         " > ".join(f"{v:.3e}" for v in scaled)))
@@ -256,7 +251,7 @@ def run_spitzer() -> list[Check]:
     diag = all(d.theta(n, Z2.element((), [x, y])) == (1 if x + y == n else 0)
                for n in range(8) for x in range(-3, 10) for y in range(-3, 10))
     checks.append(Check("theta is the indicator of x+y=n [reference]", diag))
-    scaled = [llt_sup_error(p, a, n).scaled_sup_error for n in (25, 50, 100, 200)]
+    scaled = [r.scaled_sup_error for r in _sup_errors(p, a, (25, 50, 100, 200))]
     checks.append(Check("sqrt(n)-scaled sup error strictly decreasing [derived]",
                         all(x > y for x, y in zip(scaled, scaled[1:])),
                         " > ".join(f"{v:.3e}" for v in scaled)))

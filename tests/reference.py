@@ -7,7 +7,7 @@ from one fraction-free elimination.  Here are the float and Fraction
 routes to the same values (gaussian_kernel, attractor_eval, char_fn,
 omega_contains, theta_by_fraction_integration, rational_inverse) and the
 window as a list of Elements (evaluation_window).  _render is the
-recursive JSON writer that the one-list writer in dancewalk._writer
+recursive JSON writer that the flat writer in dancewalk._writer
 replaced.  No library path calls them.
 """
 

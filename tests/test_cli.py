@@ -1,10 +1,12 @@
 import argparse
+import gc
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -245,17 +247,18 @@ def test_a_failed_command_prints_nothing(error, code, command, monkeypatch, caps
 
 
 def test_each_command_renders_once_through_the_cli_binding(monkeypatch, capsys):
-    # bench/spans.py times rendering by wrapping dancewalk.cli._render
-    calls = []
+    # bench/spans.py times rendering by wrapping dancewalk.cli._render; the rows
+    # of compare and convolve are drawn once, so each call's text is kept as it is made
+    texts = []
     render = dancewalk.cli._render
-    monkeypatch.setattr(dancewalk.cli, "_render", lambda obj: calls.append(obj) or render(obj))
+    monkeypatch.setattr(dancewalk.cli, "_render", lambda obj: texts.append(render(obj)) or texts[-1])
     for command, spec in [(["convolve", "--n", "3"], KNIGHT_SPEC),
                           (["compare", "--n", "1,2"], LAZY_Z2_SPEC),
                           (["attractor", "--n", "3"], LAZY_Z2_SPEC), (["analyze"], Z12_SPEC)]:
         monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
         assert main([*command, "--spec", "-"]) == 0
-        assert capsys.readouterr().out == render(calls[-1]) + "\n"
-    assert len(calls) == 4
+        assert capsys.readouterr().out == texts[-1] + "\n"
+    assert len(texts) == 4
 
 
 def test_compare_computes_each_power_once(monkeypatch, capsys):
@@ -279,6 +282,41 @@ def test_compare_computes_each_power_once(monkeypatch, capsys):
     calls.clear()
     dancewalk.llt.time_average_error(p, a, 7, s)
     assert len(calls) == first + s - 1
+
+
+@pytest.mark.parametrize("name, one_ladder", [("elevator1", 19), ("elevator2", 9),
+                                               ("spitzer", 9), ("z12", 24)])
+def test_each_sup_error_series_reads_one_ladder(name, one_ladder, monkeypatch):
+    # elevator1 makes p^2, ..., p^20 once each; elevator2 and spitzer make p^2, p^3, p^6,
+    # p^12, p^13 and p^25, then p^50, p^100 and p^200 as squares; z12 makes p^2, p^3,
+    # p^5, p^10, then p^11, ..., p^30 one step at a time
+    calls = []
+    product = dancewalk.measure._product
+    monkeypatch.setattr(dancewalk.measure, "_product",
+                        lambda *args: calls.append(args) or product(*args))
+    assert all(c.passed for c in SCENARIOS[name]())
+    assert len(calls) == one_ladder
+
+
+@pytest.mark.parametrize("command", [["compare", "--n", "10,20,30"], ["convolve", "--n", "40"]])
+def test_output_commands_hold_a_bounded_multiple_of_their_output(command, monkeypatch):
+    # each step's rows become text as they are made: what is held at the peak is one
+    # step's law and window, one string per record and the text they join into; a list
+    # of every row, a piece per slot or a copy of the text with its newline would not
+    # fit.  With the cycle collector off, nothing may wait for it to be freed either.
+    for traced in (False, True):  # the first run builds the parser and warms the caches
+        monkeypatch.setattr(sys, "stdin", io.StringIO(LAZY_Z2_SPEC))
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        if traced:
+            gc.disable()
+            tracemalloc.start()
+        try:
+            assert main([*command, "--spec", "-"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+    assert 0 < peak < 4 * len(sys.stdout.getvalue())
 
 
 LAZY_Z2_SPEC = json.dumps({
@@ -842,3 +880,23 @@ def test_rows_are_written_as_the_dicts_they_stand_for(table, head):
     # nested a level down, as the weights of convolve are
     assert _render({"head": head, "rows": _Rows(layout, rows), "tail": [_Rows(layout, [])]}) == \
         reference_render({"head": head, "rows": records, "tail": [[]]})
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_tables(), _SCALAR)
+@example(({"v": _SLOT}, []), None)  # an empty source
+@example(({"v": _SLOT}, [(None,)]), None)  # a single row
+@example(({"v": _SLOT}, [(["a" * 57],)]), 0)  # a slot list of 59 characters: one line
+@example(({"v": _SLOT}, [(["a" * 58],), ([1] * 60,)]), 0)  # 60: one item per line
+@example(({}, [()] * 29), "")  # 29 records of {}: 58 characters, one line
+@example(({}, [()] * 30), "")  # 60: one record per line
+def test_rows_drawn_once_from_an_iterator_are_written_as_the_dicts_they_stand_for(table, head):
+    # compare and convolve hand the writer generators, which can be drawn only once
+    layout, rows = table
+    rows, head = _expand(rows), _expand(head)
+    records = [_fill(layout, iter(row)) for row in rows]
+    assert _render(_Rows(layout, iter(rows))) == reference_render(records)
+    # nested in a dict, and in a list that is first tried on one line
+    assert _render({"head": head, "rows": _Rows(layout, iter(rows)),
+                    "list": [_Rows(layout, iter(rows))], "tail": [_Rows(layout, iter(()))]}) == \
+        reference_render({"head": head, "rows": records, "list": [records], "tail": [[]]})

@@ -16,6 +16,7 @@ from dancewalk.dance import analyze_dance, spectral_gap
 from dancewalk.llt import (
     MomentData,
     _evaluated_window,
+    _sup_errors,
     build_attractor,
     classify,
     llt_sup_error,
@@ -190,6 +191,16 @@ def test_sup_error_zero_for_drift_elevator():
         assert r.sup_error_exact == 0
         assert r.sup_error == 0.0
     assert spectral_gap(p).rho == 0.0
+
+
+def test_sup_error_series_equals_each_step_alone():
+    # one ladder for the series; every report as llt_sup_error gives it, in sorted order
+    for p, steps in ((z12_walk(), (12, 10, 11)), (elevator1(), (4, 1)),
+                     (elevator2(), (9, 2, 5)), (spitzer(), (6, 3))):
+        a = build_attractor(p)
+        assert list(_sup_errors(p, a, steps)) == [llt_sup_error(p, a, n) for n in sorted(steps)]
+    with pytest.raises(ValueError):
+        list(_sup_errors(p, a, (3, 0)))
 
 
 def test_sup_error_z12_bound():
