@@ -392,23 +392,31 @@ def tv_to_uniform_coset(p: Distribution, n: int) -> LltReport:
     upward slack for its rounding, and reported rounded upward to a
     double, so it is never 0 while positive.
     """
+    report, = _tv_series(p, (n,))
+    return report
+
+
+def _tv_series(p: Distribution, steps):
+    """tv_to_uniform_coset(p, n) for each n in steps, in sorted order, with
+    every power read from one ladder and rho from one gap scan."""
     dance = dance_of(p)
     w_order = dance.walk_subgroup.order()
     if w_order is None:
         raise UnsupportedOperationError("walk subgroup is infinite; no uniform law on it")
-    (_, pn), = _powers(p, (n,))
-    den, nums = pn._den, pn._nums
-    coset = set(dance.coset_coords(n))
-    # sum of |p^(n)(x) - [x in coset]/|W||, over the one denominator den * |W|
-    total = sum(abs(nums.get(x, 0) * w_order - (den if x in coset else 0))
-                for x in coset | nums.keys())
-    tv = Fraction(total, 2 * den * w_order)
     rho = Fraction(spectral_gap(p).rho)
-    bound = Fraction(w_order - 1, 2) * rho ** n * (1 + Fraction(1, 10 ** 12))
-    if tv > bound:
-        raise InvariantViolationError("exact TV distance exceeded its certified bound")
-    f = float(bound)  # reported as the least double >= bound
-    return LltReport(n=n, tv_exact=tv, tv_bound=math.nextafter(f, math.inf) if f < bound else f)
+    for n, pn in _powers(p, steps):
+        den, nums = pn._den, pn._nums
+        coset = set(dance.coset_coords(n))
+        # sum of |p^(n)(x) - [x in coset]/|W||, over the one denominator den * |W|
+        total = sum(abs(nums.get(x, 0) * w_order - (den if x in coset else 0))
+                    for x in coset | nums.keys())
+        tv = Fraction(total, 2 * den * w_order)
+        bound = Fraction(w_order - 1, 2) * rho ** n * (1 + Fraction(1, 10 ** 12))
+        if tv > bound:
+            raise InvariantViolationError("exact TV distance exceeded its certified bound")
+        f = float(bound)  # reported as the least double >= bound
+        yield LltReport(n=n, tv_exact=tv,
+                        tv_bound=math.nextafter(f, math.inf) if f < bound else f)
 
 
 class Classification(Value):

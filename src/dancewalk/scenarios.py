@@ -15,7 +15,7 @@ from fractions import Fraction
 from ._value import Value
 from .dance import dance_of, spectral_gap, theta_by_integration
 from .group import GroupSpec, subgroup_generated
-from .llt import _sup_errors, build_attractor, classify, tv_to_uniform_coset
+from .llt import _sup_errors, _tv_series, build_attractor, classify
 from .measure import Distribution
 
 half = Fraction(1, 2)
@@ -145,8 +145,8 @@ def run_z9_a1b4() -> list[Check]:
     checks.append(Check("period 3 [reference]", c.period == 3, f"period={c.period}"))
     ok = True
     worst = ""
-    for n in range(1, 26):
-        tv = tv_to_uniform_coset(p, n).tv_exact
+    for r in _tv_series(p, range(1, 26)):
+        n, tv = r.n, r.tv_exact
         if tv > Fraction(1, 2 ** n):
             ok = False
             worst = f"n={n}: tv={tv}"

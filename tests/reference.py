@@ -6,9 +6,11 @@ window pass evaluates the heat kernel on one integer quadratic form read
 from one fraction-free elimination.  Here are the float and Fraction
 routes to the same values (gaussian_kernel, attractor_eval, char_fn,
 omega_contains, theta_by_fraction_integration, rational_inverse) and the
-window as a list of Elements (evaluation_window).  _render is the
-recursive JSON writer that the flat writer in dancewalk._writer
-replaced.  No library path calls them.
+window as a list of Elements (evaluation_window).  _cyclotomic and
+_exact_poly_div give the cyclotomic polynomials for the exact zero
+test of the reference gap scan; the library decides rho = 0 once, by
+Fourier inversion.  _render is the recursive JSON writer that the flat
+writer in dancewalk._writer replaced.  No library path calls them.
 """
 
 import cmath
@@ -16,6 +18,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from dancewalk._writer import _fmt_float, _int_str
 from dancewalk.group import DualPoint, Element
@@ -104,6 +107,29 @@ def theta_by_fraction_integration(p: Distribution, n: int, x: Element) -> float:
         phase = (n * base - xi.phase(x)) % 1
         total += cmath.exp(2j * cmath.pi * float(phase))
     return total.real
+
+
+def _exact_poly_div(num: list[int], den: tuple[int, ...]) -> list[int]:
+    """Exact quotient of integer polynomials (den monic, coefficients low
+    to high); used only for cyclotomic factors, where divisibility holds."""
+    num = list(num)
+    q = [0] * (len(num) - len(den) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        c = num[i + len(den) - 1]
+        q[i] = c
+        for j, d in enumerate(den):
+            num[i + j] -= c * d
+    return q
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """Coefficients (low to high) of the n-th cyclotomic polynomial."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _exact_poly_div(poly, _cyclotomic(d))
+    return tuple(poly)
 
 
 def rational_inverse(rows) -> list[list[Fraction]]:

@@ -33,7 +33,7 @@ from dancewalk.llt import (
     tv_to_uniform_coset,
 )
 from dancewalk.measure import Distribution, convolution_power, convolve, pushforward
-from dancewalk.scenarios import TWO_POINT_Z4Z6_LOCUS
+from dancewalk.scenarios import SPITZER_SCALED_ERROR_N200_MAX, TWO_POINT_Z4Z6_LOCUS
 from reference import char_fn, omega_contains
 
 half = Fraction(1, 2)
@@ -139,12 +139,6 @@ def test_criterion_4_elevator_walks():
     scaled = [llt_sup_error(p2, a2, n).scaled_sup_error for n in (25, 50, 100, 200)]
     assert all(x > y for x, y in zip(scaled, scaled[1:]))
     _verdict(4, "elevator walks: exact-zero error and diffusive scaling", started, 10.0)
-
-
-# Frozen from the development oracle run: the exact 200-step convolution
-# against the attractor measured sqrt(200)*sup_error = 9.9673e-4; the
-# ceiling carries 5% slack for float evaluation-order jitter.
-SPITZER_SCALED_ERROR_N200_MAX = 1.05e-3
 
 
 def test_criterion_5_spitzer_walk():

@@ -19,6 +19,7 @@ import dancewalk.group
 import dancewalk.intlinalg
 import dancewalk.llt
 import dancewalk.measure
+import dancewalk.scenarios
 from dancewalk._writer import _SLOT, _render, _Rows
 from dancewalk.cli import dump_spec, load_spec, main
 from dancewalk.group import GroupSpec, Subgroup
@@ -285,17 +286,22 @@ def test_compare_computes_each_power_once(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("name, one_ladder", [("elevator1", 19), ("elevator2", 9),
-                                               ("spitzer", 9), ("z12", 24)])
+                                               ("spitzer", 9), ("z12", 24), ("z9-a1b4", 24)])
 def test_each_sup_error_series_reads_one_ladder(name, one_ladder, monkeypatch):
     # elevator1 makes p^2, ..., p^20 once each; elevator2 and spitzer make p^2, p^3, p^6,
     # p^12, p^13 and p^25, then p^50, p^100 and p^200 as squares; z12 makes p^2, p^3,
-    # p^5, p^10, then p^11, ..., p^30 one step at a time
-    calls = []
+    # p^5, p^10, then p^11, ..., p^30 one step at a time; z9-a1b4's TV series makes
+    # p^2, ..., p^25 once each and scans the gap once for all 25 steps
+    calls, scans = [], []
     product = dancewalk.measure._product
     monkeypatch.setattr(dancewalk.measure, "_product",
                         lambda *args: calls.append(args) or product(*args))
+    gap = dancewalk.dance.spectral_gap
+    for module in (dancewalk.llt, dancewalk.scenarios):
+        monkeypatch.setattr(module, "spectral_gap", lambda p: scans.append(p) or gap(p))
     assert all(c.passed for c in SCENARIOS[name]())
     assert len(calls) == one_ladder
+    assert len(scans) <= 1
 
 
 @pytest.mark.parametrize("command", [["compare", "--n", "10,20,30"], ["convolve", "--n", "40"]])

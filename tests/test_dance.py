@@ -5,23 +5,21 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-import dancewalk.dance
 from dancewalk.group import DualPoint, GroupSpec, Homomorphism, subgroup_generated
 from dancewalk.group import UnsupportedOperationError
 from dancewalk.intlinalg import IntMatrix
 from dancewalk.measure import Distribution, convolution_power, pushforward, torsion_pushforward
 from dancewalk.dance import (
     SpectralGap,
-    _cyclotomic,
     analyze_dance,
     dance_of,
     period_if_irreducible,
     spectral_gap,
     theta_by_integration,
 )
-from reference import char_fn, omega_contains, theta_by_fraction_integration
+from reference import _cyclotomic, char_fn, omega_contains, theta_by_fraction_integration
 
 Z12 = GroupSpec([12])
 Z9 = GroupSpec([9])
@@ -327,38 +325,40 @@ def torsion_laws(draw):
     return Distribution(g, {x: Fraction(w, total) for x, w in weights.items()})
 
 
+def _uniform(g: GroupSpec, points) -> Distribution:
+    return Distribution(g, {g.element(x): Fraction(1, len(points)) for x in points})
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(torsion_laws())
+# the maximum beside the exact zeros at (4, 8) and (8, 4)
+@example(_uniform(GroupSpec([12, 12]), [[0, 0], [1, 0], [0, 1]]))
+# uniform on a coset of the non-cyclic subgroup <(1, 0, 0), (0, 0, 3)>
+@example(_uniform(GroupSpec([2, 3, 6]), [[0, 1, 1], [1, 1, 1], [0, 1, 4], [1, 1, 4]]))
 def test_spectral_gap_matches_fraction_reference(p):
     gap, ref = spectral_gap(p), reference_spectral_gap(p)
     assert gap.rho.hex() == ref.rho.hex()
     assert gap.achieved_at == ref.achieved_at
 
 
-def test_zero_test_runs_only_below_rounding_bound(monkeypatch):
-    calls = []
-    zero_test = dancewalk.dance._phase_sum_is_zero
-
-    def counting(terms, order):
-        calls.append(order)
-        return zero_test(terms, order)
-
-    monkeypatch.setattr(dancewalk.dance, "_phase_sum_is_zero", counting)
-    g = GroupSpec([60, 60])
-    third = Fraction(1, 3)
-    p = Distribution(g, {g.element([0, 0]): third, g.element([1, 0]): third,
-                         g.element([0, 1]): third})
+def test_exact_zero_characters_match_reference():
+    p = _uniform(GroupSpec([60, 60]), [[0, 0], [1, 0], [0, 1]])
     gap, ref = spectral_gap(p), reference_spectral_gap(p)
-    # only the characters (20, 40) and (40, 20) give 1 + w + w^2 = 0
-    assert len(calls) == 2
+    # the characters (20, 40) and (40, 20) give 1 + w + w^2 = 0 and are not the maximum
     assert gap.rho.hex() == ref.rho.hex()
     assert gap.achieved_at == ref.achieved_at
-    calls.clear()
-    z3 = GroupSpec([3])
-    gap = spectral_gap(Distribution(z3, {z3.element([a]): third for a in range(3)}))
-    assert len(calls) == 2
+    gap = spectral_gap(_uniform(GroupSpec([3]), [[0], [1], [2]]))
     assert gap.rho == 0.0
     assert gap.achieved_at is None
+
+
+def test_gap_below_rounding_bound_is_within_it():
+    # one character of modulus 6e-30: the scan can only report it within
+    # its rounding bound (|S| + 16) * 2**-52
+    z6 = GroupSpec([6])
+    p = Distribution(z6, {z6.element([x]): Fraction(1, 6) + Fraction((-1) ** x, 10 ** 30)
+                          for x in range(6)})
+    assert abs(spectral_gap(p).rho - 6e-30) <= (6 + 16) * 2.0 ** -52
 
 
 def test_period_if_irreducible():

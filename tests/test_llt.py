@@ -24,6 +24,7 @@ from dancewalk.llt import (
     time_average_error,
     tv_to_uniform_coset,
 )
+from dancewalk.scenarios import SPITZER_SCALED_ERROR_N200_MAX
 from reference import attractor_eval, char_fn, evaluation_window, gaussian_kernel
 
 Z12 = GroupSpec([12])
@@ -210,13 +211,6 @@ def test_sup_error_z12_bound():
         r = llt_sup_error(p, a, n)
         bound = (9 / 12) * (1 / math.sqrt(2)) ** n
         assert float(r.sup_error_exact) <= bound * (1 + 1e-9)
-
-
-# Ceiling for the sqrt(n)-scaled sup error of the two-point diagonal walk
-# at n = 200: measured 9.9673e-4 by running the exact length-200
-# convolution against the attractor during development; 5% slack covers
-# float evaluation-order jitter.
-SPITZER_SCALED_ERROR_N200_MAX = 1.05e-3
 
 
 def test_scaled_error_decreasing_spitzer():
