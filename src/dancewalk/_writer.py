@@ -7,7 +7,6 @@ limit), floats with 12 significant digits and Fractions as quoted
 
 from __future__ import annotations
 
-import itertools
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -44,29 +43,18 @@ _SLOT = object()  # a leaf of a _Rows layout, filled from each row
 class _Rows:
     """A JSON list of records that share one layout, written without a dict per record.
 
-    layout is a dict whose leaves, nested dicts aside, are all _SLOT;
-    each row is the tuple of its leaf values in the layout's order.
-    _render writes _Rows(layout, rows) exactly as it writes the list of
-    those dicts with the leaves filled in.  rows may be any iterable,
-    such as a generator; it is drawn once, as the list is written.
+    layout is a non-empty dict whose leaves, nested dicts aside, are all
+    _SLOT; each row is the tuple of its leaf values in the layout's order.
+    As the whole document or as a dict value, _Rows(layout, rows) is
+    written exactly as the list of those dicts with the leaves filled in.
+    rows may be any iterable, such as a generator; it is drawn once, as
+    the list is written.
     """
 
-    __slots__ = ("layout", "_rows", "_ahead")
+    __slots__ = ("layout", "rows")
 
     def __init__(self, layout: dict, rows):
-        self.layout, self._rows, self._ahead = layout, iter(rows), None
-
-    def ahead(self) -> list[tuple]:
-        """The rows drawn before the list is written: the first, which tells
-        [] from a list of records, or, when the layout is empty, all of them
-        (each is ()), since a list of {} may fit on one line."""
-        if self._ahead is None:
-            self._ahead = list(itertools.islice(self._rows, 1 if self.layout else None))
-        return self._ahead
-
-    def __iter__(self):
-        yield from self.ahead()
-        yield from self._rows
+        self.layout, self.rows = layout, rows
 
 
 # The text of a scalar, by its exact type
@@ -98,8 +86,6 @@ def _one_line(v) -> str | None:
                 return None
             texts.append(text)
         return "[" + ", ".join(texts) + "]"
-    if isinstance(v, _Rows):
-        return None if v.layout and v.ahead() else _one_line([{}] * len(v.ahead()))
     return json.dumps(v)
 
 
@@ -153,10 +139,7 @@ def _render(obj, end: str = "") -> str:
                 sep = "," + inner
             append(nl + "]")
         elif isinstance(v, _Rows):
-            if v.layout and v.ahead():
-                write_rows(v, nl)
-            else:  # a list of {} or an empty list, which may fit on one line
-                write([{}] * len(v.ahead()), nl)
+            write_rows(v, nl)
         elif v is _SLOT:  # a raw NUL marks it: JSON text has every control character escaped
             append("\0")
             slots.append(nl)
@@ -173,7 +156,7 @@ def _render(obj, end: str = "") -> str:
         del out[start:]
         fills = list(zip(slots, texts[1:]))
         head, sep = "[" + inner + texts[0], "," + inner + texts[0]
-        for row in table:
+        for row in table.rows:
             append(head)
             for x, (indent, text) in zip(row, fills, strict=True):
                 write(x, indent)
@@ -181,7 +164,7 @@ def _render(obj, end: str = "") -> str:
             out[start:] = ("".join(out[start:]),)  # the record as one string
             start += 1
             head = sep
-        append(nl + "]")
+        append(nl + "]" if head is sep else "[]")  # [] when no row came
 
     slots = []  # the indents of the slots met while writing a layout
     write(obj, "\n")

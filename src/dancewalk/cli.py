@@ -212,7 +212,7 @@ _COMPARE = dict.fromkeys(("n", "x", "p", "p_float", "theta", "attractor", "abs_e
 def cmd_compare(args) -> int:
     p = _read_spec(args.spec)
     try:
-        ns = [int(s) for s in args.n.split(",") if s.strip()]
+        ns = sorted({int(s) for s in args.n.split(",") if s.strip()})
     except ValueError:
         raise SpecError(f"bad step list {args.n!r}") from None
     if not ns or any(n < 1 for n in ns):

@@ -356,7 +356,7 @@ def time_average_error(p: Distribution, a: Attractor, n: int, s: int) -> float:
     steps loses the dance: on a finite group it tends to the uniform
     density 1/|G|; on an infinite group with mean-zero pushforward it
     tends to K^n(phi(x)) / |Tor(G)|.  Requires s to be the walk's period
-    (the index of the walk subgroup).
+    (the index of the walk subgroup), and n >= 1 on an infinite group.
     """
     if s != period_if_irreducible(p):
         raise ValueError("s must be the walk's period [G:G_p]")
@@ -378,6 +378,8 @@ def time_average_error(p: Distribution, a: Attractor, n: int, s: int) -> float:
         raise InvariantViolationError("infinite irreducible walk must have rank >= 1")
     if any(m != 0 for m in a.moments.mean):
         raise ValueError("time-average limit requires a mean-zero pushforward")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     return max(abs(total.get(x, 0) / scale - k / a.torsion_order)
                for x, k in _Heat(a, n).values(total.keys(), False).items())
 

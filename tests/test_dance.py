@@ -19,6 +19,7 @@ from dancewalk.dance import (
     spectral_gap,
     theta_by_integration,
 )
+from dancewalk.scenarios import elevator1, elevator2, spitzer, z4z6_walk, z9_walk, z12_walk
 from reference import _cyclotomic, char_fn, omega_contains, theta_by_fraction_integration
 
 Z12 = GroupSpec([12])
@@ -26,42 +27,6 @@ Z9 = GroupSpec([9])
 Z2 = GroupSpec((), 2)
 Z4Z = GroupSpec([4], 1)
 Z4Z6 = GroupSpec([4, 6])
-
-half = Fraction(1, 2)
-quarter = Fraction(1, 4)
-
-
-def two_point(g, a, b):
-    return Distribution(g, {g.element(a): half, g.element(b): half})
-
-
-def z12_walk():
-    return two_point(Z12, [-1], [2])
-
-
-def z9_walk(a, b):
-    return two_point(Z9, [a], [b])
-
-
-def z4z6_walk():
-    return Distribution(Z4Z6, {Z4Z6.element([1, 1]): half, Z4Z6.element([0, 3]): half})
-
-
-def elevator1():
-    return Distribution(Z4Z, {Z4Z.element([1], [1]): half, Z4Z.element([-1], [1]): half})
-
-
-def elevator2():
-    return Distribution(Z4Z, {
-        Z4Z.element([1], [0]): quarter,
-        Z4Z.element([-1], [0]): quarter,
-        Z4Z.element([0], [1]): quarter,
-        Z4Z.element([0], [-1]): quarter,
-    })
-
-
-def spitzer():
-    return Distribution(Z2, {Z2.element((), [1, 0]): half, Z2.element((), [0, 1]): half})
 
 
 def test_analyze_dance_z12():
@@ -105,9 +70,9 @@ def test_theta_z12():
 
 def test_theta_spitzer_is_diagonal_delta():
     d = analyze_dance(spitzer())
-    for n in range(8):
-        for x in range(-4, 8):
-            for y in range(-4, 8):
+    for n in range(12):
+        for x in range(-4, 15):
+            for y in range(-4, 15):
                 expected = 1 if x + y == n else 0
                 assert d.theta(n, Z2.element((), [x, y])) == expected
 
@@ -134,14 +99,6 @@ def test_theta_by_integration_matches_theta():
             for x in g.elements():
                 val = theta_by_integration(p, n, x)
                 assert val == pytest.approx(d.theta(n, x), abs=1e-9)
-
-
-def test_theta_by_integration_z4z6_formula():
-    p = z4z6_walk()
-    for n in range(8):
-        for x in Z4Z6.elements():
-            assert theta_by_integration(p, n, x) == pytest.approx(
-                1 + (-1) ** (n + x.torsion[1]), abs=1e-9)
 
 
 def test_theta_by_integration_trivial_group():
@@ -185,16 +142,6 @@ def test_omega_finite_enumeration_matches_annihilator():
                             for chars in itertools.product(*(range(m) for m in g.torsion_moduli)))
                  if omega_contains(p, xi)}
         assert brute == {e.torsion for e in ann.elements()}
-
-
-def test_omega_z12_is_4z12():
-    ann = analyze_dance(z12_walk()).walk_subgroup.annihilator()
-    assert sorted(e.torsion[0] for e in ann.elements()) == [0, 4, 8]
-
-
-def test_spectral_gap_z12():
-    gap = spectral_gap(z12_walk())
-    assert gap.rho == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
 
 def test_spectral_gap_z9():

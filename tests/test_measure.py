@@ -16,6 +16,7 @@ from dancewalk.measure import (
     sample_path,
     torsion_pushforward,
 )
+from dancewalk.scenarios import elevator1, elevator2, spitzer, z12_walk
 
 Z12 = GroupSpec([12])
 Z9 = GroupSpec([9])
@@ -24,23 +25,6 @@ Z4Z = GroupSpec([4], 1)
 
 half = Fraction(1, 2)
 quarter = Fraction(1, 4)
-
-
-def z12_example():
-    return Distribution(Z12, {Z12.element([-1]): half, Z12.element([2]): half})
-
-
-def spitzer():
-    return Distribution(Z2, {Z2.element((), [1, 0]): half, Z2.element((), [0, 1]): half})
-
-
-def elevator2():
-    return Distribution(Z4Z, {
-        Z4Z.element([1], [0]): quarter,
-        Z4Z.element([-1], [0]): quarter,
-        Z4Z.element([0], [1]): quarter,
-        Z4Z.element([0], [-1]): quarter,
-    })
 
 
 def test_validation():
@@ -56,7 +40,7 @@ def test_validation():
 
 
 def test_convolve_identity():
-    p = z12_example()
+    p = z12_walk()
     delta = Distribution.point_mass(Z12)
     assert convolve(delta, p) == p
     assert convolve(p, delta) == p
@@ -71,7 +55,7 @@ def test_convolve_z9():
 
 
 def test_convolve_support_sumset():
-    p = z12_example()
+    p = z12_walk()
     pp = convolve(p, p)
     assert {x.torsion[0] for x in pp.support()} == {10, 1, 4}
     assert pp.weight(Z12.element([-2])) == quarter
@@ -80,7 +64,7 @@ def test_convolve_support_sumset():
 
 
 def test_convolution_power_basics():
-    p = z12_example()
+    p = z12_walk()
     assert convolution_power(p, 1) == p
     assert convolution_power(p, 2) == convolve(p, p)
     assert convolution_power(p, 0) == Distribution.point_mass(Z12)
@@ -324,9 +308,9 @@ def test_pushforward_commutes_with_convolution():
 
 
 def test_torsion_pushforward():
-    p = z12_example()
+    p = z12_walk()
     assert torsion_pushforward(p) is p
-    p1 = Distribution(Z4Z, {Z4Z.element([1], [1]): half, Z4Z.element([-1], [1]): half})
+    p1 = elevator1()
     q = torsion_pushforward(p1)
     z4 = GroupSpec([4])
     assert q.weight(z4.element([1])) == half
@@ -440,7 +424,7 @@ def test_pushforwards_match_fraction_references(case):
 
 
 def test_sample_path_contracts():
-    p = z12_example()
+    p = z12_walk()
     assert sample_path(p, 0, 7).positions == (Z12.identity(),)
     a = sample_path(p, 50, 123456789)
     b = sample_path(p, 50, 123456789)
@@ -453,7 +437,7 @@ def test_sample_path_contracts():
 
 
 def test_sampler_matches_convolution_power():
-    p = z12_example()
+    p = z12_walk()
     n = 6
     pn = convolution_power(p, n)
     trials = 10_000
@@ -469,4 +453,4 @@ def test_sampler_matches_convolution_power():
 
 def test_sample_path_rejects_negative_length():
     with pytest.raises(ValueError):
-        sample_path(z12_example(), -1, 0)
+        sample_path(z12_walk(), -1, 0)
