@@ -191,7 +191,7 @@ class Subgroup(Value):
         all_rows = [list(r) for r in rows] + _relation_rows(parent)
         if any(len(r) != parent.dim for r in all_rows):
             raise ValueError("generator rows have wrong length")
-        reduced = lattice_basis(all_rows, parent.dim) if all_rows else ()
+        reduced = lattice_basis(all_rows, parent.dim)
         self._set(parent, IntMatrix(reduced, cols=parent.dim))
         # (pivot column, row) of each Hermite row, in row order
         object.__setattr__(self, "_pivots", tuple(

@@ -72,12 +72,13 @@ def _eye(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _hnf(h: list[list[int]], cols: int, u: list[list[int]]) -> None:
+def _hnf(h: list[list[int]], cols: int, u: list[list[int]] | None = None) -> None:
     """Bring the rows h to canonical row Hermite form in place.
 
-    Every unimodular row operation is applied to the rows of u as well,
-    so a transform t with t @ h0 = u0 becomes one with t @ h0 = u.
+    Given u, every unimodular row operation is applied to its rows as
+    well, so a transform t with t @ h0 = u0 becomes one with t @ h0 = u.
     """
+    mats = (h,) if u is None else (h, u)
     n = len(h)
     pivot_row = 0
     for col in range(cols):
@@ -86,26 +87,26 @@ def _hnf(h: list[list[int]], cols: int, u: list[list[int]]) -> None:
         piv = next((i for i in range(pivot_row, n) if h[i][col]), None)
         if piv is None:
             continue
-        h[pivot_row], h[piv] = h[piv], h[pivot_row]
-        u[pivot_row], u[piv] = u[piv], u[pivot_row]
+        for mat in mats:
+            mat[pivot_row], mat[piv] = mat[piv], mat[pivot_row]
         for i in range(pivot_row + 1, n):
             if not h[i][col]:
                 continue
             x, y, bg, ag = _elim_pair(h[pivot_row][col], h[i][col])
             # rows <- [[x, y], [-bg, ag]] @ rows, a unimodular 2x2 block.
-            for mat in (h, u):
+            for mat in mats:
                 rp, ri = mat[pivot_row], mat[i]
                 mat[pivot_row] = [x * p + y * q for p, q in zip(rp, ri)]
                 mat[i] = [-bg * p + ag * q for p, q in zip(rp, ri)]
         if h[pivot_row][col] < 0:
-            h[pivot_row] = [-e for e in h[pivot_row]]
-            u[pivot_row] = [-e for e in u[pivot_row]]
+            for mat in mats:
+                mat[pivot_row] = [-e for e in mat[pivot_row]]
         p = h[pivot_row][col]
         for i in range(pivot_row):
             q = h[i][col] // p
             if q:
-                h[i] = [e - q * f for e, f in zip(h[i], h[pivot_row])]
-                u[i] = [e - q * f for e, f in zip(u[i], u[pivot_row])]
+                for mat in mats:
+                    mat[i] = [e - q * f for e, f in zip(mat[i], mat[pivot_row])]
         pivot_row += 1
 
 
@@ -300,24 +301,12 @@ def hnf(m: IntMatrix) -> HnfDecomposition:
 def lattice_basis(vectors, cols: int) -> tuple[tuple[int, ...], ...]:
     """Hermite basis rows of the lattice spanned by ``vectors`` in Z^cols.
 
-    The vectors are folded one at a time into at most ``cols`` echelon
-    rows, so the cost is linear in their number (``hnf`` would carry a
-    square transform as wide as the input).
+    One Hermite pass over the vectors as rows, with no transform, so the
+    cost is linear in their number.
     """
-    rows: dict[int, list[int]] = {}
-    for v in vectors:
-        v = list(v)
-        for j in range(cols):
-            if not v[j]:
-                continue
-            r = rows.get(j)
-            if r is None:
-                rows[j] = v
-                break
-            x, y, bg, ag = _elim_pair(r[j], v[j])
-            rows[j], v = ([x * a + y * b for a, b in zip(r, v)],
-                          [ag * b - bg * a for a, b in zip(r, v)])
-    return hnf(IntMatrix([rows[j] for j in sorted(rows)], cols=cols)).nonzero_rows
+    h = [list(v) for v in vectors]
+    _hnf(h, cols)
+    return tuple(tuple(r) for r in h if any(r))
 
 
 def snf(m: IntMatrix) -> SnfDecomposition:

@@ -133,14 +133,17 @@ def test_omega_contains_examples():
 
 
 def test_omega_finite_enumeration_matches_annihilator():
-    for p in [z12_walk(), z9_walk(1, 4), z4z6_walk()]:
+    rng = random.Random(0xDA7CE)
+    pool = [GroupSpec([n]) for n in (2, 3, 4, 6, 8, 9, 12, 25, 36, 60, 128, 199, 200)] + [
+        GroupSpec([2, 4]), GroupSpec([4, 6]), GroupSpec([2, 2, 2]), GroupSpec([5, 5]),
+        GroupSpec([2, 10]), GroupSpec([3, 9]), GroupSpec([13, 13]),
+    ]
+    for _ in range(200):
+        p = random_finite_walk(rng, pool)
         g = p.group
-        dance = analyze_dance(p)
-        ann = dance.walk_subgroup.annihilator()
-        brute = {xi.torsion_chars
-                 for xi in (DualPoint(g, chars, ())
-                            for chars in itertools.product(*(range(m) for m in g.torsion_moduli)))
-                 if omega_contains(p, xi)}
+        ann = analyze_dance(p).walk_subgroup.annihilator()
+        brute = {chars for chars in itertools.product(*(range(m) for m in g.torsion_moduli))
+                 if omega_contains(p, DualPoint(g, chars, ()))}
         assert brute == {e.torsion for e in ann.elements()}
 
 
@@ -328,22 +331,20 @@ def test_base_point_independence_of_dance():
         weights = {x: Fraction(1, len(pts)) for x in pts}
         p = Distribution(g, weights)
         d = analyze_dance(p)
-        for x0 in pts:
-            w = subgroup_generated(g, [x - x0 for x in pts])
-            assert w == d.walk_subgroup
         # dance values do not depend on which support point anchors the coset
         for n in range(5):
             for _ in range(5):
                 x = g.element([rng.randrange(m) for m in g.torsion_moduli],
                               [rng.randrange(-6, 7) for _ in range(g.free_rank)])
-                vals = {d.normalization_c if w.contains(x - n * x0) else 0
-                        for x0 in pts for w in [d.walk_subgroup]}
+                vals = {d.normalization_c if d.walk_subgroup.contains(x - n * x0) else 0
+                        for x0 in pts}
                 assert vals == {d.theta(n, x)}
 
 
 def test_support_law():
     rng = random.Random(654)
-    groups = [Z12, Z4Z6, Z4Z, Z2, Z9]
+    groups = [GroupSpec([m]) for m in (2, 3, 4, 6, 9, 12)] + [
+        GroupSpec([2, 4]), Z4Z6, GroupSpec((), 1), Z2, GroupSpec([3], 1), Z4Z]
     for _ in range(40):
         g = rng.choice(groups)
         pts = set()
@@ -354,7 +355,7 @@ def test_support_law():
         p = Distribution(g, {x: Fraction(1, len(pts)) for x in pts})
         d = analyze_dance(p)
         pn = p
-        for n in range(1, 8):
+        for n in range(1, 16):
             for x in pn.support():
                 assert d.theta(n, x) > 0
             pn = convolution_power(p, n + 1)
@@ -371,35 +372,6 @@ def test_support_equality_for_rank_zero_large_n():
     d1 = analyze_dance(p1)
     pn = convolution_power(p1, 50)
     assert set(pn.support()) == set(d1.coset_at(50))
-
-
-def test_isomorphism_transport_of_theta():
-    rng = random.Random(987)
-    # free group with a random automorphism
-    for _ in range(40):
-        p = spitzer()
-        d = analyze_dance(p)
-        shear = IntMatrix([[1, rng.randrange(-3, 4)], [0, 1]])
-        flip = IntMatrix([[0, 1], [1, 0]])
-        mat = shear @ flip if rng.random() < 0.5 else shear
-        t = Homomorphism(Z2, Z2, mat)
-        q = pushforward(p, t)
-        dq = analyze_dance(q)
-        assert dq.normalization_c == d.normalization_c
-        for n in range(6):
-            for _ in range(8):
-                x = Z2.element((), [rng.randrange(-5, 6), rng.randrange(-5, 6)])
-                assert d.theta(n, x) == dq.theta(n, t(x))
-    # cyclic group with a unit-multiplication automorphism
-    for unit in (5, 7, 11):
-        p = z12_walk()
-        d = analyze_dance(p)
-        t = Homomorphism(Z12, Z12, IntMatrix([[unit]]))
-        q = pushforward(p, t)
-        dq = analyze_dance(q)
-        for n in range(13):
-            for x in Z12.elements():
-                assert d.theta(n, x) == dq.theta(n, t(x))
 
 
 def test_finite_mass_identity():

@@ -184,11 +184,22 @@ def test_coset_order():
     assert diag.coset_order(Z2.element((), [1, 0])) is None
     evens = subgroup_generated(GroupSpec((), 1), [GroupSpec((), 1).element((), [2])])
     assert evens.coset_order(GroupSpec((), 1).element((), [1])) == 2
+    # non-cyclic quotients: the order is the lcm over the quotient's axes, not the largest
+    rng = random.Random(1729)
+    for moduli in ([2, 6], [4, 6], [6, 6], [2, 2, 6], [3, 9], [2, 3, 4]):
+        g = GroupSpec(moduli)
+        for _ in range(20):
+            h = subgroup_generated(g, [g.element([rng.randrange(m) for m in moduli])
+                                       for _ in range(rng.randrange(0, 3))])
+            for x in g.elements():
+                assert h.coset_order(x) == next(r for r in itertools.count(1)
+                                                if h.contains(r * x))
 
 
 def test_base_point_independence():
     rng = random.Random(2024)
-    groups = [Z12, Z4Z6, Z4Z, Z2, GroupSpec([3], 1)]
+    groups = [GroupSpec([m]) for m in (2, 3, 4, 6, 9, 12)] + [
+        GroupSpec([2, 4]), Z4Z6, GroupSpec((), 1), Z2, GroupSpec([3], 1), Z4Z]
     for _ in range(200):
         g = rng.choice(groups)
         size = rng.randrange(1, 5)
@@ -251,8 +262,9 @@ def test_subgroup_elements_match_brute_force():
 
 def test_annihilator_duality_brute_force():
     rng = random.Random(13)
-    groups = [GroupSpec([n]) for n in (2, 3, 4, 6, 8, 9, 12)] + [
-        GroupSpec([2, 4]), GroupSpec([4, 6]), GroupSpec([2, 2, 2]), GroupSpec([3, 9]),
+    groups = [GroupSpec([n]) for n in (2, 3, 4, 6, 8, 9, 12, 25, 36, 60, 128, 199, 200)] + [
+        GroupSpec([2, 4]), GroupSpec([4, 6]), GroupSpec([2, 2, 2]), GroupSpec([5, 5]),
+        GroupSpec([2, 10]), GroupSpec([3, 9]), GroupSpec([13, 13]),
     ]
     for _ in range(200):
         g = rng.choice(groups)
@@ -261,14 +273,16 @@ def test_annihilator_duality_brute_force():
         h = subgroup_generated(g, gens)
         ann = h.annihilator()
         assert ann.parent == g.dual()
+        elements = h.elements()
         brute = set()
         for chars in itertools.product(*(range(m) for m in g.torsion_moduli)):
             xi = DualPoint(g, chars, ())
-            if all(xi.phase(e) == 0 for e in h.elements()):
+            if all(xi.phase(e) == 0 for e in elements):
                 brute.add(chars)
         assert {e.torsion for e in ann.elements()} == brute
-        # |H| * |H^perp| = |G| for finite groups
+        # |H| * |H^perp| = |G| for finite groups, and the double annihilator closes up
         assert h.order() * ann.order() == g.order
+        assert ann.annihilator() == h
 
 
 def test_annihilator_of_3z12_is_4z12():

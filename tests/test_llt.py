@@ -1,7 +1,9 @@
+import cmath
 import itertools
 import math
 import random
 import re
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -203,6 +205,20 @@ def test_time_average_s1_reduces_to_sup_error():
             float(llt_sup_error(p, a, n).sup_error_exact), abs=1e-15)
 
 
+def test_time_average_exponential_on_z9_and_diffusive_on_the_elevator():
+    started = time.perf_counter()
+    p14 = z9_walk(1, 4)
+    a14 = build_attractor(p14)
+    for n in range(1, 26):
+        err = time_average_error(p14, a14, n, 3)
+        assert err <= (8 / 9) * 0.5 ** n * (1 + 1e-9), f"n={n}"
+    p2 = elevator2()
+    a2 = build_attractor(p2)
+    scaled = [math.sqrt(n) * time_average_error(p2, a2, n, 2) for n in (25, 50, 100, 200)]
+    assert all(x > y for x, y in zip(scaled, scaled[1:]))
+    assert time.perf_counter() - started < 30.0
+
+
 def test_time_average_counts_support_beyond_the_window():
     # A near-Gaussian bulk (sd 30, cut at 2.7 sd) and mass 1/2000 at each of
     # -255 and 255, beyond 8 sd of the whole law: the error there is that
@@ -339,14 +355,17 @@ AUTOMORPHISM_GROUPS = (
 
 @st.composite
 def walks_with_automorphisms(draw):
-    """A walk of 1 to 3 points with integer weights, and an automorphism of its group:
+    """A walk of 1 to 3 points with integer weights, an automorphism of its group:
     a unit on each cyclic factor, (t, f) -> (t + M f mod m, f), the shear
-    f0 += s * f1 and a sign flip of f0."""
+    f0 += s * f1 and a sign flip of f0, and 1 to 4 points to compare dances at."""
     g = draw(st.sampled_from(AUTOMORPHISM_GROUPS))
     t, k = len(g.torsion_moduli), g.free_rank
-    coord = st.tuples(*(st.integers(0, m - 1) for m in g.torsion_moduli),
-                      *(st.integers(-3, 3) for _ in range(k)))
-    points = draw(st.lists(coord, min_size=1, max_size=min(3, g.order or 3), unique=True))
+
+    def coords(reach):
+        return st.tuples(*(st.integers(0, m - 1) for m in g.torsion_moduli),
+                         *(st.integers(-reach, reach) for _ in range(k)))
+
+    points = draw(st.lists(coords(3), min_size=1, max_size=min(3, g.order or 3), unique=True))
     weights = [draw(st.integers(1, 4)) for _ in points]
     p = Distribution(g, {g.element_from_coords(x): Fraction(w, sum(weights))
                          for x, w in zip(points, weights)})
@@ -360,13 +379,19 @@ def walks_with_automorphisms(draw):
     if k and draw(st.booleans()):
         free[0] = [-e for e in free[0]]
     rows += [[0] * t + row for row in free]
-    return p, Homomorphism(g, g, IntMatrix(rows, cols=g.dim))
+    probes = draw(st.lists(coords(6), min_size=1, max_size=4))
+    return (p, Homomorphism(g, g, IntMatrix(rows, cols=g.dim)),
+            [g.element_from_coords(x) for x in probes])
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(walks_with_automorphisms())
+# the coordinate swap on Z^2 and the unit 5 on the Z_12 dance, which the strategy does not draw
+@example((spitzer(), Homomorphism(Z2, Z2, IntMatrix([[0, 1], [1, 0]])),
+          [Z2.element((), x) for x in ((0, 0), (1, 0), (2, 3), (-4, 5), (6, -1))]))
+@example((z12_walk(), Homomorphism(Z12, Z12, IntMatrix([[5]])), Z12.elements()))
 def test_dance_facts_and_verdicts_are_automorphism_invariant(case):
-    p, t = case
+    p, t, probes = case
     q = pushforward(p, t)
     dp, dq = analyze_dance(p), analyze_dance(q)
     assert ((dq.omega_invariants, dq.normalization_c, dq.rank_d)
@@ -374,6 +399,9 @@ def test_dance_facts_and_verdicts_are_automorphism_invariant(case):
     assert dq.walk_subgroup.index() == dp.walk_subgroup.index()
     assert dq.walk_subgroup.order() == dp.walk_subgroup.order()
     assert classify(q) == classify(p)
+    for n in range(6):
+        for x in probes:
+            assert dq.theta(n, t(x)) == dp.theta(n, x)
     if dp.rank_d == 0:
         for n in (1, 3):
             assert tv_to_uniform_coset(q, n).tv_exact == tv_to_uniform_coset(p, n).tv_exact
@@ -425,6 +453,9 @@ def test_classifier_matches_markov_brute_force():
             reducible += 1
             count = re.search(r"only (\d+) of (\d+) elements", c.dance_cosets)
             assert (int(count[1]), int(count[2])) == (len(seen), p.group.order)
+        # irreducible and aperiodic iff the unit-modulus locus is trivial
+        assert ((c.irreducible, c.aperiodic) == ("yes", "yes")) == \
+            (analyze_dance(p).omega_invariants == ((), 0))
     assert reducible >= 5
 
 
@@ -462,21 +493,19 @@ def test_periodic_classes_partition_and_coincide():
 
 def test_fourier_inversion_oracle():
     rng = random.Random(5772)
-    for _ in range(12):
+    for _ in range(100):
         p = _random_finite_walk(rng)
         g = p.group
-        if g.order > 100:
-            continue
         duals = [DualPoint(g, chars, ()) for chars in
                  itertools.product(*(range(m) for m in g.torsion_moduli))]
-        values = {xi: char_fn(p, xi) for xi in duals}
+        values = [char_fn(p, xi) for xi in duals]
+        conjugates = {x: [cmath.exp(-2j * cmath.pi * float(xi.phase(x))) for xi in duals]
+                      for x in g.elements()}
         pn = p
         for n in range(1, 21):
-            for x in g.elements():
-                inv = sum(values[xi] ** n *
-                          complex(math.cos(2 * math.pi * float(xi.phase(x))),
-                                  -math.sin(2 * math.pi * float(xi.phase(x))))
-                          for xi in duals) / g.order
+            powers = [v ** n for v in values]
+            for x, row in conjugates.items():
+                inv = sum(a * b for a, b in zip(powers, row)) / g.order
                 assert abs(inv.real - float(pn.weight(x))) < 1e-9
                 assert abs(inv.imag) < 1e-9
             if n < 20:
