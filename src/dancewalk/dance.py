@@ -140,8 +140,9 @@ def spectral_gap(p: Distribution) -> SpectralGap:
 
     By Fourier inversion on A, every character off the locus is 0 exactly
     when p_A is uniform on a coset of W_A, the annihilator of Omega_A,
-    that is on |S| = |A| / |Omega_A| points; then rho is 0.0 and
-    achieved_at None.  Otherwise rho is the largest double modulus and
+    that is on |S| = |W_A| points, W_A generated by S - x0.  That is
+    decided before the scan, from one Hermite form, and then rho is 0.0
+    and achieved_at None.  Otherwise rho is the largest double modulus and
     achieved_at the first character attaining it.  Above 2 * e_scan both
     are bit for bit those of a scan with an exact zero test at every
     character, as an exact zero computes to at most e_scan.  Below it, rho
@@ -152,6 +153,11 @@ def spectral_gap(p: Distribution) -> SpectralGap:
     if dance_of(p).rank_d == 0:
         _assert_constant_free_part(p)
     pa = torsion_pushforward(p)
+    if len(set(pa._nums.values())) == 1:
+        x0 = next(iter(pa._nums))
+        w_a = Subgroup(pa.group, [[a - b for a, b in zip(x, x0)] for x in pa._nums])
+        if len(pa) == w_a.order():  # uniform on a coset of W_A
+            return SpectralGap(rho=0.0, achieved_at=None)
     moduli = pa.group.torsion_moduli
     order = lcm(*moduli)
     den = pa._den
@@ -164,14 +170,13 @@ def spectral_gap(p: Distribution) -> SpectralGap:
         # k / L is the exact phase correctly rounded to a double
         return cmath.exp(2j * cmath.pi * (phase / order))
 
-    rho, best, locus = 0.0, None, 0
+    rho, best = 0.0, None
     for chars in itertools.product(*(range(m) for m in moduli)):
         terms: dict[int, int] = {}
         for scaled, num in points:
             phase = sum(k * c for k, c in zip(chars, scaled)) % order
             terms[phase] = terms.get(phase, 0) + num
         if len(terms) == 1:  # one phase everywhere: |p_A_hat| = 1
-            locus += 1
             continue
         modulus = abs(sum(complex(num / den) * root(phase) for phase, num in terms.items()))
         # Rounding error of modulus, with u = 2**-53 and weights summing
@@ -184,9 +189,6 @@ def spectral_gap(p: Distribution) -> SpectralGap:
         # exactly zero character computes to at most that e_scan.
         if modulus > rho:
             rho, best = modulus, chars
-    # uniform on |A| / |Omega_A| = |W_A| points: every character off the locus is 0
-    if len(set(pa._nums.values())) == 1 and len(points) * locus == pa.group.order:
-        return SpectralGap(rho=0.0, achieved_at=None)
     if best is not None:
         best = DualPoint(pa.group, best, ())
     return SpectralGap(rho=rho, achieved_at=best)

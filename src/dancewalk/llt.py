@@ -154,12 +154,27 @@ def build_attractor(p: Distribution) -> Attractor:
                      phi=phi, moments=moments, twist=tw)
 
 
-class _Heat:
-    """The diffusion factor K^n(u - n*mu) at step n on one exact integer quadratic form.
+def _evaluated_window(nums, a: Attractor, n: int, live: bool = True) -> list[tuple]:
+    """A limit law evaluated on the window at step n.
 
-    With dm the lcm of the mean's denominators, L that of Gamma's and
-    Q = L * adj(L*Gamma), so that Gamma^(-1) = Q / det(L*Gamma), a point
-    u of Z^d has the integer vector Y = dm*u - n*dm*mu and
+    (coords, numerator, theta, limit value) tuples, sorted as Elements
+    sort, over the keys of nums (numerators by group coordinates) and the
+    points where the limit is not negligible.
+
+    With live, the limit is the attractor, at n >= 1 when d >= 1: theta
+    is c at the points of the live coset W + n*x0, which are all of it
+    when d = 0 (the uniform law on it, as c / |Tor(G)| = 1 / |W|) and
+    otherwise the window lifts.  A key of nums off the live coset is an
+    invariant violation, since supp p^(n) lies in it.  Without live, the
+    limit is the average over one period, where the dance is lost: theta
+    is 1, at every element of a finite G when d = 0, otherwise at every
+    torsion lift of the window and at every key of nums.
+
+    For d >= 1 the value K^n(u - n*mu) at u = phi(x) comes from one exact
+    integer quadratic form.  With dm the lcm of the mean's denominators,
+    L that of Gamma's and Q = L * adj(L*Gamma), so that Gamma^(-1) =
+    Q / det(L*Gamma), a point u of Z^d has the integer vector
+    Y = dm*u - n*dm*mu and
 
         (u - n*mu) . Gamma^(-1) (u - n*mu) = Y . QY / (det(L*Gamma) * dm^2).
 
@@ -167,63 +182,55 @@ class _Heat:
     exact, and the exponent takes that quotient as int / int, which is
     correctly rounded as float(Fraction) is: every value is bit-identical
     to that of gaussian_kernel in tests/reference.py, the Fraction
-    reference the tests compare against.  Every caller takes its values
-    from one pass, values(extra, live), over the window and the extra points.
+    reference the tests compare against.
+
+    The free part of a live-coset point is phi_full^(-1) (u, n*w) for some
+    u in Z^d, so the lifts of these u through every torsion residue cover
+    the points where the attractor is not negligible; phi of each lift is
+    u.  The window is enumerated as by Fincke and Pohst (1985): the first
+    d - 1 coordinates of u run over a box, the last over the exact
+    interval where the form, a quadratic in it, is within bound, and along
+    that the form and the lift step by integer differences.  With pi the
+    projection onto G/W, the lift (r, f) is live when
+    pi(r, 0) = n*pi(x0) - pi(0, f), so the residues r are grouped by
+    pi(r, 0) once.  Only torsion parts are compared: (r, f) - n*x0 has
+    finite order in G/W, so its free part there is 0.  Without live there
+    is nothing to tell apart, and every lift is kept.
     """
-
-    def __init__(self, a: Attractor, n: int):
-        m = a.moments
-        self.attractor, self.n = a, n
-        self.dm = math.lcm(*(c.denominator for c in m.mean))
-        den, _, det, adj = m._elimination
-        self.q = [[den * e for e in row] for row in adj]
-        self.shift = [int(n * self.dm * c) for c in m.mean]  # exact: dm * mu is integral
-        self.scale = det * self.dm * self.dm
-        self.norm = (2 * math.pi * float(n)) ** (m.dim / 2) * math.sqrt(float(m.covariance_det))
-
-    def form(self, u) -> int:
-        """Y . QY at the point u of Z^d."""
-        y = [self.dm * c - s for c, s in zip(u, self.shift)]
-        return sum(yi * qij * yj for yi, row in zip(y, self.q) for qij, yj in zip(row, y))
-
-    def kernel(self, q: int) -> float:
-        """K^n(u - n*mu) for the u with form(u) = q."""
-        return math.exp(-(q / self.scale) / (2 * float(self.n))) / self.norm
-
-    def values(self, extra, live: bool) -> dict[tuple[int, ...], float]:
-        """K^n(phi(x) - n*mu) by coordinates x: at the torsion lifts of each u
-        within 8 standard deviations of n*mu, and at each point of extra
-        outside that window; with live, only at the points of the live
-        coset W + n*x0, where theta is c.
-
-        For d >= 1 the free part of a live-coset point is
-        phi_full^(-1) (u, n*w) for some u in Z^d, so the lifts of these u
-        through every torsion residue cover the points where the
-        attractor is not negligible; phi of each lift is u.  The window is
-        enumerated as by Fincke and Pohst (1985): the first d - 1
-        coordinates of u run over a box, the last over the exact interval
-        where the form, a quadratic in it, is within bound, and along that
-        the form and the lift step by integer differences.  With pi the
-        projection onto G/W, the lift (r, f) is live when
-        pi(r, 0) = n*pi(x0) - pi(0, f), so the residues r are grouped by
-        pi(r, 0) once.  Only torsion parts are compared: (r, f) - n*x0 has
-        finite order in G/W, so its free part there is 0.
-        """
-        a, n, dm, q = self.attractor, self.n, self.dm, self.q
+    dance, tor = a.dance, a.torsion_order
+    theta = dance.normalization_c if live else 1
+    if a.case == "d0":
+        moduli = dance.base_point.group.torsion_moduli
+        points = dance.coset_coords(n) if live else itertools.product(*map(range, moduli))
+        limit = dict.fromkeys(points, theta / tor)
+    else:
         moments = a.moments
         d, inv = moments.dim, a.twist.phi.inverse
+        dm = math.lcm(*(c.denominator for c in moments.mean))
+        lden, _, det, adj = moments._elimination
+        q = [[lden * e for e in row] for row in adj]
+        shift = [int(n * dm * c) for c in moments.mean]  # exact: dm * mu is integral
+        scale = det * dm * dm
+        norm = (2 * math.pi * float(n)) ** (d / 2) * math.sqrt(float(moments.covariance_det))
+
+        def quad(y):  # Y . QY, over the leading coordinates when y is shorter
+            return sum(yi * qij * yj for yi, row in zip(y, q) for qij, yj in zip(row, y))
+
+        def kernel(form):  # K^n(u - n*mu) for the u with Y . QY = form
+            return math.exp(-(form / scale) / (2 * float(n))) / norm
+
         k, tail = inv.rows, tuple(n * wi for wi in a.twist.w)
         box = []
         for i in range(d - 1):
             r = 8 * math.sqrt(n * float(moments.covariance[i][i]))
             center = float(n * moments.mean[i])
             box.append(range(math.floor(center - r), math.ceil(center + r) + 1))
-        bound = 64 * n * self.scale
+        bound = 64 * n * scale
 
         if live:
-            spec, proj = a.dance.walk_subgroup.quotient_map()
+            spec, proj = dance.walk_subgroup.quotient_map()
             pi, moduli = proj.matrix.data, spec.torsion_moduli
-        else:  # nothing to tell apart: every lift and every extra point is kept
+        else:
             pi, moduli = (), ()
         ts = len(moduli)
 
@@ -231,7 +238,7 @@ class _Heat:
             v = [sum(e * c for e, c in zip(row, x)) for row in pi]
             return tuple(c % m for c, m in zip(v, moduli)) + tuple(v[ts:])
 
-        live_at = image([n * c for c in a.dance.base_point.coords()])
+        live_at = image([n * c for c in dance.base_point.coords()])
         torsion = a.phi.source.torsion_moduli
         origin = (0,) * len(torsion)
         groups = {}  # the torsion residues r by pi(r, 0)
@@ -240,17 +247,15 @@ class _Heat:
         free_step = tuple(row[d - 1] for row in inv.data)
         key_step = image(origin + free_step)
 
-        out = {}
-        kernel = self.kernel
-        qll, sl = q[d - 1][d - 1], self.shift[d - 1]
+        heat = {}
+        qll, sl = q[d - 1][d - 1], shift[d - 1]
         qa = qll * dm * dm
         for head in itertools.product(*box):
             # form(head, v) = qa*v^2 + qb*v + qc, v the last coordinate of u
-            y = [dm * c - s for c, s in zip(head, self.shift)]
+            y = [dm * c - s for c, s in zip(head, shift)]
             cross = sum((q[d - 1][j] + q[j][d - 1]) * yj for j, yj in enumerate(y))
             qb = dm * (cross - 2 * qll * sl)
-            qc = (sum(yi * qij * yj for yi, row in zip(y, q) for qij, yj in zip(row, y))
-                  - cross * sl + qll * sl * sl)
+            qc = quad(y) - cross * sl + qll * sl * sl
             disc = qb * qb - 4 * qa * (qc - bound)
             if disc < 0:
                 continue
@@ -262,36 +267,21 @@ class _Heat:
             for _ in range(lo, hi + 1):
                 value = kernel(form)
                 for r in groups.get(key, ()):
-                    out[r + free] = value
+                    heat[r + free] = value
                 form, diff = form + diff, diff + 2 * qa
                 free = tuple(map(add, free, free_step))
                 key = tuple(map(mod, map(sub, key, key_step), moduli))
-        for x in extra - out.keys():
+        for x in nums.keys() - heat.keys():
             if image(x) == live_at:
-                out[x] = kernel(self.form(a.phi.matrix.mul_vec(x)))
-        return out
-
-
-def _evaluated_window(nums, a: Attractor, n: int) -> list[tuple]:
-    """The attractor evaluated on the window at step n >= 1.
-
-    (coords, numerator, theta, attractor value) tuples, sorted as Elements
-    sort, over the keys of nums (p^(n)'s numerators by group coordinates)
-    and the live-coset points where the attractor is not negligible: all
-    of the live coset when d = 0, otherwise the window lifts with theta > 0.
-    theta is the normalization c at every such point, since supp p^(n)
-    lies in the live coset W + n*x0; a support point with theta = 0 is
-    an invariant violation.
-    """
-    dance, tor = a.dance, a.torsion_order
-    c = dance.normalization_c
-    if a.case == "d0":
-        live = dict.fromkeys(dance.coset_coords(n), c / tor)
-    else:
-        live = {x: (c / tor) * k for x, k in _Heat(a, n).values(nums.keys(), True).items()}
-    if not live.keys() >= nums.keys():
+                y = [dm * c - s for c, s in zip(a.phi.matrix.mul_vec(x), shift)]
+                heat[x] = kernel(quad(y))
+        if live:
+            limit = {x: (theta / tor) * v for x, v in heat.items()}
+        else:
+            limit = {x: v / tor for x, v in heat.items()}
+    if not limit.keys() >= nums.keys():
         raise InvariantViolationError("a support point of p^(n) lies off the live coset")
-    return [(x, nums.get(x, 0), c, live[x]) for x in sorted(live)]
+    return [(x, nums.get(x, 0), theta, limit[x]) for x in sorted(limit)]
 
 
 class LltReport(Value):
@@ -321,32 +311,37 @@ def llt_sup_error(p: Distribution, a: Attractor, n: int) -> LltReport:
     return report
 
 
+def _largest_error(den: int, window, a: Attractor):
+    """(error, exact error, point): the largest |v/den - limit| over the
+    window and the first point attaining it, or None if it is 0; when
+    d = 0, |v/den - theta/tor| is taken exactly, over the one denominator
+    den * tor, and the exact error is a Fraction, otherwise None."""
+    best, best_x = 0, None
+    if a.case == "d0":
+        tor = a.torsion_order
+        for x, v, th, _ in window:
+            err = abs(v * tor - th * den)
+            if err > best:
+                best, best_x = err, x
+        exact = Fraction(best, den * tor)
+        return float(exact), exact, best_x
+    for x, v, _, f in window:
+        err = abs(v / den - f)
+        if err > best:
+            best, best_x = err, x
+    return float(best), None, best_x
+
+
 def _sup_errors(p: Distribution, a: Attractor, steps):
     """llt_sup_error(p, a, n) for each n in steps, in sorted order, with
     every power read from one ladder."""
     if any(n < 1 for n in steps):
         raise ValueError("n must be at least 1")
     for n, pn in _powers(p, steps):
-        den, window = pn._den, _evaluated_window(pn._nums, a, n)
-        best_x, exact, best_f = None, None, 0.0
-        if a.case == "d0":
-            # |v/den - theta/tor| over the one denominator den * tor
-            best, tor = 0, a.torsion_order
-            for x, v, th, _ in window:
-                err = abs(v * tor - th * den)
-                if err > best:
-                    best, best_x = err, x
-            exact = Fraction(best, den * tor)
-            best_f = float(exact)
-        else:
-            for x, v, _, f in window:
-                err = abs(v / den - f)
-                if err > best_f:
-                    best_f, best_x = err, x
+        err, exact, x = _largest_error(pn._den, _evaluated_window(pn._nums, a, n), a)
         scale = n ** (a.rank_d / 2)
-        yield LltReport(n=n, sup_error=best_f, scaled_sup_error=scale * best_f,
-                        sup_error_exact=exact,
-                        worst_point=None if best_x is None else p.group.element_from_coords(best_x))
+        yield LltReport(n=n, sup_error=err, scaled_sup_error=scale * err, sup_error_exact=exact,
+                        worst_point=None if x is None else p.group.element_from_coords(x))
 
 
 def time_average_error(p: Distribution, a: Attractor, n: int, s: int) -> float:
@@ -360,28 +355,20 @@ def time_average_error(p: Distribution, a: Attractor, n: int, s: int) -> float:
     """
     if s != period_if_irreducible(p):
         raise ValueError("s must be the walk's period [G:G_p]")
-    g = p.group
+    if not p.group.is_finite:
+        if a.case != "dpos":
+            raise InvariantViolationError("infinite irreducible walk must have rank >= 1")
+        if any(m != 0 for m in a.moments.mean):
+            raise ValueError("time-average limit requires a mean-zero pushforward")
+        if n < 1:
+            raise ValueError("n must be at least 1")
     laws = [(pn._den, pn._nums) for _, pn in _powers(p, range(n, n + s))]
     top = math.lcm(*(den for den, _ in laws))
     total = {}  # s times the average law, as numerators over top
     for den, nums in laws:
         for x, v in nums.items():
             total[x] = total.get(x, 0) + v * (top // den)
-    scale = s * top
-
-    if g.is_finite:
-        worst = max(abs(total.get(x, 0) * g.order - scale)
-                    for x in itertools.product(*(range(m) for m in g.torsion_moduli)))
-        return float(Fraction(worst, scale * g.order))
-
-    if a.case != "dpos":
-        raise InvariantViolationError("infinite irreducible walk must have rank >= 1")
-    if any(m != 0 for m in a.moments.mean):
-        raise ValueError("time-average limit requires a mean-zero pushforward")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return max(abs(total.get(x, 0) / scale - k / a.torsion_order)
-               for x, k in _Heat(a, n).values(total.keys(), False).items())
+    return _largest_error(s * top, _evaluated_window(total, a, n, live=False), a)[0]
 
 
 def tv_to_uniform_coset(p: Distribution, n: int) -> LltReport:
@@ -401,18 +388,17 @@ def tv_to_uniform_coset(p: Distribution, n: int) -> LltReport:
 def _tv_series(p: Distribution, steps):
     """tv_to_uniform_coset(p, n) for each n in steps, in sorted order, with
     every power read from one ladder and rho from one gap scan."""
-    dance = dance_of(p)
-    w_order = dance.walk_subgroup.order()
+    w_order = dance_of(p).walk_subgroup.order()
     if w_order is None:
         raise UnsupportedOperationError("walk subgroup is infinite; no uniform law on it")
-    rho = Fraction(spectral_gap(p).rho)
+    a, rho = build_attractor(p), Fraction(spectral_gap(p).rho)
+    tor = a.torsion_order
     for n, pn in _powers(p, steps):
-        den, nums = pn._den, pn._nums
-        coset = set(dance.coset_coords(n))
-        # sum of |p^(n)(x) - [x in coset]/|W||, over the one denominator den * |W|
-        total = sum(abs(nums.get(x, 0) * w_order - (den if x in coset else 0))
-                    for x in coset | nums.keys())
-        tv = Fraction(total, 2 * den * w_order)
+        # the attractor is the uniform law on the live coset, c / tor = 1 / |W|:
+        # sum of |p^(n)(x) - theta/tor| over the one denominator den * tor
+        den = pn._den
+        total = sum(abs(v * tor - th * den) for _, v, th, _ in _evaluated_window(pn._nums, a, n))
+        tv = Fraction(total, 2 * den * tor)
         bound = Fraction(w_order - 1, 2) * rho ** n * (1 + Fraction(1, 10 ** 12))
         if tv > bound:
             raise InvariantViolationError("exact TV distance exceeded its certified bound")

@@ -31,10 +31,12 @@ from .group import Element, GroupSpec, Homomorphism
 from .intlinalg import IntMatrix, InvariantViolationError, lattice_basis
 
 
-class Distribution:
+class Distribution(Value):
     """A probability distribution with finite support and rational weights.
 
     weights is a mapping or (element, weight) pairs; equal elements add up.
+    It is immutable and can be copied and pickled, as every Value; it is
+    compared, hashed and shown by its law.
     """
 
     __slots__ = ("group", "_den", "_nums", "_dance")
@@ -54,7 +56,7 @@ class Distribution:
             raise ValueError("support must be nonempty")
         if sum(nums.values()) != den:
             raise ValueError("weights must sum to exactly 1")
-        self._set(group, den, nums)
+        self._init(group, den, nums)
 
     @classmethod
     def _law(cls, group: GroupSpec, den: int, nums: dict) -> "Distribution":
@@ -63,18 +65,15 @@ class Distribution:
         if g > 1:
             den, nums = den // g, {c: v // g for c, v in nums.items()}
         p = object.__new__(cls)
-        p._set(group, den, nums)
+        p._init(group, den, nums)
         return p
 
-    def _set(self, group: GroupSpec, den: int, nums: dict):
-        object.__setattr__(self, "group", group)
+    def _init(self, group: GroupSpec, den: int, nums: dict):
+        self._set(group)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_nums", nums)
         # DanceData of this law, filled in by dance.dance_of on first use.
         object.__setattr__(self, "_dance", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Distribution is immutable")
 
     @classmethod
     def point_mass(cls, group: GroupSpec, x: Element | None = None) -> "Distribution":

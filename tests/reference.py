@@ -1,6 +1,8 @@
 """Reference routines the tests compare the library against.
 
-The library answers each question once, on exact integers: the gap scan
+sparse_convolve and sparse_power are the double loop over both supports
+that the packed convolution in dancewalk.measure replaced.  The library
+answers each question once, on exact integers: the gap scan
 and the integration oracle use integer phases mod lcm(m_i), and the
 window pass evaluates the heat kernel on one integer quadratic form read
 from one fraction-free elimination.  Here are the float and Fraction
@@ -24,6 +26,26 @@ from dancewalk._writer import _fmt_float, _int_str
 from dancewalk.group import DualPoint, Element
 from dancewalk.llt import Attractor, MomentData, _evaluated_window
 from dancewalk.measure import Distribution
+
+
+def sparse_convolve(p, q):
+    """Reference convolution: the double loop over both supports, over a common denominator."""
+    dp = math.lcm(*(w.denominator for _, w in p.items()))
+    dq = math.lcm(*(w.denominator for _, w in q.items()))
+    acc = {}
+    for x, w in p.items():
+        for y, v in q.items():
+            z = x + y
+            acc[z] = acc.get(z, 0) + int(w * dp) * int(v * dq)
+    return Distribution(p.group, {z: Fraction(n, dp * dq) for z, n in acc.items()})
+
+
+def sparse_power(p, n):
+    """Reference power: n sparse convolutions with p, from the point mass."""
+    acc = Distribution.point_mass(p.group)
+    for _ in range(n):
+        acc = sparse_convolve(acc, p)
+    return acc
 
 
 def gaussian_kernel(moments: MomentData, t, y) -> float:

@@ -146,6 +146,25 @@ def test_value_types_keep_the_dataclass_contract():
             assert repr(v) == f"{cls.__name__}({shown})"
 
 
+def test_distribution_copies_pickles_and_stays_immutable():
+    z4z6 = dancewalk.GroupSpec([4, 6])
+    p = dancewalk.Distribution(z4z6, {z4z6.element([1, 1]): Fraction(1, 3),
+                                      z4z6.element([0, 3]): Fraction(2, 3)})
+    dance = dancewalk.dance_of(p)
+    assert copy.copy(p)._dance is dance  # the cached dance is kept
+    for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert twin == p and hash(twin) == hash(p) and twin is not p
+        assert twin.items() == p.items() and twin._dance == dance
+    for name in ("group", "_den", "_nums", "_dance"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, None)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    with pytest.raises(AttributeError):
+        p.extra = 1
+    assert p.weight(z4z6.element([0, 3])) == Fraction(2, 3) and dancewalk.dance_of(p) is dance
+
+
 def test_value_types_keep_their_defaults():
     a = dancewalk.Attractor(dance=_dance(), case="d0", torsion_order=24)
     assert (a.phi, a.moments, a.twist) == (None, None, None)

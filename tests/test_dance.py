@@ -2,11 +2,13 @@ import cmath
 import itertools
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import dancewalk.dance
 from dancewalk.group import DualPoint, GroupSpec, Homomorphism, subgroup_generated
 from dancewalk.group import UnsupportedOperationError
 from dancewalk.intlinalg import IntMatrix
@@ -300,6 +302,23 @@ def test_exact_zero_characters_match_reference():
     gap = spectral_gap(_uniform(GroupSpec([3]), [[0], [1], [2]]))
     assert gap.rho == 0.0
     assert gap.achieved_at is None
+
+
+def test_uniform_coset_law_is_decided_before_the_scan(monkeypatch):
+    # |S| = |W_A| with equal weights gives rho = 0 from one Hermite form,
+    # without drawing a character
+    drawn = []
+    product = itertools.product
+    monkeypatch.setattr(dancewalk.dance, "itertools", types.SimpleNamespace(
+        product=lambda *ranges: (drawn.append(c) or c for c in product(*ranges))))
+    z60 = GroupSpec([60, 60])
+    for p in (_uniform(z60, [[a, b] for a in range(0, 60, 3) for b in range(0, 60, 4)]),
+              _uniform(GroupSpec([2, 3, 6]), [[0, 1, 1], [1, 1, 1], [0, 1, 4], [1, 1, 4]]),
+              elevator1()):
+        assert spectral_gap(p) == SpectralGap(rho=0.0, achieved_at=None)
+    assert drawn == []
+    spectral_gap(_uniform(z60, [[0, 0], [1, 0], [0, 1]]))  # not a coset: every character
+    assert len(drawn) == 3600
 
 
 def test_gap_below_rounding_bound_is_within_it():

@@ -14,11 +14,12 @@ from dancewalk.group import DualPoint, Element, GroupSpec, Homomorphism
 from dancewalk.group import UnsupportedOperationError
 from dancewalk.intlinalg import IntMatrix, InvariantViolationError
 from dancewalk.measure import Distribution, _powers, convolution_power, convolve, pushforward
-from dancewalk.dance import analyze_dance
+from dancewalk.dance import analyze_dance, period_if_irreducible
 from dancewalk.llt import (
     MomentData,
     _evaluated_window,
     _sup_errors,
+    _tv_series,
     build_attractor,
     classify,
     llt_sup_error,
@@ -27,7 +28,7 @@ from dancewalk.llt import (
     tv_to_uniform_coset,
 )
 from dancewalk.scenarios import elevator1, elevator2, spitzer, z4z6_walk, z9_walk, z12_walk
-from reference import attractor_eval, char_fn, evaluation_window, gaussian_kernel
+from reference import attractor_eval, char_fn, evaluation_window, gaussian_kernel, sparse_power
 
 Z12 = GroupSpec([12])
 Z1 = GroupSpec((), 1)
@@ -300,6 +301,62 @@ def test_tv_bound_holds_across_examples():
 def test_tv_rejects_infinite_walk_subgroup():
     with pytest.raises(UnsupportedOperationError):
         tv_to_uniform_coset(spitzer(), 5)
+
+
+def _closure(g, gens):
+    """The finite subgroup generated by gens, by closing {0} under adding them."""
+    seen, todo = {g.identity()}, [g.identity()]
+    while todo:
+        x = todo.pop()
+        for y in (x + s for s in gens):
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+def _tv_and_time_average_walks():
+    """Seeded random walks on finite groups, a uniform law on a coset of the
+    non-cyclic W = <(1, 0), (0, 2)> in Z_2 x Z_4, and the rank-0 elevator1
+    on the infinite Z_4 x Z."""
+    rng = random.Random(2024)
+    pool = [GroupSpec([m]) for m in (2, 3, 5, 6, 8, 9, 12)]
+    pool += [GroupSpec(ms) for ms in ((2, 2), (2, 4), (3, 3), (2, 6), (2, 2, 2), (2, 2, 4))]
+    walks = []
+    for _ in range(60):
+        g = rng.choice(pool)
+        pts = {tuple(rng.randrange(m) for m in g.torsion_moduli) for _ in range(rng.randint(1, 4))}
+        nums = [rng.randint(1, 4) for _ in pts]
+        walks.append(Distribution(g, {g.element(x): Fraction(v, sum(nums))
+                                      for x, v in zip(pts, nums)}))
+    z2z4 = GroupSpec([2, 4])
+    walks.append(_uniform(z2z4, [((1, 1), ()), ((0, 1), ()), ((1, 3), ()), ((0, 3), ())]))
+    return walks + [elevator1()]
+
+
+def test_tv_series_and_time_average_match_their_definitions():
+    checked = non_cyclic = 0
+    for p in _tv_and_time_average_walks():
+        g, support = p.group, p.support()
+        x0 = support[0]
+        w = _closure(g, [x - x0 for x in support])
+        non_cyclic += all(any((x * k).is_identity() for k in range(1, len(w))) for x in w)
+        steps = range(10)
+        laws = [sparse_power(p, n) for n in range(len(steps) + 6)]
+        for r in _tv_series(p, steps):
+            pn, coset = laws[r.n], {x0 * r.n + y for y in w}
+            want = sum(abs(pn.weight(x) - Fraction(x in coset, len(w)))
+                       for x in coset | set(pn.support())) / 2
+            assert r.tv_exact == want, (p, r.n)
+        if not g.is_finite or classify(p).irreducible != "yes":
+            continue
+        s, a = period_if_irreducible(p), build_attractor(p)
+        for n in range(6):
+            average = [sum(laws[m].weight(x) for m in range(n, n + s)) / s for x in g.elements()]
+            want = max(abs(v - Fraction(1, g.order)) for v in average)
+            assert time_average_error(p, a, n, s) == float(want), (p, n)
+        checked += 1
+    assert non_cyclic and checked >= 20
 
 
 def test_classify_worked_examples():

@@ -17,6 +17,7 @@ from dancewalk.measure import (
     torsion_pushforward,
 )
 from dancewalk.scenarios import elevator1, elevator2, spitzer, z12_walk
+from reference import sparse_convolve, sparse_power
 
 Z12 = GroupSpec([12])
 Z9 = GroupSpec([9])
@@ -136,26 +137,6 @@ def test_support_sumset_law():
             sumset = {x + y for x in convolution_power(p, n).support()
                       for y in convolution_power(p, m).support()}
             assert lhs == sumset
-
-
-def sparse_convolve(p, q):
-    """Reference convolution: the double loop over both supports, over a common denominator."""
-    dp = lcm(*(w.denominator for _, w in p.items()))
-    dq = lcm(*(w.denominator for _, w in q.items()))
-    acc = {}
-    for x, w in p.items():
-        for y, v in q.items():
-            z = x + y
-            acc[z] = acc.get(z, 0) + int(w * dp) * int(v * dq)
-    return Distribution(p.group, {z: Fraction(n, dp * dq) for z, n in acc.items()})
-
-
-def sparse_power(p, n):
-    """Reference power: n sparse convolutions with p, from the point mass."""
-    acc = Distribution.point_mass(p.group)
-    for _ in range(n):
-        acc = sparse_convolve(acc, p)
-    return acc
 
 
 @st.composite
