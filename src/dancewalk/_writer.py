@@ -37,6 +37,33 @@ def _fmt_ratio(num: int, den: int) -> str:
     return f"{_int_str(num)}/{_int_str(den)}" if den != 1 else _int_str(num)
 
 
+# The most characters the writers hand on at once, so no text is copied
+# at its full size (a text stream encodes each str written to it whole).
+_SLICE = 1 << 16
+
+
+def _flush(texts: list, write) -> None:
+    """Hand the strs of texts, joined, to write in pieces of at most
+    _SLICE characters, and empty texts."""
+    text = "".join(texts)
+    texts.clear()
+    for i in range(0, len(text), _SLICE):
+        write(text[i:i + _SLICE])
+
+
+def _stream(texts, write) -> None:
+    """Hand the strs of texts, in order, to write in pieces of at most _SLICE
+    characters, holding about _SLICE characters of them at a time."""
+    held, size = [], 0
+    for text in texts:
+        held.append(text)
+        size += len(text)
+        if size >= _SLICE:
+            _flush(held, write)
+            size = 0
+    _flush(held, write)
+
+
 _SLOT = object()  # a leaf of a _Rows layout, filled from each row
 
 
@@ -89,25 +116,37 @@ def _one_line(v) -> str | None:
     return json.dumps(v)
 
 
-def _render(obj, end: str = "") -> str:
-    """JSON with insertion-ordered keys and .12g floats.
+def _render(obj, write, end: str = "") -> None:
+    """Write obj as JSON with insertion-ordered keys and .12g floats.
 
     Scalars print as _SCALARS gives them (a Fraction as a quoted
     "num/den" string), a value of any other type as json.dumps prints
     it.  A dict writes one key per line, indented two spaces a level,
     and {} when empty.  A list or tuple is written on one line, as
     [a, b, c], when its items' texts total under 60 characters and none
-    of them spans lines; otherwise it writes one item per line.  The
-    text, followed by end, is appended piece by piece to one list and
-    joined once; the pieces of each record of a _Rows are joined as soon
-    as the record is written, so a long list of records holds one string
-    per record and no row of it once written.
+    of them spans lines; otherwise it writes one item per line.
+
+    The text, followed by end, is handed to write in pieces of at most
+    _SLICE characters.  The pieces of each record of a _Rows, and of each
+    item of a list written one item per line, are joined as soon as it
+    is written, and the items are handed on once about _SLICE characters
+    of them are held, so a long list is never held whole.
     """
     out = []
     append = out.append
     keys = {}  # the text of each str key, with its ": "
+    held = 0  # the characters of the items joined in out
 
-    def write(v, nl):  # nl is a newline and the indent of v's own line
+    def close(start):  # join out[start:], an item, and hand out on once a slice is held
+        nonlocal held
+        item = "".join(out[start:])
+        out[start:] = (item,)
+        held += len(item)
+        if held >= _SLICE:
+            _flush(out, write)
+            held = 0
+
+    def put(v, nl):  # nl is a newline and the indent of v's own line
         enc = _SCALARS.get(type(v))
         if enc is not None:
             append(enc(v))
@@ -124,7 +163,7 @@ def _render(obj, end: str = "") -> str:
                         keys[k] = key
                 append(sep)
                 append(key)
-                write(x, inner)
+                put(x, inner)
                 sep = "," + inner
             append(nl + "}")
         elif isinstance(v, (list, tuple)):
@@ -134,41 +173,41 @@ def _render(obj, end: str = "") -> str:
                 return
             inner, sep = nl + "  ", "[" + nl + "  "
             for x in v:
+                start = len(out)
                 append(sep)
-                write(x, inner)
+                put(x, inner)
+                close(start)
                 sep = "," + inner
             append(nl + "]")
         elif isinstance(v, _Rows):
-            write_rows(v, nl)
+            put_rows(v, nl)
         elif v is _SLOT:  # a raw NUL marks it: JSON text has every control character escaped
             append("\0")
             slots.append(nl)
         else:
             append(json.dumps(v))
 
-    def write_rows(table, nl):
+    def put_rows(table, nl):
         inner = nl + "  "
         # the layout's text, cut at its slots, once; then each row fills the slots
         start = len(out)
         slots.clear()
-        write(table.layout, inner)
+        put(table.layout, inner)
         texts = "".join(out[start:]).split("\0")
         del out[start:]
         fills = list(zip(slots, texts[1:]))
         head, sep = "[" + inner + texts[0], "," + inner + texts[0]
         for row in table.rows:
+            start = len(out)
             append(head)
             for x, (indent, text) in zip(row, fills, strict=True):
-                write(x, indent)
+                put(x, indent)
                 append(text)
-            out[start:] = ("".join(out[start:]),)  # the record as one string
-            start += 1
+            close(start)
             head = sep
         append(nl + "]" if head is sep else "[]")  # [] when no row came
 
     slots = []  # the indents of the slots met while writing a layout
-    write(obj, "\n")
+    put(obj, "\n")
     append(end)
-    text = "".join(out)
-    out.clear()  # write refers to itself, so out would live on until a cycle collection
-    return text
+    _flush(out, write)

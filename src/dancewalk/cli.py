@@ -5,9 +5,13 @@ runs the requested analysis, and emits JSON or CSV with deterministic
 ordering and fixed 12-significant-digit float formatting, so identical
 invocations are byte-identical.
 
-Exit codes: 0 success, 2 usage or parse error or an analysis the walk
-does not admit (such as a uniform law on an infinite walk subgroup),
-3 internal invariant violation, 4 golden-scenario mismatch.
+Each command's output reaches stdout only once the command has succeeded.
+
+Exit codes: 0 success, 1 stdout closed by its reader, 2 usage or parse
+error, an output that cannot be spooled or an analysis the walk does not
+admit (such as a uniform law on an infinite walk subgroup, or moments
+outside the float range), 3 internal invariant violation, 4
+golden-scenario mismatch.
 """
 
 from __future__ import annotations
@@ -16,11 +20,22 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
+import tempfile
 from decimal import ROUND_CEILING, Decimal
 from fractions import Fraction
 
-from ._writer import _SLOT, _Rows, _fmt_float, _fmt_ratio, _int_str, _render
+from ._writer import (
+    _SLICE,
+    _SLOT,
+    _Rows,
+    _fmt_float,
+    _fmt_ratio,
+    _int_str,
+    _render,
+    _stream,
+)
 from .dance import dance_of, spectral_gap
 from .group import GroupSpec, UnsupportedOperationError
 from .intlinalg import AffinePointSet, InvariantViolationError, twist_to_coordinates
@@ -35,7 +50,7 @@ from .measure import Distribution, _powers, sample_path
 
 
 class SpecError(ValueError):
-    """The input walk description is malformed."""
+    """The input walk description is malformed or unreadable, or the output cannot be spooled."""
 
 
 def _ceil_12g(x: float) -> float:
@@ -49,16 +64,27 @@ def _ceil_12g(x: float) -> float:
     return y
 
 
-# A text stream encodes each str written to it whole, so a long text is
-# written in slices of this many characters, never copied at its full size.
-_SLICE = 1 << 16
+def _spool(fill) -> None:
+    """Run fill(write), which writes a command's text in pieces of at most
+    _SLICE characters and does no other I/O, and copy the text to stdout
+    once fill has returned.
+
+    The text goes to a spool that moves to an unlinked temporary file
+    past _SLICE characters, so no command holds its own text, and a
+    command that fails part way prints nothing.
+    """
+    with tempfile.SpooledTemporaryFile(_SLICE, "w+", encoding="utf-8", newline="") as spool:
+        try:
+            fill(spool.write)
+            spool.seek(0)
+        except OSError as e:
+            raise SpecError(f"cannot spool output: {e}") from None
+        while piece := spool.read(_SLICE):
+            sys.stdout.write(piece)
 
 
 def _emit(obj):
-    text = _render(obj)
-    for i in range(0, len(text), _SLICE):
-        sys.stdout.write(text[i:i + _SLICE])
-    sys.stdout.write("\n")
+    _spool(lambda write: _render(obj, write, "\n"))
 
 
 def _integers(what: str, values) -> list[int]:
@@ -107,7 +133,9 @@ def dump_spec(p: Distribution) -> str:
             {"elem": _element_doc(x), "weight": w} for x, w in p.items()
         ],
     }
-    return _render(doc, "\n")
+    pieces = []
+    _render(doc, pieces.append, "\n")
+    return "".join(pieces)
 
 
 def _read_spec(path: str) -> Distribution:
@@ -222,16 +250,17 @@ def cmd_compare(args) -> int:
         _emit(_Rows(_COMPARE, ((n, x, _fmt_ratio(num, den), *rest)
                                for n, rows in steps for x, num, den, *rest in rows)))
     else:
-        header = (["n"] + [f"x{i}" for i in range(p.group.dim)]
-                  + ["p_num", "p_den", "p_float", "theta", "attractor", "abs_error"])
-        chunks = [",".join(header) + "\n"]  # the text of each step
-        for n, rows in steps:
-            chunks.append("".join(
-                ",".join([str(n), *map(str, x), _int_str(num), _int_str(den),
-                          _fmt_float(p_float), str(theta), _fmt_float(approx),
-                          _fmt_float(error)]) + "\n"
-                for x, num, den, p_float, theta, approx, error in rows))
-        sys.stdout.writelines(chunks)
+        def lines():
+            header = (["n"] + [f"x{i}" for i in range(p.group.dim)]
+                      + ["p_num", "p_den", "p_float", "theta", "attractor", "abs_error"])
+            yield ",".join(header) + "\n"
+            for n, rows in steps:
+                for x, num, den, p_float, theta, approx, error in rows:
+                    yield ",".join([str(n), *map(str, x), _int_str(num), _int_str(den),
+                                    _fmt_float(p_float), str(theta), _fmt_float(approx),
+                                    _fmt_float(error)]) + "\n"
+
+        _spool(lambda write: _stream(lines(), write))
     return 0
 
 
@@ -388,13 +417,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (SpecError, UnsupportedOperationError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
     except InvariantViolationError as e:
         sys.stderr.write(f"internal invariant violation: {e}\n")
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout: what is left unflushed goes to the null
+        # device, so the interpreter's own flush at exit fails no more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

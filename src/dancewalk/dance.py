@@ -165,7 +165,7 @@ def spectral_gap(p: Distribution) -> SpectralGap:
     points = [(tuple(c * (order // m) for c, m in zip(x, moduli)), v)
               for x, v in sorted(pa._nums.items())]
 
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=1 << 12)  # at most 4096 of the lcm(m_i) phases
     def root(phase: int) -> complex:
         # k / L is the exact phase correctly rounded to a double
         return cmath.exp(2j * cmath.pi * (phase / order))

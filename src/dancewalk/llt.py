@@ -154,6 +154,17 @@ def build_attractor(p: Distribution) -> Attractor:
                      phi=phi, moments=moments, twist=tw)
 
 
+def _float(x, what: str) -> float:
+    """float(x), refused unless it is finite, and nonzero when x is."""
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if math.isinf(f) or (x and not f):
+        raise UnsupportedOperationError(f"the {what} is outside the float range")
+    return f
+
+
 def _evaluated_window(nums, a: Attractor, n: int, live: bool = True) -> list[tuple]:
     """A limit law evaluated on the window at step n.
 
@@ -211,7 +222,8 @@ def _evaluated_window(nums, a: Attractor, n: int, live: bool = True) -> list[tup
         q = [[lden * e for e in row] for row in adj]
         shift = [int(n * dm * c) for c in moments.mean]  # exact: dm * mu is integral
         scale = det * dm * dm
-        norm = (2 * math.pi * float(n)) ** (d / 2) * math.sqrt(float(moments.covariance_det))
+        norm = ((2 * math.pi * float(n)) ** (d / 2)
+                * math.sqrt(_float(moments.covariance_det, "covariance determinant")))
 
         def quad(y):  # Y . QY, over the leading coordinates when y is shorter
             return sum(yi * qij * yj for yi, row in zip(y, q) for qij, yj in zip(row, y))
@@ -222,8 +234,8 @@ def _evaluated_window(nums, a: Attractor, n: int, live: bool = True) -> list[tup
         k, tail = inv.rows, tuple(n * wi for wi in a.twist.w)
         box = []
         for i in range(d - 1):
-            r = 8 * math.sqrt(n * float(moments.covariance[i][i]))
-            center = float(n * moments.mean[i])
+            r = 8 * math.sqrt(_float(n * moments.covariance[i][i], f"variance n * Gamma[{i}][{i}]"))
+            center = _float(n * moments.mean[i], f"mean n * mu[{i}]")
             box.append(range(math.floor(center - r), math.ceil(center + r) + 1))
         bound = 64 * n * scale
 

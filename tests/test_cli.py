@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
@@ -22,7 +23,7 @@ import dancewalk.llt
 import dancewalk.measure
 import dancewalk.scenarios
 from dancewalk._writer import _SLOT, _render, _Rows
-from dancewalk.cli import dump_spec, load_spec, main
+from dancewalk.cli import _SLICE, dump_spec, load_spec, main
 from dancewalk.group import GroupSpec, Subgroup
 from dancewalk.measure import convolution_power
 from dancewalk.scenarios import SCENARIOS
@@ -251,16 +252,22 @@ def test_a_failed_command_prints_nothing(error, code, command, monkeypatch, caps
 
 def test_each_command_renders_once_through_the_cli_binding(monkeypatch, capsys):
     # bench/spans.py times rendering by wrapping dancewalk.cli._render; the rows
-    # of compare and convolve are drawn once, so each call's text is kept as it is made
+    # of compare and convolve are drawn once, so each call's text is kept as it is streamed
     texts = []
     render = dancewalk.cli._render
-    monkeypatch.setattr(dancewalk.cli, "_render", lambda obj: texts.append(render(obj)) or texts[-1])
+
+    def spy(obj, write, end=""):
+        pieces = []
+        render(obj, lambda piece: pieces.append(piece) or write(piece), end)
+        texts.append("".join(pieces))
+
+    monkeypatch.setattr(dancewalk.cli, "_render", spy)
     for command, spec in [(["convolve", "--n", "3"], KNIGHT_SPEC),
                           (["compare", "--n", "1,2"], LAZY_Z2_SPEC),
                           (["attractor", "--n", "3"], LAZY_Z2_SPEC), (["analyze"], Z12_SPEC)]:
         monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
         assert main([*command, "--spec", "-"]) == 0
-        assert capsys.readouterr().out == texts[-1] + "\n"
+        assert capsys.readouterr().out == texts[-1]
     assert len(texts) == 4
 
 
@@ -332,6 +339,177 @@ LAZY_Z2_SPEC = json.dumps({
     "distribution": [{"elem": {"free": x}, "weight": "1/5"}
                      for x in ([0, 0], [1, 0], [-1, 0], [0, 1], [0, -1])],
 })
+# 1/3 on 0, e1 and e2 in Z_60 x Z_60
+TORSION_Z60_SPEC = json.dumps({
+    "group": {"torsion": [60, 60], "rank": 0},
+    "distribution": [{"elem": {"torsion": x}, "weight": "1/3"}
+                     for x in ([0, 0], [1, 0], [0, 1])],
+})
+
+
+class _Discard:
+    """A stdout that counts what is written to it and keeps none of it."""
+
+    def __init__(self):
+        self.chars = self.longest = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        self.longest = max(self.longest, len(text))
+        return len(text)
+
+    def writelines(self, texts):
+        for text in texts:
+            self.write(text)
+
+    def flush(self):
+        pass
+
+
+def _draw_compare(spec, ns):
+    for _, rows in dancewalk.cli._compare_steps(load_spec(spec), ns):
+        for _ in rows:
+            pass
+
+
+def _draw_convolve(spec, n):
+    (_, pn), = dancewalk.measure._powers(load_spec(spec), (n,))
+    for _ in sorted(pn._nums.items()):
+        pass
+
+
+def _draw_sample(spec, n, paths):
+    p = load_spec(spec)
+    return [[list(x.coords()) for x in dancewalk.cli.sample_path(p, n, seed).positions]
+            for seed in range(paths)]
+
+
+def _traced_peak(run):
+    """The peak of memory traced while run() runs, the cycle collector off."""
+    gc.disable()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+@pytest.mark.parametrize("command, spec, draw, kib", [
+    pytest.param(["compare", "--n", "10,20,30"], LAZY_Z2_SPEC,
+                 lambda: _draw_compare(LAZY_Z2_SPEC, [10, 20, 30]), 256, id="compare-json"),
+    pytest.param(["convolve", "--n", "40"], LAZY_Z2_SPEC,
+                 lambda: _draw_convolve(LAZY_Z2_SPEC, 40), 256, id="convolve"),
+    pytest.param(["compare", "--n", "50", "--format", "csv"], TORSION_Z60_SPEC,
+                 lambda: _draw_compare(TORSION_Z60_SPEC, [50]), 256, id="compare-csv"),
+    # a path position is an item of about 16 characters, held as a str of its
+    # own until the slice is handed on: some 300 KB for a slice of them
+    pytest.param(["sample", "--n", "10000", "--paths", "2"], LAZY_Z2_SPEC,
+                 lambda: _draw_sample(LAZY_Z2_SPEC, 10000, 2), 512, id="sample")])
+def test_output_costs_no_more_than_a_few_slices(command, spec, draw, kib, monkeypatch):
+    # the writer holds about a slice of records or list items and the spool
+    # moves to a file past a slice, so a command peaks within a few hundred
+    # KiB of drawing its rows unwritten, however long its text; no write is
+    # longer than a slice
+    def run():
+        monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
+        assert main([*command, "--spec", "-"]) == 0
+
+    for traced in (False, True):  # the first runs build the parser and warm the caches
+        out = _Discard()
+        monkeypatch.setattr(sys, "stdout", out)
+        peaks = (_traced_peak(draw), _traced_peak(run)) if traced else (draw(), run())
+    assert out.chars > 3 * _SLICE
+    assert 0 < out.longest <= _SLICE
+    assert peaks[1] - peaks[0] < kib * 1024
+
+
+@pytest.mark.parametrize("command", [["compare", "--n", "20,21"],
+                                     ["compare", "--n", "20,21", "--format", "csv"]])
+def test_a_command_failing_after_its_spool_rolled_over_prints_nothing(command, monkeypatch,
+                                                                       capsys):
+    # step 20's rows fill several slices, so the spool is on disk when step 21 fails
+    spooled = []
+    write = tempfile.SpooledTemporaryFile.write
+    monkeypatch.setattr(tempfile.SpooledTemporaryFile, "write",
+                        lambda self, text: spooled.append(len(text)) or write(self, text))
+    window = dancewalk.cli._evaluated_window
+
+    def failing(nums, a, n):
+        if n == 21:
+            raise dancewalk.group.UnsupportedOperationError("step 21")
+        return window(nums, a, n)
+
+    monkeypatch.setattr(dancewalk.cli, "_evaluated_window", failing)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(LAZY_Z2_SPEC))
+    assert main([*command, "--spec", "-"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: step 21\n"
+    assert sum(spooled) > _SLICE
+
+
+def test_an_output_that_cannot_be_spooled_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(LAZY_Z2_SPEC))
+    assert main(["convolve", "--n", "40", "--spec", "-"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: cannot spool output: ") and out.err.count("\n") == 1
+    # a short text never leaves memory
+    monkeypatch.setattr(sys, "stdin", io.StringIO(LAZY_Z2_SPEC))
+    assert main(["convolve", "--n", "1", "--spec", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["support_size"] == 5
+
+
+@pytest.mark.parametrize("command", [["convolve", "--n", "40"],
+                                     ["compare", "--n", "10,20", "--format", "csv"]])
+def test_a_reader_closing_stdout_early_ends_the_command_quietly(command, tmp_path):
+    # the text is longer than a pipe holds, so the command is still writing
+    # when the reader goes: it exits 1 with nothing on stderr
+    spec = tmp_path / "lazy.json"
+    spec.write_text(LAZY_Z2_SPEC)
+    proc = subprocess.Popen([sys.executable, "-m", "dancewalk.cli", *command, "--spec", str(spec)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=300) == 1
+    assert err == b""
+
+
+def _line_spec(steps):
+    """A walk on Z^k: each step a (coordinates, weight) pair."""
+    return json.dumps({"group": {"torsion": [], "rank": len(steps[0][0])},
+                       "distribution": [{"elem": {"free": list(x)}, "weight": str(w)}
+                                        for x, w in steps]})
+
+
+TINY = Fraction(1, 10 ** 10)
+FLOAT_RANGE_SPECS = {
+    # the variance 10^320 / 4 is past the largest float
+    "long-steps": (_line_spec([((0,), Fraction(1, 2)), ((10 ** 160,), Fraction(1, 2))]),
+                   "covariance determinant"),
+    # the variance, about 10^-400, rounds to 0
+    "rare-step": (_line_spec([((0,), 1 - Fraction(1, 10 ** 400)),
+                              ((1,), Fraction(1, 10 ** 400))]), "covariance determinant"),
+    # the determinant is a float, 3 times the first variance is not
+    "wide-box": (_line_spec([((0, 0), 1 - 2 * TINY), ((10 ** 159, 0), TINY), ((0, 1), TINY)]),
+                 "variance n * Gamma[0][0]"),
+}
+
+
+@pytest.mark.parametrize("command", [["compare", "--n", "3"],
+                                     ["compare", "--n", "3", "--format", "csv"],
+                                     ["attractor", "--n", "3"]])
+@pytest.mark.parametrize("name", sorted(FLOAT_RANGE_SPECS))
+def test_moments_outside_the_float_range_exit_2(name, command, monkeypatch, capsys):
+    spec, quantity = FLOAT_RANGE_SPECS[name]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
+    assert main([*command, "--spec", "-"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: the {quantity} is outside the float range\n"
 
 
 def test_window_makes_no_membership_or_kernel_calls(monkeypatch, capsys):
@@ -861,7 +1039,30 @@ _DOCUMENT = st.recursive(
 @example({"k": [Fraction(5), _Big(4400, True), _Big(4500, False), [_Big(4301, False)]]})
 def test_writer_matches_the_recursive_reference(doc):
     doc = _expand(doc)
-    assert _render(doc) == reference_render(doc)
+    assert _text(doc) == reference_render(doc)
+
+
+def _text(obj, end=""):
+    """The text _render writes for obj, gathered from its pieces."""
+    pieces = []
+    _render(obj, pieces.append, end)
+    assert all(0 < len(piece) <= _SLICE for piece in pieces)
+    return "".join(pieces)
+
+
+def test_long_documents_are_written_in_pieces_of_at_most_a_slice():
+    # records are handed on once a slice of them is held; a record or a
+    # document longer than a slice is cut
+    layout = {"k": _SLOT, "v": _SLOT}
+    rows = [(k, "x" * (k % 700)) for k in range(2000)] + [(-1, "y" * (3 * _SLICE))]
+    doc = {"head": ["z" * (2 * _SLICE)], "rows": _Rows(layout, iter(rows)), "tail": 1}
+    pieces = []
+    _render(doc, pieces.append, "\n")
+    assert "".join(pieces) == reference_render(
+        {"head": ["z" * (2 * _SLICE)], "rows": [dict(zip(layout, row)) for row in rows],
+         "tail": 1}) + "\n"
+    assert len(pieces) > 20
+    assert all(0 < len(piece) <= _SLICE for piece in pieces)
 
 
 def _fill(layout, values):
@@ -896,7 +1097,7 @@ def test_rows_drawn_once_from_an_iterator_are_written_as_the_dicts_they_stand_fo
     flat = reference_render(records)
     nested = reference_render({"head": head, "rows": records, "tail": []})
     for source in (list, iter):
-        assert _render(_Rows(layout, source(rows))) == flat
+        assert _text(_Rows(layout, source(rows))) == flat
         # nested a level down, as the weights of convolve are
-        assert _render({"head": head, "rows": _Rows(layout, source(rows)),
-                        "tail": _Rows(layout, source(()))}) == nested
+        assert _text({"head": head, "rows": _Rows(layout, source(rows)),
+                      "tail": _Rows(layout, source(()))}) == nested

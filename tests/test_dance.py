@@ -321,6 +321,32 @@ def test_uniform_coset_law_is_decided_before_the_scan(monkeypatch):
     assert len(drawn) == 3600
 
 
+def test_root_cache_stays_bounded(monkeypatch):
+    # Z_5003 has 5003 phases; the scan keeps at most 4096 roots of unity,
+    # and the gap is bit for bit what an unbounded cache gives
+    caches = []
+    lru_cache = dancewalk.dance.lru_cache
+
+    def spy(*args, **kwargs):
+        def wrap(fn):
+            caches.append(lru_cache(*args, **kwargs)(fn))
+            return caches[-1]
+        return wrap
+
+    monkeypatch.setattr(dancewalk.dance, "lru_cache", spy)
+    z5003 = GroupSpec([5003])
+    for weights, rho in [((Fraction(1, 2), Fraction(1, 2), 0), "0x1.fffff96272a33p-1"),
+                         ((Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)),
+                          "0x1.ffff642b8eeacp-1")]:
+        p = Distribution(z5003, {z5003.element([x]): w
+                                 for x, w in zip((0, 1, 7), weights) if w})
+        gap = spectral_gap(p)
+        assert gap.rho.hex() == rho
+        assert gap.achieved_at == DualPoint(z5003, (1,), ())
+        assert 0 < caches[-1].cache_info().currsize <= 4096
+    assert len(caches) == 2
+
+
 def test_gap_below_rounding_bound_is_within_it():
     # one character of modulus 6e-30: the scan can only report it within
     # its rounding bound (|S| + 16) * 2**-52
