@@ -207,7 +207,8 @@ def cmd_convolve(args) -> int:
     t, den = len(p.group.torsion_moduli), pn._den
 
     def rows():
-        for x, v in sorted(pn._nums.items()):
+        for x in sorted(pn._nums):
+            v = pn._nums[x]
             g = math.gcd(v, den)
             yield x[:t], x[t:], _fmt_ratio(v // g, den // g), v / den
 

@@ -128,6 +128,13 @@ def _assert_constant_free_part(p: Distribution):
             "would not match the sliced distribution")
 
 
+def _characters(moduli):
+    """Every tuple of residues mod moduli, in lexicographic order, its last
+    axis a lazy range: itertools.product would store each axis's residues."""
+    heads = itertools.product(*map(range, moduli[:-1]))
+    return ((*h, k) for h in heads for k in range(moduli[-1])) if moduli else [()]
+
+
 def spectral_gap(p: Distribution) -> SpectralGap:
     """Exponential-error rate rho of the walk.
 
@@ -171,7 +178,7 @@ def spectral_gap(p: Distribution) -> SpectralGap:
         return cmath.exp(2j * cmath.pi * (phase / order))
 
     rho, best = 0.0, None
-    for chars in itertools.product(*(range(m) for m in moduli)):
+    for chars in _characters(moduli):
         terms: dict[int, int] = {}
         for scaled, num in points:
             phase = sum(k * c for k, c in zip(chars, scaled)) % order
@@ -215,7 +222,7 @@ def theta_by_integration(p: Distribution, n: int, x: Element) -> float:
     first, *rest = [[c * s for c, s in zip(y, scale)] for y in sorted(p._nums)]
     target = [c * s for c, s in zip(x.torsion, scale)]
     total = 0 + 0j
-    for chars in itertools.product(*(range(m) for m in moduli)):
+    for chars in _characters(moduli):
         base = sum(k * c for k, c in zip(chars, first)) % order
         if any(sum(k * c for k, c in zip(chars, y)) % order != base for y in rest):
             continue

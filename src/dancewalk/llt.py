@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from operator import add, mod, sub
 
@@ -165,12 +166,13 @@ def _float(x, what: str) -> float:
     return f
 
 
-def _evaluated_window(nums, a: Attractor, n: int, live: bool = True) -> list[tuple]:
+def _evaluated_window(nums, a: Attractor, n: int, live: bool = True):
     """A limit law evaluated on the window at step n.
 
-    (coords, numerator, theta, limit value) tuples, sorted as Elements
-    sort, over the keys of nums (numerators by group coordinates) and the
-    points where the limit is not negligible.
+    A stream of (coords, numerator, theta, limit value) tuples, sorted as
+    Elements sort, over the keys of nums (numerators by group coordinates)
+    and the points where the limit is not negligible.  The window is
+    enumerated and checked when it is called, before its first row.
 
     With live, the limit is the attractor, at n >= 1 when d >= 1: theta
     is c at the points of the live coset W + n*x0, which are all of it
@@ -213,7 +215,8 @@ def _evaluated_window(nums, a: Attractor, n: int, live: bool = True) -> list[tup
     if a.case == "d0":
         moduli = dance.base_point.group.torsion_moduli
         points = dance.coset_coords(n) if live else itertools.product(*map(range, moduli))
-        limit = dict.fromkeys(points, theta / tor)
+        off = live and any(points[i:i + 1] != [x] for x in nums for i in [bisect_left(points, x)])
+        values = itertools.repeat(theta / tor)
     else:
         moments = a.moments
         d, inv = moments.dim, a.twist.phi.inverse
@@ -287,13 +290,12 @@ def _evaluated_window(nums, a: Attractor, n: int, live: bool = True) -> list[tup
             if image(x) == live_at:
                 y = [dm * c - s for c, s in zip(a.phi.matrix.mul_vec(x), shift)]
                 heat[x] = kernel(quad(y))
-        if live:
-            limit = {x: (theta / tor) * v for x, v in heat.items()}
-        else:
-            limit = {x: v / tor for x, v in heat.items()}
-    if not limit.keys() >= nums.keys():
+        off = not heat.keys() >= nums.keys()
+        points = sorted(heat)
+        values = (((theta / tor) * heat[x] if live else heat[x] / tor) for x in points)
+    if off:
         raise InvariantViolationError("a support point of p^(n) lies off the live coset")
-    return [(x, nums.get(x, 0), theta, limit[x]) for x in sorted(limit)]
+    return ((x, nums.get(x, 0), theta, f) for x, f in zip(points, values))
 
 
 class LltReport(Value):

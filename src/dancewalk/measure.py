@@ -10,19 +10,23 @@ by the free parts of supp(p) - x0, so a walk on a line or a sublattice
 gets a box that grows with its own support and not with the ambient
 Z^k.  A product packs both operands into fixed-width slots of one
 integer (Kronecker substitution), makes a single big-integer
-multiplication and reads the slots back with ``int.to_bytes``; torsion
-axes are folded mod m.  The box is dense, and its cells are the product
-of its sides, so where it holds more cells than there are pairs of
-support points (a thin support over many axes, or two far-apart residues
-of a large Z_m) the product is the double loop over the pairs instead.
+multiplication and reads the slots of its ``int.to_bytes`` straight
+into the product's dict; torsion axes are folded mod m.  The box is
+dense, and its cells are the product of its sides, so where it holds
+more cells than there are pairs of support points (a thin support over
+many axes, or two far-apart residues of a large Z_m) the product is the
+double loop over the pairs instead.
 One power ladder (``_powers``) serves every set of steps and yields
-``Distribution``s.  Total mass is exactly 1 after every operation.
+``Distribution``s: it is planned before its first product, frees each
+rung after its last read, and drains a rung into the step that reads it
+last.  Total mass is exactly 1 after every operation.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -140,12 +144,15 @@ def _pack_law(p: Distribution, basis) -> tuple[tuple[int, ...], _Packed]:
     return base, (p._den, nums)
 
 
-def _unpack_law(group: GroupSpec, basis, base, law: _Packed) -> Distribution:
-    """The Distribution of a packed law on group, keyed back by group coordinates."""
+def _unpack_law(group: GroupSpec, basis, base, law: _Packed, drain: bool = True) -> Distribution:
+    """The Distribution of a packed law on group, keyed back by group
+    coordinates; with drain, the law's dict is emptied as it is read."""
     t = len(group.torsion_moduli)
     den, nums = law
+    if sum(nums.values()) != den:
+        raise InvariantViolationError("a convolution lost mass")
     out = {}
-    for coords, v in nums.items():
+    for coords, v in (nums.popitem() for _ in range(len(nums))) if drain else nums.items():
         free = base
         for c, row in zip(coords[t:], basis):
             if c:
@@ -190,10 +197,11 @@ def _kronecker(na, nb, lo_a, lo_b, sides, moduli, bound: int) -> dict[tuple[int,
     packed = _pack(na, lo_a, strides, width, size)
     other = packed if nb is na else _pack(nb, lo_b, strides, width, size)
     raw = (packed * other).to_bytes(size * width, "little")
-    values = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+    del packed, other
     cells = itertools.product(*(range(a + b, a + b + s) for a, b, s in zip(lo_a, lo_b, sides)))
     out: dict[tuple[int, ...], int] = {}
-    for c, v in zip(cells, values):
+    for at, c in zip(range(0, len(raw), width), cells):
+        v = int.from_bytes(raw[at:at + width], "little")
         if v:
             c = tuple(x % m if m else x for x, m in zip(c, moduli))
             out[c] = out.get(c, 0) + v
@@ -237,38 +245,49 @@ def convolve(p: Distribution, q: Distribution) -> Distribution:
     return _unpack_law(p.group, basis, base, _product(a, b, moduli))
 
 
-def _power(made: dict[int, _Packed], n: int, moduli) -> _Packed:
-    """p^n, from and into made, the powers made so far.
-
-    A module function rather than a closure over made: a closure that
-    calls itself is a reference cycle, which would keep every power
-    alive after the ladder is done, until a cycle collection.
-    """
-    if n not in made:
-        k = max((k for k in made if 0 < k < n and n - k in made), default=n // 2)
-        made[n] = _product(_power(made, k, moduli), _power(made, n - k, moduli), moduli)
-    return made[n]
+def _plan(plan: dict, n: int) -> None:
+    """Add rung n, after the rungs it is made from, to plan, which maps each
+    rung, in the order they are made, to the k with p^n = p^k * p^(n-k):
+    the largest k with both factors planned (p^(n+1) from p^n and p, p^20
+    from p^10), else n // 2."""
+    if n not in plan:
+        k = max((k for k in plan if 0 < k < n and n - k in plan), default=n // 2)
+        _plan(plan, k)
+        _plan(plan, n - k)
+        plan[n] = k
 
 
 def _powers(p: Distribution, steps):
-    """(n, p^(n)) for each n in steps, in sorted order.
+    """(n, p^(n)) for each n in steps, in sorted order, from one ladder.
 
-    Every power made is kept.  p^n is p^k * p^(n-k) for the largest k
-    with both factors made (p^(n+1) from p^n and p, p^20 from p^10),
-    else p^(n//2) * p^(n - n//2).  p^0 is the point mass at the identity.
+    The ladder is planned by _plan before its first product, and every
+    rung is freed after its last read, by a product or by a step; the step
+    that reads a rung last drains it into its Distribution.  p^0 is the
+    point mass at the identity.
     """
+    steps = sorted(steps)
+    if steps and steps[0] < 0:
+        raise ValueError("negative convolution power")
+    plan, ends = {0: 0, 1: 0}, []  # p^0 and p^1 are given, the rest made in order
+    for n in steps:
+        _plan(plan, n)
+        ends.append(len(plan))
+    order = list(plan.items())
+    reads = Counter(steps + [r for n, k in order[2:] for r in (k, n - k)])
     g = p.group
     basis = _lattice(g, (p,))
-    base, law = _pack_law(p, basis)
     moduli = g.torsion_moduli + (0,) * len(basis)
-    made = {0: (1, {(0,) * len(moduli): 1}), 1: law}
-    for n in sorted(steps):
-        if n < 0:
-            raise ValueError("negative convolution power")
-        den, nums = _power(made, n, moduli)
-        if sum(nums.values()) != den:
-            raise InvariantViolationError("convolution power lost mass")
-        yield n, _unpack_law(g, basis, [n * c for c in base], (den, nums))
+    made = {0: (1, {(0,) * len(moduli): 1})}
+    base, made[1] = _pack_law(p, basis)
+
+    def read(n):
+        reads[n] -= 1
+        return made[n] if reads[n] else made.pop(n)
+
+    for n, start, end in zip(steps, [2] + ends, ends):
+        for m, k in order[start:end]:
+            made[m] = _product(read(k), read(m - k), moduli)
+        yield n, _unpack_law(g, basis, [n * c for c in base], read(n), n not in made)
 
 
 def convolution_power(p: Distribution, n: int) -> Distribution:

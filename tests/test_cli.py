@@ -313,27 +313,6 @@ def test_each_sup_error_series_reads_one_ladder(name, one_ladder, monkeypatch):
     assert len(scans) <= 1
 
 
-@pytest.mark.parametrize("command", [["compare", "--n", "10,20,30"], ["convolve", "--n", "40"]])
-def test_output_commands_hold_a_bounded_multiple_of_their_output(command, monkeypatch):
-    # each step's rows become text as they are made: what is held at the peak is one
-    # step's law and window, one string per record and the text they join into; a list
-    # of every row, a piece per slot or a copy of the text with its newline would not
-    # fit.  With the cycle collector off, nothing may wait for it to be freed either.
-    for traced in (False, True):  # the first run builds the parser and warms the caches
-        monkeypatch.setattr(sys, "stdin", io.StringIO(LAZY_Z2_SPEC))
-        monkeypatch.setattr(sys, "stdout", io.StringIO())
-        if traced:
-            gc.disable()
-            tracemalloc.start()
-        try:
-            assert main([*command, "--spec", "-"]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-            gc.enable()
-    assert 0 < peak < 4 * len(sys.stdout.getvalue())
-
-
 LAZY_Z2_SPEC = json.dumps({
     "group": {"torsion": [], "rank": 2},
     "distribution": [{"elem": {"free": x}, "weight": "1/5"}
@@ -374,8 +353,13 @@ def _draw_compare(spec, ns):
 
 def _draw_convolve(spec, n):
     (_, pn), = dancewalk.measure._powers(load_spec(spec), (n,))
-    for _ in sorted(pn._nums.items()):
-        pass
+    for x in sorted(pn._nums):
+        pn._nums[x]
+
+
+def _draw_sup_error(spec, n):
+    p = load_spec(spec)
+    dancewalk.llt.llt_sup_error(p, dancewalk.llt.build_attractor(p), n)
 
 
 def _draw_sample(spec, n, paths):
@@ -425,6 +409,21 @@ def test_output_costs_no_more_than_a_few_slices(command, spec, draw, kib, monkey
     assert peaks[1] - peaks[0] < kib * 1024
 
 
+@pytest.mark.parametrize("draw, kib", [
+    pytest.param(lambda: _draw_compare(LAZY_Z2_SPEC, [10, 20, 30]), 864, id="compare"),
+    pytest.param(lambda: _draw_convolve(LAZY_Z2_SPEC, 40), 800, id="convolve"),
+    pytest.param(lambda: _draw_sup_error(LAZY_Z2_SPEC, 30), 800, id="sup-error"),
+    pytest.param(lambda: _draw_compare(TORSION_Z60_SPEC, [50]), 720, id="compare-z60"),
+    pytest.param(lambda: dancewalk.llt.tv_to_uniform_coset(load_spec(TORSION_Z60_SPEC), 50),
+                 720, id="tv-z60")])
+def test_drawing_the_rows_holds_one_step_at_a_time(draw, kib):
+    # the ladder frees each rung after its last read, a step's law is drained
+    # out of its rung and the window streams its rows: what is left at the peak
+    # is about one step's law, some 660 KiB at n = 40 on the lazy walk
+    draw()  # the first run warms the caches
+    assert _traced_peak(draw) < kib * 1024
+
+
 @pytest.mark.parametrize("command", [["compare", "--n", "20,21"],
                                      ["compare", "--n", "20,21", "--format", "csv"]])
 def test_a_command_failing_after_its_spool_rolled_over_prints_nothing(command, monkeypatch,
@@ -469,12 +468,12 @@ def test_a_reader_closing_stdout_early_ends_the_command_quietly(command, tmp_pat
     # when the reader goes: it exits 1 with nothing on stderr
     spec = tmp_path / "lazy.json"
     spec.write_text(LAZY_Z2_SPEC)
-    proc = subprocess.Popen([sys.executable, "-m", "dancewalk.cli", *command, "--spec", str(spec)],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
-    assert len(proc.stdout.read(10)) == 10
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=300) == 1
+    with subprocess.Popen([sys.executable, "-m", "dancewalk.cli", *command, "--spec", str(spec)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env()) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == 1
     assert err == b""
 
 

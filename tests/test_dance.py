@@ -1,8 +1,9 @@
 import cmath
+import gc
 import itertools
 import math
 import random
-import types
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -308,9 +309,9 @@ def test_uniform_coset_law_is_decided_before_the_scan(monkeypatch):
     # |S| = |W_A| with equal weights gives rho = 0 from one Hermite form,
     # without drawing a character
     drawn = []
-    product = itertools.product
-    monkeypatch.setattr(dancewalk.dance, "itertools", types.SimpleNamespace(
-        product=lambda *ranges: (drawn.append(c) or c for c in product(*ranges))))
+    characters = dancewalk.dance._characters
+    monkeypatch.setattr(dancewalk.dance, "_characters",
+                        lambda moduli: (drawn.append(c) or c for c in characters(moduli)))
     z60 = GroupSpec([60, 60])
     for p in (_uniform(z60, [[a, b] for a in range(0, 60, 3) for b in range(0, 60, 4)]),
               _uniform(GroupSpec([2, 3, 6]), [[0, 1, 1], [1, 1, 1], [0, 1, 4], [1, 1, 4]]),
@@ -345,6 +346,23 @@ def test_root_cache_stays_bounded(monkeypatch):
         assert gap.achieved_at == DualPoint(z5003, (1,), ())
         assert 0 < caches[-1].cache_info().currsize <= 4096
     assert len(caches) == 2
+
+
+def test_gap_scan_holds_no_tuple_of_residues():
+    # the scan steps its last axis as a lazy range: on Z_10007 it holds the
+    # root cache, and no tuple of 10007 residues beside it
+    z = GroupSpec([10007])
+    p = Distribution(z, {z.element([0]): Fraction(1, 2), z.element([1]): Fraction(1, 2)})
+    dance_of(p)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        spectral_gap(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak < 1 << 20
 
 
 def test_gap_below_rounding_bound_is_within_it():

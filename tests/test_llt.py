@@ -249,6 +249,18 @@ def test_evaluated_window_rejects_support_off_the_live_coset():
             _evaluated_window({**law._nums, x: 1}, a, n)
 
 
+def test_finite_window_rejects_support_off_the_live_coset():
+    # d = 0: the law's keys are looked up by bisection in the sorted live coset,
+    # which is {1, 4, 7, 10} for z12 at n = 2
+    p, n = z12_walk(), 2
+    a = build_attractor(p)
+    (_, law), = _powers(p, (n,))
+    assert [x for x, *_ in _evaluated_window(law._nums, a, n)] == [(1,), (4,), (7,), (10,)]
+    for x in ((0,), (5,), (11,)):  # below, between and above the coset's points
+        with pytest.raises(InvariantViolationError):
+            _evaluated_window({**law._nums, x: 1}, a, n)
+
+
 @pytest.mark.parametrize("p, n, s", [(elevator2(), 9, 2), (SHEARED_LAZY_Z2, 5, 1)])
 def test_time_average_matches_fraction_reference(p, n, s):
     # mean zero: the limit at x is K^n(phi(x)) / |Tor(G)| on every torsion lift of the

@@ -145,7 +145,7 @@ def law_pairs(draw):
     small = st.integers(-3, 3)
     shape = draw(st.sampled_from(
         ["trivial", "cyclic", "two-cyclic", "free", "mixed", "line-z3", "sublattice-z2",
-         "sparse-z"]))
+         "sparse-z", "three-cyclic", "cyclic-z2"]))
     if shape == "trivial":
         g, point = GroupSpec(), st.just(((), ()))
     elif shape == "cyclic":
@@ -154,12 +154,18 @@ def law_pairs(draw):
     elif shape == "two-cyclic":
         g = GroupSpec([draw(st.integers(2, 7)), draw(st.integers(2, 7))])
         point = st.tuples(st.tuples(st.integers(0, 6), st.integers(0, 6)), st.just(()))
+    elif shape == "three-cyclic":
+        g = GroupSpec([draw(st.integers(2, 5)) for _ in range(3)])
+        point = st.tuples(st.tuples(*[st.integers(0, 4)] * 3), st.just(()))
     elif shape == "free":
         k = draw(st.integers(1, 3))
         g, point = GroupSpec((), k), st.tuples(st.just(()), st.tuples(*[small] * k))
     elif shape == "mixed":
         g = GroupSpec([draw(st.integers(2, 6)), draw(st.integers(2, 6))], 1)
         point = st.tuples(st.tuples(st.integers(0, 5), st.integers(0, 5)), st.tuples(small))
+    elif shape == "cyclic-z2":
+        g = GroupSpec([draw(st.integers(2, 6))], 2)
+        point = st.tuples(st.tuples(st.integers(0, 5)), st.tuples(small, small))
     elif shape == "line-z3":
         d, o = draw(st.tuples(small, small, small)), draw(st.tuples(small, small, small))
         g = GroupSpec((), 3)
