@@ -72,15 +72,11 @@ class DanceData(Value):
 
     def coset_at(self, n: int) -> list[Element]:
         """The live coset W + n*x0 (finite walk subgroups only)."""
-        g = self.base_point.group
-        return [g.element_from_coords(c) for c in self.coset_coords(n)]
+        return list(map(self.base_point.group.element_from_coords, self.coset_coords(n)))
 
-    def coset_coords(self, n: int) -> list[tuple[int, ...]]:
-        """Coordinate tuples of the live coset W + n*x0, sorted."""
-        moduli = self.base_point.group.torsion_moduli
-        shift = (n * self.base_point).coords()
-        return sorted(tuple((a + b) % m for a, b, m in zip(w, shift, moduli)) + shift[len(moduli):]
-                      for w in self.walk_subgroup.element_coords())
+    def coset_coords(self, n: int):
+        """The live coset W + n*x0 (finite W only) by W.element_coords: lazy, sorted."""
+        return self.walk_subgroup.element_coords((n * self.base_point).coords())
 
 
 class SpectralGap(Value):

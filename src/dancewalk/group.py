@@ -14,7 +14,6 @@ form, two equal subgroups have identical representations.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import index
@@ -88,11 +87,8 @@ class GroupSpec(Value):
         return Element(self, (0,) * len(self.torsion_moduli), (0,) * self.free_rank)
 
     def elements(self):
-        """All elements, lexicographic order.  Finite groups only."""
-        if not self.is_finite:
-            raise UnsupportedOperationError("cannot enumerate an infinite group")
-        for tup in itertools.product(*(range(m) for m in self.torsion_moduli)):
-            yield Element(self, tup, ())
+        """All elements, lazily in lexicographic order.  Finite groups only."""
+        return map(self.element_from_coords, whole_group(self).element_coords())
 
     def torsion_component(self) -> "GroupSpec":
         return GroupSpec(self.torsion_moduli, 0)
@@ -263,23 +259,29 @@ class Subgroup(Value):
         """All elements of a finite subgroup, sorted."""
         return [self.parent.element_from_coords(c) for c in self.element_coords()]
 
-    def element_coords(self) -> list[tuple[int, ...]]:
-        """Coordinate tuples of all elements of a finite subgroup, sorted.
+    def element_coords(self, shift=None):
+        """Coordinate tuples of the coset H + shift of a finite subgroup (H
+        itself when shift is None), a lazy stream in sorted order.
 
-        A finite H has one Hermite row per torsion axis j, with pivot r_j
-        dividing m_j, so the sums of a_j * row_j over 0 <= a_j < m_j / r_j,
-        reduced mod the moduli, are each element exactly once.
+        A finite H has one Hermite row per torsion axis j, with pivot h_j
+        dividing m_j and zeros before it, so y_j runs over one progression
+        of step h_j in [0, m_j), set by y's earlier coordinates: a depth-t
+        walk yields each point once and in order, with no list of them.
         """
         if self.rank() > 0:
             raise UnsupportedOperationError("subgroup is infinite")
-        moduli = self.parent.torsion_moduli
-        points = [(0,) * len(moduli)]
-        for j, row in self._pivots:
-            steps = [tuple(a * e for e in row) for a in range(moduli[j] // row[j])]
-            points = [tuple((c + e) % m for c, e, m in zip(x, step, moduli))
-                      for x in points for step in steps]
-        zero_free = (0,) * self.parent.free_rank
-        return sorted(x + zero_free for x in points)
+        moduli, rows = self.parent.torsion_moduli, [row for _, row in self._pivots]
+        t, shift = len(moduli), tuple(shift or (0,) * self.parent.dim)
+
+        def walk(j, head, rest):  # rest[i]: axis j + i of -shift less the rows taken so far
+            h, row = rows[j][j], rows[j][j + 1:]
+            ys = range(-rest[0] % h, moduli[j], h)
+            if j == t - 1:
+                return ((*head, y, *shift[t:]) for y in ys)
+            return (x for y in ys for x in walk(j + 1, (*head, y), [
+                c - (y + rest[0]) // h * e for c, e in zip(rest[1:], row)]))
+
+        return walk(0, (), [-c for c in shift[:t]]) if t else iter([shift])
 
     def annihilator(self) -> "Subgroup":
         """Characters of a finite parent that are identically 1 on H.

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from operator import add, mod, sub
 
 from ._value import Value
 from .dance import DanceData, dance_of, period_if_irreducible, spectral_gap
-from .group import Element, GroupSpec, Homomorphism, UnsupportedOperationError
+from .group import Element, GroupSpec, Homomorphism, UnsupportedOperationError, whole_group
 from .intlinalg import (
     AffinePointSet,
     IntMatrix,
@@ -171,17 +170,17 @@ def _evaluated_window(nums, a: Attractor, n: int, live: bool = True):
 
     A stream of (coords, numerator, theta, limit value) tuples, sorted as
     Elements sort, over the keys of nums (numerators by group coordinates)
-    and the points where the limit is not negligible.  The window is
-    enumerated and checked when it is called, before its first row.
+    and the points where the limit is not negligible.  The keys of nums
+    are checked when it is called, before its first row.
 
     With live, the limit is the attractor, at n >= 1 when d >= 1: theta
     is c at the points of the live coset W + n*x0, which are all of it
-    when d = 0 (the uniform law on it, as c / |Tor(G)| = 1 / |W|) and
-    otherwise the window lifts.  A key of nums off the live coset is an
-    invariant violation, since supp p^(n) lies in it.  Without live, the
-    limit is the average over one period, where the dance is lost: theta
-    is 1, at every element of a finite G when d = 0, otherwise at every
-    torsion lift of the window and at every key of nums.
+    when d = 0 (the uniform law on it, c / |Tor(G)| = 1 / |W|, walked from
+    W's Hermite rows) and otherwise the window lifts.  A key x of nums with
+    x - n*x0 not in W is an invariant violation, as supp p^(n) lies in the
+    live coset.  Without live, the limit is the average over one period,
+    where the dance is lost: theta is 1, at every element of a finite G
+    when d = 0, otherwise at every torsion lift of the window and every key.
 
     For d >= 1 the value K^n(u - n*mu) at u = phi(x) comes from one exact
     integer quadratic form.  With dm the lcm of the mean's denominators,
@@ -213,9 +212,9 @@ def _evaluated_window(nums, a: Attractor, n: int, live: bool = True):
     dance, tor = a.dance, a.torsion_order
     theta = dance.normalization_c if live else 1
     if a.case == "d0":
-        moduli = dance.base_point.group.torsion_moduli
-        points = dance.coset_coords(n) if live else itertools.product(*map(range, moduli))
-        off = live and any(points[i:i + 1] != [x] for x in nums for i in [bisect_left(points, x)])
+        g = dance.base_point.group
+        off = live and not all(dance.theta_coords(n, x) for x in nums)
+        points = dance.coset_coords(n) if live else whole_group(g).element_coords()
         values = itertools.repeat(theta / tor)
     else:
         moments = a.moments
@@ -376,12 +375,15 @@ def time_average_error(p: Distribution, a: Attractor, n: int, s: int) -> float:
             raise ValueError("time-average limit requires a mean-zero pushforward")
         if n < 1:
             raise ValueError("n must be at least 1")
-    laws = [(pn._den, pn._nums) for _, pn in _powers(p, range(n, n + s))]
-    top = math.lcm(*(den for den, _ in laws))
-    total = {}  # s times the average law, as numerators over top
-    for den, nums in laws:
-        for x, v in nums.items():
-            total[x] = total.get(x, 0) + v * (top // den)
+    top, total = 1, {}  # s times the average law so far, as numerators over top
+    for _, pn in _powers(p, range(n, n + s)):
+        grow = math.lcm(top, pn._den) // top  # rescale the sum to the new common denominator
+        top *= grow
+        for x in total:
+            total[x] *= grow
+        for x, v in pn._nums.items():
+            total[x] = total.get(x, 0) + v * (top // pn._den)
+        del pn  # released before the ladder makes the next law
     return _largest_error(s * top, _evaluated_window(total, a, n, live=False), a)[0]
 
 

@@ -437,6 +437,25 @@ def test_support_equality_for_rank_zero_large_n():
     assert set(pn.support()) == set(d1.coset_at(50))
 
 
+def test_live_coset_walk_matches_brute_force():
+    # W + n*x0 for dancing walks (c > 1) and for finite W on Z_4 x Z, where
+    # n*x0 has a nonzero free part, against every torsion residue tested
+    half = Fraction(1, 2)
+    mixed = [Distribution(Z4Z, {Z4Z.element([a], [b]): half for a, b in pts})
+             for pts in (((0, 1), (1, 1)), ((0, 1), (2, 1)), ((1, 1), (3, 1)))]
+    for p in [z12_walk(), z9_walk(1, 4), z9_walk(0, 3), z4z6_walk(), elevator1()] + mixed:
+        d = analyze_dance(p)
+        g = p.group
+        for n in (0, 1, 7, 50):
+            free = (n * d.base_point).free
+            brute = sorted(y + free for y in itertools.product(*map(range, g.torsion_moduli))
+                           if d.theta_coords(n, y + free))
+            assert list(d.coset_coords(n)) == brute
+            assert d.coset_at(n) == [g.element_from_coords(x) for x in brute]
+    assert sum(analyze_dance(p).normalization_c > 1 for p in mixed) == 2
+    assert list(analyze_dance(mixed[0]).coset_coords(7)) == [(0, 7), (1, 7), (2, 7), (3, 7)]
+
+
 def test_finite_mass_identity():
     # |Omega| * |W| = |G| on finite groups
     rng = random.Random(222)

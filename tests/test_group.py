@@ -257,7 +257,39 @@ def test_subgroup_elements_match_brute_force():
                  if h.contains(x)]
         assert h.elements() == brute
         assert len(brute) == h.order()
-        assert h.element_coords() == [x.coords() for x in brute]
+        assert list(h.element_coords()) == [x.coords() for x in brute]
+
+
+def brute_coset(h, shift):
+    """H + shift, sorted, by a membership test at every torsion residue."""
+    g = h.parent
+    t = len(g.torsion_moduli)
+    return sorted(y + shift[t:] for y in itertools.product(*map(range, g.torsion_moduli))
+                  if h.contains_coords([a - b for a, b in zip(y, shift)]))
+
+
+def test_coset_walk_matches_brute_force():
+    # H + n*x over random subgroups of the sweep shapes, over <(1, 1)> in
+    # Z_2 x Z_4 (no product of coordinate subgroups), and over finite
+    # subgroups of groups with a free axis, where n*x has a free part
+    rng = random.Random(2024)
+    shapes = [([12], 0), ([30], 0), ([2, 6], 0), ([4, 4], 0), ([3, 9], 0),
+              ([2, 2, 4], 0), ([2, 2, 6], 0), ([3, 3, 3], 0), ([4, 6], 1), ([4], 1), ([], 2)]
+    z2z4 = GroupSpec([2, 4])
+    cases = [(subgroup_generated(z2z4, [z2z4.element([1, 1])]), z2z4.element([c, d]))
+             for c in range(2) for d in range(4)]
+    for _ in range(80):
+        g = GroupSpec(*rng.choice(shapes))
+        gens = [g.element([rng.randrange(m) for m in g.torsion_moduli], [0] * g.free_rank)
+                for _ in range(rng.randrange(0, 4))]
+        x = g.element([rng.randrange(m) for m in g.torsion_moduli],
+                      [rng.randrange(-3, 4) for _ in range(g.free_rank)])
+        cases.append((subgroup_generated(g, gens), x))
+    for h, x in cases:
+        for n in (0, 1, 7, 50):
+            shift = (n * x).coords()
+            assert list(h.element_coords(shift)) == brute_coset(h, shift)
+    assert list(cases[0][0].element_coords((0, 1))) == [(0, 1), (0, 3), (1, 0), (1, 2)]
 
 
 def test_annihilator_duality_brute_force():

@@ -1,15 +1,19 @@
 import cmath
+import gc
 import itertools
 import math
 import random
 import re
 import time
+import tracemalloc
+import weakref
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import dancewalk.llt
 from dancewalk.group import DualPoint, Element, GroupSpec, Homomorphism
 from dancewalk.group import UnsupportedOperationError
 from dancewalk.intlinalg import IntMatrix, InvariantViolationError
@@ -234,6 +238,34 @@ def test_time_average_counts_support_beyond_the_window():
     assert time_average_error(p, a, 1, 1) == pytest.approx(1 / 2000, rel=1e-9)
 
 
+class _Numerators(dict):
+    """A numerator dict that a weak reference can watch."""
+
+
+def test_time_average_holds_one_law_at_a_time(monkeypatch):
+    # period 4 on Z_4 x Z_5: each step law, numerators included, is released
+    # before the ladder draws the next one
+    released, powers = [], _powers
+
+    def spy(p, steps):
+        for n, pn in powers(p, steps):
+            law = Distribution._law(pn.group, pn._den, _Numerators(pn._nums))
+            ref = weakref.ref(law._nums)
+            del pn
+            yield n, law
+            del law
+            released.append(ref() is None)
+
+    monkeypatch.setattr(dancewalk.llt, "_powers", spy)
+    g = GroupSpec([4, 5])
+    p = _uniform(g, [((1, 0), ()), ((1, 1), ()), ((1, 3), ())])
+    err = time_average_error(p, build_attractor(p), 6, 4)
+    assert released == [True] * 4
+    assert err == pytest.approx(max(abs(float(sum(convolution_power(p, m).weight(x)
+                                                  for m in range(6, 10)) / 4) - 1 / 20)
+                                    for x in g.elements()), abs=1e-15)
+
+
 def test_evaluated_window_rejects_support_off_the_live_coset():
     # elevator2 lives on torsion + free = n (mod 2): flipping a residue leaves the coset
     p, n = elevator2(), 3
@@ -250,8 +282,8 @@ def test_evaluated_window_rejects_support_off_the_live_coset():
 
 
 def test_finite_window_rejects_support_off_the_live_coset():
-    # d = 0: the law's keys are looked up by bisection in the sorted live coset,
-    # which is {1, 4, 7, 10} for z12 at n = 2
+    # d = 0: each key x of the law is tested by x - n*x0 in W; the live coset
+    # is {1, 4, 7, 10} for z12 at n = 2
     p, n = z12_walk(), 2
     a = build_attractor(p)
     (_, law), = _powers(p, (n,))
@@ -259,6 +291,25 @@ def test_finite_window_rejects_support_off_the_live_coset():
     for x in ((0,), (5,), (11,)):  # below, between and above the coset's points
         with pytest.raises(InvariantViolationError):
             _evaluated_window({**law._nums, x: 1}, a, n)
+
+
+def test_finite_window_holds_no_list_of_the_live_coset():
+    # d = 0 on Z_300 x Z_300: the live coset is all 90000 points, walked from
+    # W's Hermite rows, and the first rows come with no list of them
+    g = GroupSpec([300, 300])
+    p = _uniform(g, [((0, 0), ()), ((1, 0), ()), ((0, 1), ())])
+    a = build_attractor(p)
+    (_, law), = _powers(p, (1,))
+    gc.disable()
+    tracemalloc.start()
+    try:
+        rows = list(itertools.islice(_evaluated_window(law._nums, a, 1), 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak < 256 << 10
+    assert rows == [((0, 0), 1, 1, 1 / 90000), ((0, 1), 1, 1, 1 / 90000), ((0, 2), 0, 1, 1 / 90000)]
 
 
 @pytest.mark.parametrize("p, n, s", [(elevator2(), 9, 2), (SHEARED_LAZY_Z2, 5, 1)])
