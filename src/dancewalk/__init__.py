@@ -17,7 +17,6 @@ from .intlinalg import (
     TwistResult,
     UnimodularMatrix,
     affine_dim,
-    bottom_row_unimodular,
     hnf,
     snf,
     twist_to_coordinates,

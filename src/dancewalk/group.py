@@ -187,12 +187,16 @@ class Subgroup(Value):
         all_rows = [list(r) for r in rows] + _relation_rows(parent)
         if any(len(r) != parent.dim for r in all_rows):
             raise ValueError("generator rows have wrong length")
-        reduced = lattice_basis(all_rows, parent.dim)
-        self._set(parent, IntMatrix(reduced, cols=parent.dim))
+        self._init_hermite(parent, IntMatrix(lattice_basis(all_rows, parent.dim), cols=parent.dim))
+
+    def _init_hermite(self, parent: GroupSpec, basis: IntMatrix) -> "Subgroup":
+        """Set the fields from ``basis``, already in canonical Hermite form."""
+        self._set(parent, basis)
         # (pivot column, row) of each Hermite row, in row order
         object.__setattr__(self, "_pivots", tuple(
-            (next(j for j, e in enumerate(row) if e), row) for row in reduced))
+            (next(j for j, e in enumerate(row) if e), row) for row in basis.data))
         object.__setattr__(self, "_quotient", None)
+        return self
 
     def __repr__(self) -> str:
         return f"Subgroup({self.parent!r}, {[list(r) for r in self.basis.data]})"
@@ -314,7 +318,8 @@ def subgroup_generated(g: GroupSpec, gens) -> Subgroup:
 
 
 def whole_group(g: GroupSpec) -> Subgroup:
-    return Subgroup(g, [list(r) for r in IntMatrix.identity(g.dim).data] if g.dim else [])
+    # the identity is its Hermite basis, so no reduction is run
+    return Subgroup.__new__(Subgroup)._init_hermite(g, IntMatrix.identity(g.dim))
 
 
 def trivial_subgroup(g: GroupSpec) -> Subgroup:

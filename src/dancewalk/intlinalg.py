@@ -8,17 +8,10 @@ the columns) with their unimodular transforms, and integer inverses.
 The Smith diagonal is unique; its transforms ``u`` and ``v`` are valid
 but not canonical.  The fraction-free Gauss-Jordan kernel ``_bareiss``
 gives, in one pass over a square matrix, its determinant, its leading
-principal minors and its adjugate.  On top of these sit the "twisting"
-constructions used to move a finite point set of affine dimension d
-into the first d coordinates of the ambient lattice:
-
-* ``bottom_row_unimodular`` completes an integer vector a to a square
-  matrix with bottom row a and determinant gcd(a); its Euclidean row
-  operations (``_complete``) can be applied to any rows.
-* ``twist_to_coordinates`` finds an automorphism of Z^k sending a point
-  set into Z^d x {w} with a genuinely d-dimensional shadow on the first
-  d coordinates, pressing one trailing coordinate at a time by applying
-  a completion to the rows of the automorphism and of the points at once.
+principal minors and its adjugate.  The "twist" that moves a finite
+point set of affine dimension d into the first d coordinates of the
+ambient lattice, ``twist_to_coordinates``, is the transform of one
+Hermite pass over the differences of the points.
 
 Conventions: lattices are spanned by the *rows* of their basis
 matrices; automorphisms act on *column* vectors.  The canonical Hermite
@@ -28,7 +21,6 @@ each pivot reduced into [0, pivot).
 
 from __future__ import annotations
 
-from math import gcd
 from operator import index
 
 from ._value import Value
@@ -343,65 +335,6 @@ def snf(m: IntMatrix) -> SnfDecomposition:
     )
 
 
-def _complete(a, rows: list[list[int]]) -> int:
-    """Apply to rows 0..k-1 of ``rows`` the row operations that complete
-    ``a`` (k = len(a) >= 1) and return gcd(a).
-
-    The Euclidean algorithm shrinks a copy of ``a`` to (0, ..., 0, g) by
-    column operations Q, whose inverses are applied to the rows as row
-    operations; row 0 is then scaled by det(Q) and row k-1 by g.  On the
-    identity this builds the completion of ``bottom_row_unimodular``.
-    """
-    b, k, q_sign = list(a), len(a), 1  # q_sign is det Q for the column operations Q so far
-    for j in range(1, k):
-        # Reduce the pair (b[j-1], b[j]) until b[j-1] = 0, b[j] = gcd so far.
-        while b[j - 1]:
-            if b[j]:
-                # column j-1 -= s * column j, so Q^(-1) gains s * row j-1 in row j
-                s = b[j - 1] // b[j]
-                b[j - 1] -= s * b[j]
-                rows[j] = [e + s * f for e, f in zip(rows[j], rows[j - 1])]
-            if b[j - 1]:
-                b[j - 1], b[j] = b[j], b[j - 1]
-                rows[j - 1], rows[j] = rows[j], rows[j - 1]
-                q_sign = -q_sign
-    if b[k - 1] < 0:
-        # Sign-fixing column scale, tracked so det Q stays known.
-        b[k - 1] = -b[k - 1]
-        rows[k - 1] = [-e for e in rows[k - 1]]
-        q_sign = -q_sign
-    g = b[k - 1]
-    rows[0] = [q_sign * e for e in rows[0]]
-    rows[k - 1] = [g * e for e in rows[k - 1]]
-    return g
-
-
-def bottom_row_unimodular(a) -> IntMatrix:
-    """Complete a nonzero integer vector to a square matrix.
-
-    The result M is k x k with bottom row exactly ``a`` and
-    det(M) = gcd(a); in particular M is unimodular when the entries of
-    ``a`` are coprime.  M is ``_complete`` applied to the identity:
-    M = M' @ Q^(-1), where Q are the Euclidean column operations that
-    shrink a to (0, ..., 0, g) and M' is the identity with det(Q) in its
-    corner and bottom row (0, ..., 0, g).  When k = 1 the bottom row
-    forces det(M) = a[0], so for a negative singleton the determinant is
-    -gcd(a).
-    """
-    a = [index(e) for e in a]
-    k = len(a)
-    if k == 0 or all(e == 0 for e in a):
-        raise ValueError("vector must be nonzero")
-    if k == 1:
-        return IntMatrix([a])
-    rows = _eye(k)
-    g = _complete(a, rows)
-    m = IntMatrix(rows, cols=k)
-    if list(m.data[k - 1]) != a or m.det() != g:
-        raise InvariantViolationError("bottom-row completion failed its contract")
-    return m
-
-
 class AffinePointSet(Value):
     """A finite set of integer points in Z^(ambient_dim)."""
 
@@ -430,30 +363,6 @@ def affine_dim(s: AffinePointSet) -> int:
     return len(lattice_basis(diffs, s.ambient_dim))
 
 
-def _primitive_orthogonal(rows, k: int) -> tuple[int, ...]:
-    """A primitive integer vector orthogonal to the Hermite rows ``rows``.
-
-    Exists whenever the rows do not span Q^k.  It is the rational null
-    vector with 1 at the last non-pivot column of the rows and 0 at the
-    other non-pivot columns, made primitive with a positive first entry;
-    every echelon basis of the row space has the same pivots, so the
-    vector depends only on that space.  Back substitution scales it by
-    the least factor that keeps each entry integral, so it stays primitive.
-    """
-    pivots = [next(j for j, e in enumerate(row) if e) for row in rows]
-    free = max(set(range(k)) - set(pivots), default=None)
-    if free is None:
-        raise ValueError("rows span the whole space; no orthogonal vector")
-    a = [int(j == free) for j in range(k)]
-    for row, col in reversed(list(zip(rows, pivots))):
-        s = sum(row[j] * a[j] for j in range(col + 1, k))
-        g = gcd(s, row[col])
-        a = [e * (row[col] // g) for e in a]  # Hermite pivots are positive
-        a[col] = -s // g
-    sign = 1 if next(e for e in a if e) > 0 else -1
-    return tuple(sign * e for e in a)
-
-
 class TwistResult(Value):
     """phi in Aut(Z^k) sends the point set into Z^d x {w}."""
 
@@ -468,33 +377,22 @@ def twist_to_coordinates(s: AffinePointSet) -> TwistResult:
 
     Produces phi in Aut(Z^k) and w in Z^(k-d) with phi(s) contained in
     Z^d x {w}, where d = affine_dim(s), and with the projection of
-    phi(s) onto the first d coordinates genuinely d-dimensional.  Row i
-    of ``rows`` is row i of phi followed by coordinate i of every point.
-    For m = k, ..., d+1 the completion of the primitive vector a
-    orthogonal to the differences of the leading m coordinates runs on
-    rows 0..m-1, pressing coordinate m-1 onto a . x; when d = k the
-    identity is returned with empty w.
+    phi(s) onto the first d coordinates genuinely d-dimensional.  One
+    Hermite pass on the k x (|s| - 1) matrix whose columns are the
+    differences x - x0, carrying an identity transform, gives phi as that
+    transform: phi(x - x0) is a column of the Hermite form, whose d
+    nonzero rows come first, so phi(x) agrees with phi(x0) on the last
+    k - d axes.  When d = k the identity is returned with empty w.
     """
     if not s.points:
         raise ValueError("empty point set")
-    k, n = s.ambient_dim, len(s.points)
-    rows = [[int(i == j) for j in range(k)] + [p[i] for p in s.points] for i in range(k)]
-
-    def shadow(m: int) -> tuple[tuple[int, ...], ...]:
-        """Hermite basis of the differences of the points' leading m coordinates."""
-        return lattice_basis([[r[k + t] - r[k] for r in rows[:m]] for t in range(1, n)], m)
-
-    basis = shadow(k)
-    d = len(basis)
-    for m in range(k, d, -1):
-        a = _primitive_orthogonal(basis, m)
-        want = [sum(c * e for c, e in zip(a, col)) for col in zip(*rows[:m])]
-        if _complete(a, rows) != 1 or rows[m - 1] != want:
-            raise InvariantViolationError("flattening step is not unimodular with bottom row a")
-        basis = shadow(m - 1)
-    if any(len(set(r[k:])) != 1 for r in rows[d:]):
-        raise InvariantViolationError("twist left trailing coordinates non-constant")
-    if len(basis) != d:
-        raise InvariantViolationError("twisted shadow lost dimension")
-    phi = IntMatrix([r[:k] for r in rows], cols=k)
-    return TwistResult(UnimodularMatrix(phi), tuple(r[k] for r in rows[d:]), d)
+    k, (x0, *rest) = s.ambient_dim, s.points
+    h, phi = [[x[i] - x0[i] for x in rest] for i in range(k)], _eye(k)
+    _hnf(h, len(rest), phi)
+    d = sum(map(any, h))
+    if any(map(any, h[d:])):  # so rows 0..d-1 are the d nonzero ones
+        raise InvariantViolationError("a zero Hermite row lies above a nonzero one")
+    if d == k:
+        phi = _eye(k)
+    w = tuple(sum(c * e for c, e in zip(row, x0)) for row in phi[d:])
+    return TwistResult(UnimodularMatrix(IntMatrix(phi, cols=k)), w, d)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dancewalk.dance
-from dancewalk.group import DualPoint, GroupSpec, Homomorphism, subgroup_generated
+from dancewalk.group import DualPoint, GroupSpec, Homomorphism, Subgroup, subgroup_generated
 from dancewalk.group import UnsupportedOperationError
 from dancewalk.intlinalg import IntMatrix
 from dancewalk.measure import Distribution, convolution_power, pushforward, torsion_pushforward
@@ -307,11 +307,11 @@ def test_exact_zero_characters_match_reference():
 
 def test_uniform_coset_law_is_decided_before_the_scan(monkeypatch):
     # |S| = |W_A| with equal weights gives rho = 0 from one Hermite form,
-    # without drawing a character
+    # without drawing a character from Subgroup.element_coords
     drawn = []
-    characters = dancewalk.dance._characters
-    monkeypatch.setattr(dancewalk.dance, "_characters",
-                        lambda moduli: (drawn.append(c) or c for c in characters(moduli)))
+    element_coords = Subgroup.element_coords
+    monkeypatch.setattr(Subgroup, "element_coords",
+                        lambda h, *args: (drawn.append(c) or c for c in element_coords(h, *args)))
     z60 = GroupSpec([60, 60])
     for p in (_uniform(z60, [[a, b] for a in range(0, 60, 3) for b in range(0, 60, 4)]),
               _uniform(GroupSpec([2, 3, 6]), [[0, 1, 1], [1, 1, 1], [0, 1, 4], [1, 1, 4]]),

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import dancewalk.group
 from dancewalk.group import (
     DualPoint,
     Element,
@@ -258,6 +259,25 @@ def test_subgroup_elements_match_brute_force():
         assert h.elements() == brute
         assert len(brute) == h.order()
         assert list(h.element_coords()) == [x.coords() for x in brute]
+
+
+def test_whole_group_is_built_from_its_known_hermite_rows(monkeypatch):
+    # the identity rows are the whole group's Hermite basis, so no reduction
+    # runs; on a finite group its walk is the lexicographic order of the scans
+    groups = [GroupSpec(*shape) for shape in [([], 0), ([12], 0), ([2, 6], 0), ([3, 9], 0),
+                                              ([2, 2, 6], 0), ([4, 6], 1), ([4], 1), ([], 2)]]
+    want = [Subgroup(g, IntMatrix.identity(g.dim).data) for g in groups]
+    calls = []
+    lattice_basis = dancewalk.group.lattice_basis
+    monkeypatch.setattr(dancewalk.group, "lattice_basis",
+                        lambda *args: calls.append(args) or lattice_basis(*args))
+    got = [whole_group(g) for g in groups]
+    assert calls == []
+    assert got == want
+    for g, h in zip(groups, got):
+        if g.is_finite:
+            want = itertools.product(*map(range, g.torsion_moduli))
+            assert list(h.element_coords()) == list(want)
 
 
 def brute_coset(h, shift):

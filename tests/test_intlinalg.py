@@ -2,11 +2,11 @@ import itertools
 import random
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm, prod
+from math import lcm, prod
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import dancewalk.group
 from dancewalk.group import (
@@ -22,14 +22,13 @@ from dancewalk.intlinalg import (
     SnfDecomposition,
     UnimodularMatrix,
     affine_dim,
-    bottom_row_unimodular,
     hnf,
     lattice_basis,
     snf,
     twist_to_coordinates,
 )
 import dancewalk.intlinalg
-from dancewalk.intlinalg import _bareiss, _elim_pair, _primitive_orthogonal
+from dancewalk.intlinalg import _bareiss, _elim_pair
 from dancewalk.llt import MomentData
 from reference import rational_inverse
 
@@ -66,7 +65,7 @@ def test_int_matrix_rejects_non_integers():
         IntMatrix([[Fraction(2)]])
     assert IntMatrix([[True, 2]]).data == ((1, 2),)
     with pytest.raises(TypeError):
-        bottom_row_unimodular([2.9, 3.5])
+        IntMatrix.diag([2.9, 3.5])
 
 
 def test_inverse_exact():
@@ -167,34 +166,6 @@ def test_hnf_canonical_under_row_shuffle(m):
     assert hnf(m).h == hnf(IntMatrix(rows, cols=m.cols)).h
 
 
-@settings(max_examples=250, derandomize=True)
-@given(st.lists(small_entries, min_size=1, max_size=6))
-def test_bottom_row_contract(a):
-    if all(e == 0 for e in a):
-        with pytest.raises(ValueError):
-            bottom_row_unimodular(a)
-        return
-    m = bottom_row_unimodular(a)
-    assert list(m.data[-1]) == a
-    g = 0
-    for e in a:
-        g = gcd(g, e)
-    if len(a) == 1:
-        assert m.det() == a[0]  # 1x1 case: sign pinned by the bottom row
-    else:
-        assert m.det() == g
-
-
-def test_bottom_row_examples():
-    assert bottom_row_unimodular([1]) == mat([[1]])
-    m = bottom_row_unimodular([2, 3])
-    assert m.data[1] == (2, 3)
-    assert m.det() == 1
-    m = bottom_row_unimodular([4, 6])
-    assert m.data[1] == (4, 6)
-    assert m.det() == 2
-
-
 def test_affine_dim_examples():
     assert affine_dim(AffinePointSet(2, [(0, 0)])) == 0
     assert affine_dim(AffinePointSet(2, [(1, 0), (0, 1)])) == 1
@@ -267,23 +238,6 @@ def _random_point_set(rng, k, d):
             return s
 
 
-def test_twist_postconditions_randomized():
-    rng = random.Random(20240817)
-    for _ in range(200):
-        k = rng.randrange(1, 5)
-        d = rng.randrange(0, k)
-        s = _random_point_set(rng, k, d)
-        res = twist_to_coordinates(s)
-        assert res.d == d
-        inv = res.phi.inverse
-        assert res.phi.matrix @ inv == IntMatrix.identity(k)
-        images = [res.phi.matrix.mul_vec(p) for p in s.points]
-        for img in images:
-            assert img[d:] == res.w
-        if d:
-            assert affine_dim(AffinePointSet(d, [img[:d] for img in images])) == d
-
-
 def test_affine_dim_invariance():
     rng = random.Random(99)
     for _ in range(200):
@@ -310,62 +264,8 @@ def _random_unimodular(rng, k):
     return m
 
 
-def fraction_primitive_orthogonal(diffs, k):
-    """Reference: the null vector by rational Gaussian elimination of the rows."""
-    pivots = {}
-    for r in diffs:
-        r = [Fraction(e) for e in r]
-        for col, pr in sorted(pivots.items()):
-            if r[col]:
-                f = r[col] / pr[col]
-                r = [e - f * g for e, g in zip(r, pr)]
-        lead = next((j for j in range(k) if r[j]), None)
-        if lead is not None:
-            pivots[lead] = r
-    free_cols = [j for j in range(k) if j not in pivots]
-    if not free_cols:
-        raise ValueError("rows span the whole space; no orthogonal vector")
-    a = [Fraction(int(j == free_cols[-1])) for j in range(k)]
-    for col in sorted(pivots, reverse=True):
-        pr = pivots[col]
-        a[col] = -sum(pr[j] * a[j] for j in range(col + 1, k)) / pr[col]
-    den = 1
-    for e in a:
-        den = den * e.denominator // gcd(den, e.denominator)
-    ints = [int(e * den) for e in a]
-    content = gcd(*ints)
-    sign = 1 if next(e for e in ints if e) > 0 else -1
-    return tuple(sign * e // content for e in ints)
-
-
-@st.composite
-def low_rank_rows(draw):
-    """Integer combinations of at most k vectors in Z^k, k <= 5."""
-    k = draw(st.integers(1, 5))
-    gens = draw(st.lists(st.lists(st.integers(-4, 4), min_size=k, max_size=k), max_size=k))
-    coeffs = st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens))
-    rows = [tuple(sum(c * g[j] for c, g in zip(cs, gens)) for j in range(k))
-            for cs in draw(st.lists(coeffs, max_size=6))]
-    return rows, k
-
-
-@settings(max_examples=400, derandomize=True)
-@given(low_rank_rows())
-def test_primitive_orthogonal_matches_fraction_reference(case):
-    rows, k = case
-    try:
-        want = fraction_primitive_orthogonal(rows, k)
-    except ValueError:
-        with pytest.raises(ValueError):
-            _primitive_orthogonal(lattice_basis(rows, k), k)
-        return
-    got = _primitive_orthogonal(lattice_basis(rows, k), k)
-    assert got == want
-    assert all(sum(a * b for a, b in zip(got, r)) == 0 for r in rows)
-
-
-# References for the shared Hermite kernel: the Smith sweep, the Fraction
-# inverse and the build-Q-then-invert bottom-row completion it replaced.
+# References for the shared Hermite kernel: the Smith sweep it replaced
+# and the Fraction inverse.
 
 def sweep_snf(m):
     """Reference Smith form: a smallest-pivot sweep with row and column combines."""
@@ -426,76 +326,6 @@ def fraction_inverse(m):
     return IntMatrix([[int(e) for e in row] for row in out], cols=m.cols)
 
 
-def q_inverse_bottom_row(a):
-    """Reference bottom-row completion: accumulate the column operations in Q, invert Q."""
-    b, k = list(a), len(a)
-    if k == 1:
-        return IntMatrix([[b[0]]])
-    q = [[int(i == j) for j in range(k)] for i in range(k)]
-    q_sign = 1
-
-    def col_swap(i, j):
-        nonlocal q_sign
-        b[i], b[j] = b[j], b[i]
-        for row in q:
-            row[i], row[j] = row[j], row[i]
-        q_sign = -q_sign
-
-    for j in range(1, k):
-        while True:
-            if b[j - 1] == 0:
-                break
-            if b[j] == 0:
-                col_swap(j - 1, j)
-                break
-            s = b[j - 1] // b[j]
-            b[j - 1] -= s * b[j]
-            for row in q:
-                row[j - 1] -= s * row[j]
-            if b[j - 1] == 0:
-                break
-            col_swap(j - 1, j)
-    if b[k - 1] < 0:
-        b[k - 1] = -b[k - 1]
-        for row in q:
-            row[k - 1] = -row[k - 1]
-        q_sign = -q_sign
-    m_prime = [[int(i == j) for j in range(k)] for i in range(k)]
-    m_prime[0][0] = q_sign
-    m_prime[k - 1] = list(b)
-    return IntMatrix(m_prime, cols=k) @ fraction_inverse(IntMatrix(q, cols=k))
-
-
-@settings(max_examples=300, derandomize=True)
-@given(st.lists(st.integers(-40, 40), min_size=1, max_size=7).filter(any))
-def test_bottom_row_matches_q_inverse_reference(a):
-    assert bottom_row_unimodular(a) == q_inverse_bottom_row(a)
-
-
-# Reference for the one-pass twist: flatten one trailing coordinate at a
-# time, embed each step's completion in a k x k matrix and multiply.
-
-def reference_twist(s):
-    """Reference (phi, w, d): per-step flattening with dense k x k products."""
-    k = s.ambient_dim
-    d = affine_dim(s)
-    phi = IntMatrix.identity(k)
-    pts = list(s.points)
-    w_rev = []
-    for m in range(k, d, -1):
-        leading = AffinePointSet(m, {p[:m] for p in pts})
-        x0 = leading.points[0]
-        a = fraction_primitive_orthogonal(
-            [tuple(e - f for e, f in zip(p, x0)) for p in leading.points[1:]], m)
-        sub = q_inverse_bottom_row(a)
-        step = IntMatrix([[sub[i, j] if i < m and j < m else int(i == j) for j in range(k)]
-                          for i in range(k)], cols=k)
-        phi = step @ phi
-        pts = [step.mul_vec(p) for p in pts]
-        w_rev.append(sum(c * x for c, x in zip(a, x0)))
-    return phi, tuple(reversed(w_rev)), d
-
-
 @st.composite
 def point_sets(draw):
     """Points of rank at most d in Z^k, k <= 7, with repeats and singletons."""
@@ -511,27 +341,42 @@ def point_sets(draw):
 
 @settings(max_examples=400, derandomize=True)
 @given(point_sets())
-def test_twist_matches_reference(s):
-    res = twist_to_coordinates(s)
-    assert (res.phi.matrix, res.w, res.d) == reference_twist(s)
+@example(AffinePointSet(0, [()]))
+@example(AffinePointSet(3, [(2, -1, 5)]))
+@example(AffinePointSet(2, [(0, 0), (2, 2), (4, 4)]))  # a line whose differences are not primitive
+def test_twist_postconditions_randomized(s):
+    # phi is unimodular and sends s into Z^d x {w}, d = affine_dim(s), with a
+    # d-dimensional shadow on the first d axes; it is the identity when d = k
+    res, k = twist_to_coordinates(s), s.ambient_dim
+    phi = res.phi.matrix
+    assert phi @ res.phi.inverse == IntMatrix.identity(k)
+    assert res.d == affine_dim(s)
+    images = [phi.mul_vec(p) for p in s.points]
+    assert all(img[res.d:] == res.w for img in images)
+    assert affine_dim(AffinePointSet(res.d, [img[:res.d] for img in images])) == res.d
+    if res.d == k:
+        assert (phi, res.w) == (IntMatrix.identity(k), ())
 
 
 def test_twist_runs_no_matrix_products(monkeypatch):
-    calls = {"matmul": 0, "lattice_basis": 0}
-    matmul, basis = IntMatrix.__matmul__, dancewalk.intlinalg.lattice_basis
+    # phi is the transform of one Hermite pass: no per-axis Hermite basis, no product
+    calls = {"matmul": 0, "lattice_basis": 0, "hnf": 0}
 
-    def counted(name, f):
+    def count(owner, name):
+        f = getattr(owner, name)
+
         def wrapper(*args):
-            calls[name] += 1
+            calls[name.strip("_")] += 1
             return f(*args)
-        return wrapper
+        monkeypatch.setattr(owner, name, wrapper)
 
-    monkeypatch.setattr(IntMatrix, "__matmul__", counted("matmul", matmul))
-    monkeypatch.setattr(dancewalk.intlinalg, "lattice_basis", counted("lattice_basis", basis))
+    count(IntMatrix, "__matmul__")
+    count(dancewalk.intlinalg, "lattice_basis")
+    count(dancewalk.intlinalg, "_hnf")
     s = AffinePointSet(6, [(1, 2, 3, 4, 5, 6), (3, 1, 4, 1, 5, 9), (5, 0, 5, -2, 5, 12)])
     res = twist_to_coordinates(s)
     assert res.d == 1
-    assert calls == {"matmul": 0, "lattice_basis": 6 - 1 + 1}
+    assert calls == {"matmul": 0, "lattice_basis": 0, "hnf": 1}
 
 
 @st.composite
