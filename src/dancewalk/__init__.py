@@ -8,60 +8,49 @@ gaps, total-variation bounds, and the Gaussian-times-dance local-limit
 attractor, together with an irreducibility/period classifier.
 """
 
-from .intlinalg import (
-    AffinePointSet,
-    HnfDecomposition,
-    IntMatrix,
-    InvariantViolationError,
-    SnfDecomposition,
-    TwistResult,
-    UnimodularMatrix,
-    affine_dim,
-    hnf,
-    snf,
-    twist_to_coordinates,
-)
-from .group import (
-    DualPoint,
-    Element,
-    GroupSpec,
-    Homomorphism,
-    Subgroup,
-    UnsupportedOperationError,
-    group_from_presentation,
-    subgroup_generated,
-    trivial_subgroup,
-    whole_group,
-)
-from .measure import (
-    Distribution,
-    WalkPath,
-    convolution_power,
-    convolve,
-    pushforward,
-    sample_path,
-    torsion_pushforward,
-)
-from .dance import (
-    DanceData,
-    SpectralGap,
-    analyze_dance,
-    dance_of,
-    period_if_irreducible,
-    spectral_gap,
-    theta_by_integration,
-)
-from .llt import (
-    Attractor,
-    Classification,
-    LltReport,
-    MomentData,
-    build_attractor,
-    classify,
-    llt_sup_error,
-    mean_cov,
-    time_average_error,
-    tv_to_uniform_coset,
-)
+# Each public name, by the module it is read from.  A name is imported on
+# first access (PEP 562), so ``import dancewalk`` and ``import dancewalk.cli``
+# compile none of these modules; each is loaded when a name of it is read.
+_EXPORTS = {
+    "intlinalg": (
+        "AffinePointSet", "HnfDecomposition", "IntMatrix", "InvariantViolationError",
+        "SnfDecomposition", "TwistResult", "UnimodularMatrix", "affine_dim", "hnf", "snf",
+        "twist_to_coordinates",
+    ),
+    "group": (
+        "DualPoint", "Element", "GroupSpec", "Homomorphism", "Subgroup",
+        "UnsupportedOperationError", "group_from_presentation", "subgroup_generated",
+        "trivial_subgroup", "whole_group",
+    ),
+    "measure": (
+        "Distribution", "WalkPath", "convolution_power", "convolve", "pushforward",
+        "sample_path", "torsion_pushforward",
+    ),
+    "dance": (
+        "DanceData", "SpectralGap", "analyze_dance", "dance_of", "period_if_irreducible",
+        "spectral_gap", "theta_by_integration",
+    ),
+    "llt": (
+        "Attractor", "Classification", "LltReport", "MomentData", "build_attractor",
+        "classify", "llt_sup_error", "mean_cov", "time_average_error", "tv_to_uniform_coset",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads find it without this call
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -26,6 +26,7 @@ import tempfile
 from decimal import ROUND_CEILING, Decimal
 from fractions import Fraction
 
+from ._errors import InvariantViolationError, UnsupportedOperationError
 from ._writer import (
     _SLICE,
     _SLOT,
@@ -36,17 +37,11 @@ from ._writer import (
     _render,
     _stream,
 )
-from .dance import dance_of, spectral_gap
-from .group import GroupSpec, UnsupportedOperationError
-from .intlinalg import AffinePointSet, InvariantViolationError, twist_to_coordinates
-from .llt import (
-    _evaluated_window,
-    build_attractor,
-    classify,
-    llt_sup_error,
-    tv_to_uniform_coset,
-)
-from .measure import Distribution, _powers, sample_path
+
+# Each command imports the analysis modules it calls when it runs, so that
+# start-up, --help and a usage error compile none of them, and convolve,
+# sample and twist never compile dance or llt.  Annotations are not
+# evaluated (PEP 563): Distribution in them is dancewalk.measure's.
 
 
 class SpecError(ValueError):
@@ -96,6 +91,9 @@ def _integers(what: str, values) -> list[int]:
 
 def load_spec(text: str) -> Distribution:
     """Parse a walk description document into a Distribution."""
+    from .group import GroupSpec
+    from .measure import Distribution
+
     try:
         doc = json.loads(text)
     # a JSONDecodeError, an integer past the digit limit, or nesting past the recursion limit
@@ -157,6 +155,10 @@ def _count_or_infinite(v):
 
 
 def cmd_analyze(args) -> int:
+    from .dance import dance_of, spectral_gap
+    from .group import GroupSpec
+    from .llt import classify
+
     p = _read_spec(args.spec)
     d = dance_of(p)
     gap = spectral_gap(p)
@@ -202,6 +204,8 @@ _WEIGHT = {"elem": {"torsion": _SLOT, "free": _SLOT}, "weight": _SLOT, "weight_f
 
 
 def cmd_convolve(args) -> int:
+    from .measure import _powers
+
     p = _read_spec(args.spec)
     (_, pn), = _powers(p, (args.n,))
     t, den = len(p.group.torsion_moduli), pn._den
@@ -221,6 +225,8 @@ def _compare_rows(pn: Distribution, a, n: int):
     each window point of step n, with p^(n)(x) = numerator / denominator
     in lowest terms and p_float that quotient correctly rounded, as
     float(Fraction) gives it."""
+    from .llt import _evaluated_window
+
     den = pn._den
     for x, v, theta, approx in _evaluated_window(pn._nums, a, n):
         g, p_float = math.gcd(v, den), v / den
@@ -230,6 +236,9 @@ def _compare_rows(pn: Distribution, a, n: int):
 def _compare_steps(p: Distribution, ns: list[int]):
     """(n, rows of step n) for each step n in sorted order; each step's law
     is made when it is reached, and its rows as they are drawn."""
+    from .llt import build_attractor
+    from .measure import _powers
+
     a = build_attractor(p)
     for n, pn in _powers(p, ns):
         yield n, _compare_rows(pn, a, n)
@@ -266,6 +275,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_attractor(args) -> int:
+    from .llt import build_attractor, llt_sup_error
+
     p = _read_spec(args.spec)
     a = build_attractor(p)
     report = llt_sup_error(p, a, args.n)
@@ -291,6 +302,8 @@ def cmd_attractor(args) -> int:
 
 
 def cmd_tv(args) -> int:
+    from .llt import tv_to_uniform_coset
+
     p = _read_spec(args.spec)
     r = tv_to_uniform_coset(p, args.n)
     _emit({
@@ -303,6 +316,8 @@ def cmd_tv(args) -> int:
 
 
 def cmd_twist(args) -> int:
+    from .intlinalg import AffinePointSet, twist_to_coordinates
+
     try:
         pts = [tuple(_integers("point coordinates", p)) for p in json.loads(args.points)]
     except (TypeError, ValueError, RecursionError) as e:  # a JSONDecodeError is a ValueError
@@ -323,6 +338,8 @@ def cmd_twist(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .measure import sample_path
+
     p = _read_spec(args.spec)
     paths = []
     for i in range(args.paths):
@@ -333,7 +350,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_examples(args) -> int:
-    from .scenarios import SCENARIOS  # loaded only here: no other command needs it
+    from .scenarios import SCENARIOS
 
     runner = SCENARIOS.get(args.name)
     if runner is None:

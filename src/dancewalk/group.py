@@ -14,16 +14,14 @@ form, two equal subgroups have identical representations.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import index
 
+from ._errors import UnsupportedOperationError
 from ._value import Value
 from .intlinalg import IntMatrix, lattice_basis, snf
-
-
-class UnsupportedOperationError(ValueError):
-    """The operation needs a finiteness property the input lacks."""
 
 
 class GroupSpec(Value):
@@ -271,11 +269,23 @@ class Subgroup(Value):
         dividing m_j and zeros before it, so y_j runs over one progression
         of step h_j in [0, m_j), set by y's earlier coordinates: a depth-t
         walk yields each point once and in order, with no list of them.
+        When every row is zero past its pivot (the whole group among them)
+        the progressions are independent: the points are those of the
+        product of the leading ones, each zipped with the last progression,
+        which stays a lazy range.
         """
         if self.rank() > 0:
             raise UnsupportedOperationError("subgroup is infinite")
         moduli, rows = self.parent.torsion_moduli, [row for _, row in self._pivots]
         t, shift = len(moduli), tuple(shift or (0,) * self.parent.dim)
+        if not t:
+            return iter([shift])
+        if not any(any(row[j + 1:]) for j, row in enumerate(rows)):
+            *heads, last = (range(c % row[j], m, row[j])
+                            for j, (c, m, row) in enumerate(zip(shift, moduli, rows)))
+            return itertools.chain.from_iterable(
+                zip(*map(itertools.repeat, head), last, *map(itertools.repeat, shift[t:]))
+                for head in itertools.product(*heads))
 
         def walk(j, head, rest):  # rest[i]: axis j + i of -shift less the rows taken so far
             h, row = rows[j][j], rows[j][j + 1:]
@@ -285,7 +295,7 @@ class Subgroup(Value):
             return (x for y in ys for x in walk(j + 1, (*head, y), [
                 c - (y + rest[0]) // h * e for c, e in zip(rest[1:], row)]))
 
-        return walk(0, (), [-c for c in shift[:t]]) if t else iter([shift])
+        return walk(0, (), [-c for c in shift[:t]])
 
     def annihilator(self) -> "Subgroup":
         """Characters of a finite parent that are identically 1 on H.

@@ -23,11 +23,8 @@ from __future__ import annotations
 
 from operator import index
 
+from ._errors import InvariantViolationError
 from ._value import Value
-
-
-class InvariantViolationError(RuntimeError):
-    """An internal postcondition failed; indicates a bug, not bad input."""
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:

@@ -235,10 +235,11 @@ def _evaluated_window(nums, a: Attractor, n: int, live: bool = True):
 
         k, tail = inv.rows, tuple(n * wi for wi in a.twist.w)
         box = []
-        for i in range(d - 1):
+        for i in range(d):  # every axis is range-checked; the last is not a box axis
             r = 8 * math.sqrt(_float(n * moments.covariance[i][i], f"variance n * Gamma[{i}][{i}]"))
             center = _float(n * moments.mean[i], f"mean n * mu[{i}]")
             box.append(range(math.floor(center - r), math.ceil(center + r) + 1))
+        box.pop()
         bound = 64 * n * scale
 
         if live:

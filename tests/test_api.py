@@ -1,35 +1,39 @@
 import copy
 import importlib
 import inspect
+import json
+import os
 import pickle
 import pkgutil
+import subprocess
+import sys
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import dancewalk
 from dancewalk.scenarios import Check
 
-PUBLIC = {
-    # intlinalg
-    "AffinePointSet", "HnfDecomposition", "IntMatrix", "InvariantViolationError",
-    "SnfDecomposition", "TwistResult", "UnimodularMatrix", "affine_dim",
-    "hnf", "snf", "twist_to_coordinates",
-    # group
-    "DualPoint", "Element", "GroupSpec", "Homomorphism", "Subgroup",
-    "UnsupportedOperationError", "group_from_presentation", "subgroup_generated",
-    "trivial_subgroup", "whole_group",
-    # measure
-    "Distribution", "WalkPath", "convolution_power", "convolve", "pushforward",
-    "sample_path", "torsion_pushforward",
-    # dance
-    "DanceData", "SpectralGap", "analyze_dance", "dance_of", "period_if_irreducible",
-    "spectral_gap", "theta_by_integration",
-    # llt
-    "Attractor", "Classification", "LltReport", "MomentData", "build_attractor",
-    "classify", "llt_sup_error", "mean_cov", "time_average_error", "tv_to_uniform_coset",
+SRC = str(Path(dancewalk.__file__).resolve().parent.parent)
+
+# each public name by the module it is read from
+HOMES = {
+    "intlinalg": {"AffinePointSet", "HnfDecomposition", "IntMatrix", "InvariantViolationError",
+                  "SnfDecomposition", "TwistResult", "UnimodularMatrix", "affine_dim",
+                  "hnf", "snf", "twist_to_coordinates"},
+    "group": {"DualPoint", "Element", "GroupSpec", "Homomorphism", "Subgroup",
+              "UnsupportedOperationError", "group_from_presentation", "subgroup_generated",
+              "trivial_subgroup", "whole_group"},
+    "measure": {"Distribution", "WalkPath", "convolution_power", "convolve", "pushforward",
+                "sample_path", "torsion_pushforward"},
+    "dance": {"DanceData", "SpectralGap", "analyze_dance", "dance_of", "period_if_irreducible",
+              "spectral_gap", "theta_by_integration"},
+    "llt": {"Attractor", "Classification", "LltReport", "MomentData", "build_attractor",
+            "classify", "llt_sup_error", "mean_cov", "time_average_error", "tv_to_uniform_coset"},
 }
+PUBLIC = set().union(*HOMES.values())
 
 # (module, name) pairs that left the library; the float and Fraction
 # references among them live in tests/reference.py
@@ -57,6 +61,43 @@ def test_public_names_are_pinned():
     assert names == PUBLIC
     for name in PUBLIC:
         assert getattr(dancewalk, name) is not None
+
+
+def test_each_public_name_is_its_modules_object():
+    star = {}
+    exec("from dancewalk import *", star)
+    del star["__builtins__"]
+    assert set(star) == set(dancewalk.__all__) == PUBLIC
+    for modname, names in HOMES.items():
+        module = importlib.import_module(f"dancewalk.{modname}")
+        for name in names:
+            assert getattr(dancewalk, name) is getattr(module, name) is star[name], name
+    assert dancewalk.group.UnsupportedOperationError is dancewalk.UnsupportedOperationError
+    assert dancewalk.intlinalg.InvariantViolationError is dancewalk.InvariantViolationError
+    with pytest.raises(AttributeError):
+        dancewalk.no_such_name
+
+
+LAZY_CHECK = """
+import json, sys
+import dancewalk
+at_import = sorted(m for m in sys.modules if m.startswith("dancewalk"))
+dancewalk.hnf
+print(json.dumps([at_import, sorted(m for m in sys.modules if m.startswith("dancewalk"))]))
+"""
+
+
+def test_import_dancewalk_loads_no_submodule():
+    # a public name loads its module, and what that module imports, on first access
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", LAZY_CHECK],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    at_import, after_hnf = json.loads(proc.stdout)
+    assert at_import == ["dancewalk"]
+    assert after_hnf == ["dancewalk", "dancewalk._errors", "dancewalk._value",
+                         "dancewalk.intlinalg"]
 
 
 def test_removed_names_are_gone():

@@ -236,14 +236,14 @@ def test_compare_rejects_empty_steps():
                                      ["compare", "--n", "1,2", "--format", "csv"]])
 def test_a_failed_command_prints_nothing(error, code, command, monkeypatch, capsys):
     # the first step's rows are ready when the second step fails
-    window = dancewalk.cli._evaluated_window
+    window = dancewalk.llt._evaluated_window
 
     def failing(nums, a, n):
         if n == 2:
             raise error("second step")
         return window(nums, a, n)
 
-    monkeypatch.setattr(dancewalk.cli, "_evaluated_window", failing)
+    monkeypatch.setattr(dancewalk.llt, "_evaluated_window", failing)
     monkeypatch.setattr(sys, "stdin", io.StringIO(LAZY_Z2_SPEC))
     assert main([*command, "--spec", "-"]) == code
     out = capsys.readouterr()
@@ -364,7 +364,7 @@ def _draw_sup_error(spec, n):
 
 def _draw_sample(spec, n, paths):
     p = load_spec(spec)
-    return [[list(x.coords()) for x in dancewalk.cli.sample_path(p, n, seed).positions]
+    return [[list(x.coords()) for x in dancewalk.measure.sample_path(p, n, seed).positions]
             for seed in range(paths)]
 
 
@@ -433,14 +433,14 @@ def test_a_command_failing_after_its_spool_rolled_over_prints_nothing(command, m
     write = tempfile.SpooledTemporaryFile.write
     monkeypatch.setattr(tempfile.SpooledTemporaryFile, "write",
                         lambda self, text: spooled.append(len(text)) or write(self, text))
-    window = dancewalk.cli._evaluated_window
+    window = dancewalk.llt._evaluated_window
 
     def failing(nums, a, n):
         if n == 21:
             raise dancewalk.group.UnsupportedOperationError("step 21")
         return window(nums, a, n)
 
-    monkeypatch.setattr(dancewalk.cli, "_evaluated_window", failing)
+    monkeypatch.setattr(dancewalk.llt, "_evaluated_window", failing)
     monkeypatch.setattr(sys, "stdin", io.StringIO(LAZY_Z2_SPEC))
     assert main([*command, "--spec", "-"]) == 2
     out = capsys.readouterr()
@@ -509,6 +509,21 @@ def test_moments_outside_the_float_range_exit_2(name, command, monkeypatch, caps
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: the {quantity} is outside the float range\n"
+
+
+@pytest.mark.parametrize("command", [["compare", "--n", "3"],
+                                     ["compare", "--n", "3", "--format", "csv"],
+                                     ["attractor", "--n", "3"]])
+def test_the_last_window_axis_is_range_checked(command, tmp_path):
+    # wide-box with its axes swapped: the huge variance falls on the last twisted
+    # axis, the one the window solves for instead of boxing; run in a child with
+    # a timeout, since an unchecked axis makes the window scan about 10^150 points
+    spec = tmp_path / "swapped.json"
+    spec.write_text(_line_spec([((0, 0), 1 - 2 * TINY), ((0, 10 ** 159), TINY),
+                                ((1, 0), TINY)]))
+    proc = run_cli([*command, "--spec", str(spec)], timeout=20)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: the variance n * Gamma[1][1] is outside the float range\n"
 
 
 def test_window_makes_no_membership_or_kernel_calls(monkeypatch, capsys):
@@ -974,6 +989,45 @@ def test_cli_start_up_loads_no_dataclasses_inspect_or_scenarios():
     # examples still loads its scenarios on demand and runs them
     assert got["code"] == 0 and got["scenarios"]
     assert got["out"].endswith("checks passed\n") and "FAIL" not in got["out"]
+
+
+COMMAND_MODULES_CHECK = """
+import contextlib, io, json, sys
+import dancewalk.cli
+at_import = sorted(m for m in sys.modules if m.startswith("dancewalk."))
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = dancewalk.cli.main(json.loads(sys.argv[1]))
+    except SystemExit as e:
+        code = e.code
+print(json.dumps({"at_import": at_import, "code": code,
+                  "after": sorted(m for m in sys.modules if m.startswith("dancewalk."))}))
+"""
+ANALYSIS_MODULES = {f"dancewalk.{name}"
+                    for name in ("intlinalg", "group", "measure", "dance", "llt", "scenarios")}
+WALK_MODULES = {"dancewalk.intlinalg", "dancewalk.group", "dancewalk.measure"}
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    (["--help"], 0, set()),
+    (["analyze", "--bogus"], 2, set()),
+    (["twist", "--points", "[[1,0],[0,1]]"], 0, {"dancewalk.intlinalg"}),
+    (["convolve", "--n", "3", "--spec", "SPEC"], 0, WALK_MODULES),
+    (["sample", "--n", "3", "--spec", "SPEC"], 0, WALK_MODULES),
+    (["analyze", "--spec", "SPEC"], 0, ANALYSIS_MODULES - {"dancewalk.scenarios"}),
+])
+def test_each_command_loads_only_the_modules_it_runs(argv, code, loaded, tmp_path):
+    spec = tmp_path / "z12.json"
+    spec.write_text(Z12_SPEC)
+    argv = [str(spec) if a == "SPEC" else a for a in argv]
+    proc = subprocess.run([sys.executable, "-c", COMMAND_MODULES_CHECK, json.dumps(argv)],
+                          capture_output=True, text=True, timeout=120, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    # the front end alone: no analysis module is compiled at start-up
+    assert got["at_import"] == ["dancewalk._errors", "dancewalk._writer", "dancewalk.cli"]
+    assert got["code"] == code
+    assert set(got["after"]) & ANALYSIS_MODULES == loaded
 
 
 @pytest.mark.parametrize("name, spec, command", [
