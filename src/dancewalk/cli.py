@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = with_spec(sub.add_parser("sample", help="seeded walk paths"))
     sp.add_argument("--n", type=_at_least(0), required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_at_least(0), default=0)
     sp.add_argument("--paths", type=_at_least(0), default=1)
     sp.set_defaults(func=cmd_sample)
 

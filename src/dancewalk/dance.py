@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 
 from ._value import Value
 from .group import (
@@ -66,9 +66,10 @@ class DanceData(Value):
         return self.theta_coords(n, x.coords())
 
     def theta_coords(self, n: int, x: tuple[int, ...]) -> int:
-        """theta(n, x) for x given by its coordinates."""
-        diff = [a - n * b for a, b in zip(x, self.base_point.coords())]
-        return self.normalization_c if self.walk_subgroup.contains_coords(diff) else 0
+        """theta(n, x) for x given by its coordinates: c when x, n*x0 have one image in G/W."""
+        image = self.walk_subgroup._image
+        live = image(x) == image([n * c for c in self.base_point.coords()])
+        return self.normalization_c if live else 0
 
     def coset_at(self, n: int) -> list[Element]:
         """The live coset W + n*x0 (finite walk subgroups only)."""
@@ -124,6 +125,21 @@ def _assert_constant_free_part(p: Distribution):
             "would not match the sliced distribution")
 
 
+def _phase_sums(p: Distribution):
+    """Each character k of p's finite group, in sorted order, with p's numerators
+    summed by the phase of k at x: sum(k_i * x_i * (L // m_i)) mod L = lcm(m_i)."""
+    moduli = p.group.torsion_moduli
+    order = lcm(*moduli)
+    points = [(tuple(c * (order // m) for c, m in zip(x, moduli)), v)
+              for x, v in sorted(p._nums.items())]
+    for chars in whole_group(p.group).element_coords():
+        terms: dict[int, int] = {}
+        for scaled, num in points:
+            phase = sum(k * c for k, c in zip(chars, scaled)) % order
+            terms[phase] = terms.get(phase, 0) + num
+        yield chars, terms
+
+
 def spectral_gap(p: Distribution) -> SpectralGap:
     """Exponential-error rate rho of the walk.
 
@@ -136,30 +152,25 @@ def spectral_gap(p: Distribution) -> SpectralGap:
 
     By Fourier inversion on A, every character off the locus is 0 exactly
     when p_A is uniform on a coset of W_A, the annihilator of Omega_A,
-    that is on |S| = |W_A| points, W_A generated by S - x0.  That is
-    decided before the scan, from one Hermite form, and then rho is 0.0
-    and achieved_at None.  Otherwise rho is the largest double modulus and
-    achieved_at the first character attaining it.  Above 2 * e_scan both
-    are bit for bit those of a scan with an exact zero test at every
-    character, as an exact zero computes to at most e_scan.  Below it, rho
-    is rounding noise within e_scan of the true maximum: p(x) =
-    1/6 + 10^-30 * (-1)^x on Z_6 has rho = 6 * 10^-30 and e_scan =
-    22 * 2**-52 (about 4.9e-15), and the scan reports 1.24e-16 at (2,).
+    that is on |S| = |W_A| points.  W_A, generated by S - x0, is W's image
+    in A, so |W_A| = |A| / prod(h_j), h_j the pivots of W's first t Hermite
+    rows (W's lattice holds m_j * e_j).  That is decided before the scan,
+    and then rho is 0.0 and achieved_at None.  Otherwise rho is the largest
+    double modulus and achieved_at the first character attaining it.
+    Above 2 * e_scan both are bit for bit those of a scan with an exact
+    zero test at every character, as an exact zero computes to at most
+    e_scan.  Below it, rho is rounding noise within e_scan of the true
+    maximum: p(x) = 1/6 + 10^-30 * (-1)^x on Z_6 has rho = 6 * 10^-30,
+    e_scan = 22 * 2**-52 (about 4.9e-15), and the scan reads 1.24e-16 at (2,).
     """
     if dance_of(p).rank_d == 0:
         _assert_constant_free_part(p)
     pa = torsion_pushforward(p)
-    if len(set(pa._nums.values())) == 1:
-        x0 = next(iter(pa._nums))
-        w_a = Subgroup(pa.group, [[a - b for a, b in zip(x, x0)] for x in pa._nums])
-        if len(pa) == w_a.order():  # uniform on a coset of W_A
-            return SpectralGap(rho=0.0, achieved_at=None)
-    moduli = pa.group.torsion_moduli
-    order = lcm(*moduli)
-    den = pa._den
-    # phase of character k at x: sum(k_i * x_i * (L // m_i)) mod L
-    points = [(tuple(c * (order // m) for c, m in zip(x, moduli)), v)
-              for x, v in sorted(pa._nums.items())]
+    a, rows = pa.group, dance_of(p).walk_subgroup.basis.data
+    w_a = a.torsion_order // prod(rows[j][j] for j in range(len(a.torsion_moduli)))
+    if len(set(pa._nums.values())) == 1 and len(pa) == w_a:  # uniform on a coset of W_A
+        return SpectralGap(rho=0.0, achieved_at=None)
+    order, den = lcm(*a.torsion_moduli), pa._den
 
     @lru_cache(maxsize=1 << 12)  # at most 4096 of the lcm(m_i) phases
     def root(phase: int) -> complex:
@@ -167,11 +178,7 @@ def spectral_gap(p: Distribution) -> SpectralGap:
         return cmath.exp(2j * cmath.pi * (phase / order))
 
     rho, best = 0.0, None
-    for chars in whole_group(pa.group).element_coords():
-        terms: dict[int, int] = {}
-        for scaled, num in points:
-            phase = sum(k * c for k, c in zip(chars, scaled)) % order
-            terms[phase] = terms.get(phase, 0) + num
+    for chars, terms in _phase_sums(pa):
         if len(terms) == 1:  # one phase everywhere: |p_A_hat| = 1
             continue
         modulus = abs(sum(complex(num / den) * root(phase) for phase, num in terms.items()))
@@ -205,17 +212,13 @@ def theta_by_integration(p: Distribution, n: int, x: Element) -> float:
         raise UnsupportedOperationError("integration oracle needs a finite dual")
     if x.group != g:
         raise ValueError("element is not in the paired group")
-    moduli = g.torsion_moduli
-    order = lcm(*moduli)
-    scale = [order // m for m in moduli]
-    first, *rest = [[c * s for c, s in zip(y, scale)] for y in sorted(p._nums)]
-    target = [c * s for c, s in zip(x.torsion, scale)]
+    order = lcm(*g.torsion_moduli)
+    target = [c * (order // m) for c, m in zip(x.torsion, g.torsion_moduli)]
     total = 0 + 0j
-    for chars in whole_group(g).element_coords():
-        base = sum(k * c for k, c in zip(chars, first)) % order
-        if any(sum(k * c for k, c in zip(chars, y)) % order != base for y in rest):
+    for chars, terms in _phase_sums(p):
+        if len(terms) != 1:
             continue
-        # p_hat(xi) = exp(2 pi i * base / L) exactly on the locus
+        base, = terms  # p_hat(xi) = exp(2 pi i * base / L) exactly on the locus
         phase = (n * base - sum(k * c for k, c in zip(chars, target))) % order
         total += cmath.exp(2j * cmath.pi * (phase / order))
     return total.real

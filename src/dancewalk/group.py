@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import index
+from operator import index, mod
 
 from ._errors import UnsupportedOperationError
 from ._value import Value
@@ -206,15 +206,16 @@ class Subgroup(Value):
 
     def contains_coords(self, v) -> bool:
         """Membership of an integer coordinate vector (torsion residues need
-        not be reduced): clear each pivot column with its Hermite row."""
-        v = list(v)
-        for j, row in self._pivots:
-            q, r = divmod(v[j], row[j])
-            if r:
-                return False
-            if q:
-                v = [a - q * b for a, b in zip(v, row)]
-        return not any(v)
+        not be reduced): its image in parent / H is 0."""
+        return not any(self._image(v))
+
+    def _image(self, v) -> tuple[int, ...]:
+        """The image of a coordinate vector in parent / H under the kept
+        projection, its torsion part reduced; residues need not be reduced,
+        and a vector shorter than the parent's dimension ends in zeros."""
+        spec, proj = self.quotient_map()
+        y = [sum(e * c for e, c in zip(row, v)) for row in proj.matrix.data]
+        return (*map(mod, y, spec.torsion_moduli), *y[len(spec.torsion_moduli):])
 
     def index(self) -> int | None:
         """[G : H], or None when the quotient is infinite."""
@@ -248,14 +249,13 @@ class Subgroup(Value):
 
     def coset_order(self, x: Element) -> int | None:
         """Order of x + H in parent/H, or None if infinite."""
-        spec, proj = self.quotient_map()
-        y = proj(x)
-        if any(y.free):
+        if x.group != self.parent:
+            raise ValueError("element lives in a different group")
+        moduli = self.quotient_map()[0].torsion_moduli
+        y = self._image(x.coords())
+        if any(y[len(moduli):]):
             return None
-        r = 1
-        for c, m in zip(y.torsion, spec.torsion_moduli):
-            r = lcm(r, m // gcd(c, m))
-        return r
+        return lcm(*(m // gcd(c, m) for c, m in zip(y, moduli)))
 
     def elements(self) -> list[Element]:
         """All elements of a finite subgroup, sorted."""

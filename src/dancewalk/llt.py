@@ -211,9 +211,12 @@ def _evaluated_window(nums, a: Attractor, n: int, live: bool = True):
     """
     dance, tor = a.dance, a.torsion_order
     theta = dance.normalization_c if live else 1
+    w = dance.walk_subgroup
+    image = w._image if live else lambda x: ()  # pi onto G/W; without live, one image for all
+    live_at = image([n * c for c in dance.base_point.coords()])
     if a.case == "d0":
         g = dance.base_point.group
-        off = live and not all(dance.theta_coords(n, x) for x in nums)
+        off = any(image(x) != live_at for x in nums)
         points = dance.coset_coords(n) if live else whole_group(g).element_coords()
         values = itertools.repeat(theta / tor)
     else:
@@ -233,7 +236,7 @@ def _evaluated_window(nums, a: Attractor, n: int, live: bool = True):
         def kernel(form):  # K^n(u - n*mu) for the u with Y . QY = form
             return math.exp(-(form / scale) / (2 * float(n))) / norm
 
-        k, tail = inv.rows, tuple(n * wi for wi in a.twist.w)
+        tail = tuple(n * wi for wi in a.twist.w)
         box = []
         for i in range(d):  # every axis is range-checked; the last is not a box axis
             r = 8 * math.sqrt(_float(n * moments.covariance[i][i], f"variance n * Gamma[{i}][{i}]"))
@@ -242,23 +245,12 @@ def _evaluated_window(nums, a: Attractor, n: int, live: bool = True):
         box.pop()
         bound = 64 * n * scale
 
-        if live:
-            spec, proj = dance.walk_subgroup.quotient_map()
-            pi, moduli = proj.matrix.data, spec.torsion_moduli
-        else:
-            pi, moduli = (), ()
-        ts = len(moduli)
-
-        def image(x):  # pi(x), its torsion part reduced
-            v = [sum(e * c for e, c in zip(row, x)) for row in pi]
-            return tuple(c % m for c, m in zip(v, moduli)) + tuple(v[ts:])
-
-        live_at = image([n * c for c in dance.base_point.coords()])
+        moduli = w.quotient_map()[0].torsion_moduli if live else ()
         torsion = a.phi.source.torsion_moduli
         origin = (0,) * len(torsion)
         groups = {}  # the torsion residues r by pi(r, 0)
         for r in itertools.product(*(range(m) for m in torsion)):
-            groups.setdefault(image(r + (0,) * k)[:ts], []).append(r)
+            groups.setdefault(image(r)[:len(moduli)], []).append(r)
         free_step = tuple(row[d - 1] for row in inv.data)
         key_step = image(origin + free_step)
 

@@ -344,6 +344,8 @@ def sample_path(p: Distribution, n: int, seed: int) -> WalkPath:
     """
     if n < 0:
         raise ValueError("negative path length")
+    if seed < 0:
+        raise ValueError("negative seed")
     rng = random.Random(seed)
     cumulative, acc = [], Fraction(0)
     for x, w in p.items():

@@ -2,16 +2,19 @@
 
 sparse_convolve and sparse_power are the double loop over both supports
 that the packed convolution in dancewalk.measure replaced.  The library
-answers each question once, on exact integers: the gap scan
-and the integration oracle use integer phases mod lcm(m_i), and the
-window pass evaluates the heat kernel on one integer quadratic form read
-from one fraction-free elimination.  Here are the float and Fraction
-routes to the same values (gaussian_kernel, attractor_eval, char_fn,
-omega_contains, theta_by_fraction_integration, rational_inverse) and the
-window as a list of Elements (evaluation_window).  _cyclotomic and
-_exact_poly_div give the cyclotomic polynomials for the exact zero
-test of the reference gap scan; the library decides rho = 0 once, by
-Fourier inversion.  _render is the recursive JSON writer that the flat
+answers each question once, on exact integers: membership reads the kept
+projection onto the quotient, the gap scan and the integration oracle
+use integer phases mod lcm(m_i), and the window pass evaluates the heat
+kernel on one integer quadratic form read from one fraction-free
+elimination.  Here are the Hermite reduction, the float and the Fraction
+routes to the same values (hermite_contains, gaussian_kernel,
+attractor_eval, char_fn, omega_contains, theta_by_fraction_integration,
+rational_inverse) and the window as a list of Elements
+(evaluation_window).  reference_spectral_gap is the gap scan on Fraction
+phases with an exact zero test at every character (_char_modulus,
+_unit_phase_sum_is_zero); _cyclotomic and _exact_poly_div give the
+cyclotomic polynomials for that test, where the library decides rho = 0
+once, by Fourier inversion.  _render is the recursive JSON writer that the flat
 writer in dancewalk._writer replaced.  No library path calls them.
 """
 
@@ -23,9 +26,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from dancewalk._writer import _fmt_float, _int_str
+from dancewalk.dance import SpectralGap
 from dancewalk.group import DualPoint, Element
 from dancewalk.llt import Attractor, MomentData, _evaluated_window
-from dancewalk.measure import Distribution
+from dancewalk.measure import Distribution, torsion_pushforward
 
 
 def sparse_convolve(p, q):
@@ -87,6 +91,19 @@ def evaluation_window(pn: Distribution, a: Attractor, n: int) -> list[Element]:
     d = 0, otherwise the window lifts with theta > 0.
     """
     return [pn.group.element_from_coords(x) for x, *_ in _evaluated_window(pn._nums, a, n)]
+
+
+def hermite_contains(h, v) -> bool:
+    """Membership of an integer coordinate vector in the subgroup h (torsion
+    residues need not be reduced): clear each pivot column with its Hermite row."""
+    v = list(v)
+    for j, row in h._pivots:
+        q, r = divmod(v[j], row[j])
+        if r:
+            return False
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
 
 
 def char_fn(p: Distribution, xi: DualPoint) -> complex:
@@ -152,6 +169,57 @@ def _cyclotomic(n: int) -> tuple[int, ...]:
         if n % d == 0:
             poly = _exact_poly_div(poly, _cyclotomic(d))
     return tuple(poly)
+
+
+def _unit_phase_sum_is_zero(terms: dict[Fraction, Fraction]) -> bool:
+    """Exact vanishing test for sum of w * exp(2 pi i phase).
+
+    With all phases rational the sum lives in a cyclotomic field: write
+    it as a polynomial in a primitive N-th root of unity; it vanishes
+    exactly when the N-th cyclotomic polynomial divides that polynomial.
+    """
+    n = 1
+    for phase in terms:
+        n = math.lcm(n, phase.denominator)
+    coeffs = [Fraction(0)] * n
+    for phase, w in terms.items():
+        coeffs[int(phase * n) % n] += w
+    cyc = _cyclotomic(n)
+    rem = list(coeffs)
+    lead = len(cyc) - 1
+    for i in range(len(rem) - 1, lead - 1, -1):
+        c = rem[i]
+        if c:
+            for j, d in enumerate(cyc):
+                rem[i - lead + j] -= c * d
+    return not any(rem)
+
+
+def _char_modulus(p: Distribution, xi: DualPoint) -> float:
+    """|p_hat(xi)| with exact zero detection at rational dual points."""
+    terms: dict[Fraction, Fraction] = {}
+    for x, w in p.items():
+        phase = xi.phase(x)
+        terms[phase] = terms.get(phase, Fraction(0)) + w
+    if _unit_phase_sum_is_zero(terms):
+        return 0.0
+    return abs(sum(complex(w) * cmath.exp(2j * cmath.pi * float(phase))
+                   for phase, w in terms.items()))
+
+
+def reference_spectral_gap(p: Distribution) -> SpectralGap:
+    """The gap scan on exact Fraction phases, one DualPoint per character,
+    with the cyclotomic zero test run at every character off the locus."""
+    pa = torsion_pushforward(p)
+    rho, best = 0.0, None
+    for chars in itertools.product(*(range(m) for m in pa.group.torsion_moduli)):
+        xi = DualPoint(pa.group, chars, ())
+        if omega_contains(pa, xi):
+            continue
+        modulus = _char_modulus(pa, xi)
+        if modulus > rho:
+            rho, best = modulus, xi
+    return SpectralGap(rho=rho, achieved_at=best)
 
 
 def rational_inverse(rows) -> list[list[Fraction]]:

@@ -527,16 +527,38 @@ def test_the_last_window_axis_is_range_checked(command, tmp_path):
 
 
 def test_window_makes_no_membership_or_kernel_calls(monkeypatch, capsys):
-    # the window is scanned, tested and evaluated on coordinate tuples
+    # the window is scanned, tested and evaluated on coordinate tuples, and it
+    # tells the live coset by the kept quotient map: no Hermite reduction per point
     calls = []
-    contains = Subgroup.contains
-    monkeypatch.setattr(Subgroup, "contains",
-                        lambda self, x: calls.append("contains") or contains(self, x))
-    for command in (["compare", "--n", "3,7"], ["attractor", "--n", "7"]):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(LAZY_Z2_SPEC))
+
+    def counting(name):
+        method = getattr(Subgroup, name)
+        return lambda self, x: calls.append(name) or method(self, x)
+
+    for name in ("contains", "contains_coords"):
+        monkeypatch.setattr(Subgroup, name, counting(name))
+    for command, spec in ((["compare", "--n", "3,7"], LAZY_Z2_SPEC),
+                          (["attractor", "--n", "7"], LAZY_Z2_SPEC),
+                          (["compare", "--n", "50", "--format", "csv"], TORSION_Z60_SPEC),
+                          (["tv", "--n", "50"], TORSION_Z60_SPEC)):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
         assert main([*command, "--spec", "-"]) == 0
         assert capsys.readouterr().out
     assert calls == []
+
+
+def test_one_lattice_basis_pass_over_the_support(monkeypatch, capsys):
+    # the walk subgroup's: the gap scan's uniform-coset test reads its Hermite rows
+    calls = []
+    basis = dancewalk.group.lattice_basis
+    monkeypatch.setattr(dancewalk.group, "lattice_basis",
+                        lambda rows, cols: calls.append(len(rows)) or basis(rows, cols))
+    for command in (["analyze"], ["tv", "--n", "50"]):
+        calls.clear()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(TORSION_Z60_SPEC))
+        assert main([*command, "--spec", "-"]) == 0
+        assert capsys.readouterr().out
+        assert calls == [3 + 2]  # the support's differences and the two relation rows
 
 
 def test_analyze_runs_analyze_dance_once(monkeypatch, capsys):
@@ -732,6 +754,17 @@ def test_twist_command():
     assert doc["dimension"] == 0
     proc = run_cli(["twist", "--points", "[]"])
     assert proc.returncode == 2
+
+
+def test_sample_refuses_a_negative_seed():
+    # random.Random seeds from abs(seed), so the seeds -1, 0, 1 of three paths
+    # would give the first and the third path alike
+    proc = run_cli(["sample", "--spec", "-", "--n", "10", "--seed", "-1", "--paths", "3"],
+                   stdin=Z12_SPEC)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "--seed: must be at least 0, got -1" in proc.stderr
+    with pytest.raises(ValueError, match="negative seed"):
+        dancewalk.measure.sample_path(load_spec(Z12_SPEC), 10, -1)
 
 
 def test_sample_command_deterministic():

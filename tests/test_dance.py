@@ -13,7 +13,7 @@ import dancewalk.dance
 from dancewalk.group import DualPoint, GroupSpec, Homomorphism, Subgroup, subgroup_generated
 from dancewalk.group import UnsupportedOperationError
 from dancewalk.intlinalg import IntMatrix
-from dancewalk.measure import Distribution, convolution_power, pushforward, torsion_pushforward
+from dancewalk.measure import Distribution, convolution_power, pushforward
 from dancewalk.dance import (
     SpectralGap,
     analyze_dance,
@@ -23,7 +23,13 @@ from dancewalk.dance import (
     theta_by_integration,
 )
 from dancewalk.scenarios import elevator1, elevator2, spitzer, z4z6_walk, z9_walk, z12_walk
-from reference import _cyclotomic, char_fn, omega_contains, theta_by_fraction_integration
+from reference import (
+    _cyclotomic,
+    char_fn,
+    omega_contains,
+    reference_spectral_gap,
+    theta_by_fraction_integration,
+)
 
 Z12 = GroupSpec([12])
 Z9 = GroupSpec([9])
@@ -169,57 +175,6 @@ def test_spectral_gap_elevators_and_z4z6():
     # torsion projection of the diffusive elevator: rho = 1/2 at alpha = 1
     gap = spectral_gap(elevator2())
     assert gap.rho == pytest.approx(0.5, abs=1e-12)
-
-
-def _unit_phase_sum_is_zero(terms: dict[Fraction, Fraction]) -> bool:
-    """Exact vanishing test for sum of w * exp(2 pi i phase).
-
-    With all phases rational the sum lives in a cyclotomic field: write
-    it as a polynomial in a primitive N-th root of unity; it vanishes
-    exactly when the N-th cyclotomic polynomial divides that polynomial.
-    """
-    n = 1
-    for phase in terms:
-        n = math.lcm(n, phase.denominator)
-    coeffs = [Fraction(0)] * n
-    for phase, w in terms.items():
-        coeffs[int(phase * n) % n] += w
-    cyc = _cyclotomic(n)
-    rem = list(coeffs)
-    lead = len(cyc) - 1
-    for i in range(len(rem) - 1, lead - 1, -1):
-        c = rem[i]
-        if c:
-            for j, d in enumerate(cyc):
-                rem[i - lead + j] -= c * d
-    return not any(rem)
-
-
-def _char_modulus(p: Distribution, xi: DualPoint) -> float:
-    """|p_hat(xi)| with exact zero detection at rational dual points."""
-    terms: dict[Fraction, Fraction] = {}
-    for x, w in p.items():
-        phase = xi.phase(x)
-        terms[phase] = terms.get(phase, Fraction(0)) + w
-    if _unit_phase_sum_is_zero(terms):
-        return 0.0
-    return abs(sum(complex(w) * cmath.exp(2j * cmath.pi * float(phase))
-                   for phase, w in terms.items()))
-
-
-def reference_spectral_gap(p: Distribution) -> SpectralGap:
-    """The gap scan on exact Fraction phases, one DualPoint per character,
-    with the cyclotomic zero test run at every character off the locus."""
-    pa = torsion_pushforward(p)
-    rho, best = 0.0, None
-    for chars in itertools.product(*(range(m) for m in pa.group.torsion_moduli)):
-        xi = DualPoint(pa.group, chars, ())
-        if omega_contains(pa, xi):
-            continue
-        modulus = _char_modulus(pa, xi)
-        if modulus > rho:
-            rho, best = modulus, xi
-    return SpectralGap(rho=rho, achieved_at=best)
 
 
 def test_cyclotomic_polynomials():

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dancewalk.group
 from dancewalk.group import (
@@ -18,6 +19,7 @@ from dancewalk.group import (
     whole_group,
 )
 from dancewalk.intlinalg import IntMatrix
+from reference import hermite_contains
 
 Z12 = GroupSpec([12])
 Z9 = GroupSpec([9])
@@ -185,6 +187,8 @@ def test_coset_order():
     assert diag.coset_order(Z2.element((), [1, 0])) is None
     evens = subgroup_generated(GroupSpec((), 1), [GroupSpec((), 1).element((), [2])])
     assert evens.coset_order(GroupSpec((), 1).element((), [1])) == 2
+    with pytest.raises(ValueError):
+        h.coset_order(Z9.element([1]))
     # non-cyclic quotients: the order is the lcm over the quotient's axes, not the largest
     rng = random.Random(1729)
     for moduli in ([2, 6], [4, 6], [6, 6], [2, 2, 6], [3, 9], [2, 3, 4]):
@@ -195,6 +199,41 @@ def test_coset_order():
             for x in g.elements():
                 assert h.coset_order(x) == next(r for r in itertools.count(1)
                                                 if h.contains(r * x))
+
+
+@st.composite
+def membership_cases(draw):
+    """A subgroup of a mixed group, coordinate vectors with unreduced
+    residues (members, their neighbours and others), and shifts n*x0."""
+    moduli = draw(st.lists(st.integers(2, 12), max_size=3))
+    k = draw(st.integers(0, 2))
+    free_part = draw(st.booleans())
+
+    def vector(free=True):
+        return draw(st.tuples(*(st.integers(-3 * m, 3 * m) for m in moduli),
+                              *(st.integers(-6, 6) if free else st.just(0) for _ in range(k))))
+
+    gens = [vector(free_part) for _ in range(draw(st.integers(0, 3)))]
+    members = [[sum(draw(st.integers(-4, 4)) * g[i] for g in gens) for i in range(len(moduli) + k)]
+               for _ in range(3)]
+    probes = members + [[c + draw(st.integers(-1, 1)) for c in v] for v in members]
+    probes += [vector() for _ in range(3)]
+    return Subgroup(GroupSpec(moduli, k), gens), probes, vector(), draw(st.integers(-5, 5))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(membership_cases())
+def test_membership_matches_hermite_reduction(case):
+    # contains_coords, and theta_coords' comparison of x and n*x0 in G/W, against
+    # the Hermite reduction; torsion-only vectors too when the subgroup is finite
+    h, probes, x0, n = case
+    t, shift = len(h.parent.torsion_moduli), [n * c for c in x0]
+    for v in probes:
+        member = hermite_contains(h, v)
+        assert h.contains_coords(v) == member
+        assert (h._image([a + b for a, b in zip(v, shift)]) == h._image(shift)) == member
+        if h.rank() == 0:
+            assert h.contains_coords(v[:t]) == hermite_contains(h, v[:t])
 
 
 def test_base_point_independence():
