@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 from functools import lru_cache
-from math import lcm, prod
+from math import lcm
 
 from ._value import Value
 from .group import (
@@ -154,7 +154,7 @@ def spectral_gap(p: Distribution) -> SpectralGap:
     when p_A is uniform on a coset of W_A, the annihilator of Omega_A,
     that is on |S| = |W_A| points.  W_A, generated by S - x0, is W's image
     in A, so |W_A| = |A| / prod(h_j), h_j the pivots of W's first t Hermite
-    rows (W's lattice holds m_j * e_j).  That is decided before the scan,
+    rows, read through Subgroup.  That is decided before the scan,
     and then rho is 0.0 and achieved_at None.  Otherwise rho is the largest
     double modulus and achieved_at the first character attaining it.
     Above 2 * e_scan both are bit for bit those of a scan with an exact
@@ -166,8 +166,8 @@ def spectral_gap(p: Distribution) -> SpectralGap:
     if dance_of(p).rank_d == 0:
         _assert_constant_free_part(p)
     pa = torsion_pushforward(p)
-    a, rows = pa.group, dance_of(p).walk_subgroup.basis.data
-    w_a = a.torsion_order // prod(rows[j][j] for j in range(len(a.torsion_moduli)))
+    a = pa.group
+    w_a = a.torsion_order // dance_of(p).walk_subgroup._pivot_product(len(a.torsion_moduli))
     if len(set(pa._nums.values())) == 1 and len(pa) == w_a:  # uniform on a coset of W_A
         return SpectralGap(rho=0.0, achieved_at=None)
     order, den = lcm(*a.torsion_moduli), pa._den

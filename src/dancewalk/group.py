@@ -174,12 +174,15 @@ def _relation_rows(g: GroupSpec) -> list[list[int]]:
 class Subgroup(Value):
     """A subgroup of a GroupSpec, encoded as a canonical integer lattice.
 
-    The lattice lives in Z^(t+k) and always contains m_i * e_i for every
+    The lattice lives in Z^(t+k) and always contains m_j * e_j for every
     torsion coordinate, so its image under reduction is a genuine
-    subgroup of the parent.
+    subgroup of the parent, and Hermite row j pivots at column j, at a
+    divisor h_j of m_j, on each torsion axis j < t.  The basis is square
+    (row j pivoting at column j on every axis) exactly when the index is
+    finite; index, order and the coset walk read the diagonal h_j.
     """
 
-    __slots__ = ("parent", "basis", "_pivots", "_quotient")
+    __slots__ = ("parent", "basis", "_quotient")
 
     def __init__(self, parent: GroupSpec, rows):
         all_rows = [list(r) for r in rows] + _relation_rows(parent)
@@ -190,9 +193,6 @@ class Subgroup(Value):
     def _init_hermite(self, parent: GroupSpec, basis: IntMatrix) -> "Subgroup":
         """Set the fields from ``basis``, already in canonical Hermite form."""
         self._set(parent, basis)
-        # (pivot column, row) of each Hermite row, in row order
-        object.__setattr__(self, "_pivots", tuple(
-            (next(j for j, e in enumerate(row) if e), row) for row in basis.data))
         object.__setattr__(self, "_quotient", None)
         return self
 
@@ -217,11 +217,13 @@ class Subgroup(Value):
         y = [sum(e * c for e, c in zip(row, v)) for row in proj.matrix.data]
         return (*map(mod, y, spec.torsion_moduli), *y[len(spec.torsion_moduli):])
 
+    def _pivot_product(self, axes: int) -> int:
+        """prod(h_j) over the first ``axes`` Hermite rows, h_j = basis[j][j]."""
+        return prod(self.basis.data[j][j] for j in range(axes))
+
     def index(self) -> int | None:
         """[G : H], or None when the quotient is infinite."""
-        if len(self._pivots) < self.parent.dim:
-            return None
-        return prod(row[j] for j, row in self._pivots)
+        return self._pivot_product(self.parent.dim) if self.basis.rows == self.parent.dim else None
 
     def rank(self) -> int:
         """Free rank of the subgroup itself."""
@@ -231,7 +233,7 @@ class Subgroup(Value):
         """|H|, or None when the subgroup is infinite."""
         if self.rank() > 0:
             return None
-        return self.parent.torsion_order // prod(row[j] for j, row in self._pivots)
+        return self.parent.torsion_order // self._pivot_product(len(self.parent.torsion_moduli))
 
     def quotient_invariants(self) -> tuple[tuple[int, ...], int]:
         """Canonical invariants (torsion chain, free rank) of parent / H."""
@@ -265,37 +267,32 @@ class Subgroup(Value):
         """Coordinate tuples of the coset H + shift of a finite subgroup (H
         itself when shift is None), a lazy stream in sorted order.
 
-        A finite H has one Hermite row per torsion axis j, with pivot h_j
-        dividing m_j and zeros before it, so y_j runs over one progression
-        of step h_j in [0, m_j), set by y's earlier coordinates: a depth-t
-        walk yields each point once and in order, with no list of them.
-        When every row is zero past its pivot (the whole group among them)
-        the progressions are independent: the points are those of the
-        product of the leading ones, each zipped with the last progression,
-        which stays a lazy range.
+        A finite H has Hermite rows only on the torsion axes (see the class
+        docstring), so y_j runs over one progression of step h_j in [0, m_j),
+        set by y's earlier coordinates: a walk of depth t - 1 yields each
+        head (y_0, ..., y_{t-2}) once and in order, zipped with its last
+        progression, a lazy range, so no list of the points is built.
         """
         if self.rank() > 0:
             raise UnsupportedOperationError("subgroup is infinite")
-        moduli, rows = self.parent.torsion_moduli, [row for _, row in self._pivots]
+        moduli, rows = self.parent.torsion_moduli, self.basis.data
         t, shift = len(moduli), tuple(shift or (0,) * self.parent.dim)
         if not t:
             return iter([shift])
-        if not any(any(row[j + 1:]) for j, row in enumerate(rows)):
-            *heads, last = (range(c % row[j], m, row[j])
-                            for j, (c, m, row) in enumerate(zip(shift, moduli, rows)))
-            return itertools.chain.from_iterable(
-                zip(*map(itertools.repeat, head), last, *map(itertools.repeat, shift[t:]))
-                for head in itertools.product(*heads))
+        h = rows[-1][t - 1]
 
-        def walk(j, head, rest):  # rest[i]: axis j + i of -shift less the rows taken so far
-            h, row = rows[j][j], rows[j][j + 1:]
-            ys = range(-rest[0] % h, moduli[j], h)
+        def heads(j, head, rest):  # rest[i]: axis j + i of -shift less the rows taken so far
             if j == t - 1:
-                return ((*head, y, *shift[t:]) for y in ys)
-            return (x for y in ys for x in walk(j + 1, (*head, y), [
-                c - (y + rest[0]) // h * e for c, e in zip(rest[1:], row)]))
+                return iter([(head, -rest[0] % h)])
+            hj, row = rows[j][j], rows[j][j + 1:]
+            return (x for y in range(-rest[0] % hj, moduli[j], hj)
+                    for x in heads(j + 1, (*head, y), [
+                        c - (y + rest[0]) // hj * e for c, e in zip(rest[1:], row)]))
 
-        return walk(0, (), [-c for c in shift[:t]])
+        return itertools.chain.from_iterable(
+            zip(*map(itertools.repeat, head), range(start, moduli[-1], h),
+                *map(itertools.repeat, shift[t:]))
+            for head, start in heads(0, (), [-c for c in shift[:t]]))
 
     def annihilator(self) -> "Subgroup":
         """Characters of a finite parent that are identically 1 on H.

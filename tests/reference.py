@@ -9,8 +9,9 @@ kernel on one integer quadratic form read from one fraction-free
 elimination.  Here are the Hermite reduction, the float and the Fraction
 routes to the same values (hermite_contains, gaussian_kernel,
 attractor_eval, char_fn, omega_contains, theta_by_fraction_integration,
-rational_inverse) and the window as a list of Elements
-(evaluation_window).  reference_spectral_gap is the gap scan on Fraction
+rational_inverse), the window as a list of Elements
+(evaluation_window) and a finite subgroup as the closure of {0} under
+adding its generators, with no lattice (closure).  reference_spectral_gap is the gap scan on Fraction
 phases with an exact zero test at every character (_char_modulus,
 _unit_phase_sum_is_zero); _cyclotomic and _exact_poly_div give the
 cyclotomic polynomials for that test, where the library decides rho = 0
@@ -97,13 +98,26 @@ def hermite_contains(h, v) -> bool:
     """Membership of an integer coordinate vector in the subgroup h (torsion
     residues need not be reduced): clear each pivot column with its Hermite row."""
     v = list(v)
-    for j, row in h._pivots:
+    for row in h.basis.data:
+        j = next(i for i, e in enumerate(row) if e)  # the pivot column
         q, r = divmod(v[j], row[j])
         if r:
             return False
         if q:
             v = [a - q * b for a, b in zip(v, row)]
     return not any(v)
+
+
+def closure(g, gens):
+    """The finite subgroup of g generated by the Elements gens, by closing {0} under adding them."""
+    seen, todo = {g.identity()}, [g.identity()]
+    while todo:
+        x = todo.pop()
+        for y in (x + s for s in gens):
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
 
 
 def char_fn(p: Distribution, xi: DualPoint) -> complex:

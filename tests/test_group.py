@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,7 @@ from dancewalk.group import (
     whole_group,
 )
 from dancewalk.intlinalg import IntMatrix
-from reference import hermite_contains
+from reference import closure, hermite_contains
 
 Z12 = GroupSpec([12])
 Z9 = GroupSpec([9])
@@ -329,26 +331,66 @@ def brute_coset(h, shift):
 
 def test_coset_walk_matches_brute_force():
     # H + n*x over random subgroups of the sweep shapes, over <(1, 1)> in
-    # Z_2 x Z_4 (no product of coordinate subgroups), and over finite
-    # subgroups of groups with a free axis, where n*x has a free part
+    # Z_2 x Z_4 (no product of coordinate subgroups), over subgroups of three
+    # axes that are no such product either, and over finite subgroups of groups
+    # with a free axis, where n*x has a free part; then over shifts n*r with r
+    # unreduced and n negative.  Each coset is checked against the membership
+    # scan and against the closure of its generators, which reads no lattice
     rng = random.Random(2024)
     shapes = [([12], 0), ([30], 0), ([2, 6], 0), ([4, 4], 0), ([3, 9], 0),
               ([2, 2, 4], 0), ([2, 2, 6], 0), ([3, 3, 3], 0), ([4, 6], 1), ([4], 1), ([], 2)]
     z2z4 = GroupSpec([2, 4])
-    cases = [(subgroup_generated(z2z4, [z2z4.element([1, 1])]), z2z4.element([c, d]))
+    cases = [(z2z4, [z2z4.element([1, 1])], z2z4.element([c, d]))
              for c in range(2) for d in range(4)]
+    for moduli, rows in [([6, 12, 30], [(1, 2, 3), (0, 1, 5)]), ([4, 6, 10], [(1, 1, 1)]),
+                         ([2, 4, 8], [(1, 2, 2), (0, 1, 3)]), ([6, 6, 6], [(2, 3, 1)])]:
+        g = GroupSpec(moduli)
+        cases.append((g, [g.element(r) for r in rows], g.element([1] * len(moduli))))
     for _ in range(80):
         g = GroupSpec(*rng.choice(shapes))
         gens = [g.element([rng.randrange(m) for m in g.torsion_moduli], [0] * g.free_rank)
                 for _ in range(rng.randrange(0, 4))]
         x = g.element([rng.randrange(m) for m in g.torsion_moduli],
                       [rng.randrange(-3, 4) for _ in range(g.free_rank)])
-        cases.append((subgroup_generated(g, gens), x))
-    for h, x in cases:
-        for n in (0, 1, 7, 50):
-            shift = (n * x).coords()
-            assert list(h.element_coords(shift)) == brute_coset(h, shift)
-    assert list(cases[0][0].element_coords((0, 1))) == [(0, 1), (0, 3), (1, 0), (1, 2)]
+        cases.append((g, gens, x))
+    non_product = 0
+    for g, gens, x in cases:
+        h, members = subgroup_generated(g, gens), closure(g, gens)
+        non_product += any(any(row[j + 1:]) for j, row in enumerate(h.basis.data))
+        raw = [rng.randrange(-3 * m, 3 * m) for m in g.torsion_moduli]
+        raw += [rng.randrange(-3, 4) for _ in range(g.free_rank)]
+        shifts = [(n * x).coords() for n in (0, 1, 7, 50)]
+        shifts += [tuple(n * c for c in raw) for n in (1, -1, -7)]
+        for shift in shifts:
+            walk = list(h.element_coords(shift))
+            assert walk == brute_coset(h, shift)
+            s = g.element_from_coords(shift)
+            assert walk == sorted((y + s).coords() for y in members)
+    assert non_product >= 6
+    h = subgroup_generated(z2z4, cases[0][1])
+    assert list(h.element_coords((0, 1))) == [(0, 1), (0, 3), (1, 0), (1, 2)]
+    assert list(h.element_coords((-1, 9))) == [(0, 0), (0, 2), (1, 1), (1, 3)]
+
+
+def test_coset_walk_holds_no_list_beyond_the_whole_group():
+    # <(1, 1)> in Z_2 x Z_2000000 has Hermite rows (1, 1) and (0, 2), so it is
+    # no product of coordinate subgroups; each head steps its last axis as a
+    # lazy range of 10^6 points, and the first points come with no list of them
+    g = GroupSpec([2, 2000000])
+    h = subgroup_generated(g, [g.element([1, 1])])
+    assert h.basis.data == ((1, 1), (0, 2))
+    gc.disable()
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(h.element_coords(), 3))
+        shifted = list(itertools.islice(h.element_coords((-1, 4000000)), 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak < 256 << 10
+    assert first == [(0, 0), (0, 2), (0, 4)]
+    assert shifted == [(0, 1), (0, 3), (0, 5)]
 
 
 def test_annihilator_duality_brute_force():

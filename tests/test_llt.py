@@ -1,9 +1,13 @@
 import cmath
+import contextlib
 import gc
+import io
 import itertools
+import json
 import math
 import random
 import re
+import sys
 import time
 import tracemalloc
 import weakref
@@ -17,8 +21,10 @@ import dancewalk.llt
 from dancewalk.group import DualPoint, Element, GroupSpec, Homomorphism
 from dancewalk.group import UnsupportedOperationError
 from dancewalk.intlinalg import IntMatrix, InvariantViolationError
-from dancewalk.measure import Distribution, _powers, convolution_power, convolve, pushforward
-from dancewalk.dance import analyze_dance, period_if_irreducible
+from dancewalk.cli import dump_spec, main
+from dancewalk.measure import (Distribution, _powers, convolution_power, convolve, pushforward,
+                                torsion_pushforward)
+from dancewalk.dance import analyze_dance, period_if_irreducible, spectral_gap
 from dancewalk.llt import (
     MomentData,
     _evaluated_window,
@@ -32,7 +38,8 @@ from dancewalk.llt import (
     tv_to_uniform_coset,
 )
 from dancewalk.scenarios import elevator1, elevator2, spitzer, z4z6_walk, z9_walk, z12_walk
-from reference import attractor_eval, char_fn, evaluation_window, gaussian_kernel, sparse_power
+from reference import (attractor_eval, char_fn, closure, evaluation_window, gaussian_kernel,
+                       sparse_power)
 
 Z12 = GroupSpec([12])
 Z1 = GroupSpec((), 1)
@@ -366,18 +373,6 @@ def test_tv_rejects_infinite_walk_subgroup():
         tv_to_uniform_coset(spitzer(), 5)
 
 
-def _closure(g, gens):
-    """The finite subgroup generated by gens, by closing {0} under adding them."""
-    seen, todo = {g.identity()}, [g.identity()]
-    while todo:
-        x = todo.pop()
-        for y in (x + s for s in gens):
-            if y not in seen:
-                seen.add(y)
-                todo.append(y)
-    return seen
-
-
 def _tv_and_time_average_walks():
     """Seeded random walks on finite groups, a uniform law on a coset of the
     non-cyclic W = <(1, 0), (0, 2)> in Z_2 x Z_4, and the rank-0 elevator1
@@ -402,7 +397,7 @@ def test_tv_series_and_time_average_match_their_definitions():
     for p in _tv_and_time_average_walks():
         g, support = p.group, p.support()
         x0 = support[0]
-        w = _closure(g, [x - x0 for x in support])
+        w = closure(g, [x - x0 for x in support])
         non_cyclic += all(any((x * k).is_identity() for k in range(1, len(w))) for x in w)
         steps = range(10)
         laws = [sparse_power(p, n) for n in range(len(steps) + 6)]
@@ -473,22 +468,29 @@ AUTOMORPHISM_GROUPS = (
 )
 
 
+def _coords(g, reach):
+    return st.tuples(*(st.integers(0, m - 1) for m in g.torsion_moduli),
+                     *(st.integers(-reach, reach) for _ in range(g.free_rank)))
+
+
+@st.composite
+def small_walks(draw):
+    """A walk of 1 to 3 points with integer weights on one of AUTOMORPHISM_GROUPS."""
+    g = draw(st.sampled_from(AUTOMORPHISM_GROUPS))
+    points = draw(st.lists(_coords(g, 3), min_size=1, max_size=min(3, g.order or 3), unique=True))
+    weights = [draw(st.integers(1, 4)) for _ in points]
+    return Distribution(g, {g.element_from_coords(x): Fraction(w, sum(weights))
+                            for x, w in zip(points, weights)})
+
+
 @st.composite
 def walks_with_automorphisms(draw):
     """A walk of 1 to 3 points with integer weights, an automorphism of its group:
     a unit on each cyclic factor, (t, f) -> (t + M f mod m, f), the shear
     f0 += s * f1 and a sign flip of f0, and 1 to 4 points to compare dances at."""
-    g = draw(st.sampled_from(AUTOMORPHISM_GROUPS))
+    p = draw(small_walks())
+    g = p.group
     t, k = len(g.torsion_moduli), g.free_rank
-
-    def coords(reach):
-        return st.tuples(*(st.integers(0, m - 1) for m in g.torsion_moduli),
-                         *(st.integers(-reach, reach) for _ in range(k)))
-
-    points = draw(st.lists(coords(3), min_size=1, max_size=min(3, g.order or 3), unique=True))
-    weights = [draw(st.integers(1, 4)) for _ in points]
-    p = Distribution(g, {g.element_from_coords(x): Fraction(w, sum(weights))
-                         for x, w in zip(points, weights)})
     units = [draw(st.sampled_from([u for u in range(1, m) if gcd(u, m) == 1]))
              for m in g.torsion_moduli]
     rows = [[units[i] * (i == j) for j in range(t)] + [draw(st.integers(-3, 3)) for _ in range(k)]
@@ -499,9 +501,21 @@ def walks_with_automorphisms(draw):
     if k and draw(st.booleans()):
         free[0] = [-e for e in free[0]]
     rows += [[0] * t + row for row in free]
-    probes = draw(st.lists(coords(6), min_size=1, max_size=4))
+    probes = draw(st.lists(_coords(g, 6), min_size=1, max_size=4))
     return (p, Homomorphism(g, g, IntMatrix(rows, cols=g.dim)),
             [g.element_from_coords(x) for x in probes])
+
+
+def _cli(argv, p):
+    """Return code and stdout of dancewalk.cli.main(argv), run in process on the walk p."""
+    out, stdin = io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(dump_spec(p))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, "--spec", "-"])
+    finally:
+        sys.stdin = stdin
+    return code, json.loads(out.getvalue()) if code == 0 else None
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
@@ -525,6 +539,73 @@ def test_dance_facts_and_verdicts_are_automorphism_invariant(case):
     if dp.rank_d == 0:
         for n in (1, 3):
             assert tv_to_uniform_coset(q, n).tv_exact == tv_to_uniform_coset(p, n).tv_exact
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(walks_with_automorphisms())
+@example((spitzer(), Homomorphism(Z2, Z2, IntMatrix([[0, 1], [1, 0]])), []))
+@example((z12_walk(), Homomorphism(Z12, Z12, IntMatrix([[5]])), []))
+def test_laws_moments_and_cli_reports_follow_an_automorphism(case):
+    # the image of p^(n) is t(p)^(n); the CLI reports the same facts on both walks
+    p, t, _ = case
+    q = pushforward(p, t)
+    for n in range(7):
+        assert convolution_power(q, n) == pushforward(convolution_power(p, n), t)
+    if not p.group.torsion_moduli:  # on Z^k the moments move as (A mu, A Sigma A^T)
+        a, mp, mq = t.matrix.data, mean_cov(p), mean_cov(q)
+        k = len(a)
+        assert mq.mean == tuple(sum(a[i][r] * mp.mean[r] for r in range(k)) for i in range(k))
+        assert mq.covariance == tuple(tuple(sum(a[i][r] * mp.covariance[r][s] * a[j][s]
+                                                for r in range(k) for s in range(k))
+                                            for j in range(k)) for i in range(k))
+    facts = []  # the walk subgroup's Hermite rows move with t, its order, index and rank do not
+    for r in (p, q):
+        (code, doc), (tv_code, tv) = _cli(["analyze"], r), _cli(["tv", "--n", "3"], r)
+        w = doc["walk_subgroup"]
+        facts.append((code, w["order"], w["index"], w["rank"], doc["normalization"], doc["omega"],
+                      tv_code, tv and tv["tv_exact"]))
+    assert facts[0] == facts[1]
+    assert facts[0][0] == 0 and facts[0][6] == (0 if analyze_dance(p).rank_d == 0 else 2)
+
+
+@st.composite
+def translated_walks(draw):
+    """A walk from small_walks and a translation g, its torsion residues
+    drawn unreduced and negative too."""
+    p = draw(small_walks())
+    g = p.group
+    shift = draw(st.tuples(*(st.integers(-2 * m, 2 * m) for m in g.torsion_moduli),
+                           *(st.integers(-5, 5) for _ in range(g.free_rank))))
+    return p, g.element_from_coords(shift)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(translated_walks())
+def test_dance_facts_move_with_a_translation(case):
+    # q(x) = p(x - g) walks from x0 + g with the same increments: the same W and
+    # laws moved by n*g.  classify is not compared, since x0 + W moves: delta_0 on
+    # Z_2 is confined, delta_1 irreducible with period 2.  Nor is rho bit for bit,
+    # since the phases shift: both are within e_scan of the same exact maximum
+    p, g = case
+    q = Distribution(p.group, {x + g: w for x, w in p.items()})
+    dp, dq = analyze_dance(p), analyze_dance(q)
+    wp, wq = dp.walk_subgroup, dq.walk_subgroup
+    assert wq.basis == wp.basis
+    assert (dq.normalization_c, dq.rank_d) == (dp.normalization_c, dp.rank_d)
+    assert (wq.index(), wq.order()) == (wp.index(), wp.order())
+    for n in range(7):
+        moved = Distribution(p.group, {x + n * g: w for x, w in convolution_power(p, n).items()})
+        assert convolution_power(q, n) == moved
+    if dp.rank_d == 0:
+        for n in (1, 3):
+            assert tv_to_uniform_coset(q, n).tv_exact == tv_to_uniform_coset(p, n).tv_exact
+    else:
+        ap, aq = build_attractor(p), build_attractor(q)
+        assert aq.phi == ap.phi
+        assert aq.moments.covariance == ap.moments.covariance
+        assert aq.moments.mean == tuple(m + c for m, c in zip(ap.moments.mean, ap.phi(g).free))
+    e_scan = (len(torsion_pushforward(p)) + 16) * 2.0 ** -52
+    assert abs(spectral_gap(q).rho - spectral_gap(p).rho) <= 2 * e_scan
 
 
 def _random_finite_walk(rng):
