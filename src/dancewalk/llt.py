@@ -40,53 +40,42 @@ from .measure import Distribution, _powers, pushforward
 class MomentData(Value):
     """Exact mean vector and covariance matrix of a distribution on Z^d.
 
-    The elimination, the determinant and the inverse are computed on
-    first use and kept in the slots _elim, _det and _inv.
+    One fraction-free pass over [L*Gamma | I], L the lcm of Gamma's
+    denominators, runs when it is built and keeps L, its pivots, det(L*Gamma)
+    and Q = L * adj(L*Gamma): Gamma^(-1) = Q / det(L*Gamma) when det != 0.
+    The inverse as Fractions is computed on first use and kept.
     """
 
-    __slots__ = ("dim", "mean", "covariance", "_elim", "_det", "_inv")
+    __slots__ = ("dim", "mean", "covariance", "_den", "_lead", "_det", "_q", "_inv")
 
     def __init__(self, dim: int, mean: tuple[Fraction, ...],
                  covariance: tuple[tuple[Fraction, ...], ...]):
         self._set(dim, mean, covariance)
-        for name in ("_elim", "_det", "_inv"):
-            object.__setattr__(self, name, None)
-
-    @property
-    def _elimination(self) -> tuple[int, list[int], int, list[list[int]]]:
-        """(L, lead, det, adj): one fraction-free pass over [L*Gamma | I],
-        L the lcm of Gamma's denominators, with the pivots lead, det(L*Gamma)
-        and adj(L*Gamma) it leaves (adj is meaningful when det != 0)."""
-        if self._elim is None:
-            d = self.dim
-            den = math.lcm(*(e.denominator for row in self.covariance for e in row))
-            rows = [[int(e * den) for e in row] + [int(i == j) for j in range(d)]
-                    for i, row in enumerate(self.covariance)]
-            lead, det = _bareiss(rows, d)
-            object.__setattr__(self, "_elim", (den, lead, det, [r[d:] for r in rows]))
-        return self._elim
+        den = math.lcm(*(e.denominator for row in covariance for e in row))
+        rows = [[int(e * den) for e in row] + [int(i == j) for j in range(dim)]
+                for i, row in enumerate(covariance)]
+        lead, det = _bareiss(rows, dim)
+        for name, value in (("_den", den), ("_lead", lead), ("_det", det),
+                            ("_q", [[den * e for e in r[dim:]] for r in rows]), ("_inv", None)):
+            object.__setattr__(self, name, value)
 
     @property
     def covariance_det(self) -> Fraction:
-        if self._det is None:
-            den, _, det, _ = self._elimination
-            object.__setattr__(self, "_det", Fraction(det, den ** self.dim))
-        return self._det
+        return Fraction(self._det, self._den ** self.dim)
 
     @property
     def covariance_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Gamma^(-1) = L * adj(L*Gamma) / det(L*Gamma)."""
+        """Gamma^(-1) = Q / det(L*Gamma)."""
         if self._inv is None:
-            den, _, det, adj = self._elimination
-            if not det:
+            if not self._det:
                 raise ValueError("covariance is singular")
-            object.__setattr__(self, "_inv", tuple(tuple(Fraction(den * e, det) for e in row)
-                                                   for row in adj))
+            object.__setattr__(self, "_inv", tuple(tuple(Fraction(e, self._det) for e in row)
+                                                   for row in self._q))
         return self._inv
 
     def is_positive_definite(self) -> bool:
         """Exact Sylvester test: all leading principal minors positive."""
-        return all(m > 0 for m in self._elimination[1])
+        return all(m > 0 for m in self._lead)
 
 
 def mean_cov(q: Distribution) -> MomentData:
@@ -165,27 +154,26 @@ def _float(x, what: str) -> float:
     return f
 
 
-def _evaluated_window(nums, a: Attractor, n: int, live: bool = True):
-    """A limit law evaluated on the window at step n.
+def _evaluated_window(nums, a: Attractor, n: int):
+    """The attractor a evaluated on the window at step n (n >= 1 when d >= 1).
 
     A stream of (coords, numerator, theta, limit value) tuples, sorted as
     Elements sort, over the keys of nums (numerators by group coordinates)
     and the points where the limit is not negligible.  The keys of nums
     are checked when it is called, before its first row.
 
-    With live, the limit is the attractor, at n >= 1 when d >= 1: theta
-    is c at the points of the live coset W + n*x0, which are all of it
-    when d = 0 (the uniform law on it, c / |Tor(G)| = 1 / |W|, walked from
-    W's Hermite rows) and otherwise the window lifts.  A key x of nums with
-    x - n*x0 not in W is an invariant violation, as supp p^(n) lies in the
-    live coset.  Without live, the limit is the average over one period,
-    where the dance is lost: theta is 1, at every element of a finite G
-    when d = 0, otherwise at every torsion lift of the window and every key.
+    theta is c at the points of the live coset W + n*x0, which are all of
+    it when d = 0 (the uniform law on it, c / |Tor(G)| = 1 / |W|, walked
+    from W's Hermite rows) and otherwise the window lifts.  A key x of nums
+    with x - n*x0 not in W is an invariant violation, as supp p^(n) lies in
+    the live coset.  With W = G (the dance-free attractor that
+    time_average_error reads) every image in G/W is (), so the live coset
+    is all of G and every lift and key is kept.
 
     For d >= 1 the value K^n(u - n*mu) at u = phi(x) comes from one exact
-    integer quadratic form.  With dm the lcm of the mean's denominators,
-    L that of Gamma's and Q = L * adj(L*Gamma), so that Gamma^(-1) =
-    Q / det(L*Gamma), a point u of Z^d has the integer vector
+    integer quadratic form.  With dm the lcm of the mean's denominators
+    and Q and det(L*Gamma) from the moments' one elimination, so that
+    Gamma^(-1) = Q / det(L*Gamma), a point u of Z^d has the integer vector
     Y = dm*u - n*dm*mu and
 
         (u - n*mu) . Gamma^(-1) (u - n*mu) = Y . QY / (det(L*Gamma) * dm^2).
@@ -206,25 +194,21 @@ def _evaluated_window(nums, a: Attractor, n: int, live: bool = True):
     projection onto G/W, the lift (r, f) is live when
     pi(r, 0) = n*pi(x0) - pi(0, f), so the residues r are grouped by
     pi(r, 0) once.  Only torsion parts are compared: (r, f) - n*x0 has
-    finite order in G/W, so its free part there is 0.  Without live there
-    is nothing to tell apart, and every lift is kept.
+    finite order in G/W, so its free part there is 0.
     """
     dance, tor = a.dance, a.torsion_order
-    theta = dance.normalization_c if live else 1
-    w = dance.walk_subgroup
-    image = w._image if live else lambda x: ()  # pi onto G/W; without live, one image for all
+    theta, w = dance.normalization_c, dance.walk_subgroup
+    image = w._image  # pi onto G/W
     live_at = image([n * c for c in dance.base_point.coords()])
     if a.case == "d0":
-        g = dance.base_point.group
         off = any(image(x) != live_at for x in nums)
-        points = dance.coset_coords(n) if live else whole_group(g).element_coords()
+        points = dance.coset_coords(n)
         values = itertools.repeat(theta / tor)
     else:
         moments = a.moments
         d, inv = moments.dim, a.twist.phi.inverse
         dm = math.lcm(*(c.denominator for c in moments.mean))
-        lden, _, det, adj = moments._elimination
-        q = [[lden * e for e in row] for row in adj]
+        q, det = moments._q, moments._det
         shift = [int(n * dm * c) for c in moments.mean]  # exact: dm * mu is integral
         scale = det * dm * dm
         norm = ((2 * math.pi * float(n)) ** (d / 2)
@@ -245,7 +229,7 @@ def _evaluated_window(nums, a: Attractor, n: int, live: bool = True):
         box.pop()
         bound = 64 * n * scale
 
-        moduli = w.quotient_map()[0].torsion_moduli if live else ()
+        moduli = w.quotient_map()[0].torsion_moduli
         torsion = a.phi.source.torsion_moduli
         origin = (0,) * len(torsion)
         groups = {}  # the torsion residues r by pi(r, 0)
@@ -284,7 +268,7 @@ def _evaluated_window(nums, a: Attractor, n: int, live: bool = True):
                 heat[x] = kernel(quad(y))
         off = not heat.keys() >= nums.keys()
         points = sorted(heat)
-        values = (((theta / tor) * heat[x] if live else heat[x] / tor) for x in points)
+        values = ((theta / tor) * heat[x] for x in points)
     if off:
         raise InvariantViolationError("a support point of p^(n) lies off the live coset")
     return ((x, nums.get(x, 0), theta, f) for x, f in zip(points, values))
@@ -354,13 +338,17 @@ def time_average_error(p: Distribution, a: Attractor, n: int, s: int) -> float:
     """Deviation of the s-step average of p^(n..n+s-1) from its limit.
 
     For an irreducible walk of period s the average over s consecutive
-    steps loses the dance: on a finite group it tends to the uniform
-    density 1/|G|; on an infinite group with mean-zero pushforward it
-    tends to K^n(phi(x)) / |Tor(G)|.  Requires s to be the walk's period
-    (the index of the walk subgroup), and n >= 1 on an infinite group.
+    steps loses the dance, so it tends to the dance-free attractor: a's
+    own with walk subgroup G and c = 1, which is 1/|G| on a finite group
+    and (1 / |Tor(G)|) * K^n(phi(x)) on an infinite one with mean-zero
+    pushforward.  ValueError unless classify finds the walk irreducible
+    or leaves it undetermined, s is its period [G : W] and, on an
+    infinite group, the pushforward has mean zero and n >= 1.
     """
     if s != period_if_irreducible(p):
         raise ValueError("s must be the walk's period [G:G_p]")
+    if classify(p).irreducible == "no":
+        raise ValueError("the time-average limit needs an irreducible walk")
     if not p.group.is_finite:
         if a.case != "dpos":
             raise InvariantViolationError("infinite irreducible walk must have rank >= 1")
@@ -377,7 +365,10 @@ def time_average_error(p: Distribution, a: Attractor, n: int, s: int) -> float:
         for x, v in pn._nums.items():
             total[x] = total.get(x, 0) + v * (top // pn._den)
         del pn  # released before the ladder makes the next law
-    return _largest_error(s * top, _evaluated_window(total, a, n, live=False), a)[0]
+    dance = a.dance
+    flat = Attractor(DanceData(whole_group(p.group), dance.base_point, dance.rank_d, 1, ((), 0)),
+                     a.case, a.torsion_order, a.phi, a.moments, a.twist)
+    return _largest_error(s * top, _evaluated_window(total, flat, n), flat)[0]
 
 
 def tv_to_uniform_coset(p: Distribution, n: int) -> LltReport:

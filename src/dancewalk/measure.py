@@ -32,7 +32,7 @@ from math import gcd, lcm, prod
 
 from ._value import Value
 from .group import Element, GroupSpec, Homomorphism
-from .intlinalg import IntMatrix, InvariantViolationError, lattice_basis
+from .intlinalg import InvariantViolationError, lattice_basis
 
 
 class Distribution(Value):
@@ -319,8 +319,10 @@ def torsion_pushforward(p: Distribution) -> Distribution:
     if g.free_rank == 0:
         return p
     t = len(g.torsion_moduli)
-    rows = [[int(i == j) for j in range(g.dim)] for i in range(t)]
-    return pushforward(p, Homomorphism(g, g.torsion_component(), IntMatrix(rows, cols=g.dim)))
+    out: dict[tuple[int, ...], int] = {}
+    for x, v in p._nums.items():
+        out[x[:t]] = out.get(x[:t], 0) + v
+    return Distribution._law(g.torsion_component(), p._den, out)
 
 
 class WalkPath(Value):

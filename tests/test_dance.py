@@ -7,7 +7,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 import dancewalk.dance
 from dancewalk.group import DualPoint, GroupSpec, Homomorphism, Subgroup, subgroup_generated
@@ -237,6 +237,7 @@ def _uniform(g: GroupSpec, points) -> Distribution:
     return Distribution(g, {g.element(x): Fraction(1, len(points)) for x in points})
 
 
+@seed(0x2806e9fed9f3dddb1abfd6d751ecff6d4b5c350f119eba212907510e9cfbc53b74ddfeed6e1118647fe4305dbbaa3162)
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(torsion_laws())
 # the maximum beside the exact zeros at (4, 8) and (8, 4)

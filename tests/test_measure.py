@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 import dancewalk.measure
 from dancewalk.group import GroupSpec, Homomorphism
@@ -229,6 +229,7 @@ def pin_shapes(second):
     return pin
 
 
+@seed(0x1e722d1effe6fec2d5f3a46179fb22f5d7132249e23c17ecc5b86d9433196751bfd7b89859b79bbfaa674bd146f5c800)
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(law_pairs(), st.integers(0, 12))
 @pin_shapes(12)
@@ -239,6 +240,7 @@ def test_packed_convolution_matches_sparse_reference(pq, n):
     assert convolve(p, p) == sparse_convolve(p, p)
 
 
+@seed(0x2e72fa24f8b1ec6588e42c1d5febd3ebdb300b45dd0559e8a852d5a82f45d6ad3d4bbef5c381410348044d7290b6680d)
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(law_pairs(), st.lists(st.integers(0, 12), min_size=1, max_size=6))
 @pin_shapes([12, 0, 5, 5, 1])
@@ -253,6 +255,7 @@ def test_power_ladder_matches_sparse_reference(pq, steps):
         assert {c: Fraction(v, den) for c, v in nums.items()} == want
 
 
+@seed(0xb64f574586f66fd856e684cc8d575c0ca1007b734ebe490b814794f402140b8d3c59db2d1a47ac2facc4079298edad34)
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(law_pairs(), st.integers(0, 6))
 def test_kronecker_and_pairwise_kernels_agree(pq, n):
@@ -381,6 +384,7 @@ def law_writings(draw):
     return g, extra, [dict(entries), draw(st.permutations(entries)), draw(st.permutations(pairs))]
 
 
+@seed(0xb9ffff1ccb6c079f64a54ba5ad5dc0d973e6e3499bba70b2ef063a1f747180ac40086f1256d3e7ad0f9f67a4d77c3dec)
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(law_writings())
 def test_one_law_written_many_ways(case):
@@ -444,12 +448,18 @@ def laws_and_maps(draw):
     return Distribution(source, weights), f
 
 
+@seed(0xfac083bc23cc0b88c58d75c22e70800dba60eacc16f73700ec09d7b42805d3aed3df4c004daa344462635e4d25075784)
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(laws_and_maps())
 def test_pushforwards_match_fraction_references(case):
     p, f = case
     assert pushforward(p, f) == reference_pushforward(p, f)
     assert torsion_pushforward(p) == reference_torsion_pushforward(p)
+    # the sliced projection keeps the numerators, and their order, of the matrix route
+    g, t = p.group, len(p.group.torsion_moduli)
+    rows = [[int(i == j) for j in range(g.dim)] for i in range(t)]
+    proj = Homomorphism(g, g.torsion_component(), IntMatrix(rows, cols=g.dim))
+    assert list(torsion_pushforward(p)._nums.items()) == list(pushforward(p, proj)._nums.items())
 
 
 def test_sample_path_contracts():
