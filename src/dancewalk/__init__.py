@@ -13,14 +13,13 @@ attractor, together with an irreducibility/period classifier.
 # compile none of these modules; each is loaded when a name of it is read.
 _EXPORTS = {
     "intlinalg": (
-        "AffinePointSet", "HnfDecomposition", "IntMatrix", "InvariantViolationError",
-        "SnfDecomposition", "TwistResult", "UnimodularMatrix", "affine_dim", "hnf", "snf",
-        "twist_to_coordinates",
+        "AffinePointSet", "IntMatrix", "InvariantViolationError", "SnfDecomposition",
+        "TwistResult", "UnimodularMatrix", "affine_dim", "snf", "twist_to_coordinates",
     ),
     "group": (
         "DualPoint", "Element", "GroupSpec", "Homomorphism", "Subgroup",
         "UnsupportedOperationError", "group_from_presentation", "subgroup_generated",
-        "trivial_subgroup", "whole_group",
+        "whole_group",
     ),
     "measure": (
         "Distribution", "WalkPath", "convolution_power", "convolve", "pushforward",

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 
 from ._value import Value
 from .group import (
@@ -63,12 +63,8 @@ class DanceData(Value):
         """Dance function: normalization_c on the live coset, else 0."""
         if x.group != self.base_point.group:
             raise ValueError("element lives in a different group")
-        return self.theta_coords(n, x.coords())
-
-    def theta_coords(self, n: int, x: tuple[int, ...]) -> int:
-        """theta(n, x) for x given by its coordinates: c when x, n*x0 have one image in G/W."""
-        image = self.walk_subgroup._image
-        live = image(x) == image([n * c for c in self.base_point.coords()])
+        image = self.walk_subgroup._image  # live: x and n*x0 have one image in G/W
+        live = image(x.coords()) == image([n * c for c in self.base_point.coords()])
         return self.normalization_c if live else 0
 
     def coset_at(self, n: int) -> list[Element]:
@@ -98,14 +94,11 @@ def analyze_dance(p: Distribution) -> DanceData:
     x0 = min(p._nums)
     walk = Subgroup(p.group, [[a - b for a, b in zip(x, x0)] for x in p._nums])
     moduli, free = walk.quotient_invariants()
-    c = 1
-    for m in moduli:
-        c *= m
     return DanceData(
         walk_subgroup=walk,
         base_point=p.group.element_from_coords(x0),
         rank_d=walk.rank(),
-        normalization_c=c,
+        normalization_c=prod(moduli),
         omega_invariants=(moduli, free),
     )
 

@@ -3,7 +3,7 @@
 A group is presented as Z_{m1} x ... x Z_{mt} x Z^k.  The moduli are
 kept exactly as supplied (so Z_4 x Z_6 stays in its own coordinates for
 display and element arithmetic) while the canonical invariant-factor
-chain is derived on demand for isomorphism-class comparisons.
+chain is derived on demand for the analysis report.
 
 Subgroups are encoded as integer lattices in Z^(t+k) that contain the
 torsion relation vectors m_i * e_i; membership, index, quotients and
@@ -48,10 +48,7 @@ class GroupSpec(Value):
 
     @property
     def torsion_order(self) -> int:
-        out = 1
-        for m in self.torsion_moduli:
-            out *= m
-        return out
+        return prod(self.torsion_moduli)
 
     @property
     def order(self) -> int | None:
@@ -62,14 +59,6 @@ class GroupSpec(Value):
         """Canonical divisor chain m1 | m2 | ... of the torsion part."""
         diagonal = snf(IntMatrix.diag(self.torsion_moduli)).diagonal
         return tuple(m for m in diagonal if m > 1)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.dim == 0
-
-    def isomorphic_to(self, other: "GroupSpec") -> bool:
-        return (self.invariant_factors == other.invariant_factors
-                and self.free_rank == other.free_rank)
 
     def element(self, torsion=(), free=()) -> "Element":
         return Element(self, tuple(torsion), tuple(free))
@@ -202,12 +191,7 @@ class Subgroup(Value):
     def contains(self, x: Element) -> bool:
         if x.group != self.parent:
             raise ValueError("element lives in a different group")
-        return self.contains_coords(x.coords())
-
-    def contains_coords(self, v) -> bool:
-        """Membership of an integer coordinate vector (torsion residues need
-        not be reduced): its image in parent / H is 0."""
-        return not any(self._image(v))
+        return not any(self._image(x.coords()))  # its image in parent / H is 0
 
     def _image(self, v) -> tuple[int, ...]:
         """The image of a coordinate vector in parent / H under the kept
@@ -329,10 +313,6 @@ def whole_group(g: GroupSpec) -> Subgroup:
     return Subgroup.__new__(Subgroup)._init_hermite(g, IntMatrix.identity(g.dim))
 
 
-def trivial_subgroup(g: GroupSpec) -> Subgroup:
-    return Subgroup(g, [])
-
-
 def group_from_presentation(relations: IntMatrix) -> tuple[GroupSpec, "Homomorphism"]:
     """Z^m modulo the row span of ``relations``, in canonical form.
 
@@ -368,10 +348,6 @@ class Homomorphism(Value):
                 elif m * e:
                     raise ValueError("map sends torsion into the free part")
         self._set(source, target, matrix)
-
-    @classmethod
-    def identity(cls, g: GroupSpec) -> "Homomorphism":
-        return cls(g, g, IntMatrix.identity(g.dim))
 
     def apply(self, x: Element) -> Element:
         if x.group != self.source:

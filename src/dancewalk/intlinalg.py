@@ -2,16 +2,18 @@
 
 Everything here runs in arbitrary-precision integer arithmetic; there is
 no floating point and no overflow.  Two elimination kernels serve it.
-The row-Hermite kernel ``_hnf`` gives the two canonical lattice normal
-forms (Hermite, and Smith by alternating Hermite passes on the rows and
-the columns) with their unimodular transforms, and integer inverses.
-The Smith diagonal is unique; its transforms ``u`` and ``v`` are valid
-but not canonical.  The fraction-free Gauss-Jordan kernel ``_bareiss``
-gives, in one pass over a square matrix, its determinant, its leading
-principal minors and its adjugate.  The "twist" that moves a finite
-point set of affine dimension d into the first d coordinates of the
-ambient lattice, ``twist_to_coordinates``, is the transform of one
-Hermite pass over the differences of the points.
+The row-Hermite kernel ``_hnf`` brings rows to canonical Hermite form
+in place, carrying a unimodular transform when given one.  It gives the
+Hermite basis of a lattice (``lattice_basis``), the Smith form with its
+transforms (``snf``, alternating Hermite passes on the rows and the
+columns) and integer inverses.  The Smith diagonal is unique; its
+transforms ``u`` and ``v`` are valid but not canonical.  The
+fraction-free Gauss-Jordan kernel ``_bareiss`` gives, in one pass over
+a square matrix, its determinant, its leading principal minors and its
+adjugate.  The "twist" that moves a finite point set of affine
+dimension d into the first d coordinates of the ambient lattice,
+``twist_to_coordinates``, is the transform of one Hermite pass over the
+differences of the points.
 
 Conventions: lattices are spanned by the *rows* of their basis
 matrices; automorphisms act on *column* vectors.  The canonical Hermite
@@ -153,10 +155,6 @@ class IntMatrix(Value):
         return cls(_eye(n), cols=n)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
     def diag(cls, entries) -> "IntMatrix":
         entries = list(entries)
         n = len(entries)
@@ -165,17 +163,6 @@ class IntMatrix(Value):
     def __getitem__(self, ij) -> int:
         i, j = ij
         return self.data[i][j]
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        od = other.data
-        out = []
-        for r in self.data:
-            out.append(
-                [sum(r[k] * od[k][j] for k in range(self.cols)) for j in range(other.cols)]
-            )
-        return IntMatrix(out, cols=other.cols)
 
     def mul_vec(self, v) -> tuple[int, ...]:
         """Apply to a column vector: returns self * v."""
@@ -237,30 +224,6 @@ class UnimodularMatrix(Value):
         return f"UnimodularMatrix({self.matrix!r})"
 
 
-class HnfDecomposition(Value):
-    """u @ (input) = h with h in canonical row Hermite form."""
-
-    __slots__ = ("h", "u")
-
-    def __init__(self, h: IntMatrix, u: UnimodularMatrix):
-        self._set(h, u)
-
-    @property
-    def pivots(self) -> tuple[tuple[int, int], ...]:
-        """(row, col) positions of the pivots of h."""
-        out = []
-        for i, row in enumerate(self.h.data):
-            for j, e in enumerate(row):
-                if e:
-                    out.append((i, j))
-                    break
-        return tuple(out)
-
-    @property
-    def nonzero_rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(r for r in self.h.data if any(r))
-
-
 class SnfDecomposition(Value):
     """u @ (input) @ v = d, d diagonal nonnegative with d1 | d2 | ..."""
 
@@ -273,18 +236,6 @@ class SnfDecomposition(Value):
     def diagonal(self) -> tuple[int, ...]:
         n = min(self.d.rows, self.d.cols)
         return tuple(self.d[i, i] for i in range(n))
-
-
-def hnf(m: IntMatrix) -> HnfDecomposition:
-    """Row Hermite normal form with transform.
-
-    Pivots are positive, entries above a pivot are reduced into
-    [0, pivot), zero rows sink to the bottom.  Two matrices have equal
-    row span over Z exactly when their canonical forms agree.
-    """
-    h, u = [list(r) for r in m.data], _eye(m.rows)
-    _hnf(h, m.cols, u)
-    return HnfDecomposition(IntMatrix(h, cols=m.cols), UnimodularMatrix(IntMatrix(u, cols=m.rows)))
 
 
 def lattice_basis(vectors, cols: int) -> tuple[tuple[int, ...], ...]:

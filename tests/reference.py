@@ -17,6 +17,8 @@ _unit_phase_sum_is_zero); _cyclotomic and _exact_poly_div give the
 cyclotomic polynomials for that test, where the library decides rho = 0
 once, by Fourier inversion.  _render is the recursive JSON writer that the flat
 writer in dancewalk._writer replaced.  No library path calls them.
+hermite_form runs the library's Hermite kernel with a transform, and
+matmul is the integer matrix product, for the normal-form checks.
 """
 
 import cmath
@@ -29,6 +31,7 @@ from functools import lru_cache
 from dancewalk._writer import _fmt_float, _int_str
 from dancewalk.dance import SpectralGap
 from dancewalk.group import DualPoint, Element
+from dancewalk.intlinalg import IntMatrix, _hnf
 from dancewalk.llt import Attractor, MomentData, _evaluated_window
 from dancewalk.measure import Distribution, torsion_pushforward
 
@@ -106,6 +109,21 @@ def hermite_contains(h, v) -> bool:
         if q:
             v = [a - q * b for a, b in zip(v, row)]
     return not any(v)
+
+
+def hermite_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """(h, u) with u @ m = h, h the canonical row Hermite form of m and u unimodular."""
+    h, u = [list(r) for r in m.data], [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
+    _hnf(h, m.cols, u)
+    return IntMatrix(h, cols=m.cols), IntMatrix(u, cols=m.rows)
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product a @ b of integer matrices."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    return IntMatrix([[sum(r[k] * b.data[k][j] for k in range(a.cols)) for j in range(b.cols)]
+                      for r in a.data], cols=b.cols)
 
 
 def closure(g, gens):

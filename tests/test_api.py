@@ -20,12 +20,11 @@ SRC = str(Path(dancewalk.__file__).resolve().parent.parent)
 
 # each public name by the module it is read from
 HOMES = {
-    "intlinalg": {"AffinePointSet", "HnfDecomposition", "IntMatrix", "InvariantViolationError",
-                  "SnfDecomposition", "TwistResult", "UnimodularMatrix", "affine_dim",
-                  "hnf", "snf", "twist_to_coordinates"},
+    "intlinalg": {"AffinePointSet", "IntMatrix", "InvariantViolationError", "SnfDecomposition",
+                  "TwistResult", "UnimodularMatrix", "affine_dim", "snf", "twist_to_coordinates"},
     "group": {"DualPoint", "Element", "GroupSpec", "Homomorphism", "Subgroup",
               "UnsupportedOperationError", "group_from_presentation", "subgroup_generated",
-              "trivial_subgroup", "whole_group"},
+              "whole_group"},
     "measure": {"Distribution", "WalkPath", "convolution_power", "convolve", "pushforward",
                 "sample_path", "torsion_pushforward"},
     "dance": {"DanceData", "SpectralGap", "analyze_dance", "dance_of", "period_if_irreducible",
@@ -51,13 +50,29 @@ REMOVED = [
     ("dancewalk.intlinalg", "_complete"),
     ("dancewalk.intlinalg", "_primitive_orthogonal"),
     ("dancewalk.dance", "_characters"),
+    ("dancewalk.intlinalg", "hnf"),
+    ("dancewalk.intlinalg", "HnfDecomposition"),
+    ("dancewalk.group", "trivial_subgroup"),
+]
+
+# (class, attribute) pairs of methods that left the library
+REMOVED_METHODS = [
+    ("DualPoint", "value"),
+    ("Homomorphism", "compose"),
+    ("Homomorphism", "identity"),
+    ("GroupSpec", "is_trivial"),
+    ("GroupSpec", "isomorphic_to"),
+    ("Subgroup", "contains_coords"),
+    ("DanceData", "theta_coords"),
+    ("IntMatrix", "zeros"),
+    ("IntMatrix", "__matmul__"),
 ]
 
 
 def test_public_names_are_pinned():
     names = {n for n in dir(dancewalk)
              if not n.startswith("_") and not isinstance(getattr(dancewalk, n), types.ModuleType)}
-    assert len(PUBLIC) == 45
+    assert len(PUBLIC) == 42
     assert names == PUBLIC
     for name in PUBLIC:
         assert getattr(dancewalk, name) is not None
@@ -82,7 +97,7 @@ LAZY_CHECK = """
 import json, sys
 import dancewalk
 at_import = sorted(m for m in sys.modules if m.startswith("dancewalk"))
-dancewalk.hnf
+dancewalk.snf
 print(json.dumps([at_import, sorted(m for m in sys.modules if m.startswith("dancewalk"))]))
 """
 
@@ -94,17 +109,17 @@ def test_import_dancewalk_loads_no_submodule():
     proc = subprocess.run([sys.executable, "-c", LAZY_CHECK],
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
-    at_import, after_hnf = json.loads(proc.stdout)
+    at_import, after_snf = json.loads(proc.stdout)
     assert at_import == ["dancewalk"]
-    assert after_hnf == ["dancewalk", "dancewalk._errors", "dancewalk._value",
+    assert after_snf == ["dancewalk", "dancewalk._errors", "dancewalk._value",
                          "dancewalk.intlinalg"]
 
 
 def test_removed_names_are_gone():
     for modname, name in REMOVED:
         assert not hasattr(importlib.import_module(modname), name), (modname, name)
-    assert not hasattr(dancewalk.DualPoint, "value")
-    assert not hasattr(dancewalk.Homomorphism, "compose")
+    for cls, name in REMOVED_METHODS:
+        assert not hasattr(getattr(dancewalk, cls), name), (cls, name)
     # no module of the package defines or re-exports a removed function
     removed = {name for _, name in REMOVED}
     for info in pkgutil.iter_modules(dancewalk.__path__):
@@ -138,7 +153,6 @@ def _value_cases():
     twist = dancewalk.TwistResult(phi=unit, w=(1,), d=1)
     unit2 = dancewalk.UnimodularMatrix(eye)
     return [
-        (dancewalk.HnfDecomposition, dict(h=eye, u=unit), unit2),
         (dancewalk.SnfDecomposition, dict(u=unit, d=eye, v=unit), unit2),
         (dancewalk.AffinePointSet, dict(ambient_dim=2, points=((0, 1), (1, 0))), ((0, 0),)),
         (dancewalk.TwistResult, dict(phi=unit, w=(1,), d=1), 0),
@@ -168,7 +182,7 @@ def _value_cases():
 
 def test_value_types_keep_the_dataclass_contract():
     cases = _value_cases()
-    assert len(cases) == 16
+    assert len(cases) == 15
     for cls, fields, other in cases:
         v = cls(**fields)
         assert all(getattr(v, name) == value for name, value in fields.items()), cls

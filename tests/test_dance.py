@@ -405,7 +405,7 @@ def test_live_coset_walk_matches_brute_force():
         for n in (0, 1, 7, 50):
             free = (n * d.base_point).free
             brute = sorted(y + free for y in itertools.product(*map(range, g.torsion_moduli))
-                           if d.theta_coords(n, y + free))
+                           if d.theta(n, g.element_from_coords(y + free)))
             assert list(d.coset_coords(n)) == brute
             assert d.coset_at(n) == [g.element_from_coords(x) for x in brute]
     assert sum(analyze_dance(p).normalization_c > 1 for p in mixed) == 2
