@@ -13,8 +13,8 @@ attractor, together with an irreducibility/period classifier.
 # compile none of these modules; each is loaded when a name of it is read.
 _EXPORTS = {
     "intlinalg": (
-        "AffinePointSet", "IntMatrix", "InvariantViolationError", "SnfDecomposition",
-        "TwistResult", "UnimodularMatrix", "affine_dim", "snf", "twist_to_coordinates",
+        "AffinePointSet", "IntMatrix", "InvariantViolationError", "TwistResult",
+        "UnimodularMatrix", "affine_dim", "twist_to_coordinates",
     ),
     "group": (
         "DualPoint", "Element", "GroupSpec", "Homomorphism", "Subgroup",

@@ -95,7 +95,8 @@ def load_spec(text: str) -> Distribution:
     from .measure import Distribution
 
     try:
-        doc = json.loads(text)
+        # a number keeps its text, so a weight reaches Fraction exactly as a string would
+        doc = json.loads(text, parse_float=str)
     # a JSONDecodeError, an integer past the digit limit, or nesting past the recursion limit
     except (ValueError, RecursionError) as e:
         raise SpecError(f"invalid JSON: {e}") from None
@@ -137,13 +138,15 @@ def dump_spec(p: Distribution) -> str:
 
 
 def _read_spec(path: str) -> Distribution:
-    if path == "-":
-        return load_spec(sys.stdin.read())
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return load_spec(fh.read())
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise SpecError(f"cannot read {path}: {e}") from None
+    return load_spec(text)
 
 
 def _element_doc(x) -> dict:

@@ -42,7 +42,8 @@ from .measure import Distribution, torsion_pushforward
 
 
 class DanceData(Value):
-    """Structural description of a walk's coset dance.
+    """Structural description of a walk's coset dance: two fields, and
+    what is read from W and the quotient map that W keeps.
 
     walk_subgroup   the subgroup W generated by supp(p) - x0
     base_point      the canonical x0: least support point, lexicographic
@@ -53,11 +54,22 @@ class DanceData(Value):
                     locus is isomorphic to the dual of G/W
     """
 
-    __slots__ = ("walk_subgroup", "base_point", "rank_d", "normalization_c", "omega_invariants")
+    __slots__ = ("walk_subgroup", "base_point")
 
-    def __init__(self, walk_subgroup: Subgroup, base_point: Element, rank_d: int,
-                 normalization_c: int, omega_invariants: tuple[tuple[int, ...], int]):
-        self._set(walk_subgroup, base_point, rank_d, normalization_c, omega_invariants)
+    def __init__(self, walk_subgroup: Subgroup, base_point: Element):
+        self._set(walk_subgroup, base_point)
+
+    @property
+    def rank_d(self) -> int:
+        return self.walk_subgroup.rank()
+
+    @property
+    def normalization_c(self) -> int:
+        return prod(self.walk_subgroup.quotient_invariants()[0])
+
+    @property
+    def omega_invariants(self) -> tuple[tuple[int, ...], int]:
+        return self.walk_subgroup.quotient_invariants()
 
     def theta(self, n: int, x: Element) -> int:
         """Dance function: normalization_c on the live coset, else 0."""
@@ -93,14 +105,7 @@ def analyze_dance(p: Distribution) -> DanceData:
     """
     x0 = min(p._nums)
     walk = Subgroup(p.group, [[a - b for a, b in zip(x, x0)] for x in p._nums])
-    moduli, free = walk.quotient_invariants()
-    return DanceData(
-        walk_subgroup=walk,
-        base_point=p.group.element_from_coords(x0),
-        rank_d=walk.rank(),
-        normalization_c=prod(moduli),
-        omega_invariants=(moduli, free),
-    )
+    return DanceData(walk, p.group.element_from_coords(x0))
 
 
 def dance_of(p: Distribution) -> DanceData:

@@ -57,8 +57,7 @@ class GroupSpec(Value):
     @property
     def invariant_factors(self) -> tuple[int, ...]:
         """Canonical divisor chain m1 | m2 | ... of the torsion part."""
-        diagonal = snf(IntMatrix.diag(self.torsion_moduli)).diagonal
-        return tuple(m for m in diagonal if m > 1)
+        return tuple(m for m in snf(IntMatrix.diag(self.torsion_moduli))[0] if m > 1)
 
     def element(self, torsion=(), free=()) -> "Element":
         return Element(self, tuple(torsion), tuple(free))
@@ -226,11 +225,15 @@ class Subgroup(Value):
 
     def quotient_map(self) -> tuple[GroupSpec, "Homomorphism"]:
         """The quotient group in canonical form and the projection onto it,
-        read from one Smith form computed on first use and kept."""
+        read from one Smith form computed on first use and kept: with
+        basis @ v = u^(-1) @ diag(d), row i of v^T with d_i != 1 projects
+        onto Z_{d_i}, or onto Z where d_i = 0 (past the basis rows too)."""
         if self._quotient is None:
-            spec, proj = group_from_presentation(self.basis)
-            proj = Homomorphism(self.parent, spec, proj.matrix)
-            object.__setattr__(self, "_quotient", (spec, proj))
+            diagonal, vt = snf(self.basis)
+            diag = diagonal + (0,) * (self.parent.dim - len(diagonal))  # a divisor chain: zeros last
+            spec = GroupSpec([d for d in diag if d > 1], diag.count(0))
+            proj = IntMatrix([r for d, r in zip(diag, vt) if d != 1], cols=self.parent.dim)
+            object.__setattr__(self, "_quotient", (spec, Homomorphism(self.parent, spec, proj)))
         return self._quotient
 
     def coset_order(self, x: Element) -> int | None:
@@ -317,16 +320,10 @@ def group_from_presentation(relations: IntMatrix) -> tuple[GroupSpec, "Homomorph
     """Z^m modulo the row span of ``relations``, in canonical form.
 
     Returns the canonical GroupSpec together with a projection (valid
-    but not canonical) from the free group Z^m onto it.  The invariant factors
-    are the nontrivial Smith diagonal entries; the free rank is m minus
-    the rank of the relation matrix.
+    but not canonical) from the free group Z^m onto it: the quotient map
+    of the relations' row span as a subgroup of Z^m.
     """
-    m = relations.cols
-    dec = snf(relations)
-    diag = (list(dec.diagonal) + [0] * m)[:m]  # d_1 | d_2 | ..., so the zeros come last
-    target = GroupSpec([d for d in diag if d > 1], diag.count(0))
-    rows = [r for d, r in zip(diag, dec.v.matrix.transpose().data) if d != 1]
-    return target, Homomorphism(GroupSpec((), m), target, IntMatrix(rows, cols=m))
+    return Subgroup(GroupSpec((), relations.cols), relations.data).quotient_map()
 
 
 class Homomorphism(Value):

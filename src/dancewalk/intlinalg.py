@@ -4,10 +4,10 @@ Everything here runs in arbitrary-precision integer arithmetic; there is
 no floating point and no overflow.  Two elimination kernels serve it.
 The row-Hermite kernel ``_hnf`` brings rows to canonical Hermite form
 in place, carrying a unimodular transform when given one.  It gives the
-Hermite basis of a lattice (``lattice_basis``), the Smith form with its
-transforms (``snf``, alternating Hermite passes on the rows and the
-columns) and integer inverses.  The Smith diagonal is unique; its
-transforms ``u`` and ``v`` are valid but not canonical.  The
+Hermite basis of a lattice (``lattice_basis``), the Smith diagonal with
+its column transform (``snf``, alternating Hermite passes on the rows
+and the columns) and integer inverses.  The Smith diagonal is unique;
+the column transform ``v`` is valid but not canonical.  The
 fraction-free Gauss-Jordan kernel ``_bareiss`` gives, in one pass over
 a square matrix, its determinant, its leading principal minors and its
 adjugate.  The "twist" that moves a finite point set of affine
@@ -171,12 +171,6 @@ class IntMatrix(Value):
             raise ValueError("vector length mismatch")
         return tuple(sum(r[k] * v[k] for k in range(self.cols)) for r in self.data)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
     def det(self) -> int:
         """Exact determinant via fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
@@ -224,20 +218,6 @@ class UnimodularMatrix(Value):
         return f"UnimodularMatrix({self.matrix!r})"
 
 
-class SnfDecomposition(Value):
-    """u @ (input) @ v = d, d diagonal nonnegative with d1 | d2 | ..."""
-
-    __slots__ = ("u", "d", "v")
-
-    def __init__(self, u: UnimodularMatrix, d: IntMatrix, v: UnimodularMatrix):
-        self._set(u, d, v)
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        n = min(self.d.rows, self.d.cols)
-        return tuple(self.d[i, i] for i in range(n))
-
-
 def lattice_basis(vectors, cols: int) -> tuple[tuple[int, ...], ...]:
     """Hermite basis rows of the lattice spanned by ``vectors`` in Z^cols.
 
@@ -249,19 +229,20 @@ def lattice_basis(vectors, cols: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in h if any(r))
 
 
-def snf(m: IntMatrix) -> SnfDecomposition:
-    """Smith normal form with both transforms: u @ m @ v = d.
+def snf(m: IntMatrix) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Smith normal form (diagonal, vt): m @ v = u^(-1) @ diag(d) for a
+    unimodular u that is not built, with vt the rows of v transposed.
 
     Hermite passes alternate on the rows and on the columns (a row pass
     on the transpose) until the matrix is diagonal; where d_i does not
     divide d_j, column j is added into column i and the passes resume
-    (Kannan and Bachem, 1979).  The diagonal is unique; u and v are
-    valid transforms but not canonical.
+    (Kannan and Bachem, 1979).  The diagonal d_1 | d_2 | ... has
+    min(rows, cols) entries and is unique; v is valid but not canonical.
     """
     nr, nc = m.rows, m.cols
-    a, u, vt = [list(r) for r in m.data], _eye(nr), _eye(nc)  # vt is v transposed
+    a, vt = [list(r) for r in m.data], _eye(nc)
     while True:
-        _hnf(a, nc, u)
+        _hnf(a, nc)
         if any(e for i, row in enumerate(a) for j, e in enumerate(row) if i != j):
             at = [list(c) for c in zip(*a)]
             _hnf(at, nr, vt)
@@ -276,11 +257,8 @@ def snf(m: IntMatrix) -> SnfDecomposition:
         i, j = pair
         a[j][i] = a[j][j]  # column i += column j
         vt[i] = [p + q for p, q in zip(vt[i], vt[j])]
-    return SnfDecomposition(
-        UnimodularMatrix(IntMatrix(u, cols=nr)),
-        IntMatrix(a, cols=nc),
-        UnimodularMatrix(IntMatrix(list(zip(*vt)), cols=nc)),
-    )
+    v = UnimodularMatrix(IntMatrix(vt, cols=nc))  # det vt = det v
+    return tuple(a[i][i] for i in range(n)), v.matrix.data
 
 
 class AffinePointSet(Value):

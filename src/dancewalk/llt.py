@@ -365,8 +365,7 @@ def time_average_error(p: Distribution, a: Attractor, n: int, s: int) -> float:
         for x, v in pn._nums.items():
             total[x] = total.get(x, 0) + v * (top // pn._den)
         del pn  # released before the ladder makes the next law
-    dance = a.dance
-    flat = Attractor(DanceData(whole_group(p.group), dance.base_point, dance.rank_d, 1, ((), 0)),
+    flat = Attractor(DanceData(whole_group(p.group), a.dance.base_point),
                      a.case, a.torsion_order, a.phi, a.moments, a.twist)
     return _largest_error(s * top, _evaluated_window(total, flat, n), flat)[0]
 

@@ -921,6 +921,13 @@ def test_usage_errors_exit_2(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: cannot read {not_utf8}: "), proc.stderr
     assert not proc.stdout
+    # the same on stdin, where it decodes strictly
+    proc = subprocess.run([sys.executable, "-m", "dancewalk.cli", "analyze", "--spec", "-"],
+                          input=b"\xff{", capture_output=True, timeout=300,
+                          env=dict(cli_env(), PYTHONIOENCODING="utf-8:strict"))
+    assert proc.returncode == 2
+    assert proc.stderr.decode().startswith("error: cannot read -: "), proc.stderr
+    assert not proc.stdout
     proc = run_cli(["frobnicate"])
     assert proc.returncode == 2
     proc = run_cli(["analyze", "--spec", "/nonexistent/path.json"])
@@ -944,15 +951,29 @@ def test_usage_errors_exit_2(tmp_path):
         assert not proc.stdout, points
 
 
+def _weights_spec(weights) -> str:
+    """A walk on Z_len(weights) with the given weight texts, written into the JSON as they are."""
+    entries = ", ".join(f'{{"elem": {{"torsion": [{i}]}}, "weight": {w}}}'
+                        for i, w in enumerate(weights))
+    return f'{{"group": {{"torsion": [{len(weights)}]}}, "distribution": [{entries}]}}'
+
+
 def test_huge_weight_exponents_exit_2_fast():
-    # Fraction("1e-10000000") alone takes seconds; the exponent is checked first
+    # Fraction("1e-10000000") alone takes seconds; the exponent is checked first,
+    # on a weight written as a string or as a JSON number, which keeps its text
     for weight in ("1e-10000000", "1E+4301", "0.5e-4301", "1e" + "9" * 5000):
-        spec = json.dumps({"group": {"torsion": [2]}, "distribution": [
-            {"elem": {"torsion": [0]}, "weight": weight},
-            {"elem": {"torsion": [1]}, "weight": "1"}]})
-        proc = run_cli(["analyze", "--spec", "-"], stdin=spec, timeout=5)
-        assert proc.returncode == 2, (weight[:20], proc.stderr)
-        assert proc.stderr.startswith("error: invalid walk description: ")
+        for written in (json.dumps(weight), weight):
+            spec = _weights_spec([written, '"1"'])
+            proc = run_cli(["analyze", "--spec", "-"], stdin=spec, timeout=5)
+            assert proc.returncode == 2, (written[:20], proc.stderr)
+            assert proc.stderr.startswith("error: invalid walk description: ")
+    # number weights are read exactly, never through a double: 1/2 + 1/2 + 10^-400
+    # and 0.1000000000000000055511151231257827 + 0.9 both exceed 1
+    for weights in (["0.5", "0.5", "1e-400"], ["0.1000000000000000055511151231257827", "0.9"]):
+        proc = run_cli(["convolve", "--spec", "-", "--n", "1"], stdin=_weights_spec(weights))
+        assert proc.returncode == 2, (weights, proc.stderr)
+        assert proc.stderr.startswith("error: invalid walk description: "), proc.stderr
+    assert load_spec(_weights_spec(["0.25", "0.75"])) == load_spec(_weights_spec(['"1/4"', '"3/4"']))
     # the bound itself is accepted: 10^-4300 + (1 - 10^-4300) = 1
     p = load_spec(json.dumps({"group": {"torsion": [2]}, "distribution": [
         {"elem": {"torsion": [0]}, "weight": "1e-4300"},

@@ -19,8 +19,6 @@ from dancewalk.group import (
 from dancewalk.intlinalg import (
     AffinePointSet,
     IntMatrix,
-    SnfDecomposition,
-    UnimodularMatrix,
     affine_dim,
     lattice_basis,
     snf,
@@ -100,16 +98,26 @@ def test_hnf_single_entry():
     assert h == mat([[3]])
 
 
+def _assert_smith_contract(m, diagonal, vt):
+    """v is unimodular and m @ v has the row lattice of diag(d) in m's shape,
+    so u @ m @ v = diag(d) for a unimodular u: two matrices of one shape with
+    one row lattice differ by a unimodular row transform."""
+    assert len(diagonal) == min(m.rows, m.cols)
+    v = IntMatrix([list(c) for c in zip(*vt)], cols=len(vt))
+    assert v.det() in (1, -1)
+    d = IntMatrix([[diagonal[i] if i == j else 0 for j in range(m.cols)] for i in range(m.rows)],
+                  cols=m.cols)
+    assert hermite_form(matmul(m, v))[0] == hermite_form(d)[0]
+
+
 def test_snf_known_cases():
-    res = snf(IntMatrix.diag([2, 3]))
-    assert res.diagonal == (1, 6)
+    assert snf(IntMatrix.diag([2, 3]))[0] == (1, 6)
     zeros = mat([[0, 0, 0], [0, 0, 0]])
-    res = snf(zeros)
-    assert res.d == zeros
-    assert res.u.matrix == IntMatrix.identity(2)
-    assert res.v.matrix == IntMatrix.identity(3)
-    res = snf(mat([[2, 4], [4, 4]]))
-    assert res.diagonal == (2, 4)
+    diagonal, vt = snf(zeros)
+    assert diagonal == (0, 0)
+    assert IntMatrix(vt) == IntMatrix.identity(3)
+    _assert_smith_contract(zeros, diagonal, vt)
+    assert snf(mat([[2, 4], [4, 4]]))[0] == (2, 4)
 
 
 @seed(0xaa4f4c5d93906ee102309761da69bde140efc47eb8f057948ede59c5141951d3ed63e4270314438af216d2ee49a140c4)
@@ -123,15 +131,8 @@ def test_lattice_basis_is_the_hermite_basis(m):
 @settings(max_examples=250, derandomize=True)
 @given(matrices())
 def test_snf_factorization_identity(m):
-    res = snf(m)
-    assert matmul(matmul(res.u.matrix, m), res.v.matrix) == res.d
-    assert res.u.matrix.det() in (1, -1)
-    assert res.v.matrix.det() in (1, -1)
-    diag = res.diagonal
-    for i in range(res.d.rows):
-        for j in range(res.d.cols):
-            if i != j:
-                assert res.d[i, j] == 0
+    diag, vt = snf(m)
+    _assert_smith_contract(m, diag, vt)
     for a, b in zip(diag, diag[1:]):
         assert a >= 0 and b >= 0
         if a == 0:
@@ -277,17 +278,16 @@ def _random_unimodular(rng, k):
 # and the Fraction inverse.
 
 def sweep_snf(m):
-    """Reference Smith form: a smallest-pivot sweep with row and column combines."""
+    """Reference Smith form, in snf's (diagonal, vt) shape: a smallest-pivot
+    sweep with row and column combines."""
     a = [list(r) for r in m.data]
     nr, nc = m.rows, m.cols
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
     v = [[int(i == j) for j in range(nc)] for i in range(nc)]
 
     def row_combine(i, j, x, y, bg, ag):
-        for mat in (a, u):
-            ri, rj = mat[i], mat[j]
-            mat[i] = [x * p + y * q for p, q in zip(ri, rj)]
-            mat[j] = [-bg * p + ag * q for p, q in zip(ri, rj)]
+        ri, rj = a[i], a[j]
+        a[i] = [x * p + y * q for p, q in zip(ri, rj)]
+        a[j] = [-bg * p + ag * q for p, q in zip(ri, rj)]
 
     def col_combine(i, j, x, y, bg, ag):
         for mat in (a, v):
@@ -301,7 +301,7 @@ def sweep_snf(m):
         if not cells:
             break
         _, bi, bj = min(cells)
-        a[t], a[bi], u[t], u[bi] = a[bi], a[t], u[bi], u[t]
+        a[t], a[bi] = a[bi], a[t]
         for mat in (a, v):
             for row in mat:
                 row[t], row[bj] = row[bj], row[t]
@@ -319,12 +319,10 @@ def sweep_snf(m):
             if culprit is None:
                 break
             a[t] = [p + q for p, q in zip(a[t], a[culprit])]
-            u[t] = [p + q for p, q in zip(u[t], u[culprit])]
         if a[t][t] < 0:
             a[t] = [-e for e in a[t]]
-            u[t] = [-e for e in u[t]]
-    return SnfDecomposition(UnimodularMatrix(IntMatrix(u, cols=nr)), IntMatrix(a, cols=nc),
-                            UnimodularMatrix(IntMatrix(v, cols=nc)))
+    assert not any(e for i, row in enumerate(a) for j, e in enumerate(row) if i != j)
+    return tuple(a[i][i] for i in range(min(nr, nc))), tuple(zip(*v))
 
 
 def fraction_inverse(m):
@@ -500,8 +498,8 @@ def test_moment_data_with_a_zero_leading_pivot():
 
 def _assert_snf_matches_sweep(m):
     got, want = snf(m), sweep_snf(m)
-    assert got.d == want.d
-    assert matmul(matmul(got.u.matrix, m), got.v.matrix) == got.d
+    assert got[0] == want[0]
+    _assert_smith_contract(m, *got)
 
 
 @seed(0xb2ed353baa27ea6ae0ccb5cfb9f57432c9ffdbde33be83def053b1c365e138a08c231e34c2046c8c9690f53c5e8a25a8)

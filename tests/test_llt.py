@@ -333,7 +333,7 @@ def test_time_average_matches_fraction_reference(p, n, s):
     # support, with no dance to pick residues
     a = build_attractor(p)
     assert classify(p).irreducible != "no" and period_if_irreducible(p) == s
-    flat = Attractor(DanceData(whole_group(p.group), a.dance.base_point, a.rank_d, 1, ((), 0)),
+    flat = Attractor(DanceData(whole_group(p.group), a.dance.base_point),
                      a.case, a.torsion_order, a.phi, a.moments, a.twist)
     average = {}
     for law in (convolution_power(p, m) for m in range(n, n + s)):
@@ -587,6 +587,14 @@ def test_laws_moments_and_cli_reports_follow_an_automorphism(case):
                       tv_code, tv and tv["tv_exact"]))
     assert facts[0] == facts[1]
     assert facts[0][0] == 0 and facts[0][6] == (0 if analyze_dance(p).rank_d == 0 else 2)
+    if analyze_dance(p).rank_d >= 1:  # the sup error over the window is intrinsic too
+        reports = []
+        for r in (p, q):
+            code, doc = _cli(["attractor", "--n", "5"], r)
+            assert code == 0
+            reports.append((doc["case"], doc["rank"], doc["normalization"],
+                            doc["report"]["sup_error"], doc["report"]["scaled_sup_error"]))
+        assert reports[0] == reports[1]
 
 
 @st.composite
