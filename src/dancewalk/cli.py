@@ -45,7 +45,8 @@ from ._writer import (
 
 
 class SpecError(ValueError):
-    """The input walk description is malformed or unreadable, or the output cannot be spooled."""
+    """The input walk description is malformed or unreadable, the scenario is unknown,
+    or the output cannot be spooled."""
 
 
 def _ceil_12g(x: float) -> float:
@@ -144,7 +145,8 @@ def _read_spec(path: str) -> Distribution:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except (OSError, UnicodeDecodeError) as e:
+        text.encode("utf-8")  # a byte that stdin's surrogateescape let through
+    except (OSError, UnicodeError) as e:
         raise SpecError(f"cannot read {path}: {e}") from None
     return load_spec(text)
 
@@ -159,14 +161,13 @@ def _count_or_infinite(v):
 
 def cmd_analyze(args) -> int:
     from .dance import dance_of, spectral_gap
-    from .group import GroupSpec
     from .llt import classify
 
     p = _read_spec(args.spec)
     d = dance_of(p)
     gap = spectral_gap(p)
     cls = classify(p)
-    omega = GroupSpec(*d.omega_invariants)
+    omega = d.walk_subgroup.quotient_map()[0]
     out = {
         "group": {
             "torsion": list(p.group.torsion_moduli),
@@ -227,11 +228,12 @@ def _compare_rows(pn: Distribution, a, n: int):
     """(x, numerator, denominator, p_float, theta, attractor, abs_error) at
     each window point of step n, with p^(n)(x) = numerator / denominator
     in lowest terms and p_float that quotient correctly rounded, as
-    float(Fraction) gives it."""
+    float(Fraction) gives it.  Every window point is live, so theta is
+    the normalization c at each."""
     from .llt import _evaluated_window
 
-    den = pn._den
-    for x, v, theta, approx in _evaluated_window(pn._nums, a, n):
+    den, theta = pn._den, a.dance.normalization_c
+    for x, v, approx in _evaluated_window(pn._nums, a, n):
         g, p_float = math.gcd(v, den), v / den
         yield x, v // g, den // g, p_float, theta, approx, abs(p_float - approx)
 
@@ -284,12 +286,12 @@ def cmd_attractor(args) -> int:
     a = build_attractor(p)
     report = llt_sup_error(p, a, args.n)
     out = {
-        "case": a.case,
+        "case": "dpos" if a.rank_d else "d0",
         "rank": a.rank_d,
-        "torsion_order": a.torsion_order,
+        "torsion_order": p.group.torsion_order,
         "normalization": a.dance.normalization_c,
     }
-    if a.case == "dpos":
+    if a.rank_d:
         out["phi_matrix"] = [list(r) for r in a.phi.matrix.data]
         out["mean"] = list(a.moments.mean)
         out["covariance"] = [list(r) for r in a.moments.covariance]
@@ -357,9 +359,8 @@ def cmd_examples(args) -> int:
 
     runner = SCENARIOS.get(args.name)
     if runner is None:
-        sys.stderr.write("unknown scenario %r; available: %s\n"
-                         % (args.name, ", ".join(sorted(SCENARIOS))))
-        return 2
+        names = ", ".join(sorted(SCENARIOS))
+        raise SpecError(f"unknown scenario {args.name!r}; available: {names}")
     checks = runner()
     failed = 0
     for c in checks:

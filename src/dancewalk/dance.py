@@ -85,7 +85,7 @@ class DanceData(Value):
 
     def coset_coords(self, n: int):
         """The live coset W + n*x0 (finite W only) by W.element_coords: lazy, sorted."""
-        return self.walk_subgroup.element_coords((n * self.base_point).coords())
+        return self.walk_subgroup.element_coords([n * c for c in self.base_point.coords()])
 
 
 class SpectralGap(Value):

@@ -94,18 +94,17 @@ def mean_cov(q: Distribution) -> MomentData:
 
 
 class Attractor(Value):
-    """Evaluable local-limit attractor of a walk.
+    """Evaluable local-limit attractor of a walk (phi, moments and twist only when d >= 1).
 
-    case "d0":   theta(n, x) / |Tor(G)|            (+ exponentially small error)
-    case "dpos": theta(n, x) / |Tor(G)| * K^n(phi(x) - n*mu)   (+ o(n^(-d/2)))
+    d = 0:  theta(n, x) / |Tor(G)| = 1 / |W| on the live coset  (+ exponentially small error)
+    d >= 1: theta(n, x) / |Tor(G)| * K^n(phi(x) - n*mu)          (+ o(n^(-d/2)))
     """
 
-    __slots__ = ("dance", "case", "torsion_order", "phi", "moments", "twist")
+    __slots__ = ("dance", "phi", "moments", "twist")
 
-    def __init__(self, dance: DanceData, case: str, torsion_order: int,
-                 phi: Homomorphism | None = None, moments: MomentData | None = None,
-                 twist: TwistResult | None = None):
-        self._set(dance, case, torsion_order, phi, moments, twist)
+    def __init__(self, dance: DanceData, phi: Homomorphism | None = None,
+                 moments: MomentData | None = None, twist: TwistResult | None = None):
+        self._set(dance, phi, moments, twist)
 
     @property
     def rank_d(self) -> int:
@@ -123,9 +122,8 @@ def build_attractor(p: Distribution) -> Attractor:
     """
     dance = dance_of(p)
     g = p.group
-    tor = g.torsion_order
     if dance.rank_d == 0:
-        return Attractor(dance=dance, case="d0", torsion_order=tor)
+        return Attractor(dance)
     k, t = g.free_rank, len(g.torsion_moduli)
     tw = twist_to_coordinates(AffinePointSet(k, {x[t:] for x in p._nums}))
     if tw.d != dance.rank_d:
@@ -139,8 +137,7 @@ def build_attractor(p: Distribution) -> Attractor:
         raise InvariantViolationError("pushforward is not genuinely d-dimensional")
     if not moments.is_positive_definite():
         raise InvariantViolationError("covariance failed the positive-definiteness check")
-    return Attractor(dance=dance, case="dpos", torsion_order=tor,
-                     phi=phi, moments=moments, twist=tw)
+    return Attractor(dance, phi, moments, tw)
 
 
 def _float(x, what: str) -> float:
@@ -157,18 +154,18 @@ def _float(x, what: str) -> float:
 def _evaluated_window(nums, a: Attractor, n: int):
     """The attractor a evaluated on the window at step n (n >= 1 when d >= 1).
 
-    A stream of (coords, numerator, theta, limit value) tuples, sorted as
+    A stream of (coords, numerator, limit value) tuples, sorted as
     Elements sort, over the keys of nums (numerators by group coordinates)
     and the points where the limit is not negligible.  The keys of nums
     are checked when it is called, before its first row.
 
-    theta is c at the points of the live coset W + n*x0, which are all of
-    it when d = 0 (the uniform law on it, c / |Tor(G)| = 1 / |W|, walked
-    from W's Hermite rows) and otherwise the window lifts.  A key x of nums
-    with x - n*x0 not in W is an invariant violation, as supp p^(n) lies in
-    the live coset.  With W = G (the dance-free attractor that
-    time_average_error reads) every image in G/W is (), so the live coset
-    is all of G and every lift and key is kept.
+    Every point is on the live coset W + n*x0, where theta is c: all of it
+    when d = 0 (the uniform law on it, 1 / |W|, walked from W's Hermite
+    rows) and otherwise the window lifts, valued c / |Tor(G)| times the
+    heat kernel.  A key x of nums with x - n*x0 not in W is an invariant
+    violation, as supp p^(n) lies in the live coset.  With W = G (the
+    dance-free attractor that time_average_error reads) every image in G/W
+    is (), so the live coset is all of G and every lift and key is kept.
 
     For d >= 1 the value K^n(u - n*mu) at u = phi(x) comes from one exact
     integer quadratic form.  With dm the lcm of the mean's denominators
@@ -196,14 +193,13 @@ def _evaluated_window(nums, a: Attractor, n: int):
     pi(r, 0) once.  Only torsion parts are compared: (r, f) - n*x0 has
     finite order in G/W, so its free part there is 0.
     """
-    dance, tor = a.dance, a.torsion_order
-    theta, w = dance.normalization_c, dance.walk_subgroup
+    dance, w = a.dance, a.dance.walk_subgroup
     image = w._image  # pi onto G/W
     live_at = image([n * c for c in dance.base_point.coords()])
-    if a.case == "d0":
+    if a.rank_d == 0:
         off = any(image(x) != live_at for x in nums)
         points = dance.coset_coords(n)
-        values = itertools.repeat(theta / tor)
+        values = itertools.repeat(1 / w.order())
     else:
         moments = a.moments
         d, inv = moments.dim, a.twist.phi.inverse
@@ -268,10 +264,11 @@ def _evaluated_window(nums, a: Attractor, n: int):
                 heat[x] = kernel(quad(y))
         off = not heat.keys() >= nums.keys()
         points = sorted(heat)
-        values = ((theta / tor) * heat[x] for x in points)
+        limit = dance.normalization_c / w.parent.torsion_order  # c / |Tor(G)|
+        values = (limit * heat[x] for x in points)
     if off:
         raise InvariantViolationError("a support point of p^(n) lies off the live coset")
-    return ((x, nums.get(x, 0), theta, f) for x, f in zip(points, values))
+    return ((x, nums.get(x, 0), f) for x, f in zip(points, values))
 
 
 class LltReport(Value):
@@ -304,18 +301,18 @@ def llt_sup_error(p: Distribution, a: Attractor, n: int) -> LltReport:
 def _largest_error(den: int, window, a: Attractor):
     """(error, exact error, point): the largest |v/den - limit| over the
     window and the first point attaining it, or None if it is 0; when
-    d = 0, |v/den - theta/tor| is taken exactly, over the one denominator
-    den * tor, and the exact error is a Fraction, otherwise None."""
+    d = 0, |v/den - 1/|W|| is taken exactly, over the one denominator
+    den * |W|, and the exact error is a Fraction, otherwise None."""
     best, best_x = 0, None
-    if a.case == "d0":
-        tor = a.torsion_order
-        for x, v, th, _ in window:
-            err = abs(v * tor - th * den)
+    if a.rank_d == 0:
+        size = a.dance.walk_subgroup.order()
+        for x, v, _ in window:
+            err = abs(v * size - den)
             if err > best:
                 best, best_x = err, x
-        exact = Fraction(best, den * tor)
+        exact = Fraction(best, den * size)
         return float(exact), exact, best_x
-    for x, v, _, f in window:
+    for x, v, f in window:
         err = abs(v / den - f)
         if err > best:
             best, best_x = err, x
@@ -350,7 +347,7 @@ def time_average_error(p: Distribution, a: Attractor, n: int, s: int) -> float:
     if classify(p).irreducible == "no":
         raise ValueError("the time-average limit needs an irreducible walk")
     if not p.group.is_finite:
-        if a.case != "dpos":
+        if a.rank_d == 0:
             raise InvariantViolationError("infinite irreducible walk must have rank >= 1")
         if any(m != 0 for m in a.moments.mean):
             raise ValueError("time-average limit requires a mean-zero pushforward")
@@ -365,8 +362,7 @@ def time_average_error(p: Distribution, a: Attractor, n: int, s: int) -> float:
         for x, v in pn._nums.items():
             total[x] = total.get(x, 0) + v * (top // pn._den)
         del pn  # released before the ladder makes the next law
-    flat = Attractor(DanceData(whole_group(p.group), a.dance.base_point),
-                     a.case, a.torsion_order, a.phi, a.moments, a.twist)
+    flat = Attractor(DanceData(whole_group(p.group), a.dance.base_point), a.phi, a.moments, a.twist)
     return _largest_error(s * top, _evaluated_window(total, flat, n), flat)[0]
 
 
@@ -391,13 +387,12 @@ def _tv_series(p: Distribution, steps):
     if w_order is None:
         raise UnsupportedOperationError("walk subgroup is infinite; no uniform law on it")
     a, rho = build_attractor(p), Fraction(spectral_gap(p).rho)
-    tor = a.torsion_order
     for n, pn in _powers(p, steps):
-        # the attractor is the uniform law on the live coset, c / tor = 1 / |W|:
-        # sum of |p^(n)(x) - theta/tor| over the one denominator den * tor
+        # the attractor is the uniform law 1 / |W| on the live coset:
+        # sum of |p^(n)(x) - 1/|W|| over the one denominator den * |W|
         den = pn._den
-        total = sum(abs(v * tor - th * den) for _, v, th, _ in _evaluated_window(pn._nums, a, n))
-        tv = Fraction(total, 2 * den * tor)
+        total = sum(abs(v * w_order - den) for _, v, _ in _evaluated_window(pn._nums, a, n))
+        tv = Fraction(total, 2 * den * w_order)
         bound = Fraction(w_order - 1, 2) * rho ** n * (1 + Fraction(1, 10 ** 12))
         if tv > bound:
             raise InvariantViolationError("exact TV distance exceeded its certified bound")
@@ -435,7 +430,7 @@ def classify(p: Distribution) -> Classification:
     g = p.group
     dance = dance_of(p)
     w = dance.walk_subgroup
-    quotient = GroupSpec(*dance.omega_invariants).describe()
+    quotient = w.quotient_map()[0].describe()
     idx, r = w.index(), w.coset_order(dance.base_point)
     if g.is_finite:
         if r < idx:

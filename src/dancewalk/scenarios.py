@@ -210,7 +210,7 @@ def run_elevator1() -> list[Check]:
     checks = []
     a = build_attractor(p)
     checks.append(Check("rank-0 attractor over torsion order 4 [reference]",
-                        a.case == "d0" and a.torsion_order == 4))
+                        a.rank_d == 0 and p.group.torsion_order == 4))
     exact = all(r.sup_error_exact == 0 for r in _sup_errors(p, a, range(1, 21)))
     checks.append(Check("sup error is exactly zero for n<=20 [reference]", exact))
     rho = spectral_gap(p).rho

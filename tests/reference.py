@@ -82,10 +82,10 @@ def attractor_eval(a: Attractor, n: int, x: Element) -> float:
     th = a.dance.theta(n, x)
     if th == 0:
         return 0.0
-    if a.case == "d0":
-        return th / a.torsion_order
+    if a.rank_d == 0:
+        return th / x.group.torsion_order
     y = [Fraction(c) - n * m for c, m in zip(a.phi(x).free, a.moments.mean)]
-    return (th / a.torsion_order) * gaussian_kernel(a.moments, n, y)
+    return (th / x.group.torsion_order) * gaussian_kernel(a.moments, n, y)
 
 
 def evaluation_window(pn: Distribution, a: Attractor, n: int) -> list[Element]:

@@ -68,6 +68,8 @@ REMOVED_METHODS = [
     ("IntMatrix", "zeros"),
     ("IntMatrix", "__matmul__"),
     ("IntMatrix", "transpose"),
+    ("Attractor", "case"),
+    ("Attractor", "torsion_order"),
 ]
 
 
@@ -167,8 +169,7 @@ def _value_cases():
         (dancewalk.SpectralGap, dict(rho=0.5, achieved_at=dancewalk.DualPoint(z4z6, (2, 0))), None),
         (dancewalk.MomentData, dict(dim=1, mean=(Fraction(1, 2),), covariance=((Fraction(1, 4),),)),
          ((Fraction(1, 2),),)),
-        (dancewalk.Attractor, dict(dance=dance, case="dpos", torsion_order=24, phi=hom,
-                                   moments=moments, twist=twist), None),
+        (dancewalk.Attractor, dict(dance=dance, phi=hom, moments=moments, twist=twist), None),
         (dancewalk.LltReport, dict(n=3, sup_error=0.25, scaled_sup_error=0.5,
                                    sup_error_exact=Fraction(1, 4), tv_exact=Fraction(1, 8),
                                    tv_bound=0.2, worst_point=x), None),
@@ -224,7 +225,7 @@ def test_distribution_copies_pickles_and_stays_immutable():
 
 
 def test_value_types_keep_their_defaults():
-    a = dancewalk.Attractor(dance=_dance(), case="d0", torsion_order=24)
+    a = dancewalk.Attractor(dance=_dance())
     assert (a.phi, a.moments, a.twist) == (None, None, None)
     report = dancewalk.LltReport(n=3)
     assert report.n == 3

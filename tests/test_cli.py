@@ -861,6 +861,10 @@ def test_examples_exit_codes():
     assert "checks passed" in proc.stdout
     proc = run_cli(["examples", "does-not-exist"])
     assert proc.returncode == 2
+    # a usage error like every other: one line with the error: prefix, and no stdout
+    assert proc.stderr == ("error: unknown scenario 'does-not-exist'; available: "
+                           + ", ".join(sorted(SCENARIOS)) + "\n")
+    assert proc.stdout == ""
 
 
 # The number of checks each golden scenario makes; z4z6-table is the one
@@ -925,6 +929,15 @@ def test_usage_errors_exit_2(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "dancewalk.cli", "analyze", "--spec", "-"],
                           input=b"\xff{", capture_output=True, timeout=300,
                           env=dict(cli_env(), PYTHONIOENCODING="utf-8:strict"))
+    assert proc.returncode == 2
+    assert proc.stderr.decode().startswith("error: cannot read -: "), proc.stderr
+    assert not proc.stdout
+    # a stdin decoded with surrogateescape lets a non-UTF-8 byte through: refused the same
+    spec = _one_point_spec({"torsion": [2]}, {"torsion": [0]}).encode()
+    proc = subprocess.run([sys.executable, "-m", "dancewalk.cli", "analyze", "--spec", "-"],
+                          input=spec.replace(b'"group"', b'"note": "\xff", "group"'),
+                          capture_output=True, timeout=300,
+                          env=dict(cli_env(), PYTHONIOENCODING="utf-8:surrogateescape"))
     assert proc.returncode == 2
     assert proc.stderr.decode().startswith("error: cannot read -: "), proc.stderr
     assert not proc.stdout

@@ -132,23 +132,24 @@ def test_gaussian_kernel_values():
 
 
 def test_build_attractor_spitzer():
-    a = build_attractor(spitzer())
-    assert a.case == "dpos"
+    p = spitzer()
+    a = build_attractor(p)
     assert a.rank_d == 1
     assert a.moments.mean == (half,)
     assert a.moments.covariance == ((quarter,),)
-    assert a.torsion_order == 1
+    assert p.group.torsion_order == 1
     # phi is the first twisted coordinate: here phi(x, y) = x
     assert a.phi.matrix == IntMatrix([[1, 0]])
     assert a.phi(Z2.element((), [3, 9])).free == (3,)
 
 
 def test_build_attractor_elevators():
-    a1 = build_attractor(elevator1())
-    assert a1.case == "d0"
-    assert a1.torsion_order == 4
+    p1 = elevator1()
+    a1 = build_attractor(p1)
+    assert a1.rank_d == 0
+    assert p1.group.torsion_order == 4
     a2 = build_attractor(elevator2())
-    assert a2.case == "dpos"
+    assert a2.rank_d == 1
     assert a2.moments.mean == (Fraction(0),)
     assert a2.moments.covariance == ((half,),)
 
@@ -280,10 +281,10 @@ def test_evaluated_window_rejects_support_off_the_live_coset():
     p, n = elevator2(), 3
     a = build_attractor(p)
     (_, law), = _powers(p, (n,))
-    window = {x: f for x, _, _, f in _evaluated_window(law._nums, a, n)}
+    window = {x: f for x, _, f in _evaluated_window(law._nums, a, n)}
     far = (0, 1001)  # on the live coset, beyond 8 standard deviations
     assert far not in window
-    got = {x: f for x, _, _, f in _evaluated_window({**law._nums, far: 0}, a, n)}
+    got = {x: f for x, _, f in _evaluated_window({**law._nums, far: 0}, a, n)}
     assert got.keys() == window.keys() | {far} and got[far] == 0.0
     for x in ((0, 0), (1, 1001)):  # off the coset: inside the window's box, and far beyond it
         with pytest.raises(InvariantViolationError):
@@ -318,7 +319,7 @@ def test_finite_window_holds_no_list_of_the_live_coset():
         tracemalloc.stop()
         gc.enable()
     assert peak < 256 << 10
-    assert rows == [((0, 0), 1, 1, 1 / 90000), ((0, 1), 1, 1, 1 / 90000), ((0, 2), 0, 1, 1 / 90000)]
+    assert rows == [((0, 0), 1, 1 / 90000), ((0, 1), 1, 1 / 90000), ((0, 2), 0, 1 / 90000)]
 
 
 # 1/2 on (1, 1) and (1, -1) in Z_3 x Z: period 6, mean zero, |Tor(G)| = 3
@@ -333,8 +334,7 @@ def test_time_average_matches_fraction_reference(p, n, s):
     # support, with no dance to pick residues
     a = build_attractor(p)
     assert classify(p).irreducible != "no" and period_if_irreducible(p) == s
-    flat = Attractor(DanceData(whole_group(p.group), a.dance.base_point),
-                     a.case, a.torsion_order, a.phi, a.moments, a.twist)
+    flat = Attractor(DanceData(whole_group(p.group), a.dance.base_point), a.phi, a.moments, a.twist)
     average = {}
     for law in (convolution_power(p, m) for m in range(n, n + s)):
         for x in law.support():
@@ -808,7 +808,7 @@ def _reference_lifts(a, n):
 def reference_window(pn, a, n):
     """The evaluated window on Elements: supp(pn) with the live coset (d = 0)
     or the window lifts with theta > 0, each point evaluated by attractor_eval."""
-    if a.case == "d0":
+    if a.rank_d == 0:
         live = a.dance.coset_at(n)
     else:
         live = (x for x in _reference_lifts(a, n) if a.dance.theta(n, x) > 0)
@@ -865,7 +865,8 @@ def test_evaluated_window_matches_fraction_reference(case):
     pn = convolution_power(p, n)
     (_, law), = _powers(p, (n,))
     den, nums = law._den, law._nums
-    got = [(x, Fraction(v, den), th, f) for x, v, th, f in _evaluated_window(nums, a, n)]
+    got = [(x, Fraction(v, den), f) for x, v, f in _evaluated_window(nums, a, n)]
     want = reference_window(pn, a, n)
-    assert [(x, w, th, v.hex()) for x, w, th, v in got] == \
-        [(x, w, th, v.hex()) for x, w, th, v in want]
+    # every window point is live: theta is c at each
+    assert all(th == a.dance.normalization_c for _, _, th, _ in want)
+    assert [(x, w, v.hex()) for x, w, v in got] == [(x, w, v.hex()) for x, w, _, v in want]
