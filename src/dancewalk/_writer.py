@@ -1,14 +1,16 @@
-"""The JSON writer behind every JSON output of the command-line front end.
+"""The writers behind every JSON and CSV output of the command-line front end.
 
 Numbers print at any length (long ints are split for CPython's digit
 limit), floats with 12 significant digits and Fractions as quoted
-"num/den" strings, so identical documents are byte-identical text.
+"num/den" strings, so identical documents are byte-identical text.  A
+JSON document is one generator of text pieces, and _stream, the one
+holder of text, hands the pieces of JSON and CSV alike on in slices.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 
@@ -113,101 +115,66 @@ def _one_line(v) -> str | None:
                 return None
             texts.append(text)
         return "[" + ", ".join(texts) + "]"
-    return json.dumps(v)
+    return None
 
 
-def _render(obj, write, end: str = "") -> None:
-    """Write obj as JSON with insertion-ordered keys and .12g floats.
+def _pieces(v, nl):
+    """The JSON text of v, in pieces; nl is a newline and the indent of v's own line."""
+    text = _one_line(v)
+    if text is not None:
+        yield text
+    elif isinstance(v, dict):
+        inner, sep = nl + "  ", "{" + nl + "  "
+        for k, x in v.items():
+            yield sep + encode_basestring_ascii(str(k)) + ": "
+            yield from _pieces(x, inner)
+            sep = "," + inner
+        yield nl + "}"
+    elif isinstance(v, (list, tuple)):
+        inner, sep = nl + "  ", "[" + nl + "  "
+        for x in v:
+            text = _one_line(x)
+            if text is None:
+                yield sep
+                yield from _pieces(x, inner)
+            else:  # one piece per one-line item
+                yield sep + text
+            sep = "," + inner
+        yield nl + "]"
+    elif isinstance(v, _Rows):
+        inner = nl + "  "
+        # the layout's text, cut at its slots once: text, indent, text, ..., indent, text
+        texts = "".join(_pieces(v.layout, inner)).split("\0")
+        fills = list(zip(texts[1::2], texts[2::2]))
+        head, sep = "[" + inner + texts[0], "," + inner + texts[0]
+        for row in v.rows:  # one piece per record, its leaves written with no generator
+            parts = [head]
+            for x, (indent, text) in zip(row, fills, strict=True):
+                enc = _SCALARS.get(type(x))
+                leaf = enc(x) if enc is not None else _one_line(x)
+                parts.append("".join(_pieces(x, indent)) if leaf is None else leaf)
+                parts.append(text)
+            yield "".join(parts)
+            head = sep
+        yield nl + "]" if head is sep else "[]"  # [] when no row came
+    elif v is _SLOT:  # a raw NUL marks it: JSON text has every control character escaped
+        yield "\0" + nl + "\0"
+    else:
+        raise TypeError(f"cannot write a value of type {type(v).__name__} as JSON")
+
+
+def _render(obj, write) -> None:
+    """Write obj as JSON with insertion-ordered keys and .12g floats, then a newline.
 
     Scalars print as _SCALARS gives them (a Fraction as a quoted
-    "num/den" string), a value of any other type as json.dumps prints
-    it.  A dict writes one key per line, indented two spaces a level,
-    and {} when empty.  A list or tuple is written on one line, as
-    [a, b, c], when its items' texts total under 60 characters and none
-    of them spans lines; otherwise it writes one item per line.
+    "num/den" string); a value of any other type raises TypeError.  A
+    dict writes one key per line, indented two spaces a level, and {}
+    when empty.  A list or tuple is written on one line, as [a, b, c],
+    when its items' texts total under 60 characters and none of them
+    spans lines; otherwise it writes one item per line.
 
-    The text, followed by end, is handed to write in pieces of at most
-    _SLICE characters.  The pieces of each record of a _Rows, and of each
-    item of a list written one item per line, are joined as soon as it
-    is written, and the items are handed on once about _SLICE characters
-    of them are held, so a long list is never held whole.
+    The text is one stream of pieces, handed to write by _stream.  A
+    record of a _Rows and a one-line list item are each one piece, and a
+    longer list item streams its own pieces, so nothing long is held whole.
     """
-    out = []
-    append = out.append
-    keys = {}  # the text of each str key, with its ": "
-    held = 0  # the characters of the items joined in out
-
-    def close(start):  # join out[start:], an item, and hand out on once a slice is held
-        nonlocal held
-        item = "".join(out[start:])
-        out[start:] = (item,)
-        held += len(item)
-        if held >= _SLICE:
-            _flush(out, write)
-            held = 0
-
-    def put(v, nl):  # nl is a newline and the indent of v's own line
-        enc = _SCALARS.get(type(v))
-        if enc is not None:
-            append(enc(v))
-        elif isinstance(v, dict):
-            if not v:
-                append("{}")
-                return
-            inner, sep = nl + "  ", "{" + nl + "  "
-            for k, x in v.items():
-                key = keys.get(k)
-                if key is None:
-                    key = encode_basestring_ascii(str(k)) + ": "
-                    if type(k) is str:
-                        keys[k] = key
-                append(sep)
-                append(key)
-                put(x, inner)
-                sep = "," + inner
-            append(nl + "}")
-        elif isinstance(v, (list, tuple)):
-            text = _one_line(v)
-            if text is not None:
-                append(text)
-                return
-            inner, sep = nl + "  ", "[" + nl + "  "
-            for x in v:
-                start = len(out)
-                append(sep)
-                put(x, inner)
-                close(start)
-                sep = "," + inner
-            append(nl + "]")
-        elif isinstance(v, _Rows):
-            put_rows(v, nl)
-        elif v is _SLOT:  # a raw NUL marks it: JSON text has every control character escaped
-            append("\0")
-            slots.append(nl)
-        else:
-            append(json.dumps(v))
-
-    def put_rows(table, nl):
-        inner = nl + "  "
-        # the layout's text, cut at its slots, once; then each row fills the slots
-        start = len(out)
-        slots.clear()
-        put(table.layout, inner)
-        texts = "".join(out[start:]).split("\0")
-        del out[start:]
-        fills = list(zip(slots, texts[1:]))
-        head, sep = "[" + inner + texts[0], "," + inner + texts[0]
-        for row in table.rows:
-            start = len(out)
-            append(head)
-            for x, (indent, text) in zip(row, fills, strict=True):
-                put(x, indent)
-                append(text)
-            close(start)
-            head = sep
-        append(nl + "]" if head is sep else "[]")  # [] when no row came
-
-    slots = []  # the indents of the slots met while writing a layout
-    put(obj, "\n")
-    append(end)
-    _flush(out, write)
+    _stream(chain(_pieces(obj, "\n"), ("\n",)), write)

@@ -80,7 +80,7 @@ def _spool(fill) -> None:
 
 
 def _emit(obj):
-    _spool(lambda write: _render(obj, write, "\n"))
+    _spool(lambda write: _render(obj, write))
 
 
 def _integers(what: str, values) -> list[int]:
@@ -134,7 +134,7 @@ def dump_spec(p: Distribution) -> str:
         ],
     }
     pieces = []
-    _render(doc, pieces.append, "\n")
+    _render(doc, pieces.append)
     return "".join(pieces)
 
 

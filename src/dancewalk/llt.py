@@ -421,42 +421,47 @@ def classify(p: Distribution) -> Classification:
     """Classify a walk as irreducible/aperiodic where exactly decidable.
 
     The walk reaches W + <x0>, of index [G : W] / r with r the order of
-    x0 + W in G/W.  Finite groups get exact answers: the walk is
-    irreducible exactly when r = [G : W], which is then its period.
-    On infinite groups, a sufficient criterion certifies yes/yes
-    (G_p = G with mean-zero pushforward); proper walk subgroups yield
-    sound negative verdicts; every remaining case is undetermined.
+    x0 + W in G/W.  It is certified irreducible with period [G : W]
+    when r = [G : W] and the free parts of its mean are zero; on a finite
+    group, which has no free parts, that is exactly when it is
+    irreducible.  On an infinite group, r < [G : W] (an infinite r or
+    index included) is a sound "no", and a drifting walk with
+    r = [G : W] is undetermined.
     """
     g = p.group
     dance = dance_of(p)
     w = dance.walk_subgroup
     quotient = w.quotient_map()[0].describe()
     idx, r = w.index(), w.coset_order(dance.base_point)
-    if g.is_finite:
-        if r < idx:
-            return Classification(
-                irreducible="no", aperiodic="no", period=None,
-                dance_cosets=(f"supp(p^(n)) stays inside the coset G_p + n*x0, "
-                              f"G/G_p = {quotient}; only {g.order // idx * r} of {g.order} "
-                              f"elements are ever reachable"),
-                reason="reachable set is a proper subset of the group",
-            )
+    t = len(g.torsion_moduli)
+    mean_zero = not any(sum(v * x[i] for x, v in p._nums.items()) for i in range(t, g.dim))
+    if idx is not None and r == idx and mean_zero:
+        # S = supp p generates W + <x0> = G.  Mean zero gives positive integers
+        # a_s (the numerators of p) with sum a_s * free(s) = 0; with e the
+        # exponent of the torsion part, sum e * a_s * s = 0, so every -s lies
+        # in the semigroup of S.  That semigroup is therefore the group
+        # <S> = G, and the walk is irreducible.  Its period d is [G : W], as on
+        # finite groups: a return at n needs n*x0 in W, so r | d; and the
+        # number of steps to a point, mod d, is a homomorphism G -> Z_d that
+        # sends each s to 1 and so kills W, so d | [G : W] = r (Spitzer,
+        # Principles of Random Walk, ch. 1).
         return Classification(
-            irreducible="yes",
-            aperiodic="yes" if idx == 1 else "no",
-            period=idx,
-            dance_cosets=(f"the {idx} cosets G_p + k*x0 partition the group and the "
+            irreducible="yes", aperiodic="yes" if idx == 1 else "no", period=idx,
+            dance_cosets=("G_p is the whole group: there is no dance"
+                          if idx == 1 and not g.is_finite else
+                          f"the {idx} cosets G_p + k*x0 partition the group and the "
                           f"walk cycles through them; G/G_p = {quotient}"),
+        )
+    if g.is_finite:
+        return Classification(
+            irreducible="no", aperiodic="no", period=None,
+            dance_cosets=(f"supp(p^(n)) stays inside the coset G_p + n*x0, "
+                          f"G/G_p = {quotient}; only {g.order // idx * r} of {g.order} "
+                          f"elements are ever reachable"),
+            reason="reachable set is a proper subset of the group",
         )
     base = f"supp(p^(n)) is confined to the moving coset G_p + n*x0; G/G_p = {quotient}"
     if idx == 1:
-        # W = G: the twist is the identity, so the attractor's mean is that of the free parts
-        t = len(g.torsion_moduli)
-        if not any(sum(v * x[i] for x, v in p._nums.items()) for i in range(t, g.dim)):
-            return Classification(
-                irreducible="yes", aperiodic="yes", period=1,
-                dance_cosets="G_p is the whole group: there is no dance",
-            )
         return Classification(
             irreducible="undetermined", aperiodic="undetermined", period=None,
             dance_cosets="G_p is the whole group: there is no dance",
@@ -491,6 +496,6 @@ def classify(p: Distribution) -> Classification:
         irreducible="undetermined", aperiodic="no", period=None,
         dance_cosets=base + f"; the coset cycle has length {r}",
         reason=(f"the walk dances through {r} > 1 cosets so it is not aperiodic, "
-                "but irreducibility inside the cycle is not decided by the "
-                "implemented criteria"),
+                "and the mean of its free parts is nonzero, so the zero-mean "
+                "criterion does not decide irreducibility inside the cycle"),
     )

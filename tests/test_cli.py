@@ -332,9 +332,9 @@ def test_each_command_renders_once_through_the_cli_binding(monkeypatch, capsys):
     texts = []
     render = dancewalk.cli._render
 
-    def spy(obj, write, end=""):
+    def spy(obj, write):
         pieces = []
-        render(obj, lambda piece: pieces.append(piece) or write(piece), end)
+        render(obj, lambda piece: pieces.append(piece) or write(piece))
         texts.append("".join(pieces))
 
     monkeypatch.setattr(dancewalk.cli, "_render", spy)
@@ -756,7 +756,7 @@ def _walk_spec(torsion, rank, steps):
     })
 
 
-# one walk on an infinite group per branch of classify
+# one walk on an infinite group per branch of classify, and both walks of the paper's abstract
 ANALYZE_INFINITE = {
     "lazy_z2": (LAZY_Z2_SPEC, '"irreducible": "yes"'),
     "drift_z": (json.dumps({"group": {"torsion": [], "rank": 1}, "distribution": [
@@ -770,8 +770,12 @@ ANALYZE_INFINITE = {
                   "[G:G_p] is infinite"),
     "z4z_half": (_walk_spec([4], 1, [([1], [0]), ([1], [2])]),
                  "generates only 4 of the 8 cosets"),
-    "simple_z": (_walk_spec([], 1, [([], [1]), ([], [-1])]),
-                 "the walk dances through 2 > 1 cosets"),
+    # mean zero and x0 generating G/G_p: certified with period [G:G_p] = 2
+    "simple_z": (_walk_spec([], 1, [([], [1]), ([], [-1])]), '"period": 2'),
+    "knight": (KNIGHT_SPEC, '"period": 2'),
+    "drift_cycle_z": (json.dumps({"group": {"torsion": [], "rank": 1}, "distribution": [
+        {"elem": {"free": [1]}, "weight": "2/3"}, {"elem": {"free": [-1]}, "weight": "1/3"}]}),
+        "the walk dances through 2 > 1 cosets"),
 }
 
 
@@ -1239,12 +1243,29 @@ def test_writer_matches_the_recursive_reference(doc):
     assert _text(doc) == reference_render(doc)
 
 
-def _text(obj, end=""):
-    """The text _render writes for obj, gathered from its pieces."""
+@pytest.mark.parametrize("doc", [object(), {1, 2}, {"k": [1, [frozenset()]]},
+                                 _Rows({"v": _SLOT}, [(1,), (object(),)])],
+                         ids=["object", "set", "nested-frozenset", "row-leaf"])
+def test_an_unsupported_value_raises_type_error(doc):
+    with pytest.raises(TypeError, match="cannot write a value of type (object|set|frozenset)"):
+        _render(doc, [].append)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda path: path.name)
+def test_each_json_golden_is_the_recursive_reference_layout_of_its_document(path):
+    # the layout, checked on real command output by a writer independent of _render
+    text = path.read_text(encoding="utf-8")
+    assert reference_render(json.loads(text)) + "\n" == text
+
+
+def _text(obj):
+    """The text _render writes for obj, gathered from its pieces, without its final newline."""
     pieces = []
-    _render(obj, pieces.append, end)
+    _render(obj, pieces.append)
     assert all(0 < len(piece) <= _SLICE for piece in pieces)
-    return "".join(pieces)
+    text = "".join(pieces)
+    assert text.endswith("\n")
+    return text[:-1]
 
 
 def test_long_documents_are_written_in_pieces_of_at_most_a_slice():
@@ -1254,7 +1275,7 @@ def test_long_documents_are_written_in_pieces_of_at_most_a_slice():
     rows = [(k, "x" * (k % 700)) for k in range(2000)] + [(-1, "y" * (3 * _SLICE))]
     doc = {"head": ["z" * (2 * _SLICE)], "rows": _Rows(layout, iter(rows)), "tail": 1}
     pieces = []
-    _render(doc, pieces.append, "\n")
+    _render(doc, pieces.append)
     assert "".join(pieces) == reference_render(
         {"head": ["z" * (2 * _SLICE)], "rows": [dict(zip(layout, row)) for row in rows],
          "tail": 1}) + "\n"

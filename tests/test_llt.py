@@ -40,7 +40,7 @@ from dancewalk.llt import (
 )
 from dancewalk.scenarios import elevator1, elevator2, spitzer, z4z6_walk, z9_walk, z12_walk
 from reference import (attractor_eval, char_fn, closure, evaluation_window, gaussian_kernel,
-                       sparse_power)
+                       sparse_convolve, sparse_power)
 
 Z12 = GroupSpec([12])
 Z1 = GroupSpec((), 1)
@@ -461,15 +461,13 @@ def test_classify_infinite_cases():
     assert c.irreducible == "no" and c.aperiodic == "no"
     c = classify(elevator1())
     assert c.irreducible == "no"
-    # diffusive elevator: walk subgroup of index 2, mean zero; dances but
-    # the implemented criteria stop short of certifying irreducibility
+    # diffusive elevator: walk subgroup of index 2, mean zero and x0 generating
+    # G/W, so the mean-zero certificate gives irreducibility with period 2
     c = classify(elevator2())
-    assert c.aperiodic == "no"
-    assert c.irreducible in ("undetermined",)
-    # simple random walk on Z: same undetermined-but-dancing shape
-    srw = Distribution(Z1, {Z1.element((), [1]): half, Z1.element((), [-1]): half})
-    c = classify(srw)
-    assert c.irreducible == "undetermined" and c.aperiodic == "no"
+    assert (c.irreducible, c.aperiodic, c.period) == ("yes", "no", 2)
+    # simple random walk on Z: the same certified dancing shape
+    c = classify(SIMPLE_Z)
+    assert (c.irreducible, c.aperiodic, c.period) == ("yes", "no", 2)
     # mean-zero walk generating all of Z: certified irreducible aperiodic
     lazy = Distribution(Z1, {Z1.element((), [-1]): quarter, Z1.element((), [0]): half,
                              Z1.element((), [1]): quarter})
@@ -479,6 +477,54 @@ def test_classify_infinite_cases():
     conf = Distribution(Z1, {Z1.element((), [0]): half, Z1.element((), [2]): half})
     c = classify(conf)
     assert c.irreducible == "no"
+
+
+SIMPLE_Z = _uniform(Z1, [((), (1,)), ((), (-1,))])
+KNIGHT = _uniform(Z2, [((), (a, b)) for a, b in itertools.product((1, -1, 2, -2), repeat=2)
+                       if abs(a) != abs(b)])
+
+
+@st.composite
+def symmetric_walks(draw):
+    """A walk on Z, Z^2 or Z_m x Z with S = -S and equal weight on s and -s."""
+    g = draw(st.sampled_from((Z1, Z2, GroupSpec([2], 1), GroupSpec([3], 1))))
+    halves = draw(st.lists(_coords(g, 2), min_size=1, max_size=3, unique=True))
+    weights = [draw(st.integers(1, 3)) for _ in halves]
+    law = {}
+    for x, w in zip(halves, weights):
+        for y in (g.element_from_coords(x), -g.element_from_coords(x)):
+            law[y] = law.get(y, 0) + Fraction(w, 2 * sum(weights))
+    return Distribution(g, law)
+
+
+@seed(0x5d2c7a0e94b1f3c8a6e2d4b7f1093c5e8a7d6b2f4c1e9a3d5b8f7c6e2a4d1b9f3e8c7a5d2b6f4e1c9a8d3)
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(symmetric_walks())
+@example(SIMPLE_Z)
+@example(KNIGHT)
+def test_classify_decides_symmetric_walks(p):
+    # a symmetric walk has mean zero: it is irreducible with period [G:W] exactly
+    # when x0 generates G/W, and reducible otherwise.  By brute force, a certified
+    # walk's returns up to n = 12 have that gcd and its supports cover a box; a
+    # reducible walk's supports miss part of the box
+    g, dance, c = p.group, analyze_dance(p), classify(p)
+    w = dance.walk_subgroup
+    idx = w.index()
+    generates = idx is not None and w.coset_order(dance.base_point) == idx
+    assert (c.irreducible, c.period) == (("yes", idx) if generates else ("no", None))
+    box = {g.element_from_coords(x) for x in itertools.product(
+        *(range(m) for m in g.torsion_moduli), *[range(-2, 3)] * g.free_rank)}
+    seen, period, law = set(), 0, sparse_power(p, 0)
+    for n in range(1, 13):
+        law = sparse_convolve(law, p)  # sparse_power(p, n)
+        support = set(law.support())
+        seen |= support
+        if g.identity() in support:
+            period = gcd(period, n)
+    if generates:
+        assert period == idx and box <= seen
+    else:
+        assert not box <= seen
 
 
 AUTOMORPHISM_GROUPS = (
