@@ -26,8 +26,8 @@ _EXPORTS = {
         "sample_path", "torsion_pushforward",
     ),
     "dance": (
-        "DanceData", "SpectralGap", "analyze_dance", "dance_of", "period_if_irreducible",
-        "spectral_gap", "theta_by_integration",
+        "DanceData", "SpectralGap", "analyze_dance", "dance_of", "spectral_gap",
+        "theta_by_integration",
     ),
     "llt": (
         "Attractor", "Classification", "LltReport", "MomentData", "build_attractor",

@@ -221,15 +221,3 @@ def theta_by_integration(p: Distribution, n: int, x: Element) -> float:
         total += cmath.exp(2j * cmath.pi * (phase / order))
     return total.real
 
-
-def period_if_irreducible(p: Distribution) -> int:
-    """Index of the walk subgroup; the walk's period when irreducible.
-
-    Meaningful as a period only for irreducible walks (the caller, or
-    classify, must establish that); for them the index [G : W] equals
-    gcd of the return times.
-    """
-    idx = dance_of(p).walk_subgroup.index()
-    if idx is None:
-        raise ValueError("period undefined: [G:G_p] infinite")
-    return idx

@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import add, mod, sub
 
 from ._value import Value
-from .dance import DanceData, dance_of, period_if_irreducible, spectral_gap
+from .dance import DanceData, dance_of, spectral_gap
 from .group import Element, GroupSpec, Homomorphism, UnsupportedOperationError, whole_group
 from .intlinalg import (
     AffinePointSet,
@@ -338,14 +338,12 @@ def time_average_error(p: Distribution, a: Attractor, n: int, s: int) -> float:
     steps loses the dance, so it tends to the dance-free attractor: a's
     own with walk subgroup G and c = 1, which is 1/|G| on a finite group
     and (1 / |Tor(G)|) * K^n(phi(x)) on an infinite one with mean-zero
-    pushforward.  ValueError unless classify finds the walk irreducible
-    or leaves it undetermined, s is its period [G : W] and, on an
-    infinite group, the pushforward has mean zero and n >= 1.
+    pushforward.  ValueError unless s is the period that classify finds
+    for an irreducible walk and, on an infinite group, the pushforward has
+    mean zero and n >= 1.
     """
-    if s != period_if_irreducible(p):
-        raise ValueError("s must be the walk's period [G:G_p]")
-    if classify(p).irreducible == "no":
-        raise ValueError("the time-average limit needs an irreducible walk")
+    if s != classify(p).period:
+        raise ValueError("s must be the period [G:G_p] of an irreducible walk")
     if not p.group.is_finite:
         if a.rank_d == 0:
             raise InvariantViolationError("infinite irreducible walk must have rank >= 1")
@@ -404,10 +402,10 @@ def _tv_series(p: Distribution, steps):
 class Classification(Value):
     """Irreducibility and period classification of a walk.
 
-    period is None when undefined (the walk is not known irreducible).
-    For infinite groups the verdicts are only those certified by exact
-    criteria; anything else is reported as undetermined with the failed
-    hypothesis in `reason`.
+    irreducible is "yes" or "no", and aperiodic is "yes" exactly when the
+    walk is irreducible with period 1.  period is the gcd of the return
+    times of an irreducible walk and None for a reducible one.
+    dance_cosets describes the dance; reason says why a walk is reducible.
     """
 
     __slots__ = ("irreducible", "aperiodic", "period", "dance_cosets", "reason")
@@ -418,84 +416,96 @@ class Classification(Value):
 
 
 def classify(p: Distribution) -> Classification:
-    """Classify a walk as irreducible/aperiodic where exactly decidable.
+    """Decide whether a walk is irreducible, and its period when it is.
 
-    The walk reaches W + <x0>, of index [G : W] / r with r the order of
-    x0 + W in G/W.  It is certified irreducible with period [G : W]
-    when r = [G : W] and the free parts of its mean are zero; on a finite
-    group, which has no free parts, that is exactly when it is
-    irreducible.  On an infinite group, r < [G : W] (an infinite r or
-    index included) is a sound "no", and a drifting walk with
-    r = [G : W] is undetermined.
+    The walk is irreducible when the semigroup generated by S = supp p is
+    all of G (Spitzer, Principles of Random Walk, ch. 1).  It reaches
+    W + <x0>, so that needs x0 to generate G/W: r = [G : W] with r the
+    order of x0 + W.  It also needs the semigroup to be a group, which
+    holds exactly when integers N_s >= 1 give sum N_s * free(s) = 0: then
+    sum N_s * s is torsion, so sum e * N_s * s = 0 with e the exponent of
+    Tor(G), and each -s lies in the semigroup; conversely the relations
+    s + sum a_t * t = 0 (a_t >= 0), one for each s, sum to such N.
+    _semigroup_witness decides that exactly; on a finite group, with no
+    free parts, it always holds.  The period d of an irreducible walk is
+    [G : W]: a return at n needs n*x0 in W, so r | d; and the number of
+    steps to a point, mod d, is a homomorphism G -> Z_d that sends each s
+    to 1 and so kills W, so d | [G : W] = r.
     """
-    g = p.group
-    dance = dance_of(p)
+    g, dance = p.group, dance_of(p)
     w = dance.walk_subgroup
     quotient = w.quotient_map()[0].describe()
     idx, r = w.index(), w.coset_order(dance.base_point)
-    t = len(g.torsion_moduli)
-    mean_zero = not any(sum(v * x[i] for x, v in p._nums.items()) for i in range(t, g.dim))
-    if idx is not None and r == idx and mean_zero:
-        # S = supp p generates W + <x0> = G.  Mean zero gives positive integers
-        # a_s (the numerators of p) with sum a_s * free(s) = 0; with e the
-        # exponent of the torsion part, sum e * a_s * s = 0, so every -s lies
-        # in the semigroup of S.  That semigroup is therefore the group
-        # <S> = G, and the walk is irreducible.  Its period d is [G : W], as on
-        # finite groups: a return at n needs n*x0 in W, so r | d; and the
-        # number of steps to a point, mod d, is a homomorphism G -> Z_d that
-        # sends each s to 1 and so kills W, so d | [G : W] = r (Spitzer,
-        # Principles of Random Walk, ch. 1).
-        return Classification(
-            irreducible="yes", aperiodic="yes" if idx == 1 else "no", period=idx,
-            dance_cosets=("G_p is the whole group: there is no dance"
-                          if idx == 1 and not g.is_finite else
-                          f"the {idx} cosets G_p + k*x0 partition the group and the "
-                          f"walk cycles through them; G/G_p = {quotient}"),
-        )
+    if idx is not None and r == idx:
+        cosets = ("G_p is the whole group: there is no dance" if idx == 1 else
+                  f"the {idx} cosets G_p + k*x0 partition the group and the "
+                  f"walk cycles through them; G/G_p = {quotient}")
+        t = len(g.torsion_moduli)
+        if g.is_finite or _semigroup_witness([x[t:] for x in p._nums])[0]:
+            return Classification("yes", "yes" if idx == 1 else "no", idx, cosets)
+        return Classification("no", "no", None, cosets, reason=(
+            "the steps generate G but not as a semigroup: a homomorphism G -> R "
+            "is nonnegative on every step and positive on some, so the walk "
+            "never returns once it takes such a step"))
     if g.is_finite:
         return Classification(
-            irreducible="no", aperiodic="no", period=None,
-            dance_cosets=(f"supp(p^(n)) stays inside the coset G_p + n*x0, "
-                          f"G/G_p = {quotient}; only {g.order // idx * r} of {g.order} "
-                          f"elements are ever reachable"),
-            reason="reachable set is a proper subset of the group",
-        )
-    base = f"supp(p^(n)) is confined to the moving coset G_p + n*x0; G/G_p = {quotient}"
-    if idx == 1:
-        return Classification(
-            irreducible="undetermined", aperiodic="undetermined", period=None,
-            dance_cosets="G_p is the whole group: there is no dance",
-            reason=("the mean of the pushforward is nonzero, so the zero-mean "
-                    "criterion does not apply; a drifting walk with full walk "
-                    "subgroup may still fail to be irreducible"),
-        )
+            "no", "no", None,
+            f"supp(p^(n)) stays inside the coset G_p + n*x0, G/G_p = {quotient}; "
+            f"only {g.order // idx * r} of {g.order} elements are ever reachable",
+            reason="reachable set is a proper subset of the group")
     if r is None:
-        return Classification(
-            irreducible="no", aperiodic="no", period=None, dance_cosets=base,
-            reason=("the base point has infinite order in G/G_p, so the walk "
-                    "never revisits the zero coset and never returns"),
-        )
-    if r == 1:
-        return Classification(
-            irreducible="no", aperiodic="no", period=None, dance_cosets=base,
-            reason="the walk is confined to the proper subgroup G_p",
-        )
-    if idx is None:
-        return Classification(
-            irreducible="no", aperiodic="no", period=None, dance_cosets=base,
-            reason=("[G:G_p] is infinite, but an irreducible walk has finite "
-                    "index equal to its period"),
-        )
-    if r < idx:
-        return Classification(
-            irreducible="no", aperiodic="no", period=None, dance_cosets=base,
-            reason=(f"the base point generates only {r} of the {idx} cosets of "
-                    f"G_p, so the coset cycle cannot cover the group"),
-        )
+        reason = ("the base point has infinite order in G/G_p, so the walk "
+                  "never revisits the zero coset and never returns")
+    elif r == 1:
+        reason = "the walk is confined to the proper subgroup G_p"
+    elif idx is None:
+        reason = "[G:G_p] is infinite, but an irreducible walk has finite index equal to its period"
+    else:
+        reason = (f"the base point generates only {r} of the {idx} cosets of "
+                  f"G_p, so the coset cycle cannot cover the group")
     return Classification(
-        irreducible="undetermined", aperiodic="no", period=None,
-        dance_cosets=base + f"; the coset cycle has length {r}",
-        reason=(f"the walk dances through {r} > 1 cosets so it is not aperiodic, "
-                "and the mean of its free parts is nonzero, so the zero-mean "
-                "criterion does not decide irreducibility inside the cycle"),
-    )
+        "no", "no", None,
+        f"supp(p^(n)) is confined to the moving coset G_p + n*x0; G/G_p = {quotient}", reason)
+
+
+def _semigroup_witness(vectors):
+    """Whether the semigroup of the integer vectors v_s is a group, with a witness.
+
+    Returns (True, N), integers N_s >= 1 with sum N_s * v_s = 0, or
+    (False, y), an integer y with y . v_s >= 0 for every s and > 0 for
+    some; by Stiemke's alternative exactly one exists.  A phase-1 simplex
+    over Fractions, with Bland's rule against cycling, looks for M >= 0
+    with A M = -A 1 (A has columns v_s, and N = 1 + M), each row signed
+    so that its right side is >= 0 and the artificial basis is feasible.
+    The artificial columns end as B^(-1), so they give the phase-1 dual
+    u = c_B B^(-1).  At a positive optimum u . A_j <= 0 for every signed
+    column and u . b > 0, so y is -u mapped back through the row signs.
+    """
+    m, k = len(vectors), len(vectors[0])
+    sums = [sum(v[i] for v in vectors) for i in range(k)]
+    signs = [-1 if total > 0 else 1 for total in sums]
+    rows = [[Fraction(sign * v[i]) for v in vectors] + [Fraction(i == j) for j in range(k)]
+            + [Fraction(-sign * sums[i])] for i, sign in enumerate(signs)]
+    basis = list(range(m, m + k))  # the artificial columns m .. m + k - 1
+    while True:
+        # reduced costs: 1 on an artificial column, 0 on a step's, less c_B B^(-1) A_j
+        live = [row for row, b in zip(rows, basis) if b >= m]
+        cost = [(j >= m) - sum(row[j] for row in live) for j in range(m + k)]
+        enter = next((j for j, c in enumerate(cost) if c < 0), None)
+        if enter is None:
+            break
+        _, _, i = min((row[-1] / row[enter], basis[i], i)
+                      for i, row in enumerate(rows) if row[enter] > 0)
+        lead = rows[i][enter]
+        rows[i] = pivot = [e / lead for e in rows[i]]
+        rows = [row if row is pivot or not row[enter] else
+                [a - row[enter] * b for a, b in zip(row, pivot)] for row in rows]
+        basis[i] = enter
+    found = not any(row[-1] for row in live)  # the phase-1 optimum is 0
+    if found:
+        value = dict(zip(basis, (row[-1] for row in rows)))
+        witness = [1 + value.get(j, 0) for j in range(m)]
+    else:
+        witness = [-sign * sum(row[m + i] for row in live) for i, sign in enumerate(signs)]
+    scale = math.lcm(*(e.denominator for e in witness))
+    return found, [int(e * scale) for e in witness]

@@ -18,10 +18,10 @@ from dancewalk.dance import (
     SpectralGap,
     analyze_dance,
     dance_of,
-    period_if_irreducible,
     spectral_gap,
     theta_by_integration,
 )
+from dancewalk.llt import classify
 from dancewalk.scenarios import elevator1, elevator2, spitzer, z4z6_walk, z9_walk, z12_walk
 from reference import (
     _cyclotomic,
@@ -331,10 +331,11 @@ def test_gap_below_rounding_bound_is_within_it():
 
 
 def test_period_if_irreducible():
-    assert period_if_irreducible(z12_walk()) == 3
-    assert period_if_irreducible(z9_walk(1, 3)) == 1
-    with pytest.raises(ValueError, match="infinite"):
-        period_if_irreducible(spitzer())
+    # the period is Classification.period, given only for irreducible walks
+    assert classify(z12_walk()).period == 3
+    assert classify(z9_walk(1, 3)).period == 1
+    c = classify(spitzer())
+    assert c.irreducible == "no" and c.period is None
 
 
 def test_base_point_independence_of_dance():

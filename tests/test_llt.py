@@ -24,11 +24,12 @@ from dancewalk.intlinalg import IntMatrix, InvariantViolationError
 from dancewalk.cli import dump_spec, main
 from dancewalk.measure import (Distribution, _powers, convolution_power, convolve, pushforward,
                                 torsion_pushforward)
-from dancewalk.dance import DanceData, analyze_dance, period_if_irreducible, spectral_gap
+from dancewalk.dance import DanceData, analyze_dance, spectral_gap
 from dancewalk.llt import (
     Attractor,
     MomentData,
     _evaluated_window,
+    _semigroup_witness,
     _sup_errors,
     _tv_series,
     build_attractor,
@@ -324,6 +325,9 @@ def test_finite_window_holds_no_list_of_the_live_coset():
 
 # 1/2 on (1, 1) and (1, -1) in Z_3 x Z: period 6, mean zero, |Tor(G)| = 3
 DANCING_Z3_Z = _uniform(GroupSpec([3], 1), [((1,), (1,)), ((1,), (-1,))])
+# 2/3 on +1 and 1/3 on -1 in Z: irreducible with period 2 and mean 1/3
+DRIFT_CYCLE_Z = Distribution(Z1, {Z1.element((), [1]): Fraction(2, 3),
+                                  Z1.element((), [-1]): Fraction(1, 3)})
 
 
 @pytest.mark.parametrize("p, n, s", [(elevator2(), 9, 2), (SHEARED_LAZY_Z2, 5, 1),
@@ -333,7 +337,7 @@ def test_time_average_matches_fraction_reference(p, n, s):
     # c = 1, so K^n(phi(x)) / |Tor(G)| on every torsion lift of the window and on the
     # support, with no dance to pick residues
     a = build_attractor(p)
-    assert classify(p).irreducible != "no" and period_if_irreducible(p) == s
+    assert classify(p).period == s
     flat = Attractor(DanceData(whole_group(p.group), a.dance.base_point), a.phi, a.moments, a.twist)
     average = {}
     for law in (convolution_power(p, m) for m in range(n, n + s)):
@@ -348,17 +352,19 @@ def test_time_average_rejects_a_reducible_walk():
     # 1/2 on 0 and 3 in Z_9: s = 3 is the index of W = <3>, but the walk never
     # leaves W, so no average over 3 steps tends to the uniform law
     p = z9_walk(0, 3)
-    assert classify(p).irreducible == "no" and period_if_irreducible(p) == 3
+    assert classify(p).period is None and analyze_dance(p).walk_subgroup.index() == 3
     for n in (0, 50):
         with pytest.raises(ValueError, match="irreducible"):
             time_average_error(p, build_attractor(p), n, 3)
 
 
 def test_time_average_preconditions():
-    p = spitzer()  # mean 1/2, period would need mean zero
-    a = build_attractor(p)
-    with pytest.raises(ValueError):
-        time_average_error(p, a, 10, 1)  # nonzero mean in the rank >= 1 branch
+    p = spitzer()  # reducible: x0 has infinite order in G/W
+    with pytest.raises(ValueError, match="irreducible"):
+        time_average_error(p, build_attractor(p), 10, 1)
+    p = DRIFT_CYCLE_Z  # irreducible with period 2, but its mean 1/3 is not zero
+    with pytest.raises(ValueError, match="mean-zero"):
+        time_average_error(p, build_attractor(p), 10, 2)
     with pytest.raises(ValueError):
         time_average_error(z9_walk(1, 4), build_attractor(z9_walk(1, 4)), 10, 2)  # wrong s
     p = elevator2()  # the heat kernel needs n >= 1 on an infinite group
@@ -425,9 +431,10 @@ def test_tv_series_and_time_average_match_their_definitions():
             want = sum(abs(pn.weight(x) - Fraction(x in coset, len(w)))
                        for x in coset | set(pn.support())) / 2
             assert r.tv_exact == want, (p, r.n)
-        if not g.is_finite or classify(p).irreducible != "yes":
+        s = classify(p).period
+        if not g.is_finite or s is None:
             continue
-        s, a = period_if_irreducible(p), build_attractor(p)
+        a = build_attractor(p)
         for n in range(6):
             average = [sum(laws[m].weight(x) for m in range(n, n + s)) / s for x in g.elements()]
             want = max(abs(v - Fraction(1, g.order)) for v in average)
@@ -448,21 +455,21 @@ def test_classify_worked_examples():
 
 
 def test_classify_never_claims_irreducibility_for_drifting_full_walk():
+    # 1/2 on 1 and 2 generate Z, but the walk never moves down
     p = Distribution(Z1, {Z1.element((), [1]): half, Z1.element((), [2]): half})
     c = classify(p)
-    assert c.irreducible == "undetermined"
-    assert c.aperiodic == "undetermined"
-    assert c.period is None
-    assert "nonzero" in c.reason
+    assert (c.irreducible, c.aperiodic, c.period) == ("no", "no", None)
+    assert c.dance_cosets == "G_p is the whole group: there is no dance"
+    assert "not as a semigroup" in c.reason
 
 
 def test_classify_infinite_cases():
     c = classify(spitzer())
-    assert c.irreducible == "no" and c.aperiodic == "no"
+    assert (c.irreducible, c.aperiodic, c.period) == ("no", "no", None)
     c = classify(elevator1())
     assert c.irreducible == "no"
-    # diffusive elevator: walk subgroup of index 2, mean zero and x0 generating
-    # G/W, so the mean-zero certificate gives irreducibility with period 2
+    # diffusive elevator: walk subgroup of index 2, x0 generating G/W and the
+    # support's semigroup a group, so irreducible with period 2
     c = classify(elevator2())
     assert (c.irreducible, c.aperiodic, c.period) == ("yes", "no", 2)
     # simple random walk on Z: the same certified dancing shape
@@ -504,27 +511,83 @@ def symmetric_walks(draw):
 @example(KNIGHT)
 def test_classify_decides_symmetric_walks(p):
     # a symmetric walk has mean zero: it is irreducible with period [G:W] exactly
-    # when x0 generates G/W, and reducible otherwise.  By brute force, a certified
-    # walk's returns up to n = 12 have that gcd and its supports cover a box; a
-    # reducible walk's supports miss part of the box
-    g, dance, c = p.group, analyze_dance(p), classify(p)
+    # when x0 generates G/W, and reducible otherwise, as brute force confirms
+    c, idx, generates = classify(p), *_index_and_generation(p)
+    assert (c.irreducible, c.period) == (("yes", idx) if generates else ("no", None))
+    _assert_reach_matches(p, c)
+
+
+def _index_and_generation(p):
+    """[G:W] and whether x0 generates G/W."""
+    dance = analyze_dance(p)
     w = dance.walk_subgroup
     idx = w.index()
-    generates = idx is not None and w.coset_order(dance.base_point) == idx
-    assert (c.irreducible, c.period) == (("yes", idx) if generates else ("no", None))
+    return idx, idx is not None and w.coset_order(dance.base_point) == idx
+
+
+def _assert_reach_matches(p, c):
+    """By brute force: if c says irreducible, by some n <= 60 the return times
+    have gcd c.period and the supports cover the box of every torsion residue
+    times [-2, 2]^k; otherwise the supports up to n = 12 miss part of that box."""
+    g = p.group
     box = {g.element_from_coords(x) for x in itertools.product(
         *(range(m) for m in g.torsion_moduli), *[range(-2, 3)] * g.free_rank)}
     seen, period, law = set(), 0, sparse_power(p, 0)
-    for n in range(1, 13):
+    for n in range(1, 61 if c.irreducible == "yes" else 13):
         law = sparse_convolve(law, p)  # sparse_power(p, n)
         support = set(law.support())
         seen |= support
         if g.identity() in support:
             period = gcd(period, n)
-    if generates:
-        assert period == idx and box <= seen
+        if period == c.period and box <= seen:
+            break
+    if c.irreducible == "yes":
+        assert period == c.period and box <= seen
     else:
         assert not box <= seen
+
+
+def _witness_holds(vectors, found, witness):
+    """The witness of _semigroup_witness, checked on its own: integers N_s >= 1
+    with sum N_s * v_s = 0, or a y with y . v_s >= 0 for every s and > 0 for one."""
+    if found:
+        return (len(witness) == len(vectors) and all(type(n) is int and n >= 1 for n in witness)
+                and all(sum(n * v[i] for n, v in zip(witness, vectors)) == 0
+                        for i in range(len(vectors[0]))))
+    dots = [sum(a * b for a, b in zip(witness, v)) for v in vectors]
+    return min(dots) >= 0 and max(dots) > 0
+
+
+@st.composite
+def supports(draw):
+    """A uniform walk on 1 to 5 points of Z, Z^2, Z^3, Z_2 x Z or Z_3 x Z^2,
+    with free coordinates in -2..2."""
+    g = draw(st.sampled_from((Z1, Z2, GroupSpec((), 3), GroupSpec([2], 1), GroupSpec([3], 2))))
+    points = draw(st.lists(_coords(g, 2), min_size=1, max_size=5, unique=True))
+    return Distribution(g, {g.element_from_coords(x): Fraction(1, len(points)) for x in points})
+
+
+@seed(0x3f8a1c6e2b9d4f7a0c5e8b1d3f6a9c2e4b7d0f3a6c9e1b4d7f2a5c8e0b3d6f9a1c4e7b2d5f8a0c3e6b9d2f4)
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(supports())
+@example(_uniform(Z1, [((), (1,)), ((), (0,))]))  # 0 is in the hull of {0, 1}, not its interior
+@example(DRIFT_CYCLE_Z)
+@example(_uniform(Z2, [((), (0, 0)), ((), (1, 0)), ((), (-1, 0)), ((), (0, 1))]))  # drift_up_z2
+@example(_uniform(GroupSpec([4], 1), [((1,), (0,)), ((3,), (0,))]))  # free parts all zero
+@example(_uniform(Z1, [((), (1,))]))  # a single point
+@example(_uniform(Z2, [((), (1, 2)), ((), (-2, -4)), ((), (2, 4))]))  # on a line, both signs
+@example(_uniform(GroupSpec((), 3), [((), (1, 0, 0)), ((), (0, 1, 0)), ((), (0, 0, 1)),
+                                     ((), (-1, -1, -1))]))  # irreducible on Z^3, period 4
+def test_classify_decides_by_the_semigroup_of_the_support(p):
+    # irreducible exactly when x0 generates G/W and the steps' free parts carry
+    # a witness N_s >= 1 of a group; the witness is checked on its own, and the
+    # verdict against brute-force reachability
+    vectors = [x.free for x in p.support()]
+    found, witness = _semigroup_witness(vectors)
+    assert _witness_holds(vectors, found, witness)
+    c, idx, generates = classify(p), *_index_and_generation(p)
+    assert (c.irreducible, c.period) == (("yes", idx) if generates and found else ("no", None))
+    _assert_reach_matches(p, c)
 
 
 AUTOMORPHISM_GROUPS = (
@@ -822,8 +885,9 @@ def test_rank_two_drifted_walk_with_correlated_covariance():
     assert a.moments.covariance == ((Fraction(2, 9), Fraction(-1, 9)),
                                     (Fraction(-1, 9), Fraction(2, 9)))
     assert a.moments.is_positive_definite()
-    # drift plus full walk subgroup: soundness requires an open verdict
-    assert classify(p).irreducible == "undetermined"
+    # full walk subgroup, but y = (1, 1) is >= 0 on every step: the walk never returns
+    c = classify(p)
+    assert (c.irreducible, c.period) == ("no", None)
     scaled = [llt_sup_error(p, a, n).scaled_sup_error for n in (10, 20, 40)]
     assert all(x > y for x, y in zip(scaled, scaled[1:]))
 
@@ -862,8 +926,8 @@ def reference_window(pn, a, n):
             for x in sorted(set(pn.support()).union(live))]
 
 
-KNIGHT = [(0, (a, b)) for a, b in ((1, 2), (2, 1), (-1, 2), (-2, 1),
-                                   (1, -2), (2, -1), (-1, -2), (-2, -1))]
+KNIGHT_STEPS = [(0, (a, b)) for a, b in ((1, 2), (2, 1), (-1, 2), (-2, 1),
+                                         (1, -2), (2, -1), (-1, -2), (-2, -1))]
 
 
 @st.composite
@@ -883,7 +947,7 @@ def window_cases(draw):
         nums = [draw(st.integers(1, 4)) for _ in points]
     else:
         g = Z2
-        points = KNIGHT if kind == "knight" else [((), (1, 0)), ((), (0, 1))]
+        points = KNIGHT_STEPS if kind == "knight" else [((), (1, 0)), ((), (0, 1))]
         points = [((), x) for _, x in points]
         nums = [1] * len(points)
     p = Distribution(g, {g.element(t, f): Fraction(a, sum(nums)) for (t, f), a in zip(points, nums)})
