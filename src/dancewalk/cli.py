@@ -343,13 +343,10 @@ def cmd_twist(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    from .measure import sample_path
+    from .measure import _positions
 
     p = _read_spec(args.spec)
-    paths = []
-    for i in range(args.paths):
-        walk = sample_path(p, args.n, args.seed + i)
-        paths.append([list(x.coords()) for x in walk.positions])
+    paths = [list(_positions(p, args.n, args.seed + i)) for i in range(args.paths)]
     _emit({"n": args.n, "seed": args.seed, "paths": paths})
     return 0
 

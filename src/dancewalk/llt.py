@@ -226,10 +226,10 @@ def _evaluated_window(nums, a: Attractor, n: int):
         bound = 64 * n * scale
 
         moduli = w.quotient_map()[0].torsion_moduli
-        torsion = a.phi.source.torsion_moduli
-        origin = (0,) * len(torsion)
+        torsion = a.phi.source.torsion_component()
+        origin = (0,) * torsion.dim
         groups = {}  # the torsion residues r by pi(r, 0)
-        for r in itertools.product(*(range(m) for m in torsion)):
+        for r in whole_group(torsion).element_coords():
             groups.setdefault(image(r)[:len(moduli)], []).append(r)
         free_step = tuple(row[d - 1] for row in inv.data)
         key_step = image(origin + free_step)

@@ -3,19 +3,19 @@
 A ``Distribution`` holds its law: integer numerators over one common
 denominator in lowest terms, keyed by group coordinates (torsion
 residues in [0, m), then the free part).  ``Element`` and ``Fraction``
-objects are built only where ``support``, ``items`` and ``weight`` are
-called.  Convolution packs the law in the walk's own lattice: the free
-part of x - n*x0 is written in a Hermite basis of the lattice L spanned
-by the free parts of supp(p) - x0, so a walk on a line or a sublattice
-gets a box that grows with its own support and not with the ambient
-Z^k.  A product packs both operands into fixed-width slots of one
-integer (Kronecker substitution), makes a single big-integer
-multiplication and reads the slots of its ``int.to_bytes`` straight
-into the product's dict; torsion axes are folded mod m.  The box is
-dense, and its cells are the product of its sides, so where it holds
-more cells than there are pairs of support points (a thin support over
-many axes, or two far-apart residues of a large Z_m) the product is the
-double loop over the pairs instead.
+objects are built only where ``support``, ``items``, ``weight`` and
+``sample_path`` are called.  Convolution packs the law in the walk's own
+lattice: the free part of x - n*x0 is written in a Hermite basis of the
+lattice L spanned by the free parts of supp(p) - x0, so a walk on a
+line or a sublattice gets a box that grows with its own support and not
+with the ambient Z^k.  A product packs both operands into fixed-width
+slots of one integer (Kronecker substitution), makes a single
+big-integer multiplication and reads the slots of its ``int.to_bytes``
+straight into the product's dict; torsion axes are folded mod m.  The
+box is dense, and its cells are the product of its sides, so where it
+holds more cells than there are pairs of support points (a thin support
+over many axes, or two far-apart residues of a large Z_m) the product
+is the double loop over the pairs instead.
 One power ladder (``_powers``) serves every set of steps and yields
 ``Distribution``s: it is planned before its first product, frees each
 rung after its last read, and drains a rung into the step that reads it
@@ -26,13 +26,15 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import add, mod
 
 from ._value import Value
 from .group import Element, GroupSpec, Homomorphism
-from .intlinalg import InvariantViolationError, lattice_basis
+from .intlinalg import IntMatrix, InvariantViolationError, lattice_basis
 
 
 class Distribution(Value):
@@ -318,11 +320,8 @@ def torsion_pushforward(p: Distribution) -> Distribution:
     g = p.group
     if g.free_rank == 0:
         return p
-    t = len(g.torsion_moduli)
-    out: dict[tuple[int, ...], int] = {}
-    for x, v in p._nums.items():
-        out[x[:t]] = out.get(x[:t], 0) + v
-    return Distribution._law(g.torsion_component(), p._den, out)
+    rows = [[int(i == j) for j in range(g.dim)] for i in range(len(g.torsion_moduli))]
+    return pushforward(p, Homomorphism(g, g.torsion_component(), IntMatrix(rows, cols=g.dim)))
 
 
 class WalkPath(Value):
@@ -337,27 +336,30 @@ class WalkPath(Value):
         return len(self.positions) - 1
 
 
-def sample_path(p: Distribution, n: int, seed: int) -> WalkPath:
-    """A length-n walk driven by p, deterministic for a fixed seed.
+def _positions(p: Distribution, n: int, seed: int):
+    """The n + 1 positions of a walk driven by p, as coordinate tuples from 0.
 
-    Steps are drawn by inverse CDF over the sorted support, comparing the
-    generator's output against exact cumulative weights, so two runs with
-    the same seed always produce identical paths.
+    A step is the first point of the sorted support whose cumulative
+    numerator acc has u < acc / den.  random() returns exactly u = k / 2**53,
+    so that is k * den < acc << 53, decided exactly by bisect_right.
     """
+    moduli, den = p.group.torsion_moduli, p._den
+    t, steps = len(moduli), sorted(p._nums)
+    cuts = [acc << 53 for acc in itertools.accumulate(p._nums[x] for x in steps)]
+    rng = random.Random(seed)
+    pos = (0,) * p.group.dim
+    yield pos
+    for _ in range(n):
+        pos = tuple(map(add, pos, steps[bisect_right(cuts, int(rng.random() * 2**53) * den)]))
+        pos = tuple(map(mod, pos[:t], moduli)) + pos[t:]
+        yield pos
+
+
+def sample_path(p: Distribution, n: int, seed: int) -> WalkPath:
+    """A length-n walk driven by p, the same for the same seed: the
+    positions that _positions draws, as Elements."""
     if n < 0:
         raise ValueError("negative path length")
     if seed < 0:
         raise ValueError("negative seed")
-    rng = random.Random(seed)
-    cumulative, acc = [], Fraction(0)
-    for x, w in p.items():
-        acc += w
-        cumulative.append((acc, x))
-    pos = p.group.identity()
-    positions = [pos]
-    for _ in range(n):
-        u = Fraction(rng.random())
-        step = next(x for acc, x in cumulative if u < acc)
-        pos = pos + step
-        positions.append(pos)
-    return WalkPath(tuple(positions))
+    return WalkPath(tuple(map(p.group.element_from_coords, _positions(p, n, seed))))

@@ -16,7 +16,10 @@ phases with an exact zero test at every character (_char_modulus,
 _unit_phase_sum_is_zero); _cyclotomic and _exact_poly_div give the
 cyclotomic polynomials for that test, where the library decides rho = 0
 once, by Fourier inversion.  _render is the recursive JSON writer that the flat
-writer in dancewalk._writer replaced.  No library path calls them.
+writer in dancewalk._writer replaced.  reference_path is the sampler that
+measure._positions replaced: an inverse CDF over the sorted support that
+compares Fraction(rng.random()) with Fraction cumulative weights and adds
+Element steps.  No library path calls them.
 hermite_form runs the library's Hermite kernel with a transform, and
 matmul is the integer matrix product, for the normal-form checks.
 """
@@ -54,6 +57,22 @@ def sparse_power(p, n):
     for _ in range(n):
         acc = sparse_convolve(acc, p)
     return acc
+
+
+def reference_path(p, n, rng) -> tuple[Element, ...]:
+    """The n + 1 positions of a walk driven by p, drawn by rng.random() on Fractions."""
+    cumulative, acc = [], Fraction(0)
+    for x, w in p.items():
+        acc += w
+        cumulative.append((acc, x))
+    pos = p.group.identity()
+    positions = [pos]
+    for _ in range(n):
+        u = Fraction(rng.random())
+        step = next(x for acc, x in cumulative if u < acc)
+        pos = pos + step
+        positions.append(pos)
+    return tuple(positions)
 
 
 def gaussian_kernel(moments: MomentData, t, y) -> float:

@@ -330,7 +330,7 @@ def test_gap_below_rounding_bound_is_within_it():
     assert abs(spectral_gap(p).rho - 6e-30) <= (6 + 16) * 2.0 ** -52
 
 
-def test_period_if_irreducible():
+def test_classification_period_is_given_for_irreducible_walks():
     # the period is Classification.period, given only for irreducible walks
     assert classify(z12_walk()).period == 3
     assert classify(z9_walk(1, 3)).period == 1

@@ -1,12 +1,17 @@
+import io
+import json
 import random
+import sys
 from fractions import Fraction
 from math import comb, gcd, lcm
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 import dancewalk.measure
-from dancewalk.group import GroupSpec, Homomorphism
+from dancewalk.cli import main
+from dancewalk.group import Element, GroupSpec, Homomorphism
 from dancewalk.intlinalg import IntMatrix
 from dancewalk.measure import (
     Distribution,
@@ -17,7 +22,7 @@ from dancewalk.measure import (
     torsion_pushforward,
 )
 from dancewalk.scenarios import elevator1, elevator2, spitzer, z12_walk
-from reference import sparse_convolve, sparse_power
+from reference import reference_path, sparse_convolve, sparse_power
 
 Z12 = GroupSpec([12])
 Z9 = GroupSpec([9])
@@ -493,3 +498,70 @@ def test_sampler_matches_convolution_power():
 def test_sample_path_rejects_negative_length():
     with pytest.raises(ValueError):
         sample_path(z12_walk(), -1, 0)
+
+
+@st.composite
+def sampled_laws(draw):
+    """A law on Z_m, Z_a x Z_b, Z^k or Z_m x Z^k whose weights have a large odd,
+    a dyadic or a small denominator, and a seed and a length to walk it."""
+    moduli, rank = draw(st.sampled_from([
+        ((draw(st.integers(2, 13)),), 0),
+        ((draw(st.integers(2, 7)), draw(st.integers(2, 7))), 0),
+        ((), draw(st.integers(1, 3))),
+        ((draw(st.integers(2, 9)),), draw(st.integers(1, 2))),
+    ]))
+    g = GroupSpec(moduli, rank)
+    point = st.tuples(*[st.integers(0, m - 1) for m in moduli], *[st.integers(-3, 3)] * rank)
+    points = draw(st.lists(point, min_size=1, max_size=6, unique=True))
+    den = draw(st.sampled_from([3 ** 40, 5 ** 26, 2 ** 61 - 1, 2 ** 60, 2 ** 53, 2 ** 8, 7, 12])
+               | st.integers(len(points), 2 ** 62))
+    cuts = sorted(draw(st.lists(st.integers(1, max(den - 1, 1)), min_size=len(points) - 1,
+                                max_size=len(points) - 1, unique=True)))
+    nums = [b - a for a, b in zip([0] + cuts, cuts + [den])]
+    p = Distribution(g, {g.element_from_coords(c): Fraction(v, den) for c, v in zip(points, nums)})
+    return p, draw(st.integers(0, 200)), draw(st.integers(0, 2 ** 64))
+
+
+@seed(0x4d90e2773b6dce6c4a9980728cd183650e2d30ef64bf9744c4f83bf4622af298423283eaaf8a236039efd423e24dcb00)
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(sampled_laws())
+def test_sampler_draws_the_fraction_references_steps(case):
+    p, n, s = case
+    assert sample_path(p, n, s).positions == reference_path(p, n, random.Random(s))
+
+
+def _draws(values):
+    """A stand-in for random.Random whose random() returns the given floats in turn."""
+    return SimpleNamespace(random=iter(values).__next__)
+
+
+def test_sampler_breaks_a_tie_as_the_fraction_reference(monkeypatch):
+    # u = 1/2 and u = 3/4 are cumulative weights: each step is the point after the tie
+    z = GroupSpec((), 1)
+    p = Distribution(z, {z.element((), (-1,)): half, z.element((), (0,)): quarter,
+                         z.element((), (1,)): quarter})
+    monkeypatch.setattr(dancewalk.measure, "random",
+                        SimpleNamespace(Random=lambda s: _draws([0.5, 0.75])))
+    path = sample_path(p, 2, 0).positions
+    assert path == reference_path(p, 2, _draws([0.5, 0.75]))
+    assert [x.free for x in path] == [(0,), (0,), (1,)]
+
+
+def test_sample_command_builds_no_element_per_step(monkeypatch, capsys):
+    spec = ('{"group": {"torsion": [12], "rank": 1}, "distribution": ['
+            '{"elem": {"torsion": [-1], "free": [1]}, "weight": "1/3"},'
+            '{"elem": {"torsion": [2], "free": [0]}, "weight": "1/3"},'
+            '{"elem": {"torsion": [0], "free": [-1]}, "weight": "1/3"}]}')
+    built = []
+    init = Element.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Element, "__init__", counted)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
+    assert main(["sample", "--spec", "-", "--n", "1000", "--seed", "3", "--paths", "2"]) == 0
+    paths = json.loads(capsys.readouterr().out)["paths"]
+    assert [len(path) for path in paths] == [1001, 1001]
+    assert len(built) <= 3

@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import shlex
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -33,3 +34,17 @@ def test_readme_walk_description_runs_through_analyze(capsys, monkeypatch):
     assert doc["group"] == {"torsion": [12], "rank": 0, "canonical_torsion": [12]}
     assert doc["walk_subgroup"]["index"] == 3
     assert doc["classification"]["period"] == 3
+
+
+def test_readme_command_block_runs_on_the_readme_walk(capsys, monkeypatch):
+    spec = _block("json", "Walks are described as JSON")
+    lines = _block("sh", "Walks are described as JSON").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines]
+    assert [c[:2] for c in commands] == [["dancewalk", name] for name in (
+        "analyze", "convolve", "compare", "attractor", "tv", "twist", "sample", "examples")]
+    for command in commands:
+        argv = ["-" if a == "walk.json" else a for a in command[1:]]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
+        assert main(argv) == 0, command
+        out = capsys.readouterr().out
+    assert "4/4 checks passed" in out
