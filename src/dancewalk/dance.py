@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 from functools import lru_cache
 from math import lcm, prod
+from operator import index
 
 from ._value import Value
 from .group import (
@@ -37,7 +38,6 @@ from .group import (
     UnsupportedOperationError,
     whole_group,
 )
-from .intlinalg import InvariantViolationError
 from .measure import Distribution, torsion_pushforward
 
 
@@ -76,7 +76,7 @@ class DanceData(Value):
         if x.group != self.base_point.group:
             raise ValueError("element lives in a different group")
         image = self.walk_subgroup._image  # live: x and n*x0 have one image in G/W
-        live = image(x.coords()) == image([n * c for c in self.base_point.coords()])
+        live = image(x.coords()) == image([index(n) * c for c in self.base_point.coords()])
         return self.normalization_c if live else 0
 
     def coset_at(self, n: int) -> list[Element]:
@@ -115,14 +115,6 @@ def dance_of(p: Distribution) -> DanceData:
     return p._dance
 
 
-def _assert_constant_free_part(p: Distribution):
-    t = len(p.group.torsion_moduli)
-    if len({x[t:] for x in p._nums}) > 1:
-        raise InvariantViolationError(
-            "rank-0 walk with non-constant free part; the torsion projection "
-            "would not match the sliced distribution")
-
-
 def _phase_sums(p: Distribution):
     """Each character k of p's finite group, in sorted order, with p's numerators
     summed by the phase of k at x: sum(k_i * x_i * (L // m_i)) mod L = lcm(m_i)."""
@@ -141,34 +133,30 @@ def _phase_sums(p: Distribution):
 def spectral_gap(p: Distribution) -> SpectralGap:
     """Exponential-error rate rho of the walk.
 
-    Computed on the torsion projection p_A, on the finite group A: rho is
-    the largest |p_A_hat(alpha)| over torsion characters alpha outside
-    the unit-modulus locus Omega_A (p_A is p on finite groups).  Phases
+    Computed on the torsion projection p_A = torsion_pushforward(p), on
+    the finite group A, and on p only through p_A: rho is the largest
+    |p_A_hat(alpha)| over torsion characters alpha outside the
+    unit-modulus locus Omega_A (p_A is p on finite groups).  Phases
     are integers mod L = lcm(m_i), so the locus (one phase at every
     support point) is found exactly; a modulus off it is a double within
     e_scan = (|S| + 16) * 2**-52 of the exact one, S = supp p_A.
 
     By Fourier inversion on A, every character off the locus is 0 exactly
-    when p_A is uniform on a coset of W_A, the annihilator of Omega_A,
-    that is on |S| = |W_A| points.  W_A, generated by S - x0, is W's image
-    in A, so |W_A| = |A| / prod(h_j), h_j the pivots of W's first t Hermite
-    rows, read through Subgroup.  That is decided before the scan,
-    and then rho is 0.0 and achieved_at None.  Otherwise rho is the largest
-    double modulus and achieved_at the first character attaining it.
+    when p_A is uniform on a coset of its walk subgroup W_A, that is on
+    |S| = |W_A| points.  That is decided before the scan, from the order
+    of dance_of(p_A).walk_subgroup, and then rho is 0.0 and achieved_at
+    None.  Otherwise rho is the largest double modulus and achieved_at
+    the first character attaining it.
     Above 2 * e_scan both are bit for bit those of a scan with an exact
     zero test at every character, as an exact zero computes to at most
     e_scan.  Below it, rho is rounding noise within e_scan of the true
     maximum: p(x) = 1/6 + 10^-30 * (-1)^x on Z_6 has rho = 6 * 10^-30,
     e_scan = 22 * 2**-52 (about 4.9e-15), and the scan reads 1.24e-16 at (2,).
     """
-    if dance_of(p).rank_d == 0:
-        _assert_constant_free_part(p)
     pa = torsion_pushforward(p)
-    a = pa.group
-    w_a = a.torsion_order // dance_of(p).walk_subgroup._pivot_product(len(a.torsion_moduli))
-    if len(set(pa._nums.values())) == 1 and len(pa) == w_a:  # uniform on a coset of W_A
-        return SpectralGap(rho=0.0, achieved_at=None)
-    order, den = lcm(*a.torsion_moduli), pa._den
+    if len(set(pa._nums.values())) == 1 and len(pa) == dance_of(pa).walk_subgroup.order():
+        return SpectralGap(rho=0.0, achieved_at=None)  # uniform on a coset of W_A
+    order, den = lcm(*pa.group.torsion_moduli), pa._den
 
     @lru_cache(maxsize=1 << 12)  # at most 4096 of the lcm(m_i) phases
     def root(phase: int) -> complex:
@@ -217,7 +205,7 @@ def theta_by_integration(p: Distribution, n: int, x: Element) -> float:
         if len(terms) != 1:
             continue
         base, = terms  # p_hat(xi) = exp(2 pi i * base / L) exactly on the locus
-        phase = (n * base - sum(k * c for k, c in zip(chars, target))) % order
+        phase = (index(n) * base - sum(k * c for k, c in zip(chars, target))) % order
         total += cmath.exp(2j * cmath.pi * (phase / order))
     return total.real
 

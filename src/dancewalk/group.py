@@ -200,13 +200,11 @@ class Subgroup(Value):
         y = [sum(e * c for e, c in zip(row, v)) for row in proj.matrix.data]
         return (*map(mod, y, spec.torsion_moduli), *y[len(spec.torsion_moduli):])
 
-    def _pivot_product(self, axes: int) -> int:
-        """prod(h_j) over the first ``axes`` Hermite rows, h_j = basis[j][j]."""
-        return prod(self.basis.data[j][j] for j in range(axes))
-
     def index(self) -> int | None:
         """[G : H], or None when the quotient is infinite."""
-        return self._pivot_product(self.parent.dim) if self.basis.rows == self.parent.dim else None
+        if self.basis.rows < self.parent.dim:
+            return None
+        return prod(row[j] for j, row in enumerate(self.basis.data))
 
     def rank(self) -> int:
         """Free rank of the subgroup itself."""
@@ -216,7 +214,7 @@ class Subgroup(Value):
         """|H|, or None when the subgroup is infinite."""
         if self.rank() > 0:
             return None
-        return self.parent.torsion_order // self._pivot_product(len(self.parent.torsion_moduli))
+        return self.parent.torsion_order // prod(row[j] for j, row in enumerate(self.basis.data))
 
     def quotient_invariants(self) -> tuple[tuple[int, ...], int]:
         """Canonical invariants (torsion chain, free rank) of parent / H."""

@@ -30,7 +30,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import add, mod
+from operator import add, index, mod
 
 from ._value import Value
 from .group import Element, GroupSpec, Homomorphism
@@ -267,7 +267,7 @@ def _powers(p: Distribution, steps):
     that reads a rung last drains it into its Distribution.  p^0 is the
     point mass at the identity.
     """
-    steps = sorted(steps)
+    steps = sorted(map(index, steps))
     if steps and steps[0] < 0:
         raise ValueError("negative convolution power")
     plan, ends = {0: 0, 1: 0}, []  # p^0 and p^1 are given, the rest made in order
@@ -293,7 +293,7 @@ def _powers(p: Distribution, steps):
 
 
 def convolution_power(p: Distribution, n: int) -> Distribution:
-    """The n-fold convolution of p with itself, by repeated squaring.
+    """The n-fold convolution of p with itself, from the one planned power ladder.
 
     n = 0 returns the point mass at the identity (the convolution unit);
     walks themselves start at n = 1.
@@ -346,7 +346,7 @@ def _positions(p: Distribution, n: int, seed: int):
     moduli, den = p.group.torsion_moduli, p._den
     t, steps = len(moduli), sorted(p._nums)
     cuts = [acc << 53 for acc in itertools.accumulate(p._nums[x] for x in steps)]
-    rng = random.Random(seed)
+    rng = random.Random(index(seed))
     pos = (0,) * p.group.dim
     yield pos
     for _ in range(n):

@@ -110,17 +110,14 @@ def run_z12() -> list[Check]:
     checks.append(Check("irreducible with period 3 [reference]",
                         (c.irreducible, c.aperiodic, c.period) == ("yes", "no", 3),
                         f"{c.irreducible}/{c.aperiodic}/{c.period}"))
-    a = build_attractor(p)
-    ok = True
     worst = ""
-    for r in _sup_errors(p, a, range(10, 31)):
+    for r in _sup_errors(p, build_attractor(p), range(10, 31)):
         n, err = r.n, r.sup_error_exact
-        bound = (9 / 12) * (1 / math.sqrt(2)) ** n * (1 + 1e-9)
-        if float(err) > bound:
-            ok = False
-            worst = f"n={n}: {float(err):.3e} > {bound:.3e}"
+        # rho = 2^(-1/2) exactly: err <= (9/12) rho^n is 16 * 2^n * err^2 <= 9, in Fractions
+        if 16 * 2 ** n * err ** 2 > 9:
+            worst = f"n={n}: {float(err):.3e} > {(9 / 12) * (1 / math.sqrt(2)) ** n:.3e}"
             break
-    checks.append(Check("sup error within (9/12) rho^n for n=10..30 [reference]", ok, worst))
+    checks.append(Check("sup error within (9/12) rho^n for n=10..30 [reference]", not worst, worst))
     return checks
 
 

@@ -651,7 +651,9 @@ def test_analyze_runs_analyze_dance_once(monkeypatch, capsys):
                 monkeypatch.setattr(mod, "analyze_dance", counting_analyze)
         monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
         assert main(["analyze", "--spec", "-"]) == 0
-        assert len(calls) == 1
+        # no law twice, and p once: on Spitzer's walk its torsion projection is the other
+        assert len(set(calls)) == len(calls)
+        assert calls.count(load_spec(spec)) == 1
         assert capsys.readouterr().out
 
 
@@ -891,6 +893,18 @@ def test_golden_scenario_passes_every_check(name):
     assert [c.label for c in checks if not c.passed] == []
     assert len(checks) == SCENARIO_CHECK_COUNTS[name]
     assert elapsed < SCENARIO_BUDGETS[name], f"{name} took {elapsed:.2f}s"
+
+
+def test_z12_rate_check_is_exact(monkeypatch):
+    # rho = 2^(-1/2) exactly, so (9/12) rho^10 is 3/128: a sup error above it by a
+    # relative 10^-10 fails the check, with no float slack to pass it
+    err = Fraction(3, 128) * (1 + Fraction(1, 10**10))
+    report = dancewalk.llt.LltReport(n=10, sup_error_exact=err)
+    monkeypatch.setattr(dancewalk.scenarios, "_sup_errors", lambda p, a, steps: iter([report]))
+    check = dancewalk.scenarios.run_z12()[-1]
+    assert check.label == "sup error within (9/12) rho^n for n=10..30 [reference]"
+    assert not check.passed
+    assert check.detail == "n=10: 2.344e-02 > 2.344e-02"
 
 
 def _one_point_spec(group, elem):

@@ -11,8 +11,10 @@ from hypothesis import example, given, seed, settings, strategies as st
 
 import dancewalk.measure
 from dancewalk.cli import main
+from dancewalk.dance import dance_of, theta_by_integration
 from dancewalk.group import Element, GroupSpec, Homomorphism
 from dancewalk.intlinalg import IntMatrix
+from dancewalk.llt import build_attractor, llt_sup_error, tv_to_uniform_coset
 from dancewalk.measure import (
     Distribution,
     convolution_power,
@@ -498,6 +500,22 @@ def test_sampler_matches_convolution_power():
 def test_sample_path_rejects_negative_length():
     with pytest.raises(ValueError):
         sample_path(z12_walk(), -1, 0)
+
+
+def test_step_counts_and_seeds_must_be_integers():
+    # read through operator.index, as coordinates are: 2.5 would recurse in the
+    # power plan or draw a path, and 2.0 would pass for 2
+    p = z12_walk()
+    a = build_attractor(p)
+    calls = [lambda: convolution_power(p, 2.5), lambda: convolution_power(p, 2.0),
+             lambda: tv_to_uniform_coset(p, 2.5), lambda: llt_sup_error(p, a, 2.5),
+             lambda: sample_path(p, 3, 2.5)]
+    calls += [lambda q=q: dance_of(q).theta(2.5, q.support()[0]) for q in (p, elevator2())]
+    calls.append(lambda: theta_by_integration(p, 2.5, p.support()[0]))
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+    assert convolution_power(p, True) == p  # integer types are accepted
 
 
 @st.composite
