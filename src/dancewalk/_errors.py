@@ -12,4 +12,5 @@ class InvariantViolationError(RuntimeError):
 
 
 class UnsupportedOperationError(ValueError):
-    """The operation needs a finiteness property the input lacks."""
+    """The operation needs a finiteness property the input lacks, or the
+    input is past a size budget."""

@@ -211,29 +211,29 @@ def cmd_convolve(args) -> int:
     from .measure import _powers
 
     p = _read_spec(args.spec)
-    (_, pn), = _powers(p, (args.n,))
-    t, den = len(p.group.torsion_moduli), pn._den
+    (_, den, nums), = _powers(p, (args.n,))
+    t = len(p.group.torsion_moduli)
 
     def rows():
-        for x in sorted(pn._nums):
-            v = pn._nums[x]
+        for x in sorted(nums):
+            v = nums[x]
             g = math.gcd(v, den)
             yield x[:t], x[t:], _fmt_ratio(v // g, den // g), v / den
 
-    _emit({"n": args.n, "support_size": len(pn), "weights": _Rows(_WEIGHT, rows())})
+    _emit({"n": args.n, "support_size": len(nums), "weights": _Rows(_WEIGHT, rows())})
     return 0
 
 
-def _compare_rows(pn: Distribution, a, n: int):
+def _compare_rows(den: int, nums: dict, a, n: int):
     """(x, numerator, denominator, p_float, theta, attractor, abs_error) at
-    each window point of step n, with p^(n)(x) = numerator / denominator
-    in lowest terms and p_float that quotient correctly rounded, as
-    float(Fraction) gives it.  Every window point is live, so theta is
-    the normalization c at each."""
+    each window point of step n, from p^(n)'s numerators nums over den: the
+    weight there is numerator / denominator in lowest terms and p_float
+    that quotient correctly rounded, as float(Fraction) gives it.  Every
+    window point is live, so theta is the normalization c at each."""
     from .llt import _evaluated_window
 
-    den, theta = pn._den, a.dance.normalization_c
-    for x, v, approx in _evaluated_window(pn._nums, a, n):
+    theta = a.dance.normalization_c
+    for x, v, approx in _evaluated_window(nums, a, n):
         g, p_float = math.gcd(v, den), v / den
         yield x, v // g, den // g, p_float, theta, approx, abs(p_float - approx)
 
@@ -245,8 +245,8 @@ def _compare_steps(p: Distribution, ns: list[int]):
     from .measure import _powers
 
     a = build_attractor(p)
-    for n, pn in _powers(p, ns):
-        yield n, _compare_rows(pn, a, n)
+    for n, den, nums in _powers(p, ns):
+        yield n, _compare_rows(den, nums, a, n)
 
 
 _COMPARE = dict.fromkeys(("n", "x", "p", "p_float", "theta", "attractor", "abs_error"), _SLOT)

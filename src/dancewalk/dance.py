@@ -130,6 +130,11 @@ def _phase_sums(p: Distribution):
         yield chars, terms
 
 
+# The most characters the gap scan visits.  It admits 1/2 on 0 and 1 in
+# Z_1000003 (about 4 s of scan) and the 2**18 characters of Z_2^18.
+_MAX_CHARACTERS = 10 ** 7
+
+
 def spectral_gap(p: Distribution) -> SpectralGap:
     """Exponential-error rate rho of the walk.
 
@@ -152,10 +157,16 @@ def spectral_gap(p: Distribution) -> SpectralGap:
     e_scan.  Below it, rho is rounding noise within e_scan of the true
     maximum: p(x) = 1/6 + 10^-30 * (-1)^x on Z_6 has rho = 6 * 10^-30,
     e_scan = 22 * 2**-52 (about 4.9e-15), and the scan reads 1.24e-16 at (2,).
+    UnsupportedOperationError if the scan would visit more than
+    _MAX_CHARACTERS characters, |A| of them.
     """
     pa = torsion_pushforward(p)
     if len(set(pa._nums.values())) == 1 and len(pa) == dance_of(pa).walk_subgroup.order():
         return SpectralGap(rho=0.0, achieved_at=None)  # uniform on a coset of W_A
+    if pa.group.torsion_order > _MAX_CHARACTERS:
+        raise UnsupportedOperationError(
+            f"the gap scan would visit {pa.group.torsion_order} characters, "
+            f"past the budget of {_MAX_CHARACTERS}")
     order, den = lcm(*pa.group.torsion_moduli), pa._den
 
     @lru_cache(maxsize=1 << 12)  # at most 4096 of the lcm(m_i) phases

@@ -324,8 +324,8 @@ def _sup_errors(p: Distribution, a: Attractor, steps):
     every power read from one ladder."""
     if any(n < 1 for n in steps):
         raise ValueError("n must be at least 1")
-    for n, pn in _powers(p, steps):
-        err, exact, x = _largest_error(pn._den, _evaluated_window(pn._nums, a, n), a)
+    for n, den, nums in _powers(p, steps):
+        err, exact, x = _largest_error(den, _evaluated_window(nums, a, n), a)
         scale = n ** (a.rank_d / 2)
         yield LltReport(n=n, sup_error=err, scaled_sup_error=scale * err, sup_error_exact=exact,
                         worst_point=None if x is None else p.group.element_from_coords(x))
@@ -351,17 +351,15 @@ def time_average_error(p: Distribution, a: Attractor, n: int, s: int) -> float:
             raise ValueError("time-average limit requires a mean-zero pushforward")
         if n < 1:
             raise ValueError("n must be at least 1")
-    top, total = 1, {}  # s times the average law so far, as numerators over top
-    for _, pn in _powers(p, range(n, n + s)):
-        grow = math.lcm(top, pn._den) // top  # rescale the sum to the new common denominator
-        top *= grow
+    total = {}  # s times the average law so far, as numerators over the last step's den
+    for _, den, nums in _powers(p, range(n, n + s)):
         for x in total:
-            total[x] *= grow
-        for x, v in pn._nums.items():
-            total[x] = total.get(x, 0) + v * (top // pn._den)
-        del pn  # released before the ladder makes the next law
+            total[x] *= p._den  # step k's den is p._den ** k
+        for x, v in nums.items():
+            total[x] = total.get(x, 0) + v
+        del nums  # released before the ladder makes the next law
     flat = Attractor(DanceData(whole_group(p.group), a.dance.base_point), a.phi, a.moments, a.twist)
-    return _largest_error(s * top, _evaluated_window(total, flat, n), flat)[0]
+    return _largest_error(s * den, _evaluated_window(total, flat, n), flat)[0]
 
 
 def tv_to_uniform_coset(p: Distribution, n: int) -> LltReport:
@@ -385,11 +383,10 @@ def _tv_series(p: Distribution, steps):
     if w_order is None:
         raise UnsupportedOperationError("walk subgroup is infinite; no uniform law on it")
     a, rho = build_attractor(p), Fraction(spectral_gap(p).rho)
-    for n, pn in _powers(p, steps):
+    for n, den, nums in _powers(p, steps):
         # the attractor is the uniform law 1 / |W| on the live coset:
         # sum of |p^(n)(x) - 1/|W|| over the one denominator den * |W|
-        den = pn._den
-        total = sum(abs(v * w_order - den) for _, v, _ in _evaluated_window(pn._nums, a, n))
+        total = sum(abs(v * w_order - den) for _, v, _ in _evaluated_window(nums, a, n))
         tv = Fraction(total, 2 * den * w_order)
         bound = Fraction(w_order - 1, 2) * rho ** n * (1 + Fraction(1, 10 ** 12))
         if tv > bound:

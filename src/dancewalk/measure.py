@@ -16,10 +16,12 @@ box is dense, and its cells are the product of its sides, so where it
 holds more cells than there are pairs of support points (a thin support
 over many axes, or two far-apart residues of a large Z_m) the product
 is the double loop over the pairs instead.
-One power ladder (``_powers``) serves every set of steps and yields
-``Distribution``s: it is planned before its first product, frees each
-rung after its last read, and drains a rung into the step that reads it
-last.  Total mass is exactly 1 after every operation.
+One power ladder (``_powers``) serves every set of steps and yields the
+numerators of p^(n) over p._den ** n, unreduced; ``convolution_power``
+reduces them into a ``Distribution``.  The ladder is planned, and
+refuses a power past its bit budget, before its first product; it frees
+each rung after its last read and drains a rung into the step that reads
+it last.  Total mass is exactly 1 after every operation.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import add, index, mod
 
 from ._value import Value
-from .group import Element, GroupSpec, Homomorphism
+from .group import Element, GroupSpec, Homomorphism, UnsupportedOperationError
 from .intlinalg import IntMatrix, InvariantViolationError, lattice_basis
 
 
@@ -146,9 +148,9 @@ def _pack_law(p: Distribution, basis) -> tuple[tuple[int, ...], _Packed]:
     return base, (p._den, nums)
 
 
-def _unpack_law(group: GroupSpec, basis, base, law: _Packed, drain: bool = True) -> Distribution:
-    """The Distribution of a packed law on group, keyed back by group
-    coordinates; with drain, the law's dict is emptied as it is read."""
+def _unpack_law(group: GroupSpec, basis, base, law: _Packed, drain: bool = True) -> _Packed:
+    """A packed law keyed back by group coordinates, over the same den;
+    with drain, the law's dict is emptied as it is read."""
     t = len(group.torsion_moduli)
     den, nums = law
     if sum(nums.values()) != den:
@@ -160,7 +162,7 @@ def _unpack_law(group: GroupSpec, basis, base, law: _Packed, drain: bool = True)
             if c:
                 free = [f + c * b for f, b in zip(free, row)]
         out[coords[:t] + tuple(free)] = v
-    return Distribution._law(group, den, out)
+    return den, out
 
 
 def _box(na, nb) -> tuple[list[int], list[int], list[int]]:
@@ -244,7 +246,7 @@ def convolve(p: Distribution, q: Distribution) -> Distribution:
     base_q, b = (base_p, a) if q is p else _pack_law(q, basis)
     moduli = p.group.torsion_moduli + (0,) * len(basis)
     base = [x + y for x, y in zip(base_p, base_q)]
-    return _unpack_law(p.group, basis, base, _product(a, b, moduli))
+    return Distribution._law(p.group, *_unpack_law(p.group, basis, base, _product(a, b, moduli)))
 
 
 def _plan(plan: dict, n: int) -> None:
@@ -259,13 +261,32 @@ def _plan(plan: dict, n: int) -> None:
         plan[n] = k
 
 
+# The most bits of numerators a power may hold: 2**30 bits is 128 MiB, a
+# few times that while the ladder's top product is made.  p^6000 of the
+# simple walk on Z is bounded by 7.2e7 bits.
+_MAX_POWER_BITS = 2 ** 30
+
+
+def _power_bits(law: _Packed, moduli, n: int) -> int:
+    """An upper bound on the bits of the numerators of the n-th power of a
+    packed law: its cells, at most the box's (m_i on a torsion axis, n times
+    the law's extent plus 1 on a lattice axis) and at most the multisets of
+    n support points, each a numerator below den ** n."""
+    den, nums = law
+    lo, hi = _extent(nums)
+    cells = prod(m or n * (h - l) + 1 for m, l, h in zip(moduli, lo, hi))
+    return min(cells, comb(n + len(nums) - 1, n)) * n * den.bit_length()
+
+
 def _powers(p: Distribution, steps):
-    """(n, p^(n)) for each n in steps, in sorted order, from one ladder.
+    """(n, den, nums) for each n in steps, in sorted order, from one ladder:
+    p^(n)'s numerators by group coordinates over den = p._den ** n, unreduced.
 
     The ladder is planned by _plan before its first product, and every
     rung is freed after its last read, by a product or by a step; the step
-    that reads a rung last drains it into its Distribution.  p^0 is the
-    point mass at the identity.
+    that reads a rung last drains it.  p^0 is the point mass at the
+    identity.  UnsupportedOperationError before the first product if the
+    last step's numerators may hold more than _MAX_POWER_BITS bits.
     """
     steps = sorted(map(index, steps))
     if steps and steps[0] < 0:
@@ -281,6 +302,9 @@ def _powers(p: Distribution, steps):
     moduli = g.torsion_moduli + (0,) * len(basis)
     made = {0: (1, {(0,) * len(moduli): 1})}
     base, made[1] = _pack_law(p, basis)
+    if steps and (bits := _power_bits(made[1], moduli, steps[-1])) > _MAX_POWER_BITS:
+        raise UnsupportedOperationError(f"p^{steps[-1]} may hold {bits} bits of numerators, "
+                                        f"past the {_MAX_POWER_BITS}-bit budget")
 
     def read(n):
         reads[n] -= 1
@@ -289,7 +313,7 @@ def _powers(p: Distribution, steps):
     for n, start, end in zip(steps, [2] + ends, ends):
         for m, k in order[start:end]:
             made[m] = _product(read(k), read(m - k), moduli)
-        yield n, _unpack_law(g, basis, [n * c for c in base], read(n), n not in made)
+        yield (n, *_unpack_law(g, basis, [n * c for c in base], read(n), n not in made))
 
 
 def convolution_power(p: Distribution, n: int) -> Distribution:
@@ -298,8 +322,8 @@ def convolution_power(p: Distribution, n: int) -> Distribution:
     n = 0 returns the point mass at the identity (the convolution unit);
     walks themselves start at n = 1.
     """
-    (_, pn), = _powers(p, (n,))
-    return pn
+    (_, den, nums), = _powers(p, (n,))
+    return Distribution._law(p.group, den, nums)
 
 
 def pushforward(p: Distribution, f: Homomorphism) -> Distribution:

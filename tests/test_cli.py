@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -428,9 +429,9 @@ def _draw_compare(spec, ns):
 
 
 def _draw_convolve(spec, n):
-    (_, pn), = dancewalk.measure._powers(load_spec(spec), (n,))
-    for x in sorted(pn._nums):
-        pn._nums[x]
+    (_, _, nums), = dancewalk.measure._powers(load_spec(spec), (n,))
+    for x in sorted(nums):
+        nums[x]
 
 
 def _draw_sup_error(spec, n):
@@ -600,6 +601,46 @@ def test_the_last_window_axis_is_range_checked(command, tmp_path):
     proc = run_cli([*command, "--spec", str(spec)], timeout=20)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: the variance n * Gamma[1][1] is outside the float range\n"
+
+
+def run_bounded(args, stdin):
+    """run_cli in a child held to 1 GiB of address space and 30 s, so that an
+    input the program fails to refuse cannot exhaust the machine."""
+    limit = (1 << 30, 1 << 30)
+    return subprocess.run(
+        [sys.executable, "-m", "dancewalk.cli", *args], input=stdin, capture_output=True,
+        text=True, timeout=30, env=cli_env(),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+    )
+
+
+SIMPLE_Z_SPEC = json.dumps({
+    "group": {"torsion": [], "rank": 1},
+    "distribution": [{"elem": {"free": [x]}, "weight": "1/2"} for x in (-1, 1)],
+})
+
+
+@pytest.mark.parametrize("command", [["convolve"], ["compare"], ["attractor"]])
+def test_a_power_past_the_bit_budget_exits_2(command):
+    # p^(10^8) of the simple walk on Z: 10^8 + 1 cells (and as many multisets of
+    # steps) times 10^8 * 2 bits, refused before the ladder's first product
+    proc = run_bounded([*command, "--spec", "-", "--n", "100000000"], SIMPLE_Z_SPEC)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: p^100000000 may hold 20000000200000000 bits of numerators, "
+                           "past the 1073741824-bit budget\n")
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["tv", "--n", "5"]])
+def test_a_gap_scan_past_the_character_budget_exits_2(command):
+    # 1/2 on 0 and 1 in Z_1000000007: not uniform on a coset of W_A, so the
+    # scan would visit every one of the 1000000007 characters
+    spec = json.dumps({"group": {"torsion": [1000000007], "rank": 0},
+                       "distribution": [{"elem": {"torsion": [x]}, "weight": "1/2"}
+                                        for x in (0, 1)]})
+    proc = run_bounded([*command, "--spec", "-"], spec)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: the gap scan would visit 1000000007 characters, "
+                           "past the budget of 10000000\n")
 
 
 def test_window_makes_no_membership_or_kernel_calls(monkeypatch, capsys):

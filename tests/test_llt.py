@@ -254,17 +254,16 @@ class _Numerators(dict):
 
 
 def test_time_average_holds_one_law_at_a_time(monkeypatch):
-    # period 4 on Z_4 x Z_5: each step law, numerators included, is released
+    # period 4 on Z_4 x Z_5: each step's numerators are released
     # before the ladder draws the next one
     released, powers = [], _powers
 
     def spy(p, steps):
-        for n, pn in powers(p, steps):
-            law = Distribution._law(pn.group, pn._den, _Numerators(pn._nums))
-            ref = weakref.ref(law._nums)
-            del pn
-            yield n, law
-            del law
+        for n, den, nums in powers(p, steps):
+            nums = _Numerators(nums)
+            ref = weakref.ref(nums)
+            yield n, den, nums
+            del nums
             released.append(ref() is None)
 
     monkeypatch.setattr(dancewalk.llt, "_powers", spy)
@@ -281,15 +280,15 @@ def test_evaluated_window_rejects_support_off_the_live_coset():
     # elevator2 lives on torsion + free = n (mod 2): flipping a residue leaves the coset
     p, n = elevator2(), 3
     a = build_attractor(p)
-    (_, law), = _powers(p, (n,))
-    window = {x: f for x, _, f in _evaluated_window(law._nums, a, n)}
+    (_, _, nums), = _powers(p, (n,))
+    window = {x: f for x, _, f in _evaluated_window(nums, a, n)}
     far = (0, 1001)  # on the live coset, beyond 8 standard deviations
     assert far not in window
-    got = {x: f for x, _, f in _evaluated_window({**law._nums, far: 0}, a, n)}
+    got = {x: f for x, _, f in _evaluated_window({**nums, far: 0}, a, n)}
     assert got.keys() == window.keys() | {far} and got[far] == 0.0
     for x in ((0, 0), (1, 1001)):  # off the coset: inside the window's box, and far beyond it
         with pytest.raises(InvariantViolationError):
-            _evaluated_window({**law._nums, x: 1}, a, n)
+            _evaluated_window({**nums, x: 1}, a, n)
 
 
 def test_finite_window_rejects_support_off_the_live_coset():
@@ -297,11 +296,11 @@ def test_finite_window_rejects_support_off_the_live_coset():
     # is {1, 4, 7, 10} for z12 at n = 2
     p, n = z12_walk(), 2
     a = build_attractor(p)
-    (_, law), = _powers(p, (n,))
-    assert [x for x, *_ in _evaluated_window(law._nums, a, n)] == [(1,), (4,), (7,), (10,)]
+    (_, _, nums), = _powers(p, (n,))
+    assert [x for x, *_ in _evaluated_window(nums, a, n)] == [(1,), (4,), (7,), (10,)]
     for x in ((0,), (5,), (11,)):  # below, between and above the coset's points
         with pytest.raises(InvariantViolationError):
-            _evaluated_window({**law._nums, x: 1}, a, n)
+            _evaluated_window({**nums, x: 1}, a, n)
 
 
 def test_finite_window_holds_no_list_of_the_live_coset():
@@ -310,11 +309,11 @@ def test_finite_window_holds_no_list_of_the_live_coset():
     g = GroupSpec([300, 300])
     p = _uniform(g, [((0, 0), ()), ((1, 0), ()), ((0, 1), ())])
     a = build_attractor(p)
-    (_, law), = _powers(p, (1,))
+    (_, _, nums), = _powers(p, (1,))
     gc.disable()
     tracemalloc.start()
     try:
-        rows = list(itertools.islice(_evaluated_window(law._nums, a, 1), 3))
+        rows = list(itertools.islice(_evaluated_window(nums, a, 1), 3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -973,8 +972,7 @@ def test_evaluated_window_matches_fraction_reference(case):
     p, n = case
     a = build_attractor(p)
     pn = convolution_power(p, n)
-    (_, law), = _powers(p, (n,))
-    den, nums = law._den, law._nums
+    (_, den, nums), = _powers(p, (n,))
     got = [(x, Fraction(v, den), f) for x, v, f in _evaluated_window(nums, a, n)]
     want = reference_window(pn, a, n)
     # every window point is live: theta is c at each

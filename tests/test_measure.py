@@ -33,6 +33,8 @@ Z4Z = GroupSpec([4], 1)
 
 half = Fraction(1, 2)
 quarter = Fraction(1, 4)
+# 1/2 on 0 and 1 in Z_2: p^2 is the ladder's (4, {(0,): 2, (1,): 2}), and the law over 2
+COIN_Z2 = Distribution(GroupSpec([2]), {GroupSpec([2]).element([x]): half for x in (0, 1)})
 
 
 def test_validation():
@@ -240,6 +242,7 @@ def pin_shapes(second):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(law_pairs(), st.integers(0, 12))
 @pin_shapes(12)
+@example((COIN_Z2, COIN_Z2), 2)
 def test_packed_convolution_matches_sparse_reference(pq, n):
     p, q = pq
     assert convolution_power(p, n) == sparse_power(p, n)
@@ -251,15 +254,16 @@ def test_packed_convolution_matches_sparse_reference(pq, n):
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(law_pairs(), st.lists(st.integers(0, 12), min_size=1, max_size=6))
 @pin_shapes([12, 0, 5, 5, 1])
+@example((COIN_Z2, COIN_Z2), [2])
 def test_power_ladder_matches_sparse_reference(pq, steps):
-    # unsorted, repeated and zero steps, each against n sparse convolutions
+    # unsorted, repeated and zero steps, each against n sparse convolutions:
+    # the ladder's numerators over p._den ** n, not reduced
     p, _ = pq
     got = list(dancewalk.measure._powers(p, steps))
-    assert [n for n, _ in got] == sorted(steps)
-    for n, law in got:
-        den, nums = law._den, law._nums
-        want = {x.coords(): w for x, w in sparse_power(p, n).items()}
-        assert {c: Fraction(v, den) for c, v in nums.items()} == want
+    assert [n for n, *_ in got] == sorted(steps)
+    for n, den, nums in got:
+        assert den == p._den ** n
+        assert nums == {x.coords(): w * den for x, w in sparse_power(p, n).items()}
 
 
 @seed(0xb64f574586f66fd856e684cc8d575c0ca1007b734ebe490b814794f402140b8d3c59db2d1a47ac2facc4079298edad34)
