@@ -18,8 +18,7 @@ _EXPORTS = {
     ),
     "group": (
         "DualPoint", "Element", "GroupSpec", "Homomorphism", "Subgroup",
-        "UnsupportedOperationError", "group_from_presentation", "subgroup_generated",
-        "whole_group",
+        "UnsupportedOperationError", "subgroup_generated", "whole_group",
     ),
     "measure": (
         "Distribution", "WalkPath", "convolution_power", "convolve", "pushforward",

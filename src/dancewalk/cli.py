@@ -121,23 +121,6 @@ def load_spec(text: str) -> Distribution:
         raise SpecError(f"invalid walk description: {e}") from None
 
 
-def dump_spec(p: Distribution) -> str:
-    """Serialize a distribution back into the walk description format.
-
-    Inverse of load_spec up to residue reduction: parsing the dump gives
-    an identical Distribution.
-    """
-    doc = {
-        "group": {"torsion": list(p.group.torsion_moduli), "rank": p.group.free_rank},
-        "distribution": [
-            {"elem": _element_doc(x), "weight": w} for x, w in p.items()
-        ],
-    }
-    pieces = []
-    _render(doc, pieces.append)
-    return "".join(pieces)
-
-
 def _read_spec(path: str) -> Distribution:
     try:
         if path == "-":

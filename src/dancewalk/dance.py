@@ -26,6 +26,7 @@ torsion component; it controls all the exponential error terms.
 from __future__ import annotations
 
 import cmath
+from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
 from operator import index
@@ -79,10 +80,6 @@ class DanceData(Value):
         live = image(x.coords()) == image([index(n) * c for c in self.base_point.coords()])
         return self.normalization_c if live else 0
 
-    def coset_at(self, n: int) -> list[Element]:
-        """The live coset W + n*x0 (finite walk subgroups only)."""
-        return list(map(self.base_point.group.element_from_coords, self.coset_coords(n)))
-
     def coset_coords(self, n: int):
         """The live coset W + n*x0 (finite W only) by W.element_coords: lazy, sorted."""
         return self.walk_subgroup.element_coords([n * c for c in self.base_point.coords()])
@@ -130,6 +127,22 @@ def _phase_sums(p: Distribution):
         yield chars, terms
 
 
+def _uniform_on_coset(pa: Distribution) -> bool:
+    """Whether p_A is uniform on a coset of its walk subgroup W_A, that is
+    on |S| = |W_A| points: exactly when every character off the locus is 0."""
+    return len(set(pa._nums.values())) == 1 and len(pa) == dance_of(pa).walk_subgroup.order()
+
+
+def _rho_upper(p: Distribution, rho: float) -> Fraction:
+    """An exact upper bound on the true gap of p, given rho = spectral_gap(p).rho:
+    0 when p_A is uniform on a coset of W_A (the scan is skipped and the gap is
+    0), else rho + e_scan, e_scan = (|S| + 16) * 2**-52 with S = supp p_A."""
+    pa = torsion_pushforward(p)
+    if _uniform_on_coset(pa):
+        return Fraction(0)
+    return Fraction(rho) + Fraction(len(pa) + 16, 1 << 52)
+
+
 # The most characters the gap scan visits.  It admits 1/2 on 0 and 1 in
 # Z_1000003 (about 4 s of scan) and the 2**18 characters of Z_2^18.
 _MAX_CHARACTERS = 10 ** 7
@@ -151,7 +164,8 @@ def spectral_gap(p: Distribution) -> SpectralGap:
     |S| = |W_A| points.  That is decided before the scan, from the order
     of dance_of(p_A).walk_subgroup, and then rho is 0.0 and achieved_at
     None.  Otherwise rho is the largest double modulus and achieved_at
-    the first character attaining it.
+    the first character attaining it.  The true rho is at most
+    _rho_upper(p, rho), which adds e_scan unless the scan was skipped.
     Above 2 * e_scan both are bit for bit those of a scan with an exact
     zero test at every character, as an exact zero computes to at most
     e_scan.  Below it, rho is rounding noise within e_scan of the true
@@ -161,8 +175,8 @@ def spectral_gap(p: Distribution) -> SpectralGap:
     _MAX_CHARACTERS characters, |A| of them.
     """
     pa = torsion_pushforward(p)
-    if len(set(pa._nums.values())) == 1 and len(pa) == dance_of(pa).walk_subgroup.order():
-        return SpectralGap(rho=0.0, achieved_at=None)  # uniform on a coset of W_A
+    if _uniform_on_coset(pa):
+        return SpectralGap(rho=0.0, achieved_at=None)
     if pa.group.torsion_order > _MAX_CHARACTERS:
         raise UnsupportedOperationError(
             f"the gap scan would visit {pa.group.torsion_order} characters, "

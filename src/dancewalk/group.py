@@ -136,9 +136,6 @@ class Element(Value):
 
     __rmul__ = __mul__
 
-    def is_identity(self) -> bool:
-        return not any(self.torsion) and not any(self.free)
-
     def __lt__(self, other: "Element") -> bool:
         self._check(other)
         return (self.torsion, self.free) < (other.torsion, other.free)
@@ -314,16 +311,6 @@ def whole_group(g: GroupSpec) -> Subgroup:
     return Subgroup.__new__(Subgroup)._init_hermite(g, IntMatrix.identity(g.dim))
 
 
-def group_from_presentation(relations: IntMatrix) -> tuple[GroupSpec, "Homomorphism"]:
-    """Z^m modulo the row span of ``relations``, in canonical form.
-
-    Returns the canonical GroupSpec together with a projection (valid
-    but not canonical) from the free group Z^m onto it: the quotient map
-    of the relations' row span as a subgroup of Z^m.
-    """
-    return Subgroup(GroupSpec((), relations.cols), relations.data).quotient_map()
-
-
 class Homomorphism(Value):
     """A homomorphism between coordinate groups, as an integer matrix
     acting on column coordinate vectors."""
@@ -368,10 +355,6 @@ class DualPoint(Value):
         if len(angles) != group.free_rank:
             raise ValueError("torus angle count must match the free rank")
         self._set(group, chars, angles)
-
-    @classmethod
-    def zero(cls, group: GroupSpec) -> "DualPoint":
-        return cls(group, (0,) * len(group.torsion_moduli), (0,) * group.free_rank)
 
     def phase(self, x: Element) -> Fraction:
         """Exact phase of the character at x, reduced mod 1."""

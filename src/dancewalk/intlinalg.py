@@ -177,20 +177,6 @@ class IntMatrix(Value):
             raise ValueError("determinant of a non-square matrix")
         return _bareiss([list(r) for r in self.data], self.rows)[1]
 
-    def inverse(self) -> "IntMatrix":
-        """Exact inverse; requires the inverse to be integral (det = +-1).
-
-        It is the Hermite transform u with u @ self = I, since the
-        Hermite form of a unimodular matrix is the identity.
-        """
-        if self.rows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        h, u = [list(r) for r in self.data], _eye(self.rows)
-        _hnf(h, self.cols, u)
-        if h != _eye(self.rows):
-            raise ValueError("matrix has no integral inverse")
-        return IntMatrix(u, cols=self.cols)
-
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.data]!r})"
 
@@ -210,8 +196,16 @@ class UnimodularMatrix(Value):
 
     @property
     def inverse(self) -> IntMatrix:
+        """The exact inverse, computed on first use and kept: the Hermite
+        transform u with u @ matrix = I, as the Hermite form of a
+        unimodular matrix is the identity."""
         if self._inv is None:
-            object.__setattr__(self, "_inv", self.matrix.inverse())
+            n = self.matrix.rows
+            h, u = [list(r) for r in self.matrix.data], _eye(n)
+            _hnf(h, n, u)
+            if h != _eye(n):
+                raise InvariantViolationError("a unimodular matrix has a Hermite form other than I")
+            object.__setattr__(self, "_inv", IntMatrix(u, cols=n))
         return self._inv
 
     def __repr__(self) -> str:

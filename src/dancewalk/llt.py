@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import add, mod, sub
 
 from ._value import Value
-from .dance import DanceData, dance_of, spectral_gap
+from .dance import DanceData, _rho_upper, dance_of, spectral_gap
 from .group import Element, GroupSpec, Homomorphism, UnsupportedOperationError, whole_group
 from .intlinalg import (
     AffinePointSet,
@@ -43,10 +43,9 @@ class MomentData(Value):
     One fraction-free pass over [L*Gamma | I], L the lcm of Gamma's
     denominators, runs when it is built and keeps L, its pivots, det(L*Gamma)
     and Q = L * adj(L*Gamma): Gamma^(-1) = Q / det(L*Gamma) when det != 0.
-    The inverse as Fractions is computed on first use and kept.
     """
 
-    __slots__ = ("dim", "mean", "covariance", "_den", "_lead", "_det", "_q", "_inv")
+    __slots__ = ("dim", "mean", "covariance", "_den", "_lead", "_det", "_q")
 
     def __init__(self, dim: int, mean: tuple[Fraction, ...],
                  covariance: tuple[tuple[Fraction, ...], ...]):
@@ -56,22 +55,12 @@ class MomentData(Value):
                 for i, row in enumerate(covariance)]
         lead, det = _bareiss(rows, dim)
         for name, value in (("_den", den), ("_lead", lead), ("_det", det),
-                            ("_q", [[den * e for e in r[dim:]] for r in rows]), ("_inv", None)):
+                            ("_q", [[den * e for e in r[dim:]] for r in rows])):
             object.__setattr__(self, name, value)
 
     @property
     def covariance_det(self) -> Fraction:
         return Fraction(self._det, self._den ** self.dim)
-
-    @property
-    def covariance_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Gamma^(-1) = Q / det(L*Gamma)."""
-        if self._inv is None:
-            if not self._det:
-                raise ValueError("covariance is singular")
-            object.__setattr__(self, "_inv", tuple(tuple(Fraction(e, self._det) for e in row)
-                                                   for row in self._q))
-        return self._inv
 
     def is_positive_definite(self) -> bool:
         """Exact Sylvester test: all leading principal minors positive."""
@@ -151,6 +140,12 @@ def _float(x, what: str) -> float:
     return f
 
 
+# The most points of Z^d the window's box may hold.  It admits the knight
+# walk at n = 100 (65,025 points) and 1/200 on a 20 x 10 block of Z^2 at
+# n = 200 (850,857 points).
+_MAX_WINDOW_POINTS = 10 ** 7
+
+
 def _evaluated_window(nums, a: Attractor, n: int):
     """The attractor a evaluated on the window at step n (n >= 1 when d >= 1).
 
@@ -192,6 +187,11 @@ def _evaluated_window(nums, a: Attractor, n: int):
     pi(r, 0) = n*pi(x0) - pi(0, f), so the residues r are grouped by
     pi(r, 0) once.  Only torsion parts are compared: (r, f) - n*x0 has
     finite order in G/W, so its free part there is 0.
+
+    UnsupportedOperationError if the box holds more than
+    _MAX_WINDOW_POINTS points.  A key of nums outside the window whose
+    form exceeds 1492 * n * det(L*Gamma) * dm^2 gets the value 0.0 without
+    the float quotient: the exponent is below -746, where exp is 0.0.
     """
     dance, w = a.dance, a.dance.walk_subgroup
     image = w._image  # pi onto G/W
@@ -222,6 +222,11 @@ def _evaluated_window(nums, a: Attractor, n: int):
             r = 8 * math.sqrt(_float(n * moments.covariance[i][i], f"variance n * Gamma[{i}][{i}]"))
             center = _float(n * moments.mean[i], f"mean n * mu[{i}]")
             box.append(range(math.floor(center - r), math.ceil(center + r) + 1))
+        size = math.prod(axis.stop - axis.start for axis in box)
+        if size > _MAX_WINDOW_POINTS:
+            raise UnsupportedOperationError(
+                f"the window at n = {n} would hold {size} points, "
+                f"past the budget of {_MAX_WINDOW_POINTS}")
         box.pop()
         bound = 64 * n * scale
 
@@ -261,7 +266,8 @@ def _evaluated_window(nums, a: Attractor, n: int):
         for x in nums.keys() - heat.keys():
             if image(x) == live_at:
                 y = [dm * c - s for c, s in zip(a.phi.matrix.mul_vec(x), shift)]
-                heat[x] = kernel(quad(y))
+                form = quad(y)
+                heat[x] = 0.0 if form > 1492 * n * scale else kernel(form)
         off = not heat.keys() >= nums.keys()
         points = sorted(heat)
         limit = dance.normalization_c / w.parent.torsion_order  # c / |Tor(G)|
@@ -367,10 +373,12 @@ def tv_to_uniform_coset(p: Distribution, n: int) -> LltReport:
 
     Needs a finite walk subgroup W.  Reports the exact rational
     tv(p^(n), uniform on W + n*x0) and the certified exponential bound
-    (|W| - 1)/2 * rho^n.  The bound is checked in exact arithmetic, with
-    rho's double taken as an exact rational and a relative 1e-12 of
-    upward slack for its rounding, and reported rounded upward to a
-    double, so it is never 0 while positive.
+    (|W| - 1)/2 * rho_up^n, with rho_up the exact rational upper bound
+    on the gap that dance._rho_upper reads from the gap scan: rho's double
+    plus the scan's rounding bound e_scan, or 0 when p is uniform on a
+    coset of W.  The bound holds for every n, is checked in exact
+    arithmetic with no further slack, and is reported rounded upward to
+    a double, so it is never 0 while positive.
     """
     report, = _tv_series(p, (n,))
     return report
@@ -382,13 +390,13 @@ def _tv_series(p: Distribution, steps):
     w_order = dance_of(p).walk_subgroup.order()
     if w_order is None:
         raise UnsupportedOperationError("walk subgroup is infinite; no uniform law on it")
-    a, rho = build_attractor(p), Fraction(spectral_gap(p).rho)
+    a, rho_up = build_attractor(p), _rho_upper(p, spectral_gap(p).rho)
     for n, den, nums in _powers(p, steps):
         # the attractor is the uniform law 1 / |W| on the live coset:
         # sum of |p^(n)(x) - 1/|W|| over the one denominator den * |W|
         total = sum(abs(v * w_order - den) for _, v, _ in _evaluated_window(nums, a, n))
         tv = Fraction(total, 2 * den * w_order)
-        bound = Fraction(w_order - 1, 2) * rho ** n * (1 + Fraction(1, 10 ** 12))
+        bound = Fraction(w_order - 1, 2) * rho_up ** n
         if tv > bound:
             raise InvariantViolationError("exact TV distance exceeded its certified bound")
         f = float(bound)  # reported as the least double >= bound

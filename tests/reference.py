@@ -22,6 +22,8 @@ compares Fraction(rng.random()) with Fraction cumulative weights and adds
 Element steps.  No library path calls them.
 hermite_form runs the library's Hermite kernel with a transform, and
 matmul is the integer matrix product, for the normal-form checks.
+dump_spec writes a Distribution back as a walk description, which
+dancewalk.cli.load_spec parses to an identical Distribution.
 """
 
 import cmath
@@ -85,9 +87,7 @@ def gaussian_kernel(moments: MomentData, t, y) -> float:
     if t <= 0:
         raise ValueError("time parameter must be positive")
     det = moments.covariance_det
-    if det == 0:
-        raise ValueError("covariance is singular")
-    inv = moments.covariance_inverse
+    inv = rational_inverse(moments.covariance)
     y = list(y)
     quad = sum(y[i] * inv[i][j] * y[j] for i in range(moments.dim) for j in range(moments.dim))
     norm = (2 * math.pi * float(t)) ** (moments.dim / 2) * math.sqrt(float(det))
@@ -110,7 +110,7 @@ def attractor_eval(a: Attractor, n: int, x: Element) -> float:
 def evaluation_window(pn: Distribution, a: Attractor, n: int) -> list[Element]:
     """Support of the step-n law pn together with the effective range of the attractor.
 
-    The attractor lives on the live coset: all of coset_at(n) when
+    The attractor lives on the live coset: all of coset_coords(n) when
     d = 0, otherwise the window lifts with theta > 0.
     """
     return [pn.group.element_from_coords(x) for x, *_ in _evaluated_window(pn._nums, a, n)]
@@ -290,6 +290,15 @@ def rational_inverse(rows) -> list[list[Fraction]]:
                 f = a[i][col]
                 a[i] = [e - f * g for e, g in zip(a[i], a[col])]
     return [row[n:] for row in a]
+
+
+def dump_spec(p: Distribution) -> str:
+    """The walk description document of p, written by _render."""
+    return _render({
+        "group": {"torsion": list(p.group.torsion_moduli), "rank": p.group.free_rank},
+        "distribution": [{"elem": {"torsion": list(x.torsion), "free": list(x.free)}, "weight": w}
+                         for x, w in p.items()],
+    })
 
 
 def _fmt_fraction(w: Fraction) -> str:

@@ -26,11 +26,11 @@ import dancewalk.llt
 import dancewalk.measure
 import dancewalk.scenarios
 from dancewalk._writer import _SLOT, _render, _Rows
-from dancewalk.cli import _SLICE, dump_spec, load_spec, main
+from dancewalk.cli import _SLICE, load_spec, main
 from dancewalk.group import GroupSpec, Subgroup
 from dancewalk.measure import convolution_power
 from dancewalk.scenarios import SCENARIOS
-from reference import _render as reference_render
+from reference import _render as reference_render, dump_spec
 
 SRC = str(Path(dancewalk.__file__).resolve().parent.parent)
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -643,6 +643,20 @@ def test_a_gap_scan_past_the_character_budget_exits_2(command):
                            "past the budget of 10000000\n")
 
 
+@pytest.mark.parametrize("s, size", [(1000, 56911936), (10 ** 50, None)])
+def test_a_window_past_the_points_budget_exits_2(s, size):
+    # 1/3 at 0, s*e1 and s*e2 in Z^2: the box of twisted Z^2 grows as s^2,
+    # and only 1 of its points in s^2 is live
+    spec = json.dumps({"group": {"torsion": [], "rank": 2},
+                       "distribution": [{"elem": {"free": v}, "weight": "1/3"}
+                                        for v in ([0, 0], [s, 0], [0, s])]})
+    proc = run_bounded(["attractor", "--spec", "-", "--n", "1"], spec)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    count = re.fullmatch(r"error: the window at n = 1 would hold (\d+) points, "
+                         r"past the budget of 10000000\n", proc.stderr).group(1)
+    assert int(count) == size if size else int(count) > s ** 2
+
+
 def test_window_makes_no_membership_or_kernel_calls(monkeypatch, capsys):
     # the window is scanned, tested and evaluated on coordinate tuples, and it
     # tells the live coset by the kept quotient map: no Hermite reduction per point
@@ -866,6 +880,21 @@ def test_tv_bound_printed_not_below_exact(capsys, monkeypatch):
         exact = Fraction(json.loads(out)["tv_exact"])
         printed = re.search(r'"tv_bound": (\S+)', out).group(1)
         assert Fraction(printed) >= exact > 0
+
+
+def test_a_far_light_support_point_reads_attractor_zero(capsys, monkeypatch):
+    # weight 10^-330 at 10^160 in Z: its form is far past the float range,
+    # and its kernel value, exp of an exponent below -746, is 0.0
+    tiny = Fraction(1, 10 ** 330)
+    spec = json.dumps({"group": {"torsion": [], "rank": 1},
+                       "distribution": [{"elem": {"free": [0]}, "weight": str(1 - tiny)},
+                                        {"elem": {"free": [10 ** 160]}, "weight": str(tiny)}]})
+    for command in ("attractor", "compare"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
+        assert main([command, "--spec", "-", "--n", "1"]) == 0
+        out = capsys.readouterr().out
+    far, = [row for row in json.loads(out) if row["x"] == [10 ** 160]]
+    assert (far["attractor"], far["abs_error"]) == (0, 0)
 
 
 def test_twist_command():
@@ -1103,6 +1132,20 @@ def test_exact_rationals_print_at_any_length():
         proc = run_cli([*args, "--n", "10000", "--spec", "-"], stdin=Z2_THIRDS_SPEC, timeout=60)
         assert proc.returncode == 0, (args, proc.stderr)
         assert want in proc.stdout, args
+
+
+def test_tv_bound_covers_the_gap_scans_rounding(capsys, monkeypatch):
+    # rho = 1/3 exactly, read by the gap scan as a double 1.85e-17 below it,
+    # and |W| = 2 makes the bound (1/2) * rho^n tight on tv = (1/2) * 3^-n:
+    # in rho^n that rounding grows to n * 5.55e-17 relative, past 10^-12 from
+    # n = 18015, so only the scan's own error bound e_scan covers every n
+    for n in (18014, 18015, 50000):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(Z2_THIRDS_SPEC))
+        assert main(["tv", "--spec", "-", "--n", str(n)]) == 0
+        out = capsys.readouterr().out
+        assert f'"tv_exact": "1/{_long_str(2 * 3 ** n)}"' in out
+        printed = re.search(r'"tv_bound": (\S+)', out).group(1)
+        assert Fraction(printed) >= Fraction(1, 2 * 3 ** n)
 
 
 def test_parsing_keeps_the_int_digit_limit():

@@ -21,7 +21,7 @@ import dancewalk.llt
 from dancewalk.group import DualPoint, Element, GroupSpec, Homomorphism, whole_group
 from dancewalk.group import UnsupportedOperationError
 from dancewalk.intlinalg import IntMatrix, InvariantViolationError
-from dancewalk.cli import dump_spec, main
+from dancewalk.cli import main
 from dancewalk.measure import (Distribution, _powers, convolution_power, convolve, pushforward,
                                 torsion_pushforward)
 from dancewalk.dance import DanceData, analyze_dance, spectral_gap
@@ -40,8 +40,8 @@ from dancewalk.llt import (
     tv_to_uniform_coset,
 )
 from dancewalk.scenarios import elevator1, elevator2, spitzer, z4z6_walk, z9_walk, z12_walk
-from reference import (attractor_eval, char_fn, closure, evaluation_window, gaussian_kernel,
-                       sparse_convolve, sparse_power)
+from reference import (attractor_eval, char_fn, closure, dump_spec, evaluation_window,
+                       gaussian_kernel, rational_inverse, sparse_convolve, sparse_power)
 
 Z12 = GroupSpec([12])
 Z1 = GroupSpec((), 1)
@@ -422,7 +422,7 @@ def test_tv_series_and_time_average_match_their_definitions():
         g, support = p.group, p.support()
         x0 = support[0]
         w = closure(g, [x - x0 for x in support])
-        non_cyclic += all(any((x * k).is_identity() for k in range(1, len(w))) for x in w)
+        non_cyclic += all(any(x * k == g.identity() for k in range(1, len(w))) for x in w)
         steps = range(10)
         laws = [sparse_power(p, n) for n in range(len(steps) + 6)]
         for r in _tv_series(p, steps):
@@ -810,7 +810,7 @@ def test_periodic_classes_partition_and_coincide():
         g = p.group
         s = c.period
         dance = analyze_dance(p)
-        cosets = [set(dance.coset_at(k)) for k in range(s)]
+        cosets = [set(map(g.element_from_coords, dance.coset_coords(k))) for k in range(s)]
         # pairwise disjoint and covering
         union = set()
         for i, ci in enumerate(cosets):
@@ -827,7 +827,7 @@ def test_periodic_classes_partition_and_coincide():
             supp = {x + st for x in supp for st in steps}
             klass[n % s] |= supp
         for k in range(s):
-            assert klass[k] == set(dance.coset_at(k))
+            assert klass[k] == set(map(g.element_from_coords, dance.coset_coords(k)))
 
 
 def test_fourier_inversion_oracle():
@@ -896,7 +896,7 @@ def _reference_lifts(a, n):
     of n*mu, by an exact Fraction quadratic form on each point of the box."""
     g = a.dance.base_point.group
     moments = a.moments
-    inv = moments.covariance_inverse
+    inv = rational_inverse(moments.covariance)
     d = moments.dim
     center = [n * m for m in moments.mean]
     ranges = []
@@ -918,7 +918,7 @@ def reference_window(pn, a, n):
     """The evaluated window on Elements: supp(pn) with the live coset (d = 0)
     or the window lifts with theta > 0, each point evaluated by attractor_eval."""
     if a.rank_d == 0:
-        live = a.dance.coset_at(n)
+        live = map(pn.group.element_from_coords, a.dance.coset_coords(n))
     else:
         live = (x for x in _reference_lifts(a, n) if a.dance.theta(n, x) > 0)
     return [(x.coords(), pn.weight(x), a.dance.theta(n, x), attractor_eval(a, n, x))

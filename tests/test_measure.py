@@ -476,7 +476,9 @@ def test_pushforwards_match_fraction_references(case):
 def test_sample_path_contracts():
     p = z12_walk()
     assert sample_path(p, 0, 7).positions == (Z12.identity(),)
+    assert len(sample_path(p, 0, 7)) == 0
     a = sample_path(p, 50, 123456789)
+    assert len(a) == 50 and len(a.positions) == 51
     b = sample_path(p, 50, 123456789)
     assert a == b
     c = sample_path(p, 50, 987654321)
