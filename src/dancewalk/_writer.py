@@ -10,7 +10,7 @@ holder of text, hands the pieces of JSON and CSV alike on in slices.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 
 
@@ -97,6 +97,36 @@ _SCALARS = {
 }
 
 
+_BATCH = 64  # the records of a _Rows that one %-format template writes
+
+
+def _fields(leaves, indent) -> tuple[str, list]:
+    """(%-format field, argument columns) that write one slot's leaves in a
+    batch of records.  Where the leaves share one type, % writes them:
+    floats, strs, ints of at most 2000 bits, and tuples of ints of one
+    length whose items surely total under 60 characters, each item a field
+    of its own.  Otherwise the field is "%s" over their texts, written one
+    by one at indent, the indent of the slot's line."""
+    kinds = set(map(type, leaves))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float:
+        return "%.12g", [leaves]
+    if kind is str:
+        return "%s", [map(encode_basestring_ascii, leaves)]
+    if kind is int and max(map(int.bit_length, leaves)) <= 2000:
+        return "%s", [leaves]
+    if kind is tuple and len(set(map(len, leaves))) == 1:
+        items = list(zip(*leaves))
+        flat = list(chain.from_iterable(items))
+        if set(map(type, flat)) <= {int} and max(map(int.bit_length, flat), default=0) <= 2000:
+            widest = len(str(max(map(abs, flat), default=0))) + 1  # with its sign
+            if len(items) * widest < 60:
+                return "[" + ", ".join(["%s"] * len(items)) + "]", items
+    texts = [_one_line(x) for x in leaves]
+    return "%s", [[t if t is not None else "".join(_pieces(x, indent))
+                   for t, x in zip(texts, leaves)]]
+
+
 def _one_line(v) -> str | None:
     """The text of v if it is written on one line, else None."""
     enc = _SCALARS.get(type(v))
@@ -144,19 +174,23 @@ def _pieces(v, nl):
     elif isinstance(v, _Rows):
         inner = nl + "  "
         # the layout's text, cut at its slots once: text, indent, text, ..., indent, text
-        texts = "".join(_pieces(v.layout, inner)).split("\0")
-        fills = list(zip(texts[1::2], texts[2::2]))
-        head, sep = "[" + inner + texts[0], "," + inner + texts[0]
-        for row in v.rows:  # one piece per record, its leaves written with no generator
-            parts = [head]
-            for x, (indent, text) in zip(row, fills, strict=True):
-                enc = _SCALARS.get(type(x))
-                leaf = enc(x) if enc is not None else _one_line(x)
-                parts.append("".join(_pieces(x, indent)) if leaf is None else leaf)
-                parts.append(text)
-            yield "".join(parts)
-            head = sep
-        yield nl + "]" if head is sep else "[]"  # [] when no row came
+        # (each % doubled, as a %-format template writes it; an indent holds none)
+        texts = "".join(_pieces(v.layout, inner)).replace("%", "%%").split("\0")
+        indents, tails = texts[1::2], texts[2::2]
+        heads = chain(["[" + inner], repeat("," + inner))
+        rows, empty = iter(v.rows), True
+        while batch := list(islice(rows, _BATCH)):  # one piece per record, one % each
+            columns = list(zip(*batch, strict=True))
+            if len(columns) != len(indents):
+                raise ValueError("a row does not fill its layout's slots")
+            template, args = ["%s" + texts[0]], [islice(heads, len(batch))]
+            for leaves, indent, tail in zip(columns, indents, tails):
+                field, more = _fields(leaves, indent)
+                template.append(field + tail)
+                args += more
+            yield from map("".join(template).__mod__, zip(*args))
+            empty = False
+        yield "[]" if empty else nl + "]"
     elif v is _SLOT:  # a raw NUL marks it: JSON text has every control character escaped
         yield "\0" + nl + "\0"
     else:

@@ -140,7 +140,8 @@ def _float(x, what: str) -> float:
     return f
 
 
-# The most points of Z^d the window's box may hold.  It admits the knight
+# The most points of Z^d the window's box may hold, with the torsion
+# residues it lists besides them counted too.  It admits the knight
 # walk at n = 100 (65,025 points) and 1/200 on a 20 x 10 block of Z^2 at
 # n = 200 (850,857 points).
 _MAX_WINDOW_POINTS = 10 ** 7
@@ -189,9 +190,11 @@ def _evaluated_window(nums, a: Attractor, n: int):
     finite order in G/W, so its free part there is 0.
 
     UnsupportedOperationError if the box holds more than
-    _MAX_WINDOW_POINTS points.  A key of nums outside the window whose
-    form exceeds 1492 * n * det(L*Gamma) * dm^2 gets the value 0.0 without
-    the float quotient: the exponent is below -746, where exp is 0.0.
+    _MAX_WINDOW_POINTS points, or if its points and the |Tor(G)| torsion
+    residues, which are listed once, do together.  A key of nums outside
+    the window whose form exceeds 1492 * n * det(L*Gamma) * dm^2 gets the
+    value 0.0 without the float quotient: the exponent is below -746,
+    where exp is 0.0.
     """
     dance, w = a.dance, a.dance.walk_subgroup
     image = w._image  # pi onto G/W
@@ -227,11 +230,15 @@ def _evaluated_window(nums, a: Attractor, n: int):
             raise UnsupportedOperationError(
                 f"the window at n = {n} would hold {size} points, "
                 f"past the budget of {_MAX_WINDOW_POINTS}")
+        torsion = a.phi.source.torsion_component()
+        if size + torsion.torsion_order > _MAX_WINDOW_POINTS:  # each residue is listed below
+            raise UnsupportedOperationError(
+                f"the window at n = {n} would list {torsion.torsion_order} torsion residues "
+                f"(|Tor(G)|) besides its {size} points, past the budget of {_MAX_WINDOW_POINTS}")
         box.pop()
         bound = 64 * n * scale
 
         moduli = w.quotient_map()[0].torsion_moduli
-        torsion = a.phi.source.torsion_component()
         origin = (0,) * torsion.dim
         groups = {}  # the torsion residues r by pi(r, 0)
         for r in whole_group(torsion).element_coords():

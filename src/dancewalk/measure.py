@@ -16,12 +16,20 @@ box is dense, and its cells are the product of its sides, so where it
 holds more cells than there are pairs of support points (a thin support
 over many axes, or two far-apart residues of a large Z_m) the product
 is the double loop over the pairs instead.
-One power ladder (``_powers``) serves every set of steps and yields the
-numerators of p^(n) over p._den ** n, unreduced; ``convolution_power``
-reduces them into a ``Distribution``.  The ladder is planned, and
-refuses a power past its bit budget, before its first product; it frees
-each rung after its last read and drains a rung into the step that reads
-it last.  Total mass is exactly 1 after every operation.
+``_powers`` serves every set of steps and yields the numerators of p^(n)
+over p._den ** n, unreduced; ``convolution_power`` reduces them into a
+``Distribution``.  It refuses a power past its bit budget, and chooses
+its method, before any work.  A law with no torsion axis may take J. C.
+P. Miller's recurrence, which makes each step alone from the law's
+numerators, with no big-by-big product, in about the step's box cells
+times |S| - 1 multiplications of a numerator by a small int; a walk with
+few support points does.  The chooser weighs that against the planned
+ladder's cost, its rungs' cells or pairs of keys and, growing fastest,
+its top product, with the measured constants in ``_recurrence``: a
+wide support (200 points of Z^2), a thin support over many axes (the
+simplex on Z^6) and every walk with a torsion axis keep the ladder.  The
+ladder frees each rung after its last read and drains a rung into the
+step that reads it last.  Total mass is exactly 1 after every operation.
 """
 
 from __future__ import annotations
@@ -267,26 +275,33 @@ def _plan(plan: dict, n: int) -> None:
 _MAX_POWER_BITS = 2 ** 30
 
 
+def _cells(law: _Packed, moduli, n: int) -> tuple[int, int]:
+    """The cells of the box of the n-th power of a packed law (m_i on a
+    torsion axis, n times the law's extent plus 1 on a lattice axis), and
+    an upper bound on the cells the power holds: at most the box's and at
+    most the multisets of n support points."""
+    lo, hi = _extent(law[1])
+    box = prod(m or n * (h - l) + 1 for m, l, h in zip(moduli, lo, hi))
+    return box, min(box, comb(n + len(law[1]) - 1, n))
+
+
 def _power_bits(law: _Packed, moduli, n: int) -> int:
     """An upper bound on the bits of the numerators of the n-th power of a
-    packed law: its cells, at most the box's (m_i on a torsion axis, n times
-    the law's extent plus 1 on a lattice axis) and at most the multisets of
-    n support points, each a numerator below den ** n."""
-    den, nums = law
-    lo, hi = _extent(nums)
-    cells = prod(m or n * (h - l) + 1 for m, l, h in zip(moduli, lo, hi))
-    return min(cells, comb(n + len(nums) - 1, n)) * n * den.bit_length()
+    packed law: its cells, each a numerator below den ** n."""
+    return _cells(law, moduli, n)[1] * n * law[0].bit_length()
 
 
 def _powers(p: Distribution, steps):
-    """(n, den, nums) for each n in steps, in sorted order, from one ladder:
-    p^(n)'s numerators by group coordinates over den = p._den ** n, unreduced.
+    """(n, den, nums) for each n in steps, in sorted order: p^(n)'s
+    numerators by group coordinates over den = p._den ** n, unreduced.
 
-    The ladder is planned by _plan before its first product, and every
-    rung is freed after its last read, by a product or by a step; the step
-    that reads a rung last drains it.  p^0 is the point mass at the
-    identity.  UnsupportedOperationError before the first product if the
-    last step's numerators may hold more than _MAX_POWER_BITS bits.
+    The ladder is planned by _plan before any work.  A law with no torsion
+    axis then takes the recurrence, step by step, where _recurrence.cheaper
+    finds it cheaper than the planned ladder.  Otherwise every rung is made
+    once and freed after its last read, by a product or by a step; the
+    step that reads a rung last drains it.  p^0 is the point mass at the
+    identity.  UnsupportedOperationError before any work if the last
+    step's numerators may hold more than _MAX_POWER_BITS bits.
     """
     steps = sorted(map(index, steps))
     if steps and steps[0] < 0:
@@ -305,6 +320,13 @@ def _powers(p: Distribution, steps):
     if steps and (bits := _power_bits(made[1], moduli, steps[-1])) > _MAX_POWER_BITS:
         raise UnsupportedOperationError(f"p^{steps[-1]} may hold {bits} bits of numerators, "
                                         f"past the {_MAX_POWER_BITS}-bit budget")
+    if not g.torsion_moduli and basis:
+        from . import _recurrence  # compiled only for a law with no torsion axis
+
+        if _recurrence.cheaper(made[1], moduli, steps, order[2:]):
+            for n in steps:
+                yield n, p._den ** n, _recurrence.power(made[1], n, basis, base)
+            return
 
     def read(n):
         reads[n] -= 1

@@ -23,6 +23,7 @@ import dancewalk.dance
 import dancewalk.group
 import dancewalk.intlinalg
 import dancewalk.llt
+import dancewalk._recurrence
 import dancewalk.measure
 import dancewalk.scenarios
 from dancewalk._writer import _SLOT, _render, _Rows
@@ -348,16 +349,21 @@ def test_each_command_renders_once_through_the_cli_binding(monkeypatch, capsys):
     assert len(texts) == 4
 
 
+def counted(monkeypatch, name, module=dancewalk.measure):
+    """A list that collects the arguments of every call of module's name."""
+    calls, function = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or function(*args))
+    return calls
+
+
 def test_compare_computes_each_power_once(monkeypatch, capsys):
-    calls = []
-    product = dancewalk.measure._product
-    monkeypatch.setattr(dancewalk.measure, "_product",
-                        lambda *args: calls.append(args) or product(*args))
-    monkeypatch.setattr(sys, "stdin", io.StringIO(LAZY_Z2_SPEC))
+    calls = counted(monkeypatch, "_product")
+    # a walk with a torsion axis, so the ladder makes its powers
+    monkeypatch.setattr(sys, "stdin", io.StringIO(ELEVATOR2_SPEC))
     assert main(["compare", "--spec", "-", "--n", "10,20,30"]) == 0
     assert capsys.readouterr().out
     # one ladder: p^2, p^3, p^5, p^10 by halving, then p^20 = p^10 * p^10, p^30 = p^20 * p^10
-    assert len(calls) <= 9
+    assert 0 < len(calls) <= 9
     # p^(n+1) = p^n * p for each of the s consecutive steps after the first
     p = load_spec(Z12_SPEC)
     a = dancewalk.llt.build_attractor(p)
@@ -371,23 +377,36 @@ def test_compare_computes_each_power_once(monkeypatch, capsys):
     assert len(calls) == first + s - 1
 
 
+def test_compare_makes_each_step_once_by_the_recurrence(monkeypatch, capsys):
+    # the lazy walk on Z^2 has no torsion axis: each step is one recurrence, and no product
+    products, steps = counted(monkeypatch, "_product"), counted(monkeypatch, "power", dancewalk._recurrence)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(LAZY_Z2_SPEC))
+    assert main(["compare", "--spec", "-", "--n", "30,10,20,10"]) == 0
+    assert capsys.readouterr().out
+    assert products == [] and [n for _, n, *_ in steps] == [10, 20, 30]
+
+
 @pytest.mark.parametrize("name, one_ladder", [("elevator1", 19), ("elevator2", 9),
-                                               ("spitzer", 9), ("z12", 24), ("z9-a1b4", 24)])
+                                               ("spitzer", 0), ("z12", 24), ("z9-a1b4", 24)])
 def test_each_sup_error_series_reads_one_ladder(name, one_ladder, monkeypatch):
-    # elevator1 makes p^2, ..., p^20 once each; elevator2 and spitzer make p^2, p^3, p^6,
-    # p^12, p^13 and p^25, then p^50, p^100 and p^200 as squares; z12 makes p^2, p^3,
-    # p^5, p^10, then p^11, ..., p^30 one step at a time; z9-a1b4's TV series makes
-    # p^2, ..., p^25 once each and scans the gap once for all 25 steps
-    calls, scans = [], []
-    product = dancewalk.measure._product
-    monkeypatch.setattr(dancewalk.measure, "_product",
-                        lambda *args: calls.append(args) or product(*args))
+    # elevator1 makes p^2, ..., p^20 once each; elevator2 makes p^2, p^3, p^6, p^12,
+    # p^13 and p^25, then p^50, p^100 and p^200 as squares; spitzer's walk has no
+    # torsion axis, so the recurrence makes its steps with no product; z12 makes p^2,
+    # p^3, p^5, p^10, then p^11, ..., p^30 one step at a time; z9-a1b4's TV series
+    # makes p^2, ..., p^25 once each and scans the gap once for all 25 steps
+    calls, scans = counted(monkeypatch, "_product"), []
     gap = dancewalk.dance.spectral_gap
     for module in (dancewalk.llt, dancewalk.scenarios):
         monkeypatch.setattr(module, "spectral_gap", lambda p: scans.append(p) or gap(p))
     assert all(c.passed for c in SCENARIOS[name]())
     assert len(calls) == one_ladder
     assert len(scans) <= 1
+
+
+def test_the_spitzer_series_makes_each_step_once_by_the_recurrence(monkeypatch):
+    steps = counted(monkeypatch, "power", dancewalk._recurrence)
+    assert all(c.passed for c in SCENARIOS["spitzer"]())
+    assert [n for _, n, *_ in steps] == [25, 50, 100, 200]
 
 
 LAZY_Z2_SPEC = json.dumps({
@@ -655,6 +674,30 @@ def test_a_window_past_the_points_budget_exits_2(s, size):
     count = re.fullmatch(r"error: the window at n = 1 would hold (\d+) points, "
                          r"past the budget of 10000000\n", proc.stderr).group(1)
     assert int(count) == size if size else int(count) > s ** 2
+
+
+def test_a_window_past_the_points_budget_by_its_torsion_residues_exits_2():
+    # 1/2 at (0, 1) and (0, -1) in Z_m x Z: the window's box holds 17 points at
+    # n = 1, but it would list all m = 10^7 torsion residues of G first
+    m = 10 ** 7
+    spec = json.dumps({"group": {"torsion": [m], "rank": 1},
+                       "distribution": [{"elem": {"torsion": [0], "free": [v]}, "weight": "1/2"}
+                                        for v in (1, -1)]})
+    proc = run_bounded(["attractor", "--spec", "-", "--n", "1"], spec)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: the window at n = 1 would list 10000000 torsion residues "
+                           "(|Tor(G)|) besides its 17 points, past the budget of 10000000\n")
+
+
+def test_a_large_power_of_a_walk_with_no_torsion_is_made_well_inside_the_time_limit():
+    # p^20000 of the simple walk on Z holds at most 8.0e8 bits, under the bit budget;
+    # the ladder's top products take minutes, the recurrence well under a second
+    start = time.perf_counter()
+    proc = run_bounded(["attractor", "--spec", "-", "--n", "20000"], SIMPLE_Z_SPEC)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)["report"]
+    assert report["n"] == 20000 and report["worst_point"] == {"torsion": [], "free": [0]}
+    assert time.perf_counter() - start < 20
 
 
 def test_window_makes_no_membership_or_kernel_calls(monkeypatch, capsys):
@@ -1301,11 +1344,27 @@ class _Big:
 def _expand(doc):
     if isinstance(doc, _Big):
         return Fraction(-(10 ** doc.k) - 1, 3) if doc.fraction else 10 ** doc.k + 7
+    if isinstance(doc, _Rows):
+        return _Rows(doc.layout, [_expand(row) for row in doc.rows])
     if isinstance(doc, dict):
         return {k: _expand(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):
         return type(doc)(_expand(v) for v in doc)
     return doc
+
+
+# Two-slot rows of every kind of leaf, the kinds varying from row to row down a
+# slot: ints past 2000 bits and past the digit limit, Fractions, bools, None,
+# empty and 60-character lists, nested dicts, floats, strings and tuples of ints
+ROWS_OF_EVERY_KIND = [
+    (_Big(700, False), Fraction(-7, 3)), (True, None), (False, _Big(4400, False)),
+    ([], ["a" * 58]), ({"k": {"j": [1, 2]}, "": {}}, [1] * 60), ((), ()), (2.5, "s\n"),
+    ((1, 2), (-(10 ** 700),)), (None, (True, 1)), (-0.0, [(1, 2), [3]]),
+]
+# Tuples of ints down each slot, one length a slot: 30 items of 2 characters
+# total 60, one item per line; 29 total 58, one line; then ints past 2000 bits
+ROWS_OF_INT_TUPLES = [((-1,) * 30, (-1,) * 29), ((-2,) * 30, (7,) * 29), ((1,) * 30, (-9,) * 29)]
+ROWS_OF_BIG_INT_TUPLES = [((10 ** 700, 1), (3, -4)), ((_Big(4301, False), 0), (5, 6))]
 
 
 # Strings with quotes, backslashes, control characters and non-ASCII text, and ints
@@ -1338,9 +1397,20 @@ _DOCUMENT = st.recursive(
 @example([{"a": 1}, {"b": [True, 1, None, False, 0]}])
 @example([{1: 0}, {True: 0}, {"1": 0, 0: 1}, {False: 1}])  # keys equal as dict keys, not as text
 @example({"k": [Fraction(5), _Big(4400, True), _Big(4500, False), [_Big(4301, False)]]})
+@example({"rows": _Rows({"v": _SLOT, "w": {"x": _SLOT}}, ROWS_OF_EVERY_KIND)})
+@example(_Rows({"v": _SLOT, "w": _SLOT}, ROWS_OF_INT_TUPLES))
 def test_writer_matches_the_recursive_reference(doc):
     doc = _expand(doc)
-    assert _text(doc) == reference_render(doc)
+    assert _text(doc) == reference_render(_records(doc))
+
+
+def _records(doc):
+    """doc with each _Rows, whose rows must be a list, as the list of dicts it stands for."""
+    if isinstance(doc, _Rows):
+        return [_fill(doc.layout, iter(row)) for row in doc.rows]
+    if isinstance(doc, dict):
+        return {k: _records(v) for k, v in doc.items()}
+    return doc
 
 
 @pytest.mark.parametrize("doc", [object(), {1, 2}, {"k": [1, [frozenset()]]},
@@ -1407,6 +1477,10 @@ def _tables(draw):
 @example(({"v": _SLOT}, [(None,)]), None)  # a single row
 @example(({"v": _SLOT}, [(["a" * 57],)]), 0)  # a slot list of 59 characters: one line
 @example(({"v": _SLOT}, [(["a" * 58],), ([1] * 60,)]), 0)  # 60: one item per line
+@example(({"v": _SLOT, "w": {"x": _SLOT}}, ROWS_OF_EVERY_KIND), None)
+@example(({"v": _SLOT, "w": _SLOT}, ROWS_OF_INT_TUPLES), None)
+@example(({"v": _SLOT, "w": _SLOT}, ROWS_OF_BIG_INT_TUPLES), {"k": {}})
+@example(({"v": {}}, [(), ()]), 1)  # a layout with no slot
 def test_rows_drawn_once_from_an_iterator_are_written_as_the_dicts_they_stand_for(table, head):
     # compare and convolve hand the writer generators, which can be drawn only once;
     # a list is drawn by the same loop

@@ -5,10 +5,12 @@ import sys
 from fractions import Fraction
 from math import comb, gcd, lcm
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
+import dancewalk._recurrence
 import dancewalk.measure
 from dancewalk.cli import main
 from dancewalk.dance import dance_of, theta_by_integration
@@ -266,6 +268,69 @@ def test_power_ladder_matches_sparse_reference(pq, steps):
         assert nums == {x.coords(): w * den for x, w in sparse_power(p, n).items()}
 
 
+def _uniform(g, points):
+    """The uniform law on the points of g, each a (torsion, free) pair."""
+    return Distribution(g, {g.element(t, f): Fraction(1, len(points)) for t, f in points})
+
+
+KNIGHT = _uniform(Z2, [((), (a, b)) for a in (1, -1, 2, -2) for b in (1, -1, 2, -2)
+                       if abs(a) != abs(b)])  # its lattice has index 2 in Z^2
+LAZY_Z2 = _uniform(Z2, [((), (0, 0)), ((), (1, 0)), ((), (-1, 0)), ((), (0, 1)), ((), (0, -1))])
+SIMPLE_Z = _uniform(GroupSpec((), 1), [((), (-1,)), ((), (1,))])
+SIMPLEX_Z6 = _uniform(GroupSpec((), 6), [((), (0,) * 6)] + [
+    ((), tuple(int(i == j) for i in range(6))) for j in range(6)])
+W200 = _uniform(Z2, [((), (i % 20 - 10, i // 20 - 5)) for i in range(200)])
+
+
+@seed(0x5d4c2b7e8f1a3c6d9e0b2a4f6c8e1d3b5a7c9e0f2d4b6a8c1e3f5d7b9a0c2e4f6b8d1a3c5e7f9b0d2a4c6e8f1b3d5a)
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(law_pairs(), st.tuples(st.integers(0, 12), st.integers(1, 3)))
+@pin_shapes((12, 3))
+@example((KNIGHT, KNIGHT), (7, 2))
+@example((spitzer(), spitzer()), (9, 3))
+@example((SIMPLE_Z, SIMPLE_Z), (0, 3))
+def test_recurrence_matches_sparse_reference(pq, window):
+    # p^n, ..., p^(n+s-1), as the window of a time average reads them, each made by
+    # the recurrence on a law with no torsion axis and by the ladder otherwise
+    p, _ = pq
+    n, s = window
+    with mock.patch.object(dancewalk._recurrence, "cheaper", lambda *args: True):
+        got = list(dancewalk.measure._powers(p, range(n, n + s)))
+    assert [m for m, *_ in got] == list(range(n, n + s))
+    for m, den, nums in got:
+        assert den == p._den ** m
+        assert nums == {x.coords(): w * den for x, w in sparse_power(p, m).items()}
+
+
+# The benchmark sweep's group shapes: walks with torsion axes only
+SWEEP_SHAPES = ((12,), (30,), (2, 6), (4, 4), (3, 9), (2, 2, 4), (2, 2, 6), (3, 3, 3))
+
+
+def test_the_chooser_keeps_the_ladder_where_the_recurrence_costs_more(monkeypatch):
+    made = {}
+    for module, name in ((dancewalk.measure, "_product"), (dancewalk._recurrence, "power")):
+        function = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, name=name, function=function:
+                            made.__setitem__(name, made.get(name, 0) + 1) or function(*args))
+
+    def methods(p, steps):
+        made.clear()
+        assert [n for n, *_ in dancewalk.measure._powers(p, steps)] == sorted(steps)
+        return sorted(made)
+
+    sweep = [_uniform(GroupSpec(m), [((0,) * len(m), ()), ((1,) * len(m), ()),
+                                     ((0,) * (len(m) - 1) + (2,), ())]) for m in SWEEP_SHAPES]
+    # small tori, a wide support and a thin one over many axes stay on the ladder
+    for p, steps in [*((q, [12]) for q in sweep), (W200, [2]), (W200, [3, 8]),
+                     (SIMPLEX_Z6, [6]), (SIMPLEX_Z6, [2, 3])]:
+        assert methods(p, steps) == ["_product"]
+    # walks with few support points and no torsion axis make no product
+    for p in (LAZY_Z2, KNIGHT, SIMPLE_Z, spitzer()):
+        assert methods(p, [2]) == methods(p, [10, 20, 30]) == methods(p, [40]) == ["power"]
+    # p^1 is given, so neither method has work to do
+    assert methods(LAZY_Z2, [1]) == methods(SIMPLE_Z, [0, 1]) == []
+
+
 @seed(0xb64f574586f66fd856e684cc8d575c0ca1007b734ebe490b814794f402140b8d3c59db2d1a47ac2facc4079298edad34)
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(law_pairs(), st.integers(0, 6))
@@ -282,15 +347,21 @@ def test_kronecker_and_pairwise_kernels_agree(pq, n):
 
 
 def recorded_boxes(monkeypatch):
-    """A list that collects the cell count of every box the packed kernel fills."""
+    """A list that collects the cell count of every box the packed kernel
+    fills and of every power's box the recurrence runs over."""
     boxes = []
-    pack = dancewalk.measure._pack
+    pack, power = dancewalk.measure._pack, dancewalk._recurrence.power
 
     def recording_pack(nums, lo, strides, width, size):
         boxes.append(size)
         return pack(nums, lo, strides, width, size)
 
+    def recording_power(law, n, basis, base):
+        boxes.append(dancewalk.measure._cells(law, (0,) * len(basis), n)[0])
+        return power(law, n, basis, base)
+
     monkeypatch.setattr(dancewalk.measure, "_pack", recording_pack)
+    monkeypatch.setattr(dancewalk._recurrence, "power", recording_power)
     return boxes
 
 
