@@ -325,10 +325,18 @@ def cmd_twist(args) -> int:
     return 0
 
 
+# The most coordinates sample may hold and write, n * paths * dim (a position of the
+# trivial group counts as one): about 100 MB.  It admits --n 100000 --paths 3 on Z^2.
+_MAX_SAMPLE_COORDS = 10 ** 6
+
+
 def cmd_sample(args) -> int:
     from .measure import _positions
 
     p = _read_spec(args.spec)
+    if (size := args.n * args.paths * max(p.group.dim, 1)) > _MAX_SAMPLE_COORDS:
+        raise UnsupportedOperationError(
+            f"sample would write {size} coordinates, past the budget of {_MAX_SAMPLE_COORDS}")
     paths = [list(_positions(p, args.n, args.seed + i)) for i in range(args.paths)]
     _emit({"n": args.n, "seed": args.seed, "paths": paths})
     return 0

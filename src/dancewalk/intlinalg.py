@@ -4,9 +4,9 @@ Everything here runs in arbitrary-precision integer arithmetic; there is
 no floating point and no overflow.  Two elimination kernels serve it.
 The row-Hermite kernel ``_hnf`` brings rows to canonical Hermite form
 in place, carrying a unimodular transform when given one.  It gives the
-Hermite basis of a lattice (``lattice_basis``), the Smith diagonal with
-its column transform (``snf``, alternating Hermite passes on the rows
-and the columns) and integer inverses.  The Smith diagonal is unique;
+Hermite basis of a lattice (``lattice_basis``) and the Smith diagonal
+with its column transform (``snf``, alternating Hermite passes on the
+rows and the columns).  The Smith diagonal is unique;
 the column transform ``v`` is valid but not canonical.  The
 fraction-free Gauss-Jordan kernel ``_bareiss`` gives, in one pass over
 a square matrix, its determinant, its leading principal minors and its
@@ -184,7 +184,7 @@ class IntMatrix(Value):
 class UnimodularMatrix(Value):
     """A square integer matrix with determinant +1 or -1."""
 
-    __slots__ = ("matrix", "_inv")
+    __slots__ = ("matrix",)
 
     def __init__(self, matrix: IntMatrix):
         if matrix.rows != matrix.cols:
@@ -192,21 +192,6 @@ class UnimodularMatrix(Value):
         if matrix.det() not in (1, -1):
             raise ValueError("determinant is not a unit")
         self._set(matrix)
-        object.__setattr__(self, "_inv", None)
-
-    @property
-    def inverse(self) -> IntMatrix:
-        """The exact inverse, computed on first use and kept: the Hermite
-        transform u with u @ matrix = I, as the Hermite form of a
-        unimodular matrix is the identity."""
-        if self._inv is None:
-            n = self.matrix.rows
-            h, u = [list(r) for r in self.matrix.data], _eye(n)
-            _hnf(h, n, u)
-            if h != _eye(n):
-                raise InvariantViolationError("a unimodular matrix has a Hermite form other than I")
-            object.__setattr__(self, "_inv", IntMatrix(u, cols=n))
-        return self._inv
 
     def __repr__(self) -> str:
         return f"UnimodularMatrix({self.matrix!r})"

@@ -20,18 +20,18 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add, mod, sub
+from operator import add
 
+from ._errors import InvariantViolationError, UnsupportedOperationError
 from ._value import Value
 from .dance import DanceData, _rho_upper, dance_of, spectral_gap
-from .group import Element, GroupSpec, Homomorphism, UnsupportedOperationError, whole_group
+from .group import Element, GroupSpec, Homomorphism, Subgroup, whole_group
 from .intlinalg import (
     AffinePointSet,
     IntMatrix,
-    InvariantViolationError,
-    TwistResult,
     _bareiss,
     affine_dim,
+    lattice_basis,
     twist_to_coordinates,
 )
 from .measure import Distribution, _powers, pushforward
@@ -83,17 +83,17 @@ def mean_cov(q: Distribution) -> MomentData:
 
 
 class Attractor(Value):
-    """Evaluable local-limit attractor of a walk (phi, moments and twist only when d >= 1).
+    """Evaluable local-limit attractor of a walk (phi and moments only when d >= 1).
 
     d = 0:  theta(n, x) / |Tor(G)| = 1 / |W| on the live coset  (+ exponentially small error)
     d >= 1: theta(n, x) / |Tor(G)| * K^n(phi(x) - n*mu)          (+ o(n^(-d/2)))
     """
 
-    __slots__ = ("dance", "phi", "moments", "twist")
+    __slots__ = ("dance", "phi", "moments")
 
     def __init__(self, dance: DanceData, phi: Homomorphism | None = None,
-                 moments: MomentData | None = None, twist: TwistResult | None = None):
-        self._set(dance, phi, moments, twist)
+                 moments: MomentData | None = None):
+        self._set(dance, phi, moments)
 
     @property
     def rank_d(self) -> int:
@@ -126,7 +126,7 @@ def build_attractor(p: Distribution) -> Attractor:
         raise InvariantViolationError("pushforward is not genuinely d-dimensional")
     if not moments.is_positive_definite():
         raise InvariantViolationError("covariance failed the positive-definiteness check")
-    return Attractor(dance, phi, moments, tw)
+    return Attractor(dance, phi, moments)
 
 
 def _float(x, what: str) -> float:
@@ -140,10 +140,9 @@ def _float(x, what: str) -> float:
     return f
 
 
-# The most points of Z^d the window's box may hold, with the torsion
-# residues it lists besides them counted too.  It admits the knight
-# walk at n = 100 (65,025 points) and 1/200 on a 20 x 10 block of Z^2 at
-# n = 200 (850,857 points).
+# The most points of G the window may list, its box's points times |W_t|.  It
+# admits the knight walk at n = 100 (65,025 points) and 1/200 on a 20 x 10
+# block of Z^2 at n = 200 (850,857 points).
 _MAX_WINDOW_POINTS = 10 ** 7
 
 
@@ -157,11 +156,11 @@ def _evaluated_window(nums, a: Attractor, n: int):
 
     Every point is on the live coset W + n*x0, where theta is c: all of it
     when d = 0 (the uniform law on it, 1 / |W|, walked from W's Hermite
-    rows) and otherwise the window lifts, valued c / |Tor(G)| times the
+    rows) and otherwise the window's points, valued c / |Tor(G)| times the
     heat kernel.  A key x of nums with x - n*x0 not in W is an invariant
     violation, as supp p^(n) lies in the live coset.  With W = G (the
-    dance-free attractor that time_average_error reads) every image in G/W
-    is (), so the live coset is all of G and every lift and key is kept.
+    dance-free attractor that time_average_error reads) the live coset is
+    all of G.
 
     For d >= 1 the value K^n(u - n*mu) at u = phi(x) comes from one exact
     integer quadratic form.  With dm the lcm of the mean's denominators
@@ -177,35 +176,34 @@ def _evaluated_window(nums, a: Attractor, n: int):
     to that of gaussian_kernel in tests/reference.py, the Fraction
     reference the tests compare against.
 
-    The free part of a live-coset point is phi_full^(-1) (u, n*w) for some
-    u in Z^d, so the lifts of these u through every torsion residue cover
-    the points where the attractor is not negligible; phi of each lift is
-    u.  The window is enumerated as by Fincke and Pohst (1985): the first
-    d - 1 coordinates of u run over a box, the last over the exact
-    interval where the form, a quadratic in it, is within bound, and along
-    that the form and the lift step by integer differences.  With pi the
-    projection onto G/W, the lift (r, f) is live when
-    pi(r, 0) = n*pi(x0) - pi(0, f), so the residues r are grouped by
-    pi(r, 0) once.  Only torsion parts are compared: (r, f) - n*x0 has
-    finite order in G/W, so its free part there is 0.
+    The window walks the live coset by W's Hermite rows in the coordinates
+    (u, r, f) = (phi(x), torsion residues, free part).  The first d rows
+    pivot on u's axes; the rest have u = 0, hence f = 0, and span
+    W_t = W ∩ Tor(G), so the live points over each u are one coset of W_t
+    (each visited coset listed once, by Subgroup.element_coords).  As by
+    Fincke and Pohst (1985), the first d - 1 coordinates of u step through
+    the progressions their pivots fix within a box, and the last steps by
+    its pivot through the exact interval where the form, a quadratic in
+    it, is within bound, the form and the point stepping by integer
+    differences.
 
-    UnsupportedOperationError if the box holds more than
-    _MAX_WINDOW_POINTS points, or if its points and the |Tor(G)| torsion
-    residues, which are listed once, do together.  A key of nums outside
+    UnsupportedOperationError if the box's points, each times its |W_t|
+    lifts, number more than _MAX_WINDOW_POINTS.  A key of nums outside
     the window whose form exceeds 1492 * n * det(L*Gamma) * dm^2 gets the
     value 0.0 without the float quotient: the exponent is below -746,
     where exp is 0.0.
     """
     dance, w = a.dance, a.dance.walk_subgroup
     image = w._image  # pi onto G/W
-    live_at = image([n * c for c in dance.base_point.coords()])
+    nx0 = [n * c for c in dance.base_point.coords()]
+    live_at = image(nx0)
     if a.rank_d == 0:
         off = any(image(x) != live_at for x in nums)
         points = dance.coset_coords(n)
         values = itertools.repeat(1 / w.order())
     else:
-        moments = a.moments
-        d, inv = moments.dim, a.twist.phi.inverse
+        moments, phi = a.moments, a.phi.matrix
+        d, t = moments.dim, len(w.parent.torsion_moduli)
         dm = math.lcm(*(c.denominator for c in moments.mean))
         q, det = moments._q, moments._det
         shift = [int(n * dm * c) for c in moments.mean]  # exact: dm * mu is integral
@@ -219,60 +217,66 @@ def _evaluated_window(nums, a: Attractor, n: int):
         def kernel(form):  # K^n(u - n*mu) for the u with Y . QY = form
             return math.exp(-(form / scale) / (2 * float(n))) / norm
 
-        tail = tuple(n * wi for wi in a.twist.w)
+        rows = lattice_basis([phi.mul_vec(b) + b for b in w.basis.data], d + w.parent.dim)
+        if len(rows) != d + t:
+            raise InvariantViolationError("W has a free row that phi sends to 0")
+        w_t = Subgroup(w.parent.torsion_component(), [row[d:d + t] for row in rows[d:]])
         box = []
         for i in range(d):  # every axis is range-checked; the last is not a box axis
             r = 8 * math.sqrt(_float(n * moments.covariance[i][i], f"variance n * Gamma[{i}][{i}]"))
             center = _float(n * moments.mean[i], f"mean n * mu[{i}]")
             box.append(range(math.floor(center - r), math.ceil(center + r) + 1))
-        size = math.prod(axis.stop - axis.start for axis in box)
+        size = math.prod(axis.stop - axis.start for axis in box) * w_t.order()
         if size > _MAX_WINDOW_POINTS:
             raise UnsupportedOperationError(
                 f"the window at n = {n} would hold {size} points, "
                 f"past the budget of {_MAX_WINDOW_POINTS}")
-        torsion = a.phi.source.torsion_component()
-        if size + torsion.torsion_order > _MAX_WINDOW_POINTS:  # each residue is listed below
-            raise UnsupportedOperationError(
-                f"the window at n = {n} would list {torsion.torsion_order} torsion residues "
-                f"(|Tor(G)|) besides its {size} points, past the budget of {_MAX_WINDOW_POINTS}")
-        box.pop()
         bound = 64 * n * scale
 
-        moduli = w.quotient_map()[0].torsion_moduli
-        origin = (0,) * torsion.dim
-        groups = {}  # the torsion residues r by pi(r, 0)
-        for r in whole_group(torsion).element_coords():
-            groups.setdefault(image(r)[:len(moduli)], []).append(r)
-        free_step = tuple(row[d - 1] for row in inv.data)
-        key_step = image(origin + free_step)
+        def heads(j, v):  # the coset's points v with v[:j] in the box, one per head v[:d - 1]
+            if j == d - 1:
+                return [v]
+            row, axis = rows[j], box[j]  # v + k * row puts v[j] in the box for k in lo..hi
+            lo, hi = -((axis.start - v[j]) // -row[j]), (axis.stop - 1 - v[j]) // row[j]
+            return (x for k in range(lo, hi + 1)
+                    for x in heads(j + 1, [e + k * s for e, s in zip(v, row)]))
+
+        cosets = {}  # the residues of each visited coset of W_t, by its least residues
+
+        def lifts(r):
+            for j, row in enumerate(w_t.basis.data):
+                k = r[j] // row[j]
+                r = tuple(e - k * s for e, s in zip(r, row))
+            return cosets.get(r) or cosets.setdefault(r, list(w_t.element_coords(r)))
 
         heat = {}
+        h, step = rows[d - 1][d - 1], rows[d - 1][d:]
         qll, sl = q[d - 1][d - 1], shift[d - 1]
         qa = qll * dm * dm
-        for head in itertools.product(*box):
-            # form(head, v) = qa*v^2 + qb*v + qc, v the last coordinate of u
-            y = [dm * c - s for c, s in zip(head, shift)]
+        for v in heads(0, [*phi.mul_vec(nx0), *nx0]):
+            # form(head, c) = qa*c^2 + qb*c + qc, c the last coordinate of u
+            y = [dm * c - s for c, s in zip(v[:d - 1], shift)]
             cross = sum((q[d - 1][j] + q[j][d - 1]) * yj for j, yj in enumerate(y))
             qb = dm * (cross - 2 * qll * sl)
             qc = quad(y) - cross * sl + qll * sl * sl
             disc = qb * qb - 4 * qa * (qc - bound)
             if disc < 0:
                 continue
-            root = math.isqrt(disc)  # qa*v^2 + qb*v + qc <= bound iff |2*qa*v + qb| <= root
+            root = math.isqrt(disc)  # qa*c^2 + qb*c + qc <= bound iff |2*qa*c + qb| <= root
             lo, hi = -((root + qb) // (2 * qa)), (root - qb) // (2 * qa)
-            form, diff = qa * lo * lo + qb * lo + qc, qa * (2 * lo + 1) + qb
-            free = inv.mul_vec(head + (lo,) + tail)
-            key = tuple(map(mod, map(sub, live_at, image(origin + free)), moduli))
-            for _ in range(lo, hi + 1):
+            lo += (v[d - 1] - lo) % h  # the first c of the coset's progression
+            k = (lo - v[d - 1]) // h
+            x = tuple(e + k * s for e, s in zip(v[d:], step))  # (r, f) at c = lo
+            form, diff = qa * lo * lo + qb * lo + qc, h * (qa * (2 * lo + h) + qb)
+            for _ in range(lo, hi + 1, h):
                 value = kernel(form)
-                for r in groups.get(key, ()):
-                    heat[r + free] = value
-                form, diff = form + diff, diff + 2 * qa
-                free = tuple(map(add, free, free_step))
-                key = tuple(map(mod, map(sub, key, key_step), moduli))
+                for r in lifts(x[:t]):
+                    heat[r + x[t:]] = value
+                form, diff = form + diff, diff + 2 * qa * h * h
+                x = tuple(map(add, x, step))
         for x in nums.keys() - heat.keys():
             if image(x) == live_at:
-                y = [dm * c - s for c, s in zip(a.phi.matrix.mul_vec(x), shift)]
+                y = [dm * c - s for c, s in zip(phi.mul_vec(x), shift)]
                 form = quad(y)
                 heat[x] = 0.0 if form > 1492 * n * scale else kernel(form)
         off = not heat.keys() >= nums.keys()
@@ -371,7 +375,7 @@ def time_average_error(p: Distribution, a: Attractor, n: int, s: int) -> float:
         for x, v in nums.items():
             total[x] = total.get(x, 0) + v
         del nums  # released before the ladder makes the next law
-    flat = Attractor(DanceData(whole_group(p.group), a.dance.base_point), a.phi, a.moments, a.twist)
+    flat = Attractor(DanceData(whole_group(p.group), a.dance.base_point), a.phi, a.moments)
     return _largest_error(s * den, _evaluated_window(total, flat, n), flat)[0]
 
 

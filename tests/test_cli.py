@@ -649,6 +649,15 @@ def test_a_power_past_the_bit_budget_exits_2(command):
                            "past the 1073741824-bit budget\n")
 
 
+def test_a_sample_past_the_coordinates_budget_exits_2():
+    # 10^8 positions of the simple walk on Z: held whole, they would not fit
+    # in the child's 1 GiB, so the budget must refuse them before the first draw
+    proc = run_bounded(["sample", "--spec", "-", "--n", "100000000"], SIMPLE_Z_SPEC)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: sample would write 100000000 coordinates, "
+                           "past the budget of 1000000\n")
+
+
 @pytest.mark.parametrize("command", [["analyze"], ["tv", "--n", "5"]])
 def test_a_gap_scan_past_the_character_budget_exits_2(command):
     # 1/2 on 0 and 1 in Z_1000000007: not uniform on a coset of W_A, so the
@@ -677,16 +686,30 @@ def test_a_window_past_the_points_budget_exits_2(s, size):
 
 
 def test_a_window_past_the_points_budget_by_its_torsion_residues_exits_2():
-    # 1/2 at (0, 1) and (0, -1) in Z_m x Z: the window's box holds 17 points at
-    # n = 1, but it would list all m = 10^7 torsion residues of G first
+    # 1/3 at (0; 0), (1; 0) and (0; 1) in Z_m x Z: W = G, so W_t = W ∩ Tor(G) is all
+    # of Z_m, and each of the box's 10 points at n = 1 has m = 10^7 live lifts
+    m = 10 ** 7
+    spec = json.dumps({"group": {"torsion": [m], "rank": 1},
+                       "distribution": [{"elem": {"torsion": [r], "free": [v]}, "weight": "1/3"}
+                                        for r, v in ((0, 0), (1, 0), (0, 1))]})
+    proc = run_bounded(["attractor", "--spec", "-", "--n", "1"], spec)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: the window at n = 1 would hold 100000000 points, "
+                           "past the budget of 10000000\n")
+
+
+def test_a_window_lifts_only_through_the_walk_subgroups_torsion():
+    # 1/2 at (0, 1) and (0, -1) in Z_m x Z: W_t is trivial, so each live point of
+    # the window has one lift, and none of the m = 10^7 residues of G is listed
     m = 10 ** 7
     spec = json.dumps({"group": {"torsion": [m], "rank": 1},
                        "distribution": [{"elem": {"torsion": [0], "free": [v]}, "weight": "1/2"}
                                         for v in (1, -1)]})
     proc = run_bounded(["attractor", "--spec", "-", "--n", "1"], spec)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == ("error: the window at n = 1 would list 10000000 torsion residues "
-                           "(|Tor(G)|) besides its 17 points, past the budget of 10000000\n")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    doc = json.loads(proc.stdout)
+    assert (doc["torsion_order"], doc["normalization"]) == (m, 2 * m)
+    assert doc["report"]["worst_point"] == {"torsion": [0], "free": [-1]}
 
 
 def test_a_large_power_of_a_walk_with_no_torsion_is_made_well_inside_the_time_limit():

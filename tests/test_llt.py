@@ -20,7 +20,8 @@ from hypothesis import example, given, seed, settings, strategies as st
 import dancewalk.llt
 from dancewalk.group import DualPoint, Element, GroupSpec, Homomorphism, whole_group
 from dancewalk.group import UnsupportedOperationError
-from dancewalk.intlinalg import IntMatrix, InvariantViolationError
+from dancewalk.intlinalg import (AffinePointSet, IntMatrix, InvariantViolationError,
+                                 twist_to_coordinates)
 from dancewalk.cli import main
 from dancewalk.measure import (Distribution, _powers, convolution_power, convolve, pushforward,
                                 torsion_pushforward)
@@ -59,6 +60,8 @@ DRIFT_Z2 = _uniform(Z2, [((), (0, 0)), ((), (1, 0)), ((), (0, 1))])
 SHEARED_LAZY_Z2 = _uniform(Z2, [((), (0, 0)), ((), (1, 1)), ((), (-1, -1)), ((), (1, 0)),
                                 ((), (-1, 0))])
 TWISTED_Z4_Z2 = _uniform(GroupSpec([4], 2), [((1,), (1, 0)), ((3,), (0, 1)), ((1,), (2, -1))])
+# W_t = W ∩ Tor(G) = <(1, 1)>, of order 4, is not a product of coordinate subgroups; c = 2
+DIAGONAL_Z2_Z4_Z = _uniform(GroupSpec([2, 4], 1), [((0, 0), (0,)), ((1, 1), (0,)), ((0, 0), (1,))])
 
 
 def test_mean_cov_examples():
@@ -337,12 +340,12 @@ def test_time_average_matches_fraction_reference(p, n, s):
     # support, with no dance to pick residues
     a = build_attractor(p)
     assert classify(p).period == s
-    flat = Attractor(DanceData(whole_group(p.group), a.dance.base_point), a.phi, a.moments, a.twist)
+    flat = Attractor(DanceData(whole_group(p.group), a.dance.base_point), a.phi, a.moments)
     average = {}
     for law in (convolution_power(p, m) for m in range(n, n + s)):
         for x in law.support():
             average[x] = average.get(x, 0) + law.weight(x) / s
-    points = set(average).union(_reference_lifts(a, n))
+    points = set(average).union(_reference_lifts(p, a, n))
     want = max(abs(float(average.get(x, 0)) - attractor_eval(flat, n, x)) for x in points)
     assert time_average_error(p, a, n, s) == want
 
@@ -891,10 +894,12 @@ def test_rank_two_drifted_walk_with_correlated_covariance():
     assert all(x > y for x, y in zip(scaled, scaled[1:]))
 
 
-def _reference_lifts(a, n):
+def _reference_lifts(p, a, n):
     """Every torsion lift of the integer points within 8 standard deviations
-    of n*mu, by an exact Fraction quadratic form on each point of the box."""
-    g = a.dance.base_point.group
+    of n*mu, by an exact Fraction quadratic form on each point of the box.
+    The free part of the lifts of u is phi_full^(-1) (u, n*w), with phi_full
+    and w the twist of p's free parts and the inverse by Fraction elimination."""
+    g = p.group
     moments = a.moments
     inv = rational_inverse(moments.covariance)
     d = moments.dim
@@ -903,24 +908,26 @@ def _reference_lifts(a, n):
     for i in range(d):
         r = 8 * math.sqrt(n * float(moments.covariance[i][i]))
         ranges.append(range(math.floor(float(center[i]) - r), math.ceil(float(center[i]) + r) + 1))
-    tail = tuple(n * wi for wi in a.twist.w)
-    inv_full = a.twist.phi.inverse
+    twist = twist_to_coordinates(AffinePointSet(g.free_rank, {x.free for x in p.support()}))
+    tail = tuple(n * wi for wi in twist.w)
+    inv_full = rational_inverse(twist.phi.matrix.data)
     residues = list(itertools.product(*(range(m) for m in g.torsion_moduli)))
     for u in itertools.product(*ranges):
         y = [c - ctr for c, ctr in zip(u, center)]
         if sum(y[i] * inv[i][j] * y[j] for i in range(d) for j in range(d)) <= 64 * n:
-            free = inv_full.mul_vec(u + tail)
+            free = [sum(e * c for e, c in zip(row, u + tail)) for row in inv_full]
+            assert all(c.denominator == 1 for c in free)
             for tors in residues:
-                yield Element(g, tors, free)
+                yield Element(g, tors, map(int, free))
 
 
-def reference_window(pn, a, n):
+def reference_window(p, pn, a, n):
     """The evaluated window on Elements: supp(pn) with the live coset (d = 0)
     or the window lifts with theta > 0, each point evaluated by attractor_eval."""
     if a.rank_d == 0:
         live = map(pn.group.element_from_coords, a.dance.coset_coords(n))
     else:
-        live = (x for x in _reference_lifts(a, n) if a.dance.theta(n, x) > 0)
+        live = (x for x in _reference_lifts(p, a, n) if a.dance.theta(n, x) > 0)
     return [(x.coords(), pn.weight(x), a.dance.theta(n, x), attractor_eval(a, n, x))
             for x in sorted(set(pn.support()).union(live))]
 
@@ -968,13 +975,28 @@ def window_cases(draw):
 @example((SHEARED_LAZY_Z2, 5))
 # rank 1 in Z_4 x Z^2 (twisted), and c = 2: each window u keeps 2 of its 4 residues
 @example((TWISTED_Z4_Z2, 5))
+# rank 1 in Z_2 x Z_4 x Z: each window u lifts through the 4 residues of one coset of W_t
+@example((DIAGONAL_Z2_Z4_Z, 12))
 def test_evaluated_window_matches_fraction_reference(case):
     p, n = case
     a = build_attractor(p)
     pn = convolution_power(p, n)
     (_, den, nums), = _powers(p, (n,))
     got = [(x, Fraction(v, den), f) for x, v, f in _evaluated_window(nums, a, n)]
-    want = reference_window(pn, a, n)
+    want = reference_window(p, pn, a, n)
     # every window point is live: theta is c at each
     assert all(th == a.dance.normalization_c for _, _, th, _ in want)
     assert [(x, w, v.hex()) for x, w, v in got] == [(x, w, v.hex()) for x, w, _, v in want]
+
+
+def test_the_window_evaluates_the_kernel_once_per_live_point(monkeypatch):
+    # the knight walk's W is the index-2 lattice of even coordinate sums: the window
+    # steps through W + n*x0 alone, so the box's points off it cost no exp call
+    p = Distribution(Z2, {Z2.element((), x): Fraction(1, 8) for _, x in KNIGHT_STEPS})
+    a = build_attractor(p)
+    (_, _, nums), = _powers(p, (20,))
+    calls = []
+    exp = math.exp
+    monkeypatch.setattr(math, "exp", lambda x: calls.append(x) or exp(x))
+    rows = list(_evaluated_window(nums, a, 20))
+    assert len(calls) == len(rows) == 5025
