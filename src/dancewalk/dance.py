@@ -39,7 +39,7 @@ from .group import (
     UnsupportedOperationError,
     whole_group,
 )
-from .measure import Distribution, torsion_pushforward
+from .measure import Distribution, _walk, torsion_pushforward
 
 
 class DanceData(Value):
@@ -100,16 +100,10 @@ def analyze_dance(p: Distribution) -> DanceData:
     The base point is fixed as the least support element so results are
     reproducible; any other support point yields the same data.
     """
-    x0 = min(p._nums)
-    walk = Subgroup(p.group, [[a - b for a, b in zip(x, x0)] for x in p._nums])
-    return DanceData(walk, p.group.element_from_coords(x0))
+    return DanceData(_walk(p), p.group.element_from_coords(min(p._nums)))
 
 
-def dance_of(p: Distribution) -> DanceData:
-    """analyze_dance(p), computed on first use and kept on the immutable p."""
-    if p._dance is None:
-        object.__setattr__(p, "_dance", analyze_dance(p))
-    return p._dance
+dance_of = analyze_dance  # the law keeps W, so the dance data need no cache
 
 
 def _phase_sums(p: Distribution):
@@ -130,7 +124,7 @@ def _phase_sums(p: Distribution):
 def _uniform_on_coset(pa: Distribution) -> bool:
     """Whether p_A is uniform on a coset of its walk subgroup W_A, that is
     on |S| = |W_A| points: exactly when every character off the locus is 0."""
-    return len(set(pa._nums.values())) == 1 and len(pa) == dance_of(pa).walk_subgroup.order()
+    return len(set(pa._nums.values())) == 1 and len(pa) == _walk(pa).order()
 
 
 def _rho_upper(p: Distribution, rho: float) -> Fraction:
@@ -162,7 +156,7 @@ def spectral_gap(p: Distribution) -> SpectralGap:
     By Fourier inversion on A, every character off the locus is 0 exactly
     when p_A is uniform on a coset of its walk subgroup W_A, that is on
     |S| = |W_A| points.  That is decided before the scan, from the order
-    of dance_of(p_A).walk_subgroup, and then rho is 0.0 and achieved_at
+    of p_A's walk subgroup, and then rho is 0.0 and achieved_at
     None.  Otherwise rho is the largest double modulus and achieved_at
     the first character attaining it.  The true rho is at most
     _rho_upper(p, rho), which adds e_scan unless the scan was skipped.

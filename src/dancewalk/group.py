@@ -17,11 +17,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import index, mod
+from operator import index, mod, mul
 
 from ._errors import UnsupportedOperationError
 from ._value import Value
-from .intlinalg import IntMatrix, lattice_basis, snf
+from .intlinalg import IntMatrix, _hnf, lattice_basis, snf
 
 
 class GroupSpec(Value):
@@ -164,10 +164,12 @@ class Subgroup(Value):
     subgroup of the parent, and Hermite row j pivots at column j, at a
     divisor h_j of m_j, on each torsion axis j < t.  The basis is square
     (row j pivoting at column j on every axis) exactly when the index is
-    finite; index, order and the coset walk read the diagonal h_j.
+    finite; index, order and the coset walk read the diagonal h_j.  One
+    Smith form is kept for parent / H (quotient_map), one for H itself
+    (_coordinates).
     """
 
-    __slots__ = ("parent", "basis", "_quotient")
+    __slots__ = ("parent", "basis", "_quotient", "_coords")
 
     def __init__(self, parent: GroupSpec, rows):
         all_rows = [list(r) for r in rows] + _relation_rows(parent)
@@ -179,6 +181,7 @@ class Subgroup(Value):
         """Set the fields from ``basis``, already in canonical Hermite form."""
         self._set(parent, basis)
         object.__setattr__(self, "_quotient", None)
+        object.__setattr__(self, "_coords", None)
         return self
 
     def __repr__(self) -> str:
@@ -230,6 +233,43 @@ class Subgroup(Value):
             proj = IntMatrix([r for d, r in zip(diag, vt) if d != 1], cols=self.parent.dim)
             object.__setattr__(self, "_quotient", (spec, Homomorphism(self.parent, spec, proj)))
         return self._quotient
+
+    def _coordinates(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple]:
+        """H's own coordinates, H = Z_{e_1} x ... x Z_{e_s} x Z^d, from one
+        Smith form kept on first use: (orders, rows, reads), the e_i > 1 then
+        d zeros, the axes' images in parent coordinates (residues unreduced,
+        a cyclic row with no free part), and the columns of v that
+        _coords_of reads.  With the relations m_j * e_j written as M @ basis
+        by pivot division and M @ v = u^(-1) @ diag(e), e padded by zeros,
+        the relations in the coordinates z @ v of z @ basis are diag(e):
+        axis i is Z_{e_i} (Z where e_i = 0, dropped where e_i = 1), and its
+        image is row i of v^(-1) @ basis, by one Hermite pass over v."""
+        if self._coords is None:
+            r = self.basis.rows
+            relations = map(self._hermite_coords, _relation_rows(self.parent))
+            diagonal, vt = snf(IntMatrix(relations, cols=r))
+            v, rows = [list(c) for c in zip(*vt)], [list(b) for b in self.basis.data]
+            _hnf(v, r, rows)  # v becomes the identity and rows v^(-1) @ basis
+            axes = [(e, tuple(row), col) for e, row, col in
+                    zip(diagonal + (0,) * (r - len(diagonal)), rows, vt) if e != 1]
+            object.__setattr__(self, "_coords", tuple(zip(*axes)) or ((), (), ()))
+        return self._coords
+
+    def _hermite_coords(self, x) -> list[int]:
+        """The z with z @ basis = x, for x in the lattice, by pivot division."""
+        z = []
+        for row in self.basis.data:
+            z.append(c := next(x[j] // e for j, e in enumerate(row) if e))  # exact: x in the lattice
+            x = [a - c * b for a, b in zip(x, row)]
+        return z
+
+    def _coords_of(self, x) -> tuple[int, ...]:
+        """H's own coordinates of x in H, given in parent coordinates with
+        residues unreduced: the inverse of _coordinates' rows."""
+        orders, _, reads = self._coordinates()
+        z = self._hermite_coords(x)
+        return tuple(c % e if e else c for c, e in zip((sum(map(mul, col, z)) for col in reads),
+                                                        orders))
 
     def coset_order(self, x: Element) -> int | None:
         """Order of x + H in parent/H, or None if infinite."""

@@ -20,12 +20,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, mod
 
 from ._errors import InvariantViolationError, UnsupportedOperationError
 from ._value import Value
 from .dance import DanceData, _rho_upper, dance_of, spectral_gap
-from .group import Element, GroupSpec, Homomorphism, Subgroup, whole_group
+from .group import Element, GroupSpec, Homomorphism, whole_group
 from .intlinalg import (
     AffinePointSet,
     IntMatrix,
@@ -140,9 +140,9 @@ def _float(x, what: str) -> float:
     return f
 
 
-# The most points of G the window may list, its box's points times |W_t|.  It
-# admits the knight walk at n = 100 (65,025 points) and 1/200 on a 20 x 10
-# block of Z^2 at n = 200 (850,857 points).
+# The most live points the window may list, over its box.  It admits the
+# knight walk at n = 100 (32,640 points) and 1/200 on a 20 x 10 block of
+# Z^2 at n = 200 (850,857 points).
 _MAX_WINDOW_POINTS = 10 ** 7
 
 
@@ -176,22 +176,21 @@ def _evaluated_window(nums, a: Attractor, n: int):
     to that of gaussian_kernel in tests/reference.py, the Fraction
     reference the tests compare against.
 
-    The window walks the live coset by W's Hermite rows in the coordinates
-    (u, r, f) = (phi(x), torsion residues, free part).  The first d rows
-    pivot on u's axes; the rest have u = 0, hence f = 0, and span
-    W_t = W ∩ Tor(G), so the live points over each u are one coset of W_t
-    (each visited coset listed once, by Subgroup.element_coords).  As by
-    Fincke and Pohst (1985), the first d - 1 coordinates of u step through
-    the progressions their pivots fix within a box, and the last steps by
-    its pivot through the exact interval where the form, a quadratic in
-    it, is within bound, the form and the point stepping by integer
-    differences.
+    The window walks the live coset through W's own coordinates
+    (Subgroup._coordinates): W_t = W ∩ Tor(G) is listed once from the
+    cyclic rows, and the Hermite rows of the free rows, written as
+    (u, r, f) = (phi(x), torsion residues, free part), pivot on u's axes.
+    As by Fincke and Pohst (1985), the first d - 1 coordinates of u step
+    through the progressions their pivots fix within a box, and the last
+    steps by its pivot through the exact interval where the form, a
+    quadratic in it, is within bound, the form and the point stepping by
+    integer differences; each live u lifts to (r, f) plus W_t.
 
-    UnsupportedOperationError if the box's points, each times its |W_t|
-    lifts, number more than _MAX_WINDOW_POINTS.  A key of nums outside
-    the window whose form exceeds 1492 * n * det(L*Gamma) * dm^2 gets the
-    value 0.0 without the float quotient: the exponent is below -746,
-    where exp is 0.0.
+    UnsupportedOperationError if the live points, the progressions' points
+    in the box times |W_t|, number more than _MAX_WINDOW_POINTS.  A key of
+    nums outside the window whose form exceeds 1492 * n * det(L*Gamma) *
+    dm^2 gets the value 0.0 without the float quotient: the exponent is
+    below -746, where exp is 0.0.
     """
     dance, w = a.dance, a.dance.walk_subgroup
     image = w._image  # pi onto G/W
@@ -203,7 +202,8 @@ def _evaluated_window(nums, a: Attractor, n: int):
         values = itertools.repeat(1 / w.order())
     else:
         moments, phi = a.moments, a.phi.matrix
-        d, t = moments.dim, len(w.parent.torsion_moduli)
+        moduli = w.parent.torsion_moduli
+        d, t = moments.dim, len(moduli)
         dm = math.lcm(*(c.denominator for c in moments.mean))
         q, det = moments._q, moments._det
         shift = [int(n * dm * c) for c in moments.mean]  # exact: dm * mu is integral
@@ -217,16 +217,19 @@ def _evaluated_window(nums, a: Attractor, n: int):
         def kernel(form):  # K^n(u - n*mu) for the u with Y . QY = form
             return math.exp(-(form / scale) / (2 * float(n))) / norm
 
-        rows = lattice_basis([phi.mul_vec(b) + b for b in w.basis.data], d + w.parent.dim)
-        if len(rows) != d + t:
+        orders, embedding, _ = w._coordinates()  # W = Z_{e_1} x ... x Z_{e_s} x Z^d
+        cyclic, free = orders[:-d], embedding[-d:]
+        rows = lattice_basis([phi.mul_vec(b) + b for b in free], d + w.parent.dim)
+        if not rows[-1][d - 1]:
             raise InvariantViolationError("W has a free row that phi sends to 0")
-        w_t = Subgroup(w.parent.torsion_component(), [row[d:d + t] for row in rows[d:]])
         box = []
         for i in range(d):  # every axis is range-checked; the last is not a box axis
             r = 8 * math.sqrt(_float(n * moments.covariance[i][i], f"variance n * Gamma[{i}][{i}]"))
             center = _float(n * moments.mean[i], f"mean n * mu[{i}]")
             box.append(range(math.floor(center - r), math.ceil(center + r) + 1))
-        size = math.prod(axis.stop - axis.start for axis in box) * w_t.order()
+        # on each axis one progression of step the row's pivot, |W_t| points over each u
+        size = math.prod(-((axis.start - axis.stop) // row[i])
+                         for i, (axis, row) in enumerate(zip(box, rows))) * math.prod(cyclic)
         if size > _MAX_WINDOW_POINTS:
             raise UnsupportedOperationError(
                 f"the window at n = {n} would hold {size} points, "
@@ -241,14 +244,9 @@ def _evaluated_window(nums, a: Attractor, n: int):
             return (x for k in range(lo, hi + 1)
                     for x in heads(j + 1, [e + k * s for e, s in zip(v, row)]))
 
-        cosets = {}  # the residues of each visited coset of W_t, by its least residues
-
-        def lifts(r):
-            for j, row in enumerate(w_t.basis.data):
-                k = r[j] // row[j]
-                r = tuple(e - k * s for e, s in zip(r, row))
-            return cosets.get(r) or cosets.setdefault(r, list(w_t.element_coords(r)))
-
+        lifts = [(0,) * t]  # W_t, listed once from the cyclic rows, residues unreduced
+        for e, row in zip(cyclic, embedding):
+            lifts = [tuple(a + k * b for a, b in zip(r, row)) for k in range(e) for r in lifts]
         heat = {}
         h, step = rows[d - 1][d - 1], rows[d - 1][d:]
         qll, sl = q[d - 1][d - 1], shift[d - 1]
@@ -270,8 +268,8 @@ def _evaluated_window(nums, a: Attractor, n: int):
             form, diff = qa * lo * lo + qb * lo + qc, h * (qa * (2 * lo + h) + qb)
             for _ in range(lo, hi + 1, h):
                 value = kernel(form)
-                for r in lifts(x[:t]):
-                    heat[r + x[t:]] = value
+                for r in lifts:  # x itself when G has no torsion axis
+                    heat[(*map(mod, map(add, x, r), moduli), *x[t:]) if t else x] = value
                 form, diff = form + diff, diff + 2 * qa * h * h
                 x = tuple(map(add, x, step))
         for x in nums.keys() - heat.keys():

@@ -2,34 +2,22 @@
 
 A ``Distribution`` holds its law: integer numerators over one common
 denominator in lowest terms, keyed by group coordinates (torsion
-residues in [0, m), then the free part).  ``Element`` and ``Fraction``
-objects are built only where ``support``, ``items``, ``weight`` and
-``sample_path`` are called.  Convolution packs the law in the walk's own
-lattice: the free part of x - n*x0 is written in a Hermite basis of the
-lattice L spanned by the free parts of supp(p) - x0, so a walk on a
-line or a sublattice gets a box that grows with its own support and not
-with the ambient Z^k.  A product packs both operands into fixed-width
-slots of one integer (Kronecker substitution), makes a single
-big-integer multiplication and reads the slots of its ``int.to_bytes``
-straight into the product's dict; torsion axes are folded mod m.  The
-box is dense, and its cells are the product of its sides, so where it
-holds more cells than there are pairs of support points (a thin support
-over many axes, or two far-apart residues of a large Z_m) the product
-is the double loop over the pairs instead.
-``_powers`` serves every set of steps and yields the numerators of p^(n)
-over p._den ** n, unreduced; ``convolution_power`` reduces them into a
-``Distribution``.  It refuses a power past its bit budget, and chooses
-its method, before any work.  A law with no torsion axis may take J. C.
-P. Miller's recurrence, which makes each step alone from the law's
-numerators, with no big-by-big product, in about the step's box cells
-times |S| - 1 multiplications of a numerator by a small int; a walk with
-few support points does.  The chooser weighs that against the planned
-ladder's cost, its rungs' cells or pairs of keys and, growing fastest,
-its top product, with the measured constants in ``_recurrence``: a
-wide support (200 points of Z^2), a thin support over many axes (the
-simplex on Z^6) and every walk with a torsion axis keep the ladder.  The
-ladder frees each rung after its last read and drains a rung into the
-step that reads it last.  Total mass is exactly 1 after every operation.
+residues in [0, m), then the free part), and, from first use, its walk
+subgroup W = <supp(p) - x0>, x0 = min(supp p).  ``Element`` and
+``Fraction`` objects are built only where ``support``, ``items``,
+``weight`` and ``sample_path`` are called.  Convolution packs p - x0 in
+W's own coordinates, W = Z_{e_1} x ... x Z_{e_s} x Z^d
+(``Subgroup._coordinates``), so its box grows with W and not with G: a
+dancing torus pays for |W| cells, not [G : W] times as many, and a walk
+on a sublattice of Z^k for its own lattice.  A product packs both
+operands into fixed-width slots of one integer (Kronecker substitution),
+makes a single big-integer multiplication and reads the slots straight
+into the product's dict, cyclic axes folded mod e_i; where the dense box
+holds more cells than there are pairs of support points, it is the
+double loop over the pairs.  ``_powers`` serves every set of steps (see
+its docstring, and ``_recurrence`` for laws with no torsion axis), and
+``convolution_power`` reduces its numerators into a ``Distribution``.
+Total mass is exactly 1 after every operation.
 """
 
 from __future__ import annotations
@@ -40,11 +28,11 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
-from operator import add, index, mod
+from operator import add, getitem, index, mod
 
 from ._value import Value
-from .group import Element, GroupSpec, Homomorphism, UnsupportedOperationError
-from .intlinalg import IntMatrix, InvariantViolationError, lattice_basis
+from .group import Element, GroupSpec, Homomorphism, Subgroup, UnsupportedOperationError
+from .intlinalg import IntMatrix, InvariantViolationError
 
 
 class Distribution(Value):
@@ -55,7 +43,7 @@ class Distribution(Value):
     compared, hashed and shown by its law.
     """
 
-    __slots__ = ("group", "_den", "_nums", "_dance")
+    __slots__ = ("group", "_den", "_nums", "_walk")
 
     def __init__(self, group: GroupSpec, weights):
         fracs: dict[tuple[int, ...], Fraction] = {}
@@ -88,8 +76,8 @@ class Distribution(Value):
         self._set(group)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_nums", nums)
-        # DanceData of this law, filled in by dance.dance_of on first use.
-        object.__setattr__(self, "_dance", None)
+        # The walk subgroup of this law, filled in by _walk on first use.
+        object.__setattr__(self, "_walk", None)
 
     @classmethod
     def point_mass(cls, group: GroupSpec, x: Element | None = None) -> "Distribution":
@@ -122,54 +110,46 @@ class Distribution(Value):
 
 
 # A packed law is (den, {coords: numerator}) with the numerators summing
-# to den; coords are the torsion residues followed by the lattice coordinates.
+# to den; coords are a walk subgroup's own coordinates (Subgroup._coordinates).
 _Packed = tuple[int, dict[tuple[int, ...], int]]
 
 
-def _base(p: Distribution) -> tuple[int, ...]:
-    """Free part of the support point that p's lattice coordinates start from."""
-    return next(iter(p._nums))[len(p.group.torsion_moduli):]
+def _steps(p: Distribution) -> list[list[int]]:
+    """supp(p) - x0 as coordinate rows, x0 = min(supp p)."""
+    x0 = min(p._nums)
+    return [[a - b for a, b in zip(x, x0)] for x in p._nums]
 
 
-def _lattice(group: GroupSpec, laws) -> tuple[tuple[int, ...], ...]:
-    """Hermite basis of the lattice spanned by free(supp(q)) - _base(q) over the laws."""
-    t = len(group.torsion_moduli)
-    diffs = {tuple(a - b for a, b in zip(x[t:], _base(q))) for q in laws for x in q._nums}
-    return lattice_basis(diffs, group.free_rank)
+def _walk(p: Distribution) -> Subgroup:
+    """The walk subgroup of p, generated by supp(p) - min(supp p): one
+    Hermite pass on first use, kept on the immutable p."""
+    if p._walk is None:
+        object.__setattr__(p, "_walk", Subgroup(p.group, _steps(p)))
+    return p._walk
 
 
-def _pack_law(p: Distribution, basis) -> tuple[tuple[int, ...], _Packed]:
-    """p as (free base point, packed law) in the lattice coordinates of basis."""
-    pivots = [next(j for j, e in enumerate(row) if e) for row in basis]
-    t = len(p.group.torsion_moduli)
-    base = _base(p)
-    nums = {}
-    for x, num in p._nums.items():
-        coords = list(x[:t])
-        v = [a - b for a, b in zip(x[t:], base)]
-        for row, j in zip(basis, pivots):
-            c = v[j] // row[j]  # exact: v lies in the lattice
-            coords.append(c)
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        nums[tuple(coords)] = num
-    return base, (p._den, nums)
+def _pack_law(p: Distribution, w: Subgroup) -> _Packed:
+    """The law of p - min(supp p) in the coordinates of w."""
+    return p._den, {w._coords_of(x): v for x, v in zip(_steps(p), p._nums.values())}
 
 
-def _unpack_law(group: GroupSpec, basis, base, law: _Packed, drain: bool = True) -> _Packed:
-    """A packed law keyed back by group coordinates, over the same den;
-    with drain, the law's dict is emptied as it is read."""
-    t = len(group.torsion_moduli)
-    den, nums = law
+def _unpack_law(w: Subgroup, base, law: _Packed, drain: bool = True) -> _Packed:
+    """A law packed in the coordinates of w keyed back by group coordinates,
+    shifted by base, over the same den; with drain, the law's dict is
+    emptied as it is read."""
+    moduli, rows = w.parent.torsion_moduli, w._coordinates()[1]
+    t, (den, nums) = len(moduli), law
     if sum(nums.values()) != den:
         raise InvariantViolationError("a convolution lost mass")
+    # c * row for each coordinate c that an axis takes
+    tables = [{c: [c * e for e in row] for c in set(axis)} for axis, row in zip(zip(*nums), rows)]
     out = {}
     for coords, v in (nums.popitem() for _ in range(len(nums))) if drain else nums.items():
-        free = base
-        for c, row in zip(coords[t:], basis):
-            if c:
-                free = [f + c * b for f, b in zip(free, row)]
-        out[coords[:t] + tuple(free)] = v
+        x = base
+        for row in map(getitem, tables, coords):
+            x = map(add, x, row)
+        x = [*x]
+        out[(*map(mod, x, moduli), *x[t:])] = v
     return den, out
 
 
@@ -210,12 +190,12 @@ def _kronecker(na, nb, lo_a, lo_b, sides, moduli, bound: int) -> dict[tuple[int,
     other = packed if nb is na else _pack(nb, lo_b, strides, width, size)
     raw = (packed * other).to_bytes(size * width, "little")
     del packed, other
-    cells = itertools.product(*(range(a + b, a + b + s) for a, b, s in zip(lo_a, lo_b, sides)))
+    axes = (range(a + b, a + b + s) for a, b, s in zip(lo_a, lo_b, sides))
+    cells = itertools.product(*([x % m for x in r] if m else r for r, m in zip(axes, moduli)))
     out: dict[tuple[int, ...], int] = {}
     for at, c in zip(range(0, len(raw), width), cells):
         v = int.from_bytes(raw[at:at + width], "little")
         if v:
-            c = tuple(x % m if m else x for x, m in zip(c, moduli))
             out[c] = out.get(c, 0) + v
     return out
 
@@ -233,7 +213,7 @@ def _pairwise(na, nb, moduli) -> dict[tuple[int, ...], int]:
 def _product(a: _Packed, b: _Packed, moduli) -> _Packed:
     """Exact convolution of two packed laws.
 
-    moduli gives m_i for a torsion axis, folded mod m_i, and 0 for a
+    moduli gives e_i for a cyclic axis, folded mod e_i, and 0 for a
     lattice axis.  The product is one Kronecker-packed multiplication
     unless its box has more cells than there are pairs of keys; then it
     is the double loop over the pairs.
@@ -249,12 +229,11 @@ def convolve(p: Distribution, q: Distribution) -> Distribution:
     """Distribution of X + Y for independent X ~ p, Y ~ q (exact)."""
     if p.group != q.group:
         raise ValueError("distributions live on different groups")
-    basis = _lattice(p.group, (p, q))
-    base_p, a = _pack_law(p, basis)
-    base_q, b = (base_p, a) if q is p else _pack_law(q, basis)
-    moduli = p.group.torsion_moduli + (0,) * len(basis)
-    base = [x + y for x, y in zip(base_p, base_q)]
-    return Distribution._law(p.group, *_unpack_law(p.group, basis, base, _product(a, b, moduli)))
+    w = _walk(p) if q is p else Subgroup(p.group, _steps(p) + _steps(q))
+    a = _pack_law(p, w)
+    b = a if q is p else _pack_law(q, w)
+    base = [x + y for x, y in zip(min(p._nums), min(q._nums))]
+    return Distribution._law(p.group, *_unpack_law(w, base, _product(a, b, w._coordinates()[0])))
 
 
 def _plan(plan: dict, n: int) -> None:
@@ -276,8 +255,8 @@ _MAX_POWER_BITS = 2 ** 30
 
 
 def _cells(law: _Packed, moduli, n: int) -> tuple[int, int]:
-    """The cells of the box of the n-th power of a packed law (m_i on a
-    torsion axis, n times the law's extent plus 1 on a lattice axis), and
+    """The cells of the box of the n-th power of a packed law (e_i on a
+    cyclic axis, n times the law's extent plus 1 on a lattice axis), and
     an upper bound on the cells the power holds: at most the box's and at
     most the multisets of n support points."""
     lo, hi = _extent(law[1])
@@ -295,7 +274,9 @@ def _powers(p: Distribution, steps):
     """(n, den, nums) for each n in steps, in sorted order: p^(n)'s
     numerators by group coordinates over den = p._den ** n, unreduced.
 
-    The ladder is planned by _plan before any work.  A law with no torsion
+    p - x0 is packed in the coordinates of the walk subgroup W that p
+    keeps, and each step is unpacked through W's rows plus n*x0.  The
+    ladder is planned by _plan before any work.  A law with no torsion
     axis then takes the recurrence, step by step, where _recurrence.cheaper
     finds it cheaper than the planned ladder.  Otherwise every rung is made
     once and freed after its last read, by a product or by a step; the
@@ -312,20 +293,19 @@ def _powers(p: Distribution, steps):
         ends.append(len(plan))
     order = list(plan.items())
     reads = Counter(steps + [r for n, k in order[2:] for r in (k, n - k)])
-    g = p.group
-    basis = _lattice(g, (p,))
-    moduli = g.torsion_moduli + (0,) * len(basis)
+    w = _walk(p)
+    moduli, rows, _ = w._coordinates()
     made = {0: (1, {(0,) * len(moduli): 1})}
-    base, made[1] = _pack_law(p, basis)
+    base, made[1] = min(p._nums), _pack_law(p, w)
     if steps and (bits := _power_bits(made[1], moduli, steps[-1])) > _MAX_POWER_BITS:
         raise UnsupportedOperationError(f"p^{steps[-1]} may hold {bits} bits of numerators, "
                                         f"past the {_MAX_POWER_BITS}-bit budget")
-    if not g.torsion_moduli and basis:
+    if not p.group.torsion_moduli and rows:
         from . import _recurrence  # compiled only for a law with no torsion axis
 
         if _recurrence.cheaper(made[1], moduli, steps, order[2:]):
             for n in steps:
-                yield n, p._den ** n, _recurrence.power(made[1], n, basis, base)
+                yield n, p._den ** n, _recurrence.power(made[1], n, rows, base)
             return
 
     def read(n):
@@ -335,7 +315,7 @@ def _powers(p: Distribution, steps):
     for n, start, end in zip(steps, [2] + ends, ends):
         for m, k in order[start:end]:
             made[m] = _product(read(k), read(m - k), moduli)
-        yield (n, *_unpack_law(g, basis, [n * c for c in base], read(n), n not in made))
+        yield (n, *_unpack_law(w, [n * c for c in base], read(n), n not in made))
 
 
 def convolution_power(p: Distribution, n: int) -> Distribution:

@@ -212,19 +212,20 @@ def test_distribution_copies_pickles_and_stays_immutable():
     z4z6 = dancewalk.GroupSpec([4, 6])
     p = dancewalk.Distribution(z4z6, {z4z6.element([1, 1]): Fraction(1, 3),
                                       z4z6.element([0, 3]): Fraction(2, 3)})
-    dance = dancewalk.dance_of(p)
-    assert copy.copy(p)._dance is dance  # the cached dance is kept
+    walk = dancewalk.dance_of(p).walk_subgroup
+    assert copy.copy(p)._walk is walk  # the cached walk subgroup is kept
     for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
         assert twin == p and hash(twin) == hash(p) and twin is not p
-        assert twin.items() == p.items() and twin._dance == dance
-    for name in ("group", "_den", "_nums", "_dance"):
+        assert twin.items() == p.items() and twin._walk == walk
+    for name in ("group", "_den", "_nums", "_walk"):
         with pytest.raises(AttributeError):
             setattr(p, name, None)
         with pytest.raises(AttributeError):
             delattr(p, name)
     with pytest.raises(AttributeError):
         p.extra = 1
-    assert p.weight(z4z6.element([0, 3])) == Fraction(2, 3) and dancewalk.dance_of(p) is dance
+    assert (p.weight(z4z6.element([0, 3])) == Fraction(2, 3)
+            and dancewalk.dance_of(p).walk_subgroup is walk)
 
 
 def test_value_types_keep_their_defaults():

@@ -414,6 +414,18 @@ LAZY_Z2_SPEC = json.dumps({
     "distribution": [{"elem": {"free": x}, "weight": "1/5"}
                      for x in ([0, 0], [1, 0], [-1, 0], [0, 1], [0, -1])],
 })
+# 1/3 on 0, 2e1 and 2e2 in Z_12 x Z_12: W = 2Z_12 x 2Z_12, of index c = 4
+TORUS12_EVEN_SPEC = json.dumps({
+    "group": {"torsion": [12, 12], "rank": 0},
+    "distribution": [{"elem": {"torsion": x}, "weight": "1/3"}
+                     for x in ([0, 0], [2, 0], [0, 2])],
+})
+# 1/3 on (0, 0; 0), (1, 1; 0) and (0, 0; 1) in Z_2 x Z_4 x Z: W_t = <(1, 1)>, c = 2
+DIAGONAL_Z2_Z4_Z_SPEC = json.dumps({
+    "group": {"torsion": [2, 4], "rank": 1},
+    "distribution": [{"elem": {"torsion": t, "free": f}, "weight": "1/3"}
+                     for t, f in (([0, 0], [0]), ([1, 1], [0]), ([0, 0], [1]))],
+})
 # 1/3 on 0, e1 and e2 in Z_60 x Z_60
 TORSION_Z60_SPEC = json.dumps({
     "group": {"torsion": [60, 60], "rank": 0},
@@ -671,18 +683,19 @@ def test_a_gap_scan_past_the_character_budget_exits_2(command):
                            "past the budget of 10000000\n")
 
 
-@pytest.mark.parametrize("s, size", [(1000, 56911936), (10 ** 50, None)])
-def test_a_window_past_the_points_budget_exits_2(s, size):
-    # 1/3 at 0, s*e1 and s*e2 in Z^2: the box of twisted Z^2 grows as s^2,
-    # and only 1 of its points in s^2 is live
+@pytest.mark.parametrize("s, n", [(300, 20), (1000, 1), (10 ** 50, 1)],
+                         ids=["s300-n20", "s1000-n1", "s1e50-n1"])
+def test_a_window_budget_counts_only_live_points(s, n):
+    # 1/3 at 0, s*e1 and s*e2 in Z^2: the box of twisted Z^2 grows as s^2, but
+    # only 1 of its points in s^2 is live, and only those count against the
+    # budget: 34^2, 8^2 and 8^2 of them, not the box's 102434641, 56911936 and
+    # more than 10^100 points
     spec = json.dumps({"group": {"torsion": [], "rank": 2},
                        "distribution": [{"elem": {"free": v}, "weight": "1/3"}
                                         for v in ([0, 0], [s, 0], [0, s])]})
-    proc = run_bounded(["attractor", "--spec", "-", "--n", "1"], spec)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    count = re.fullmatch(r"error: the window at n = 1 would hold (\d+) points, "
-                         r"past the budget of 10000000\n", proc.stderr).group(1)
-    assert int(count) == size if size else int(count) > s ** 2
+    proc = run_bounded(["attractor", "--spec", "-", "--n", str(n)], spec)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["report"]["n"] == n
 
 
 def test_a_window_past_the_points_budget_by_its_torsion_residues_exits_2():
@@ -710,6 +723,19 @@ def test_a_window_lifts_only_through_the_walk_subgroups_torsion():
     doc = json.loads(proc.stdout)
     assert (doc["torsion_order"], doc["normalization"]) == (m, 2 * m)
     assert doc["report"]["worst_point"] == {"torsion": [0], "free": [-1]}
+
+
+def test_the_powers_of_a_dancing_torus_pack_in_the_walk_subgroups_coordinates():
+    # 1/3 at 0, 2e1 and 2e2 in Z_120 x Z_120: W = 2Z_120 x 2Z_120 has c = 4 cosets, so
+    # every power's box holds the 3600 cells of W and not the 14400 of G
+    spec = json.dumps({"group": {"torsion": [120, 120], "rank": 0},
+                       "distribution": [{"elem": {"torsion": x}, "weight": "1/3"}
+                                        for x in ([0, 0], [2, 0], [0, 2])]})
+    start = time.perf_counter()
+    proc = run_bounded(["tv", "--spec", "-", "--n", "600"], spec)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert time.perf_counter() - start < 8
+    assert json.loads(proc.stdout)["n"] == 600
 
 
 def test_a_large_power_of_a_walk_with_no_torsion_is_made_well_inside_the_time_limit():
@@ -745,37 +771,46 @@ def test_window_makes_no_membership_or_kernel_calls(monkeypatch, capsys):
 
 
 def test_one_lattice_basis_pass_over_the_support(monkeypatch, capsys):
-    # the walk subgroup's: the gap scan's uniform-coset test reads its Hermite rows
+    # the walk subgroup's, kept on the law: the gap scan's uniform-coset test reads
+    # its Hermite rows, and the powers and the window its own coordinates
     calls = []
     basis = dancewalk.group.lattice_basis
     monkeypatch.setattr(dancewalk.group, "lattice_basis",
                         lambda rows, cols: calls.append(len(rows)) or basis(rows, cols))
-    for command in (["analyze"], ["tv", "--n", "50"]):
-        calls.clear()
-        monkeypatch.setattr(sys, "stdin", io.StringIO(TORSION_Z60_SPEC))
-        assert main([*command, "--spec", "-"]) == 0
-        assert capsys.readouterr().out
-        assert calls == [3 + 2]  # the support's differences and the two relation rows
+    for spec, rows, commands in [
+            # the support's differences and the two relation rows
+            (TORSION_Z60_SPEC, 3 + 2, (["analyze"], ["tv", "--n", "50"], ["convolve", "--n", "50"],
+                                       ["compare", "--n", "50", "--format", "csv"],
+                                       ["attractor", "--n", "50"])),
+            # c = 4, so the powers pack in coordinates other than G's
+            (TORUS12_EVEN_SPEC, 3 + 2, (["convolve", "--n", "20"], ["compare", "--n", "10,20"],
+                                        ["attractor", "--n", "20"])),
+            # rank 2, so the window lifts its live points through the same map
+            (DIAGONAL_Z2_Z4_Z_SPEC, 3 + 2, (["convolve", "--n", "20"], ["compare", "--n", "10,20"],
+                                            ["attractor", "--n", "20"]))]:
+        for command in commands:
+            calls.clear()
+            monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
+            assert main([*command, "--spec", "-"]) == 0
+            assert capsys.readouterr().out
+            assert calls == [rows]
 
 
-def test_analyze_runs_analyze_dance_once(monkeypatch, capsys):
-    analyze = dancewalk.dance.analyze_dance
+def test_analyze_makes_one_hermite_pass_per_law(monkeypatch, capsys):
+    passes = []
+    basis = dancewalk.group.lattice_basis
+    monkeypatch.setattr(dancewalk.group, "lattice_basis",
+                        lambda rows, cols: passes.append(sorted(map(tuple, rows))) or basis(rows, cols))
     for spec in (Z4Z6_SPEC, SPITZER_SPEC):
-        calls = []
-
-        def counting_analyze(p):
-            calls.append(p)
-            return analyze(p)
-
-        for mod in (dancewalk.cli, dancewalk.dance, dancewalk.llt):
-            if getattr(mod, "analyze_dance", None) is analyze:
-                monkeypatch.setattr(mod, "analyze_dance", counting_analyze)
+        passes.clear()
         monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
         assert main(["analyze", "--spec", "-"]) == 0
-        # no law twice, and p once: on Spitzer's walk its torsion projection is the other
-        assert len(set(calls)) == len(calls)
-        assert calls.count(load_spec(spec)) == 1
         assert capsys.readouterr().out
+        # no law twice, and p once: on Spitzer's walk its torsion projection is the other
+        p = load_spec(spec)
+        rows = dancewalk.measure._steps(p) + dancewalk.group._relation_rows(p.group)
+        assert len(set(map(tuple, passes))) == len(passes)
+        assert passes.count(sorted(map(tuple, rows))) == 1
 
 
 def test_one_smith_form_per_subgroup(monkeypatch, capsys):

@@ -3,9 +3,10 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 import dancewalk.group
 from dancewalk.group import (
@@ -242,6 +243,62 @@ def test_membership_matches_hermite_reduction(case):
         assert (h._image([a + b for a, b in zip(v, shift)]) == h._image(shift)) == member
         if h.rank() == 0:
             assert (not any(h._image(v[:t]))) == hermite_contains(h, v[:t])
+
+
+@st.composite
+def coordinate_cases(draw):
+    """A subgroup of a mixed group, from generators with unreduced residues,
+    and eight integers to draw coordinates and members from."""
+    moduli = draw(st.lists(st.integers(2, 12), max_size=3))
+    k = draw(st.integers(0, 3))
+    gens = draw(st.lists(st.tuples(*(st.integers(-3 * m, 3 * m) for m in moduli),
+                                   *(st.integers(-4, 4) for _ in range(k))), max_size=4))
+    return Subgroup(GroupSpec(moduli, k), gens), draw(st.lists(st.integers(-9, 9), min_size=8,
+                                                               max_size=8))
+
+
+# the walk subgroup of 1/3 at 0, 2e1 and 2e2 in Z_12 x Z_12, of index c = 4
+TWO_Z12_SQUARED = Subgroup(GroupSpec([12, 12]), [[2, 0], [0, 2]])
+
+
+@seed(0x3a1f9c6e2b7d4a5c8e0f1b2d3c4a5e6f7a8b9c0d1e2f3a4b5c6d7e8f9a0b1c2d3e4f5a6b7c8d9e0f1a2b3c4d5e6f7a)
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(coordinate_cases())
+@example((TWO_Z12_SQUARED, [5, -3, 0, 0, 0, 0, 0, 0]))
+# <(1, 1)> in Z_2 x Z_4 is not a product of coordinate subgroups
+@example((Subgroup(GroupSpec([2, 4]), [[1, 1]]), [3, 7, 0, 0, 0, 0, 0, 0]))
+@example((Subgroup(GroupSpec([2, 4], 1), [[1, 1, 0], [0, 0, 1]]), [-1, 4, 2, 1, 0, 0, 0, 0]))
+# twisted lattices of Z^2 (index 5) and of rank 2 in Z^3
+@example((Subgroup(Z2, [[1, 2], [3, 1]]), [4, -7, 1, 2, 0, 0, 0, 0]))
+@example((Subgroup(GroupSpec((), 3), [[1, 1, 0], [0, 1, 1]]), [2, -3, 5, -1, 0, 0, 0, 0]))
+# the trivial and the whole subgroup
+@example((Subgroup(Z4Z, []), [1, 2, 3, 4, 5, 6, 7, 8]))
+@example((whole_group(GroupSpec([4, 6], 2)), [9, -9, 5, 3, -2, 1, 0, 0]))
+def test_coordinate_map_is_an_isomorphism_onto_the_subgroup(case):
+    h, ints = case
+    g, t = h.parent, len(h.parent.torsion_moduli)
+    orders, rows, _ = h._coordinates()
+    cyclic = [e for e in orders if e]
+    # Z_{e_1} x ... x Z_{e_s} x Z^d: a divisor chain of e_i > 1, then one Z per free rank
+    assert all(e > 1 for e in cyclic) and all(b % a == 0 for a, b in zip(cyclic, cyclic[1:]))
+    assert orders == (*cyclic, *(0,) * h.rank())
+    assert all(not any(row[t:]) for row in rows[:len(cyclic)])
+    if h.rank() == 0:
+        assert prod(cyclic) == h.order()
+    # the image is H
+    assert Subgroup(g, rows) == h
+
+    def embed(c):
+        return g.element_from_coords([sum(a * row[j] for a, row in zip(c, rows))
+                                      for j in range(g.dim)])
+
+    # the inverse after the embedding is the identity on H's coordinates
+    c = tuple(a % e if e else a for a, e in zip(ints, orders))
+    assert h._coords_of(embed(c).coords()) == c
+    # the embedding after the inverse is the identity on H, residues unreduced
+    x = [sum(a * row[j] for a, row in zip(ints, h.basis.data)) for j in range(g.dim)]
+    assert embed(h._coords_of(x)) == g.element_from_coords(x)
+    assert all(not any(h._coords_of(r)) for r in dancewalk.group._relation_rows(g))
 
 
 def test_base_point_independence():

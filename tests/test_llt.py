@@ -989,6 +989,17 @@ def test_evaluated_window_matches_fraction_reference(case):
     assert [(x, w, v.hex()) for x, w, v in got] == [(x, w, v.hex()) for x, w, _, v in want]
 
 
+@pytest.mark.parametrize("n", [1, 30])
+def test_a_walk_scaled_into_a_sublattice_reports_the_same_errors(n):
+    # 1/3 at 0, s*e1 and s*e2 is the drift walk written in W = sZ^2: the window
+    # walks only W's live points, the same ones, with the same kernel values
+    s = 1000
+    scaled = _uniform(Z2, [((), (0, 0)), ((), (s, 0)), ((), (0, s))])
+    want, got = (llt_sup_error(p, build_attractor(p), n) for p in (DRIFT_Z2, scaled))
+    assert (got.sup_error, got.scaled_sup_error) == (want.sup_error, want.scaled_sup_error)
+    assert got.worst_point.free == tuple(s * c for c in want.worst_point.free)
+
+
 def test_the_window_evaluates_the_kernel_once_per_live_point(monkeypatch):
     # the knight walk's W is the index-2 lattice of even coordinate sums: the window
     # steps through W + n*x0 alone, so the box's points off it cost no exp call

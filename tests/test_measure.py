@@ -14,7 +14,7 @@ import dancewalk._recurrence
 import dancewalk.measure
 from dancewalk.cli import main
 from dancewalk.dance import dance_of, theta_by_integration
-from dancewalk.group import Element, GroupSpec, Homomorphism
+from dancewalk.group import Element, GroupSpec, Homomorphism, Subgroup
 from dancewalk.intlinalg import IntMatrix
 from dancewalk.llt import build_attractor, llt_sup_error, tv_to_uniform_coset
 from dancewalk.measure import (
@@ -228,6 +228,8 @@ SHAPE_EXAMPLES = [
     _pair((5,), 2, [((0,), (0, 0)), ((4,), (1, -1)), ((2,), (-2, 3))], [((1,), (0, 1))]),
     _pair((), 3, [((), (0, 0, 0)), ((), (1, 0, -1)), ((), (0, 2, 1)), ((), (-3, 1, 1))],
           [((), (1, 1, 1)), ((), (0, -1, 2))]),
+    # both walk subgroups are <(1, 1)>, not a product of coordinate subgroups: c = 2
+    _pair((2, 4), 0, [((0, 0), ()), ((1, 1), ()), ((0, 2), ())], [((1, 1), ()), ((0, 2), ())]),
 ]
 
 
@@ -334,13 +336,18 @@ def test_the_chooser_keeps_the_ladder_where_the_recurrence_costs_more(monkeypatc
 @seed(0xb64f574586f66fd856e684cc8d575c0ca1007b734ebe490b814794f402140b8d3c59db2d1a47ac2facc4079298edad34)
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(law_pairs(), st.integers(0, 6))
+@pin_shapes(6)
+# 1/3 at 0, 2e1 and 2e2 in Z_12 x Z_12: W = 2Z_12 x 2Z_12, of index c = 4
+@example(_pair((12, 12), 0, [((0, 0), ()), ((2, 0), ()), ((0, 2), ())], [((4, 6), ())]), 5)
 def test_kronecker_and_pairwise_kernels_agree(pq, n):
+    # both laws packed in the own coordinates of the subgroup their steps generate
     p, q = pq
     pn = sparse_power(p, n)
-    basis = dancewalk.measure._lattice(p.group, (pn, q))
-    moduli = p.group.torsion_moduli + (0,) * len(basis)
-    _, (da, na) = dancewalk.measure._pack_law(pn, basis)
-    _, (db, nb) = dancewalk.measure._pack_law(q, basis)
+    steps = dancewalk.measure._steps
+    w = Subgroup(p.group, steps(pn) + steps(q))
+    moduli = w._coordinates()[0]
+    da, na = dancewalk.measure._pack_law(pn, w)
+    db, nb = dancewalk.measure._pack_law(q, w)
     lo_a, lo_b, sides = dancewalk.measure._box(na, nb)
     packed = dancewalk.measure._kronecker(na, nb, lo_a, lo_b, sides, moduli, da * db)
     assert packed == dancewalk.measure._pairwise(na, nb, moduli)
