@@ -1,16 +1,15 @@
-"""Powers of a packed law with no torsion axis by J. C. P. Miller's
+"""Powers of a packed law with lattice axes only by J. C. P. Miller's
 recurrence, and the rule by which measure._powers chooses it over the
-power ladder before any work.  The module is compiled only where a law
-has no torsion axis.
+power ladder before any work.  The module is compiled only where a law's
+walk subgroup has no cyclic axis, so never for a walk on a finite group;
+measure._unpack_law decodes its cells as it decodes the ladder's.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import prod
-from operator import add
 
-from ._errors import InvariantViolationError
 from .measure import _cells, _extent, _Packed
 
 
@@ -38,10 +37,11 @@ def cheaper(law: _Packed, moduli, steps, rungs) -> bool:
     return recurrence < ladder
 
 
-def power(law: _Packed, n: int, basis, base) -> dict[tuple[int, ...], int]:
-    """The numerators of the n-th power of a packed law with lattice axes
-    only, over den ** n, keyed by group coordinates, by J. C. P. Miller's
-    recurrence (Knuth, TAOCP vol. 2, 4.7).
+def power(law: _Packed, n: int):
+    """The nonzero cells of the n-th power of a packed law with lattice
+    axes only, lazily, as (coordinates, numerator) over den ** n in the
+    law's own coordinates, by J. C. P. Miller's recurrence (Knuth, TAOCP
+    vol. 2, 4.7).
 
     The power's box is flattened into one variable X, its last axis
     fastest, so the law is X^e * (w_0 + sum of w_j X^j) with w_0 != 0.
@@ -49,7 +49,7 @@ def power(law: _Packed, n: int, basis, base) -> dict[tuple[int, ...], int]:
     coefficients a_0 = w_0^n and a_k = sum of ((n + 1) j - k) w_j a_(k-j)
     over j, divided by k w_0, exactly: each a_k is a numerator over den ** n.
     """
-    den, nums = law
+    nums = law[1]
     lo, hi = _extent(nums)
     sides = [n * (h - l) + 1 for l, h in zip(lo, hi)]
     strides = [prod(sides[i + 1:]) for i in range(len(sides))]
@@ -64,18 +64,8 @@ def power(law: _Packed, n: int, basis, base) -> dict[tuple[int, ...], int]:
             if x := a[j]:
                 s += (c - k * w) * x
         a.append(s // (k * w0))
-    if sum(a) != den ** n:
-        raise InvariantViolationError("a convolution lost mass")
     del a[:deg]
-    a[:0] = [0] * (n * e)  # a[i] is now the box's cell i, the box read from its lowest corner
-    corner = [n * b for b in base]
-    for l, row in zip(lo, basis):
-        corner = [f + n * l * r for f, r in zip(corner, row)]
-    *heads, tail = [[tuple(k * r for r in row) for k in range(s)] for row, s in zip(basis, sides)]
-    out = {}
-    for i, head in zip(range(0, len(a), sides[-1]), itertools.product(*heads)):
-        at = tuple(map(sum, zip(corner, *head)))
-        line = a[i:i + sides[-1]]
-        for step, v in zip(itertools.compress(tail, line), filter(None, line)):
-            out[tuple(map(add, at, step))] = v
-    return out
+    # a[i] is the box's cell n * e + i, the box read from its lowest corner
+    box = itertools.product(*(range(n * l, n * l + s) for l, s in zip(lo, sides)))
+    cells = itertools.islice(box, n * e, None)
+    return zip(itertools.compress(cells, a), filter(None, a))

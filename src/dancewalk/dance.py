@@ -86,9 +86,13 @@ class DanceData(Value):
 
 
 class SpectralGap(Value):
-    """Largest sub-unit characteristic-function modulus on the torsion dual."""
+    """Largest sub-unit characteristic-function modulus on the torsion dual.
 
-    __slots__ = ("rho", "achieved_at")
+    One made by spectral_gap also keeps _rho_up, the exact upper bound on
+    the true gap that spectral_gap describes, for the TV bound to read.
+    """
+
+    __slots__ = ("rho", "achieved_at", "_rho_up")
 
     def __init__(self, rho: float, achieved_at: DualPoint | None):
         self._set(rho, achieved_at)
@@ -121,25 +125,16 @@ def _phase_sums(p: Distribution):
         yield chars, terms
 
 
-def _uniform_on_coset(pa: Distribution) -> bool:
-    """Whether p_A is uniform on a coset of its walk subgroup W_A, that is
-    on |S| = |W_A| points: exactly when every character off the locus is 0."""
-    return len(set(pa._nums.values())) == 1 and len(pa) == _walk(pa).order()
-
-
-def _rho_upper(p: Distribution, rho: float) -> Fraction:
-    """An exact upper bound on the true gap of p, given rho = spectral_gap(p).rho:
-    0 when p_A is uniform on a coset of W_A (the scan is skipped and the gap is
-    0), else rho + e_scan, e_scan = (|S| + 16) * 2**-52 with S = supp p_A."""
-    pa = torsion_pushforward(p)
-    if _uniform_on_coset(pa):
-        return Fraction(0)
-    return Fraction(rho) + Fraction(len(pa) + 16, 1 << 52)
-
-
 # The most characters the gap scan visits.  It admits 1/2 on 0 and 1 in
 # Z_1000003 (about 4 s of scan) and the 2**18 characters of Z_2^18.
 _MAX_CHARACTERS = 10 ** 7
+
+
+def _gap(rho: float, best, rho_up: Fraction) -> SpectralGap:
+    """The gap rho, attained at best, keeping rho_up."""
+    gap = SpectralGap(rho=rho, achieved_at=best)
+    object.__setattr__(gap, "_rho_up", rho_up)
+    return gap
 
 
 def spectral_gap(p: Distribution) -> SpectralGap:
@@ -158,8 +153,8 @@ def spectral_gap(p: Distribution) -> SpectralGap:
     |S| = |W_A| points.  That is decided before the scan, from the order
     of p_A's walk subgroup, and then rho is 0.0 and achieved_at
     None.  Otherwise rho is the largest double modulus and achieved_at
-    the first character attaining it.  The true rho is at most
-    _rho_upper(p, rho), which adds e_scan unless the scan was skipped.
+    the first character attaining it.  The true rho is at most the gap's
+    _rho_up, which adds e_scan unless the scan was skipped.
     Above 2 * e_scan both are bit for bit those of a scan with an exact
     zero test at every character, as an exact zero computes to at most
     e_scan.  Below it, rho is rounding noise within e_scan of the true
@@ -169,8 +164,8 @@ def spectral_gap(p: Distribution) -> SpectralGap:
     _MAX_CHARACTERS characters, |A| of them.
     """
     pa = torsion_pushforward(p)
-    if _uniform_on_coset(pa):
-        return SpectralGap(rho=0.0, achieved_at=None)
+    if len(set(pa._nums.values())) == 1 and len(pa) == _walk(pa).order():
+        return _gap(0.0, None, Fraction(0))
     if pa.group.torsion_order > _MAX_CHARACTERS:
         raise UnsupportedOperationError(
             f"the gap scan would visit {pa.group.torsion_order} characters, "
@@ -199,7 +194,7 @@ def spectral_gap(p: Distribution) -> SpectralGap:
             rho, best = modulus, chars
     if best is not None:
         best = DualPoint(pa.group, best, ())
-    return SpectralGap(rho=rho, achieved_at=best)
+    return _gap(rho, best, Fraction(rho) + Fraction(len(pa) + 16, 1 << 52))
 
 
 def theta_by_integration(p: Distribution, n: int, x: Element) -> float:

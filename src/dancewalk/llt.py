@@ -24,7 +24,7 @@ from operator import add, mod
 
 from ._errors import InvariantViolationError, UnsupportedOperationError
 from ._value import Value
-from .dance import DanceData, _rho_upper, dance_of, spectral_gap
+from .dance import DanceData, dance_of, spectral_gap
 from .group import Element, GroupSpec, Homomorphism, whole_group
 from .intlinalg import (
     AffinePointSet,
@@ -383,7 +383,7 @@ def tv_to_uniform_coset(p: Distribution, n: int) -> LltReport:
     Needs a finite walk subgroup W.  Reports the exact rational
     tv(p^(n), uniform on W + n*x0) and the certified exponential bound
     (|W| - 1)/2 * rho_up^n, with rho_up the exact rational upper bound
-    on the gap that dance._rho_upper reads from the gap scan: rho's double
+    on the gap that dance.spectral_gap keeps beside rho: rho's double
     plus the scan's rounding bound e_scan, or 0 when p is uniform on a
     coset of W.  The bound holds for every n, is checked in exact
     arithmetic with no further slack, and is reported rounded upward to
@@ -399,7 +399,7 @@ def _tv_series(p: Distribution, steps):
     w_order = dance_of(p).walk_subgroup.order()
     if w_order is None:
         raise UnsupportedOperationError("walk subgroup is infinite; no uniform law on it")
-    a, rho_up = build_attractor(p), _rho_upper(p, spectral_gap(p).rho)
+    a, rho_up = build_attractor(p), spectral_gap(p)._rho_up
     for n, den, nums in _powers(p, steps):
         # the attractor is the uniform law 1 / |W| on the live coset:
         # sum of |p^(n)(x) - 1/|W|| over the one denominator den * |W|

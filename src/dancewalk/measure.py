@@ -15,7 +15,7 @@ makes a single big-integer multiplication and reads the slots straight
 into the product's dict, cyclic axes folded mod e_i; where the dense box
 holds more cells than there are pairs of support points, it is the
 double loop over the pairs.  ``_powers`` serves every set of steps (see
-its docstring, and ``_recurrence`` for laws with no torsion axis), and
+its docstring, and ``_recurrence`` where W has no cyclic axis), and
 ``convolution_power`` reduces its numerators into a ``Distribution``.
 Total mass is exactly 1 after every operation.
 """
@@ -28,7 +28,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
-from operator import add, getitem, index, mod
+from operator import add, index, mod, mul
 
 from ._value import Value
 from .group import Element, GroupSpec, Homomorphism, Subgroup, UnsupportedOperationError
@@ -133,23 +133,26 @@ def _pack_law(p: Distribution, w: Subgroup) -> _Packed:
     return p._den, {w._coords_of(x): v for x, v in zip(_steps(p), p._nums.values())}
 
 
-def _unpack_law(w: Subgroup, base, law: _Packed, drain: bool = True) -> _Packed:
-    """A law packed in the coordinates of w keyed back by group coordinates,
-    shifted by base, over the same den; with drain, the law's dict is
-    emptied as it is read."""
-    moduli, rows = w.parent.torsion_moduli, w._coordinates()[1]
-    t, (den, nums) = len(moduli), law
-    if sum(nums.values()) != den:
+def _unpack_law(w: Subgroup, base, den: int, cells) -> _Packed:
+    """A law's cells (coords, numerator) in w's coordinates, in any order,
+    keyed by group coordinates plus base, over den.  Each head, all coords
+    but the last c, is lifted through w's rows once and kept, then c adds
+    c times the last row; a run of cells on one head, as both power
+    methods write them, looks its lift up once."""
+    moduli, rows = w.parent.torsion_moduli, w._coordinates()[1] or [[0] * len(base)]
+    t, cols, heads, tails, out, last = len(moduli), [*zip(*rows)], {}, {}, {}, None
+    for coords, v in cells:
+        if (head := coords[:-1]) != last:
+            if (at := heads.get(head)) is None:
+                at = heads[head] = [b + sum(map(mul, head, col)) for b, col in zip(base, cols)]
+            last = head
+        # a trivial w's one cell is ()
+        if (step := tails.get(c := coords[-1] if coords else 0)) is None:
+            step = tails[c] = [c * e for e in rows[-1]]
+        x = tuple(map(add, at, step))
+        out[(*map(mod, x[:t], moduli), *x[t:]) if t else x] = v
+    if sum(out.values()) != den:
         raise InvariantViolationError("a convolution lost mass")
-    # c * row for each coordinate c that an axis takes
-    tables = [{c: [c * e for e in row] for c in set(axis)} for axis, row in zip(zip(*nums), rows)]
-    out = {}
-    for coords, v in (nums.popitem() for _ in range(len(nums))) if drain else nums.items():
-        x = base
-        for row in map(getitem, tables, coords):
-            x = map(add, x, row)
-        x = [*x]
-        out[(*map(mod, x, moduli), *x[t:])] = v
     return den, out
 
 
@@ -233,7 +236,8 @@ def convolve(p: Distribution, q: Distribution) -> Distribution:
     a = _pack_law(p, w)
     b = a if q is p else _pack_law(q, w)
     base = [x + y for x, y in zip(min(p._nums), min(q._nums))]
-    return Distribution._law(p.group, *_unpack_law(w, base, _product(a, b, w._coordinates()[0])))
+    den, nums = _product(a, b, w._coordinates()[0])
+    return Distribution._law(p.group, *_unpack_law(w, base, den, nums.items()))
 
 
 def _plan(plan: dict, n: int) -> None:
@@ -275,14 +279,14 @@ def _powers(p: Distribution, steps):
     numerators by group coordinates over den = p._den ** n, unreduced.
 
     p - x0 is packed in the coordinates of the walk subgroup W that p
-    keeps, and each step is unpacked through W's rows plus n*x0.  The
-    ladder is planned by _plan before any work.  A law with no torsion
-    axis then takes the recurrence, step by step, where _recurrence.cheaper
-    finds it cheaper than the planned ladder.  Otherwise every rung is made
-    once and freed after its last read, by a product or by a step; the
-    step that reads a rung last drains it.  p^0 is the point mass at the
-    identity.  UnsupportedOperationError before any work if the last
-    step's numerators may hold more than _MAX_POWER_BITS bits.
+    keeps, and each step's cells are unpacked by _unpack_law through W's
+    rows plus n*x0.  The ladder is planned by _plan before any work.  If
+    W has axes, none cyclic, the recurrence makes the steps where
+    _recurrence.cheaper finds it cheaper than the planned ladder.  Else
+    every rung is made once and freed after its last read, by a product
+    or by a step, which drains it.  p^0 is the point mass at the identity.
+    UnsupportedOperationError before any work if the last step's
+    numerators may hold more than _MAX_POWER_BITS bits.
     """
     steps = sorted(map(index, steps))
     if steps and steps[0] < 0:
@@ -294,18 +298,19 @@ def _powers(p: Distribution, steps):
     order = list(plan.items())
     reads = Counter(steps + [r for n, k in order[2:] for r in (k, n - k)])
     w = _walk(p)
-    moduli, rows, _ = w._coordinates()
+    moduli = w._coordinates()[0]
     made = {0: (1, {(0,) * len(moduli): 1})}
     base, made[1] = min(p._nums), _pack_law(p, w)
     if steps and (bits := _power_bits(made[1], moduli, steps[-1])) > _MAX_POWER_BITS:
         raise UnsupportedOperationError(f"p^{steps[-1]} may hold {bits} bits of numerators, "
                                         f"past the {_MAX_POWER_BITS}-bit budget")
-    if not p.group.torsion_moduli and rows:
-        from . import _recurrence  # compiled only for a law with no torsion axis
+    if moduli and not any(moduli):
+        from . import _recurrence  # compiled only where W has no cyclic axis
 
         if _recurrence.cheaper(made[1], moduli, steps, order[2:]):
             for n in steps:
-                yield n, p._den ** n, _recurrence.power(made[1], n, rows, base)
+                yield (n, *_unpack_law(w, [n * c for c in base], p._den ** n,
+                                       _recurrence.power(made[1], n)))
             return
 
     def read(n):
@@ -315,7 +320,9 @@ def _powers(p: Distribution, steps):
     for n, start, end in zip(steps, [2] + ends, ends):
         for m, k in order[start:end]:
             made[m] = _product(read(k), read(m - k), moduli)
-        yield (n, *_unpack_law(w, [n * c for c in base], read(n), n not in made))
+        den, nums = read(n)
+        cells = nums.items() if n in made else (nums.popitem() for _ in range(len(nums)))
+        yield (n, *_unpack_law(w, [n * c for c in base], den, cells))
 
 
 def convolution_power(p: Distribution, n: int) -> Distribution:

@@ -801,10 +801,15 @@ def test_analyze_makes_one_hermite_pass_per_law(monkeypatch, capsys):
     basis = dancewalk.group.lattice_basis
     monkeypatch.setattr(dancewalk.group, "lattice_basis",
                         lambda rows, cols: passes.append(sorted(map(tuple, rows))) or basis(rows, cols))
-    for spec in (Z4Z6_SPEC, SPITZER_SPEC):
+    # 1/3 at (0; 0), (1; 0) and (3; 0) in Z_4 x Z: tv reads p_A once, for the gap and its bound
+    z4z = json.dumps({"group": {"torsion": [4], "rank": 1},
+                      "distribution": [{"elem": {"torsion": [t], "free": [0]}, "weight": "1/3"}
+                                       for t in (0, 1, 3)]})
+    for command, spec in ((["analyze"], Z4Z6_SPEC), (["analyze"], SPITZER_SPEC),
+                          (["analyze"], z4z), (["tv", "--n", "5"], z4z)):
         passes.clear()
         monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
-        assert main(["analyze", "--spec", "-"]) == 0
+        assert main([*command, "--spec", "-"]) == 0
         assert capsys.readouterr().out
         # no law twice, and p once: on Spitzer's walk its torsion projection is the other
         p = load_spec(spec)

@@ -259,6 +259,8 @@ def test_packed_convolution_matches_sparse_reference(pq, n):
 @given(law_pairs(), st.lists(st.integers(0, 12), min_size=1, max_size=6))
 @pin_shapes([12, 0, 5, 5, 1])
 @example((COIN_Z2, COIN_Z2), [2])
+# a point mass on a mixed group: W is trivial, and its one key is ()
+@example(_pair((4,), 1, [((3,), (2,))], [((3,), (2,))]), [0, 1, 3])
 def test_power_ladder_matches_sparse_reference(pq, steps):
     # unsorted, repeated and zero steps, each against n sparse convolutions:
     # the ladder's numerators over p._den ** n, not reduced
@@ -279,6 +281,10 @@ KNIGHT = _uniform(Z2, [((), (a, b)) for a in (1, -1, 2, -2) for b in (1, -1, 2, 
                        if abs(a) != abs(b)])  # its lattice has index 2 in Z^2
 LAZY_Z2 = _uniform(Z2, [((), (0, 0)), ((), (1, 0)), ((), (-1, 0)), ((), (0, 1)), ((), (0, -1))])
 SIMPLE_Z = _uniform(GroupSpec((), 1), [((), (-1,)), ((), (1,))])
+# torsion-free walk subgroups in mixed groups, whose residues wrap mod 4
+DIAGONAL_Z4Z = _uniform(Z4Z, [((0,), (0,)), ((1,), (1,))])
+DIAGONAL_Z2Z4Z2 = _uniform(GroupSpec([2, 4], 2), [((0, 0), (0, 0)), ((1, 1), (1, 0)),
+                                                  ((0, 1), (0, 1))])
 SIMPLEX_Z6 = _uniform(GroupSpec((), 6), [((), (0,) * 6)] + [
     ((), tuple(int(i == j) for i in range(6))) for j in range(6)])
 W200 = _uniform(Z2, [((), (i % 20 - 10, i // 20 - 5)) for i in range(200)])
@@ -291,9 +297,11 @@ W200 = _uniform(Z2, [((), (i % 20 - 10, i // 20 - 5)) for i in range(200)])
 @example((KNIGHT, KNIGHT), (7, 2))
 @example((spitzer(), spitzer()), (9, 3))
 @example((SIMPLE_Z, SIMPLE_Z), (0, 3))
+@example((DIAGONAL_Z4Z, DIAGONAL_Z4Z), (9, 2))
+@example((DIAGONAL_Z2Z4Z2, DIAGONAL_Z2Z4Z2), (7, 3))
 def test_recurrence_matches_sparse_reference(pq, window):
     # p^n, ..., p^(n+s-1), as the window of a time average reads them, each made by
-    # the recurrence on a law with no torsion axis and by the ladder otherwise
+    # the recurrence where W has no cyclic axis and by the ladder otherwise
     p, _ = pq
     n, s = window
     with mock.patch.object(dancewalk._recurrence, "cheaper", lambda *args: True):
@@ -326,8 +334,8 @@ def test_the_chooser_keeps_the_ladder_where_the_recurrence_costs_more(monkeypatc
     for p, steps in [*((q, [12]) for q in sweep), (W200, [2]), (W200, [3, 8]),
                      (SIMPLEX_Z6, [6]), (SIMPLEX_Z6, [2, 3])]:
         assert methods(p, steps) == ["_product"]
-    # walks with few support points and no torsion axis make no product
-    for p in (LAZY_Z2, KNIGHT, SIMPLE_Z, spitzer()):
+    # walks with few support points and no cyclic axis in W make no product
+    for p in (LAZY_Z2, KNIGHT, SIMPLE_Z, spitzer(), DIAGONAL_Z4Z, DIAGONAL_Z2Z4Z2):
         assert methods(p, [2]) == methods(p, [10, 20, 30]) == methods(p, [40]) == ["power"]
     # p^1 is given, so neither method has work to do
     assert methods(LAZY_Z2, [1]) == methods(SIMPLE_Z, [0, 1]) == []
@@ -363,9 +371,9 @@ def recorded_boxes(monkeypatch):
         boxes.append(size)
         return pack(nums, lo, strides, width, size)
 
-    def recording_power(law, n, basis, base):
-        boxes.append(dancewalk.measure._cells(law, (0,) * len(basis), n)[0])
-        return power(law, n, basis, base)
+    def recording_power(law, n):
+        boxes.append(dancewalk.measure._cells(law, (0,) * len(min(law[1])), n)[0])
+        return power(law, n)
 
     monkeypatch.setattr(dancewalk.measure, "_pack", recording_pack)
     monkeypatch.setattr(dancewalk._recurrence, "power", recording_power)
