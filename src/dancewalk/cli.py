@@ -190,6 +190,12 @@ def cmd_analyze(args) -> int:
 _WEIGHT = {"elem": {"torsion": _SLOT, "free": _SLOT}, "weight": _SLOT, "weight_float": _SLOT}
 
 
+def _lowest(v: int, den: int) -> tuple[int, int, float]:
+    """v / den as (numerator, denominator) in lowest terms, and as float(Fraction) rounds it."""
+    g = math.gcd(v, den)
+    return v // g, den // g, v / den
+
+
 def cmd_convolve(args) -> int:
     from .measure import _powers
 
@@ -199,9 +205,8 @@ def cmd_convolve(args) -> int:
 
     def rows():
         for x in sorted(nums):
-            v = nums[x]
-            g = math.gcd(v, den)
-            yield x[:t], x[t:], _fmt_ratio(v // g, den // g), v / den
+            num, d, f = _lowest(nums[x], den)
+            yield x[:t], x[t:], _fmt_ratio(num, d), f
 
     _emit({"n": args.n, "support_size": len(nums), "weights": _Rows(_WEIGHT, rows())})
     return 0
@@ -209,16 +214,14 @@ def cmd_convolve(args) -> int:
 
 def _compare_rows(den: int, nums: dict, a, n: int):
     """(x, numerator, denominator, p_float, theta, attractor, abs_error) at
-    each window point of step n, from p^(n)'s numerators nums over den: the
-    weight there is numerator / denominator in lowest terms and p_float
-    that quotient correctly rounded, as float(Fraction) gives it.  Every
-    window point is live, so theta is the normalization c at each."""
+    each window point of step n, from p^(n)'s numerators nums over den, the
+    weight by _lowest.  Every window point is live: theta is c at each."""
     from .llt import _evaluated_window
 
     theta = a.dance.normalization_c
     for x, v, approx in _evaluated_window(nums, a, n):
-        g, p_float = math.gcd(v, den), v / den
-        yield x, v // g, den // g, p_float, theta, approx, abs(p_float - approx)
+        num, d, p_float = _lowest(v, den)
+        yield x, num, d, p_float, theta, approx, abs(p_float - approx)
 
 
 def _compare_steps(p: Distribution, ns: list[int]):

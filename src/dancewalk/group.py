@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import index, mod, mul
+from operator import add, index, mod, mul
 
 from ._errors import UnsupportedOperationError
 from ._value import Value
@@ -148,12 +148,27 @@ class Element(Value):
 
 
 def _relation_rows(g: GroupSpec) -> list[list[int]]:
-    rows = []
-    for i, m in enumerate(g.torsion_moduli):
-        row = [0] * g.dim
-        row[i] = m
-        rows.append(row)
-    return rows
+    return [[m * (i == j) for j in range(g.dim)] for i, m in enumerate(g.torsion_moduli)]
+
+
+def _progressions(rows, box, v, j=0):
+    """Each v + sum of k_i * rows[i] over j <= i < len(box) with coordinate
+    i in box[i], as a tuple, lazily and in sorted order: rows[i] pivots at
+    column i, positively, with zeros before it, so k_i runs over one interval."""
+    if j == len(box):
+        yield v
+        return
+    row, axis = rows[j], box[j]
+    k = -((axis.start - v[j]) // -row[j])  # the least k with v[j] + k * row[j] in the box
+    if k:
+        v = tuple(map(add, v, [k * s for s in row]))
+    for i in range((axis.stop - 1 - v[j]) // row[j] + 1):
+        if i:
+            v = tuple(map(add, v, row))
+        if j + 1 < len(box):
+            yield from _progressions(rows, box, v, j + 1)
+        else:
+            yield v
 
 
 class Subgroup(Value):
@@ -164,9 +179,10 @@ class Subgroup(Value):
     subgroup of the parent, and Hermite row j pivots at column j, at a
     divisor h_j of m_j, on each torsion axis j < t.  The basis is square
     (row j pivoting at column j on every axis) exactly when the index is
-    finite; index, order and the coset walk read the diagonal h_j.  One
-    Smith form is kept for parent / H (quotient_map), one for H itself
-    (_coordinates).
+    finite; index, order and the coset walks (_progressions) read the
+    Hermite rows.  Of the two Smith forms kept, parent / H's (quotient_map)
+    serves membership, coset orders, annihilators and the live-coset
+    tests, and H's own (_coordinates) only measure's packing.
     """
 
     __slots__ = ("parent", "basis", "_quotient", "_coords")
@@ -289,11 +305,9 @@ class Subgroup(Value):
         """Coordinate tuples of the coset H + shift of a finite subgroup (H
         itself when shift is None), a lazy stream in sorted order.
 
-        A finite H has Hermite rows only on the torsion axes (see the class
-        docstring), so y_j runs over one progression of step h_j in [0, m_j),
-        set by y's earlier coordinates: a walk of depth t - 1 yields each
-        head (y_0, ..., y_{t-2}) once and in order, zipped with its last
-        progression, a lazy range, so no list of the points is built.
+        A finite H has Hermite rows only on the torsion axes, so
+        _progressions yields each head (y_0, ..., y_{t-2}) in [0, m_j) once
+        and in order, zipped with its last axis's lazy range of step h.
         """
         if self.rank() > 0:
             raise UnsupportedOperationError("subgroup is infinite")
@@ -302,19 +316,10 @@ class Subgroup(Value):
         if not t:
             return iter([shift])
         h = rows[-1][t - 1]
-
-        def heads(j, head, rest):  # rest[i]: axis j + i of -shift less the rows taken so far
-            if j == t - 1:
-                return iter([(head, -rest[0] % h)])
-            hj, row = rows[j][j], rows[j][j + 1:]
-            return (x for y in range(-rest[0] % hj, moduli[j], hj)
-                    for x in heads(j + 1, (*head, y), [
-                        c - (y + rest[0]) // hj * e for c, e in zip(rest[1:], row)]))
-
         return itertools.chain.from_iterable(
-            zip(*map(itertools.repeat, head), range(start, moduli[-1], h),
-                *map(itertools.repeat, shift[t:]))
-            for head, start in heads(0, (), [-c for c in shift[:t]]))
+            zip(*map(itertools.repeat, v[:t - 1]), range(v[t - 1] % h, moduli[-1], h),
+                *map(itertools.repeat, v[t:]))
+            for v in _progressions(rows, [range(m) for m in moduli[:-1]], shift))
 
     def annihilator(self) -> "Subgroup":
         """Characters of a finite parent that are identically 1 on H.

@@ -20,12 +20,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add, mod
+from operator import add
 
 from ._errors import InvariantViolationError, UnsupportedOperationError
 from ._value import Value
 from .dance import DanceData, dance_of, spectral_gap
-from .group import Element, GroupSpec, Homomorphism, whole_group
+from .group import Element, GroupSpec, Homomorphism, _progressions, whole_group
 from .intlinalg import (
     AffinePointSet,
     IntMatrix,
@@ -176,21 +176,19 @@ def _evaluated_window(nums, a: Attractor, n: int):
     to that of gaussian_kernel in tests/reference.py, the Fraction
     reference the tests compare against.
 
-    The window walks the live coset through W's own coordinates
-    (Subgroup._coordinates): W_t = W ∩ Tor(G) is listed once from the
-    cyclic rows, and the Hermite rows of the free rows, written as
-    (u, r, f) = (phi(x), torsion residues, free part), pivot on u's axes.
-    As by Fincke and Pohst (1985), the first d - 1 coordinates of u step
-    through the progressions their pivots fix within a box, and the last
-    steps by its pivot through the exact interval where the form, a
-    quadratic in it, is within bound, the form and the point stepping by
-    integer differences; each live u lifts to (r, f) plus W_t.
+    The window steps through W's Hermite rows in (u, r, f) = (phi(x),
+    torsion residues, free part): d pivot on u's axes, then t, W_t's, on
+    r's.  As by Fincke and Pohst (1985), the first d - 1 coordinates of u
+    take the progressions their pivots fix in a box and the last the exact
+    interval where the form, a quadratic in it, is within bound, form and
+    point stepping by integer differences; W_t's rows step each live u's
+    residues into [0, m_j).
 
     UnsupportedOperationError if the live points, the progressions' points
-    in the box times |W_t|, number more than _MAX_WINDOW_POINTS.  A key of
-    nums outside the window whose form exceeds 1492 * n * det(L*Gamma) *
-    dm^2 gets the value 0.0 without the float quotient: the exponent is
-    below -746, where exp is 0.0.
+    in the box on all d + t axes, number more than _MAX_WINDOW_POINTS.  A
+    key of nums outside the window whose form exceeds 1492 * n *
+    det(L*Gamma) * dm^2 gets the value 0.0 without the float quotient: the
+    exponent is below -746, where exp is 0.0.
     """
     dance, w = a.dance, a.dance.walk_subgroup
     image = w._image  # pi onto G/W
@@ -217,41 +215,29 @@ def _evaluated_window(nums, a: Attractor, n: int):
         def kernel(form):  # K^n(u - n*mu) for the u with Y . QY = form
             return math.exp(-(form / scale) / (2 * float(n))) / norm
 
-        orders, embedding, _ = w._coordinates()  # W = Z_{e_1} x ... x Z_{e_s} x Z^d
-        cyclic, free = orders[:-d], embedding[-d:]
-        rows = lattice_basis([phi.mul_vec(b) + b for b in free], d + w.parent.dim)
-        if not rows[-1][d - 1]:
+        rows = lattice_basis([phi.mul_vec(b) + b for b in w.basis.data], d + w.parent.dim)
+        if not rows[d - 1][d - 1]:
             raise InvariantViolationError("W has a free row that phi sends to 0")
         box = []
-        for i in range(d):  # every axis is range-checked; the last is not a box axis
+        for i in range(d):  # every axis of u is range-checked; its last is not a box axis
             r = 8 * math.sqrt(_float(n * moments.covariance[i][i], f"variance n * Gamma[{i}][{i}]"))
             center = _float(n * moments.mean[i], f"mean n * mu[{i}]")
             box.append(range(math.floor(center - r), math.ceil(center + r) + 1))
-        # on each axis one progression of step the row's pivot, |W_t| points over each u
+        box += map(range, moduli)  # then the residues' axes
+        # on each axis one progression of step the row's pivot
         size = math.prod(-((axis.start - axis.stop) // row[i])
-                         for i, (axis, row) in enumerate(zip(box, rows))) * math.prod(cyclic)
+                         for i, (axis, row) in enumerate(zip(box, rows)))
         if size > _MAX_WINDOW_POINTS:
             raise UnsupportedOperationError(
                 f"the window at n = {n} would hold {size} points, "
                 f"past the budget of {_MAX_WINDOW_POINTS}")
         bound = 64 * n * scale
-
-        def heads(j, v):  # the coset's points v with v[:j] in the box, one per head v[:d - 1]
-            if j == d - 1:
-                return [v]
-            row, axis = rows[j], box[j]  # v + k * row puts v[j] in the box for k in lo..hi
-            lo, hi = -((axis.start - v[j]) // -row[j]), (axis.stop - 1 - v[j]) // row[j]
-            return (x for k in range(lo, hi + 1)
-                    for x in heads(j + 1, [e + k * s for e, s in zip(v, row)]))
-
-        lifts = [(0,) * t]  # W_t, listed once from the cyclic rows, residues unreduced
-        for e, row in zip(cyclic, embedding):
-            lifts = [tuple(a + k * b for a, b in zip(r, row)) for k in range(e) for r in lifts]
+        torsion, residues = [row[d:] for row in rows[d:]], box[d:]  # W_t on (r, f)
         heat = {}
         h, step = rows[d - 1][d - 1], rows[d - 1][d:]
         qll, sl = q[d - 1][d - 1], shift[d - 1]
         qa = qll * dm * dm
-        for v in heads(0, [*phi.mul_vec(nx0), *nx0]):
+        for v in _progressions(rows, box[:d - 1], (*phi.mul_vec(nx0), *nx0)):
             # form(head, c) = qa*c^2 + qb*c + qc, c the last coordinate of u
             y = [dm * c - s for c, s in zip(v[:d - 1], shift)]
             cross = sum((q[d - 1][j] + q[j][d - 1]) * yj for j, yj in enumerate(y))
@@ -268,8 +254,8 @@ def _evaluated_window(nums, a: Attractor, n: int):
             form, diff = qa * lo * lo + qb * lo + qc, h * (qa * (2 * lo + h) + qb)
             for _ in range(lo, hi + 1, h):
                 value = kernel(form)
-                for r in lifts:  # x itself when G has no torsion axis
-                    heat[(*map(mod, map(add, x, r), moduli), *x[t:]) if t else x] = value
+                for z in _progressions(torsion, residues, x) if t else (x,):  # x + W_t
+                    heat[z] = value
                 form, diff = form + diff, diff + 2 * qa * h * h
                 x = tuple(map(add, x, step))
         for x in nums.keys() - heat.keys():

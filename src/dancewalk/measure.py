@@ -32,7 +32,7 @@ from operator import add, index, mod, mul
 
 from ._value import Value
 from .group import Element, GroupSpec, Homomorphism, Subgroup, UnsupportedOperationError
-from .intlinalg import IntMatrix, InvariantViolationError
+from .intlinalg import InvariantViolationError
 
 
 class Distribution(Value):
@@ -353,8 +353,10 @@ def torsion_pushforward(p: Distribution) -> Distribution:
     g = p.group
     if g.free_rank == 0:
         return p
-    rows = [[int(i == j) for j in range(g.dim)] for i in range(len(g.torsion_moduli))]
-    return pushforward(p, Homomorphism(g, g.torsion_component(), IntMatrix(rows, cols=g.dim)))
+    t, out = len(g.torsion_moduli), {}
+    for x, v in p._nums.items():
+        out[x[:t]] = out.get(x[:t], 0) + v
+    return Distribution._law(g.torsion_component(), p._den, out)
 
 
 class WalkPath(Value):

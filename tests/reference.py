@@ -23,7 +23,8 @@ Element steps.  No library path calls them.
 hermite_form runs the library's Hermite kernel with a transform, and
 matmul is the integer matrix product, for the normal-form checks.
 dump_spec writes a Distribution back as a walk description, which
-dancewalk.cli.load_spec parses to an identical Distribution.
+dancewalk.cli.load_spec parses to an identical Distribution, and uniform
+builds the uniform law on a list of (torsion, free) points.
 """
 
 import cmath
@@ -290,6 +291,11 @@ def rational_inverse(rows) -> list[list[Fraction]]:
                 f = a[i][col]
                 a[i] = [e - f * g for e, g in zip(a[i], a[col])]
     return [row[n:] for row in a]
+
+
+def uniform(g, points) -> Distribution:
+    """The uniform law on the points of g, each a (torsion, free) pair."""
+    return Distribution(g, {g.element(t, f): Fraction(1, len(points)) for t, f in points})
 
 
 def dump_spec(p: Distribution) -> str:

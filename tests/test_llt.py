@@ -42,7 +42,7 @@ from dancewalk.llt import (
 )
 from dancewalk.scenarios import elevator1, elevator2, spitzer, z4z6_walk, z9_walk, z12_walk
 from reference import (attractor_eval, char_fn, closure, dump_spec, evaluation_window,
-                       gaussian_kernel, rational_inverse, sparse_convolve, sparse_power)
+                       gaussian_kernel, rational_inverse, sparse_convolve, sparse_power, uniform)
 
 Z12 = GroupSpec([12])
 Z1 = GroupSpec((), 1)
@@ -52,16 +52,19 @@ half = Fraction(1, 2)
 quarter = Fraction(1, 4)
 
 
-def _uniform(g, steps):
-    return Distribution(g, {g.element(t, f): Fraction(1, len(steps)) for t, f in steps})
-
-
-DRIFT_Z2 = _uniform(Z2, [((), (0, 0)), ((), (1, 0)), ((), (0, 1))])
-SHEARED_LAZY_Z2 = _uniform(Z2, [((), (0, 0)), ((), (1, 1)), ((), (-1, -1)), ((), (1, 0)),
-                                ((), (-1, 0))])
-TWISTED_Z4_Z2 = _uniform(GroupSpec([4], 2), [((1,), (1, 0)), ((3,), (0, 1)), ((1,), (2, -1))])
+DRIFT_Z2 = uniform(Z2, [((), (0, 0)), ((), (1, 0)), ((), (0, 1))])
+SHEARED_LAZY_Z2 = uniform(Z2, [((), (0, 0)), ((), (1, 1)), ((), (-1, -1)), ((), (1, 0)),
+                               ((), (-1, 0))])
+TWISTED_Z4_Z2 = uniform(GroupSpec([4], 2), [((1,), (1, 0)), ((3,), (0, 1)), ((1,), (2, -1))])
 # W_t = W ∩ Tor(G) = <(1, 1)>, of order 4, is not a product of coordinate subgroups; c = 2
-DIAGONAL_Z2_Z4_Z = _uniform(GroupSpec([2, 4], 1), [((0, 0), (0,)), ((1, 1), (0,)), ((0, 0), (1,))])
+DIAGONAL_Z2_Z4_Z = uniform(GroupSpec([2, 4], 1), [((0, 0), (0,)), ((1, 1), (0,)), ((0, 0), (1,))])
+# c = 6 and d = 1: W_t = <(2, 0), (0, 3)> has two cyclic factors, and the Hermite row of
+# W that pivots on phi's axis carries residues
+SPLIT_Z4_Z6_Z = uniform(GroupSpec([4, 6], 1), [((0, 0), (0,)), ((2, 0), (0,)), ((0, 3), (0,)),
+                                               ((1, 1), (1,))])
+# c = 6 and d = 2 with torsion
+MIXED_Z2_Z3_Z2 = uniform(GroupSpec([2, 3], 2), [((0, 0), (0, 0)), ((1, 1), (1, 0)),
+                                                ((0, 2), (1, 2)), ((1, 0), (0, 0))])
 
 
 def test_mean_cov_examples():
@@ -271,7 +274,7 @@ def test_time_average_holds_one_law_at_a_time(monkeypatch):
 
     monkeypatch.setattr(dancewalk.llt, "_powers", spy)
     g = GroupSpec([4, 5])
-    p = _uniform(g, [((1, 0), ()), ((1, 1), ()), ((1, 3), ())])
+    p = uniform(g, [((1, 0), ()), ((1, 1), ()), ((1, 3), ())])
     err = time_average_error(p, build_attractor(p), 6, 4)
     assert released == [True] * 4
     assert err == pytest.approx(max(abs(float(sum(convolution_power(p, m).weight(x)
@@ -310,7 +313,7 @@ def test_finite_window_holds_no_list_of_the_live_coset():
     # d = 0 on Z_300 x Z_300: the live coset is all 90000 points, walked from
     # W's Hermite rows, and the first rows come with no list of them
     g = GroupSpec([300, 300])
-    p = _uniform(g, [((0, 0), ()), ((1, 0), ()), ((0, 1), ())])
+    p = uniform(g, [((0, 0), ()), ((1, 0), ()), ((0, 1), ())])
     a = build_attractor(p)
     (_, _, nums), = _powers(p, (1,))
     gc.disable()
@@ -326,7 +329,7 @@ def test_finite_window_holds_no_list_of_the_live_coset():
 
 
 # 1/2 on (1, 1) and (1, -1) in Z_3 x Z: period 6, mean zero, |Tor(G)| = 3
-DANCING_Z3_Z = _uniform(GroupSpec([3], 1), [((1,), (1,)), ((1,), (-1,))])
+DANCING_Z3_Z = uniform(GroupSpec([3], 1), [((1,), (1,)), ((1,), (-1,))])
 # 2/3 on +1 and 1/3 on -1 in Z: irreducible with period 2 and mean 1/3
 DRIFT_CYCLE_Z = Distribution(Z1, {Z1.element((), [1]): Fraction(2, 3),
                                   Z1.element((), [-1]): Fraction(1, 3)})
@@ -415,7 +418,7 @@ def _tv_and_time_average_walks():
         walks.append(Distribution(g, {g.element(x): Fraction(v, sum(nums))
                                       for x, v in zip(pts, nums)}))
     z2z4 = GroupSpec([2, 4])
-    walks.append(_uniform(z2z4, [((1, 1), ()), ((0, 1), ()), ((1, 3), ()), ((0, 3), ())]))
+    walks.append(uniform(z2z4, [((1, 1), ()), ((0, 1), ()), ((1, 3), ()), ((0, 3), ())]))
     return walks + [elevator1()]
 
 
@@ -488,9 +491,9 @@ def test_classify_infinite_cases():
     assert c.irreducible == "no"
 
 
-SIMPLE_Z = _uniform(Z1, [((), (1,)), ((), (-1,))])
-KNIGHT = _uniform(Z2, [((), (a, b)) for a, b in itertools.product((1, -1, 2, -2), repeat=2)
-                       if abs(a) != abs(b)])
+SIMPLE_Z = uniform(Z1, [((), (1,)), ((), (-1,))])
+KNIGHT = uniform(Z2, [((), (a, b)) for a, b in itertools.product((1, -1, 2, -2), repeat=2)
+                      if abs(a) != abs(b)])
 
 
 @st.composite
@@ -572,14 +575,14 @@ def supports(draw):
 @seed(0x3f8a1c6e2b9d4f7a0c5e8b1d3f6a9c2e4b7d0f3a6c9e1b4d7f2a5c8e0b3d6f9a1c4e7b2d5f8a0c3e6b9d2f4)
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(supports())
-@example(_uniform(Z1, [((), (1,)), ((), (0,))]))  # 0 is in the hull of {0, 1}, not its interior
+@example(uniform(Z1, [((), (1,)), ((), (0,))]))  # 0 is in the hull of {0, 1}, not its interior
 @example(DRIFT_CYCLE_Z)
-@example(_uniform(Z2, [((), (0, 0)), ((), (1, 0)), ((), (-1, 0)), ((), (0, 1))]))  # drift_up_z2
-@example(_uniform(GroupSpec([4], 1), [((1,), (0,)), ((3,), (0,))]))  # free parts all zero
-@example(_uniform(Z1, [((), (1,))]))  # a single point
-@example(_uniform(Z2, [((), (1, 2)), ((), (-2, -4)), ((), (2, 4))]))  # on a line, both signs
-@example(_uniform(GroupSpec((), 3), [((), (1, 0, 0)), ((), (0, 1, 0)), ((), (0, 0, 1)),
-                                     ((), (-1, -1, -1))]))  # irreducible on Z^3, period 4
+@example(uniform(Z2, [((), (0, 0)), ((), (1, 0)), ((), (-1, 0)), ((), (0, 1))]))  # drift_up_z2
+@example(uniform(GroupSpec([4], 1), [((1,), (0,)), ((3,), (0,))]))  # free parts all zero
+@example(uniform(Z1, [((), (1,))]))  # a single point
+@example(uniform(Z2, [((), (1, 2)), ((), (-2, -4)), ((), (2, 4))]))  # on a line, both signs
+@example(uniform(GroupSpec((), 3), [((), (1, 0, 0)), ((), (0, 1, 0)), ((), (0, 0, 1)),
+                                    ((), (-1, -1, -1))]))  # irreducible on Z^3, period 4
 def test_classify_decides_by_the_semigroup_of_the_support(p):
     # irreducible exactly when x0 generates G/W and the steps' free parts carry
     # a witness N_s >= 1 of a group; the witness is checked on its own, and the
@@ -977,6 +980,10 @@ def window_cases(draw):
 @example((TWISTED_Z4_Z2, 5))
 # rank 1 in Z_2 x Z_4 x Z: each window u lifts through the 4 residues of one coset of W_t
 @example((DIAGONAL_Z2_Z4_Z, 12))
+# each window u lifts through the 4 residues of W_t = Z_2 x Z_2, stepped from a pivot row
+# with residues; and a rank-2 window whose points lift through residues
+@example((SPLIT_Z4_Z6_Z, 20))
+@example((MIXED_Z2_Z3_Z2, 8))
 def test_evaluated_window_matches_fraction_reference(case):
     p, n = case
     a = build_attractor(p)
@@ -994,7 +1001,7 @@ def test_a_walk_scaled_into_a_sublattice_reports_the_same_errors(n):
     # 1/3 at 0, s*e1 and s*e2 is the drift walk written in W = sZ^2: the window
     # walks only W's live points, the same ones, with the same kernel values
     s = 1000
-    scaled = _uniform(Z2, [((), (0, 0)), ((), (s, 0)), ((), (0, s))])
+    scaled = uniform(Z2, [((), (0, 0)), ((), (s, 0)), ((), (0, s))])
     want, got = (llt_sup_error(p, build_attractor(p), n) for p in (DRIFT_Z2, scaled))
     assert (got.sup_error, got.scaled_sup_error) == (want.sup_error, want.scaled_sup_error)
     assert got.worst_point.free == tuple(s * c for c in want.worst_point.free)

@@ -26,7 +26,7 @@ from dancewalk.measure import (
     torsion_pushforward,
 )
 from dancewalk.scenarios import elevator1, elevator2, spitzer, z12_walk
-from reference import reference_path, sparse_convolve, sparse_power
+from reference import reference_path, sparse_convolve, sparse_power, uniform
 
 Z12 = GroupSpec([12])
 Z9 = GroupSpec([9])
@@ -272,22 +272,17 @@ def test_power_ladder_matches_sparse_reference(pq, steps):
         assert nums == {x.coords(): w * den for x, w in sparse_power(p, n).items()}
 
 
-def _uniform(g, points):
-    """The uniform law on the points of g, each a (torsion, free) pair."""
-    return Distribution(g, {g.element(t, f): Fraction(1, len(points)) for t, f in points})
-
-
-KNIGHT = _uniform(Z2, [((), (a, b)) for a in (1, -1, 2, -2) for b in (1, -1, 2, -2)
-                       if abs(a) != abs(b)])  # its lattice has index 2 in Z^2
-LAZY_Z2 = _uniform(Z2, [((), (0, 0)), ((), (1, 0)), ((), (-1, 0)), ((), (0, 1)), ((), (0, -1))])
-SIMPLE_Z = _uniform(GroupSpec((), 1), [((), (-1,)), ((), (1,))])
+KNIGHT = uniform(Z2, [((), (a, b)) for a in (1, -1, 2, -2) for b in (1, -1, 2, -2)
+                      if abs(a) != abs(b)])  # its lattice has index 2 in Z^2
+LAZY_Z2 = uniform(Z2, [((), (0, 0)), ((), (1, 0)), ((), (-1, 0)), ((), (0, 1)), ((), (0, -1))])
+SIMPLE_Z = uniform(GroupSpec((), 1), [((), (-1,)), ((), (1,))])
 # torsion-free walk subgroups in mixed groups, whose residues wrap mod 4
-DIAGONAL_Z4Z = _uniform(Z4Z, [((0,), (0,)), ((1,), (1,))])
-DIAGONAL_Z2Z4Z2 = _uniform(GroupSpec([2, 4], 2), [((0, 0), (0, 0)), ((1, 1), (1, 0)),
-                                                  ((0, 1), (0, 1))])
-SIMPLEX_Z6 = _uniform(GroupSpec((), 6), [((), (0,) * 6)] + [
+DIAGONAL_Z4Z = uniform(Z4Z, [((0,), (0,)), ((1,), (1,))])
+DIAGONAL_Z2Z4Z2 = uniform(GroupSpec([2, 4], 2), [((0, 0), (0, 0)), ((1, 1), (1, 0)),
+                                                 ((0, 1), (0, 1))])
+SIMPLEX_Z6 = uniform(GroupSpec((), 6), [((), (0,) * 6)] + [
     ((), tuple(int(i == j) for i in range(6))) for j in range(6)])
-W200 = _uniform(Z2, [((), (i % 20 - 10, i // 20 - 5)) for i in range(200)])
+W200 = uniform(Z2, [((), (i % 20 - 10, i // 20 - 5)) for i in range(200)])
 
 
 @seed(0x5d4c2b7e8f1a3c6d9e0b2a4f6c8e1d3b5a7c9e0f2d4b6a8c1e3f5d7b9a0c2e4f6b8d1a3c5e7f9b0d2a4c6e8f1b3d5a)
@@ -328,8 +323,8 @@ def test_the_chooser_keeps_the_ladder_where_the_recurrence_costs_more(monkeypatc
         assert [n for n, *_ in dancewalk.measure._powers(p, steps)] == sorted(steps)
         return sorted(made)
 
-    sweep = [_uniform(GroupSpec(m), [((0,) * len(m), ()), ((1,) * len(m), ()),
-                                     ((0,) * (len(m) - 1) + (2,), ())]) for m in SWEEP_SHAPES]
+    sweep = [uniform(GroupSpec(m), [((0,) * len(m), ()), ((1,) * len(m), ()),
+                                    ((0,) * (len(m) - 1) + (2,), ())]) for m in SWEEP_SHAPES]
     # small tori, a wide support and a thin one over many axes stay on the ladder
     for p, steps in [*((q, [12]) for q in sweep), (W200, [2]), (W200, [3, 8]),
                      (SIMPLEX_Z6, [6]), (SIMPLEX_Z6, [2, 3])]:
